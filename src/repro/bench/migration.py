@@ -20,9 +20,9 @@ statistics from :meth:`PartitionedGraph.cut_stats` before and after.
 The acceptance gates (``--check``):
 
 * wave-3 traverser messages drop by ≥ 25 % vs the static engine (and
-  strictly drop), on every kernel tier;
+  strictly drop), on both kernels;
 * every query's rows are bit-identical across static/migrated and
-  across scalar/batch/vector;
+  across the run and scalar kernels;
 * all weight-ledger audits are clean (the MIGRATE events re-assert
   Theorem 1 at each flip) and no query was retried or restarted;
 * at least one migration actually flipped mid-wave traffic.
@@ -46,6 +46,7 @@ from repro.graph.property_graph import OUT
 from repro.graph.partition import PartitionedGraph
 from repro.query.traversal import Traversal
 from repro.runtime.engine import AsyncPSTMEngine, EngineConfig
+from repro.runtime.kernels import KERNEL_NAMES as KERNELS
 from repro.runtime.metrics import MsgKind
 from repro.runtime.migrate import Migrator, TrafficMiner
 from repro.runtime.trace import WeightLedgerAuditor
@@ -75,8 +76,6 @@ MINE_TOP_K = 128
 MINE_MIN_GAIN = 2
 MINE_BALANCE_SLACK = 1.20
 MINE_DOMINANCE = 1.5
-
-KERNELS = ("scalar", "batch", "vector")
 
 
 def build_graph() -> PartitionedGraph:
@@ -236,7 +235,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--check", action="store_true",
                         help="exit nonzero unless migration cuts wave-3 "
                              "traverser messages by >= 25%% with identical "
-                             "rows and clean audits on every kernel tier")
+                             "rows and clean audits on both kernels")
     args = parser.parse_args(argv)
 
     n_queries = QUICK_WAVE_QUERIES if args.quick else WAVE_QUERIES

@@ -5,7 +5,7 @@ Reopens the paper's Fig 7 question for the transaction plane
 when update transactions commit concurrently — and do readers stay
 snapshot-isolated while it happens?
 
-For each kernel tier × update ratio ∈ {0 %, 25 %, 50 %} (updates as a
+For each kernel × update ratio ∈ {0 %, 25 %, 50 %} (updates as a
 fraction of all operations), one engine with ``transactions=True`` runs a
 fixed IC workload while LDBC SNB UP transactions (UP1–UP8) commit through
 the transaction plane on the same simulated clock. Every query is pinned
@@ -16,7 +16,7 @@ genuine writer/reader interference.
 The acceptance gates (``--check``):
 
 * **rows_identical_across_tiers** — at each update ratio, every query's
-  rows are bit-identical on scalar, batch, and vector;
+  rows are bit-identical on the run and scalar kernels;
 * **rows_match_solo_snapshot** — every query's rows equal a solo
   :class:`~repro.runtime.reference.LocalExecutor` run against the
   snapshot view at its pinned timestamp (snapshot isolation, exactly);
@@ -54,6 +54,7 @@ from repro.ldbc.queries.updates import UP_QUERIES, UpdateContext
 from repro.query.traversal import Traversal
 from repro.runtime.engine import AsyncPSTMEngine, EngineConfig
 from repro.runtime.faults import CRASH, FaultPlan, WorkerFault
+from repro.runtime.kernels import KERNEL_NAMES as KERNELS
 from repro.runtime.reference import LocalExecutor
 from repro.runtime.trace import (
     CHECKPOINT,
@@ -76,8 +77,6 @@ FIRST_ARRIVAL_US = 200.0
 #: update ratios: updates as a percentage of all operations (Fig 7's axis)
 UPDATE_RATIOS = (0, 25, 50)
 
-KERNELS = ("scalar", "batch", "vector")
-
 #: crash leg shape: checkpoint every boundary, tear one commit right
 #: before the crash, crash the worker mid-wave, recover shortly after
 CRASH_WID = 1
@@ -92,10 +91,10 @@ def n_updates(n_queries: int, ratio_pct: int) -> int:
 def build_workload(dataset, graph, n_queries: int, ratio_pct: int):
     """The deterministic (queries, updates) schedule for one ratio.
 
-    Identical across kernel tiers by construction: every param draw uses
+    Identical across kernels by construction: every param draw uses
     a ratio-seeded RNG and a fresh :class:`UpdateContext`, so the commit
     stream — and therefore every query's pinned snapshot — replays
-    bit-identically on scalar, batch, and vector.
+    bit-identically on both kernels.
     """
     rng = random.Random(0xF1607 + ratio_pct)
     queries = []
@@ -307,7 +306,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="CI variant: fewer queries per ratio")
     parser.add_argument("--check", action="store_true",
                         help="exit nonzero unless rows are bit-identical "
-                             "across tiers and solo snapshot runs, audits "
+                             "across kernels and solo snapshot runs, audits "
                              "are clean, and crash recovery replays the "
                              "version log before traversal restore")
     args = parser.parse_args(argv)
@@ -329,7 +328,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                   f"pins={rec['distinct_pins']:<2} "
                   f"audit={'ok' if rec['audit_ok'] else 'VIOLATED'}")
 
-    crash_rec = run_once(dataset, graph, "batch", 50, n_queries, crash=True)
+    crash_rec = run_once(dataset, graph, "run", 50, n_queries, crash=True)
     print(f"crash leg: replay@{crash_rec['version_replay_index']} "
           f"restores={crash_rec['restores']} "
           f"discarded={crash_rec['versions_discarded']} "

@@ -672,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
     migrate.add_argument("--check", action="store_true",
                          help="exit nonzero unless migration cuts wave-3 "
                               "traverser messages by >= 25%% with identical "
-                              "rows and clean audits on every kernel tier")
+                              "rows and clean audits on both kernels")
     migrate.add_argument("--out", default=None,
                          help="write a JSON report here")
     migrate.set_defaults(fn=cmd_migrate)
@@ -685,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="CI variant: fewer queries per ratio")
     mixed.add_argument("--check", action="store_true",
                        help="exit nonzero unless rows are bit-identical "
-                            "across tiers and solo snapshot runs, audits "
+                            "across kernels and solo snapshot runs, audits "
                             "are clean, and crash recovery replays the "
                             "version log before traversal restore")
     mixed.add_argument("--out", default=None,

@@ -12,8 +12,8 @@ The contracts that do hold, and that the equivalence suites assert:
 
 * **result equivalence** — a fused plan produces exactly the same result
   rows as the unfused plan it was derived from;
-* **kernel equivalence** — on the *same* fused plan, the scalar, batch,
-  and vector kernels produce bit-for-bit identical simulated output, so
+* **kernel equivalence** — on the *same* fused plan, the run and scalar
+  kernels produce bit-for-bit identical simulated output, so
   every fused op's ``apply`` and ``apply_batch`` must be observationally
   identical (children order, per-traverser cost counts, memo effects).
 

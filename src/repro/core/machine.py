@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.steps import OpCost, PhysicalOp, StepContext
 from repro.core.traverser import Traverser
-from repro.core.weight import split_weight, split_weights_batch
+from repro.core.weight import split_weight
 from repro.errors import ExecutionError
 from repro.graph.partition import HashPartitioner
 from repro.query.plan import PhysicalPlan
@@ -35,36 +35,6 @@ class ExecResult:
     finished_weight: int
     cost: OpCost
     op: PhysicalOp
-
-
-class BatchExecResult:
-    """Outcome of executing a homogeneous run of traversers for one step.
-
-    Parallel lists, one entry per input traverser:
-
-    * ``children[i]`` — ``(child, pid)`` pairs; unlike :class:`ExecResult`,
-      the partition id is already fully resolved (location-free children are
-      resolved to the home of their vertex, exactly as
-      :func:`resolve_partition` would), so the async worker's hot loop can
-      compare it against its own pid directly.
-    * ``finished[i]`` — the traverser's weight when it produced no children
-      (it is finished), else ``0``.
-    * ``costs[i]`` — ``(base, edges, memo_ops, props)`` event counts.
-    """
-
-    __slots__ = ("children", "finished", "costs", "op")
-
-    def __init__(
-        self,
-        children: List[List[Tuple[Traverser, int]]],
-        finished: List[int],
-        costs: List[Tuple[int, int, int, int]],
-        op: PhysicalOp,
-    ) -> None:
-        self.children = children
-        self.finished = finished
-        self.costs = costs
-        self.op = op
 
 
 def resolve_partition(
@@ -109,7 +79,7 @@ class PSTMMachine:
 
         The plan is immutable after compilation and ``barrier_route`` is
         fixed at construction, so this is computed once and shared by every
-        batched caller (machine and worker hot loops).
+        run drain that executes this plan.
         """
         info = self._route_info
         if info is None:
@@ -161,77 +131,3 @@ class PSTMMachine:
             )
             children.append((child, self.route(child)))
         return ExecResult(children, 0, outcome.cost, op)
-
-    def execute_batch(
-        self, ctx: StepContext, travs: Sequence[Traverser], rng: random.Random
-    ) -> BatchExecResult:
-        """Run a homogeneous run of traversers — same ``(query_id, op_idx)``
-        — through one batched kernel call.
-
-        Observationally identical to calling :meth:`execute` on each
-        traverser in order: same children (same order, same payloads), same
-        RNG draw sequence (via :func:`split_weights_batch`), same memo
-        side-effect order, same per-traverser event counts. The only
-        differences are representational: costs come back as tuples and
-        child partitions are fully resolved (async-engine semantics — a
-        location-free child resolves to its vertex home).
-        """
-        op = self.plan.ops[travs[0].op_idx]
-        outcome = op.apply_batch(ctx, travs)
-        spec_rows = outcome.children
-        weight_rows = split_weights_batch(
-            [t.weight for t in travs], [len(row) for row in spec_rows], rng
-        )
-        num_ops = len(self.plan.ops)
-        partitioner = self.partitioner
-        num_partitions = partitioner.num_partitions
-        barrier_route = self.barrier_route
-        # HashPartitioner memoizes vertex→pid in _cache; reading it directly
-        # skips a method call per child on the hot path. Other partitioners
-        # (no _cache) take the generic call.
-        pcache = getattr(partitioner, "_cache", None)
-        route_info = self.route_info()
-        # Children of one run overwhelmingly target one or two ops; caching
-        # the last lookup skips even the list index on the common path.
-        last_idx = -1
-        stage = mode = child_op = None
-        children_out: List[List[Tuple[Traverser, int]]] = []
-        finished: List[int] = []
-        for trav, specs, weights in zip(travs, spec_rows, weight_rows):
-            if not specs:
-                children_out.append([])
-                finished.append(trav.weight)
-                continue
-            query_id = trav.query_id
-            row: List[Tuple[Traverser, int]] = []
-            append = row.append
-            for (vertex, op_idx, payload, loops), weight in zip(specs, weights):
-                if op_idx != last_idx:
-                    if op_idx < 0 or op_idx >= num_ops:
-                        raise ExecutionError(
-                            f"op {op.name} produced child with bad target "
-                            f"index {op_idx}"
-                        )
-                    stage, mode, child_op = route_info[op_idx]
-                    last_idx = op_idx
-                child = Traverser(
-                    query_id, vertex, op_idx, payload, weight, stage, loops
-                )
-                if mode == "vertex":
-                    if pcache is None or (pid := pcache.get(vertex)) is None:
-                        pid = partitioner(vertex)
-                elif mode == "free":
-                    if vertex >= 0:
-                        if pcache is None or (pid := pcache.get(vertex)) is None:
-                            pid = partitioner(vertex)
-                    else:
-                        pid = min(-vertex - 1, num_partitions - 1)
-                elif mode == "fixed":
-                    pid = barrier_route
-                else:
-                    routed = child_op.routing(partitioner, child)
-                    pid = resolve_partition(child, partitioner, routed)
-                append((child, pid))
-            children_out.append(row)
-            finished.append(0)
-        return BatchExecResult(children_out, finished, outcome.costs, op)

@@ -166,9 +166,9 @@ class BatchOutcome:
 
     Costs are plain tuples rather than :class:`OpCost` instances because the
     batch path exists to avoid per-traverser allocations; the runtime prices
-    the tuples with the identical arithmetic
-    (:meth:`~repro.runtime.costmodel.CostModel.op_cost_fields_us`), so
-    simulated times match the scalar path bit for bit.
+    the tuples with the identical arithmetic (the expression shape of
+    :meth:`~repro.runtime.costmodel.CostModel.op_cost_us`), so simulated
+    times match the scalar path bit for bit.
     """
 
     __slots__ = ("children", "costs")

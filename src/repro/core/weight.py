@@ -86,52 +86,6 @@ def split_weight(w: int, n: int, rng: random.Random) -> List[int]:
     return parts
 
 
-def split_weights_batch(
-    weights: List[int], counts: List[int], rng: random.Random
-) -> List[List[int]]:
-    """Split many parent weights in one call (batch execution hot path).
-
-    For each parent ``weights[i]`` produce ``counts[i]`` child weights using
-    *exactly* the same RNG draw sequence as calling
-    :func:`split_weight(weights[i], counts[i], rng) <split_weight>` for each
-    parent in order. This is what keeps the batched execution path
-    bit-for-bit reproducible against the scalar path: the group invariant
-    ``sum(children) ≡ parent (mod 2^64)`` holds per parent, and a scalar and
-    a batched engine driven by the same seeded RNG assign identical weights
-    to identical traversers.
-
-    A count of ``0`` yields an empty list and draws nothing (the scalar path
-    never calls :func:`split_weight` for a finished traverser); a count of
-    ``1`` returns the normalized parent weight without drawing.
-
-    The batch form amortizes per-call overhead: the RNG method and the group
-    modulus are bound once for the whole batch instead of once per parent.
-    """
-    if len(weights) != len(counts):
-        raise ValueError("weights and counts must be parallel lists")
-    getrandbits = rng.getrandbits
-    modulus = GROUP_MODULUS
-    out: List[List[int]] = []
-    append = out.append
-    for w, n in zip(weights, counts):
-        if n == 0:
-            append([])
-            continue
-        w %= modulus
-        if n == 1:
-            append([w])
-            continue
-        if n < 0:
-            raise ValueError(f"cannot split weight into {n} parts")
-        parts = [getrandbits(64) for _ in range(n - 1)]
-        last = w
-        for p in parts:
-            last = (last - p) % modulus
-        parts.append(last)
-        append(parts)
-    return out
-
-
 class WeightLedger:
     """Tracker-side termination detector for one (sub)query.
 

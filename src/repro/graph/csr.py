@@ -98,7 +98,7 @@ class CSRIndex:
         Built lazily with ``np.frombuffer`` over the ``array('q')`` storage
         — no copy, read-only — and cached for the index's lifetime (the
         index is immutable). Requires NumPy; callers gate on availability
-        (the vector kernel never asks without it).
+        (the vector fast paths never ask without it).
         """
         views = self._np_views
         if views is None:

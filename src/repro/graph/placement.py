@@ -11,7 +11,7 @@ Every layer that needs a vertex's owner consults a ``Placement``:
 * memo/key partitioning (:meth:`Placement.key_partition`),
 * checkpoint snapshot ownership and the CSR store layer
   (:meth:`~repro.graph.partition.PartitionedGraph.move_vertices`),
-* the vector kernel's bulk owner computation
+* the vector fast paths' bulk owner computation
   (:meth:`Placement.bulk_lookup`).
 
 No call site outside this plane computes a partition from the raw hash —
@@ -111,7 +111,7 @@ class Placement:
     ``placement(v)`` is the current owner: the relocation override when
     one exists, else the static hash home ``H(v)``. Assignments are
     memoized in ``_cache`` — routing consults the placement several times
-    per traverser, and the batch/vector kernels read the dict directly —
+    per traverser, and the run kernel reads the dict directly —
     so :meth:`relocate` **writes through** the cache: the dict object's
     identity never changes, which keeps references hoisted by in-flight
     drains correct the instant the table flips.
@@ -205,7 +205,7 @@ class Placement:
             return mix64(stable_key_hash(key)) % self._n
         return mix64(hash(key) & _MASK64) % self._n
 
-    # -- bulk lookup (vector kernel) ------------------------------------
+    # -- bulk lookup (vector fast paths) -------------------------------
 
     def bulk_lookup(self, vertices):
         """Owners for an int64 numpy array of vertex ids, or ``None``.

@@ -46,7 +46,7 @@ Fusion rules (docs/PERFORMANCE.md):
    ``combine`` at stage termination).
 
 A fused plan produces exactly the same result rows as its source plan,
-and all kernel tiers execute it bit-for-bit identically; simulated
+and both kernels execute it bit-for-bit identically; simulated
 *timings* differ from the unfused plan by design (that is the win).
 """
 

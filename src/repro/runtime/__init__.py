@@ -25,7 +25,7 @@ from repro.runtime.faults import (
     WorkerFault,
 )
 from repro.runtime.hybrid import HybridEngine, estimate_plan_work
-from repro.runtime.kernels import BatchKernel, ExecutionKernel, ScalarKernel
+from repro.runtime.kernels import ExecutionKernel, RunKernel, ScalarKernel
 from repro.runtime.lifecycle import (
     LEGAL_TRANSITIONS,
     QueryLifecycle,
@@ -55,7 +55,6 @@ __all__ = [
     "AsyncPSTMEngine",
     "AuditReport",
     "BSPEngine",
-    "BatchKernel",
     "ClusterConfig",
     "CostModel",
     "DEFAULT_COST_MODEL",
@@ -82,6 +81,7 @@ __all__ = [
     "QuerySession",
     "QueryState",
     "RecoveryManager",
+    "RunKernel",
     "RunMetrics",
     "ScalarKernel",
     "TrackerActor",

@@ -116,7 +116,6 @@ class BSPEngine:
         hardware: HardwareProfile = MODERN,
         cost_model: Optional[CostModel] = None,
         name: str = "bsp",
-        scalar_execution: bool = False,
     ) -> None:
         validate_cluster(nodes, workers_per_node, hardware)
         if graph.num_partitions != nodes * workers_per_node:
@@ -128,9 +127,6 @@ class BSPEngine:
         self.nodes = nodes
         self.workers_per_node = workers_per_node
         self.name = name
-        #: True → per-traverser ``op.apply`` calls (the reference loop the
-        #: equivalence suite compares against); False → batched kernels.
-        self.scalar_execution = scalar_execution
         self.cost = (cost_model or DEFAULT_COST_MODEL).with_hardware(hardware)
         self.num_partitions = graph.num_partitions
         self.partitions_per_node = self.num_partitions // nodes
@@ -237,13 +233,10 @@ class BSPEngine:
         outgoing: Dict[Tuple[int, int], int] = {}  # (src_node, dst_node) -> bytes
         remote: List[Tuple[int, Traverser]] = []
         compute_us = [0.0] * self.num_partitions
-        drain = (
-            self._drain_partition_scalar
-            if self.scalar_execution
-            else self._drain_partition_batched
-        )
         for pid in range(self.num_partitions):
-            compute_us[pid] = drain(session, pid, outgoing, remote)
+            compute_us[pid] = self._drain_partition(
+                session, pid, outgoing, remote
+            )
 
         # Communication phase: one bulk pack per node pair, serialized per
         # source node's NIC; intra-node exchange is shared memory.
@@ -272,14 +265,14 @@ class BSPEngine:
         for target, child in remote:
             session.push(target, child)
 
-    def _drain_partition_scalar(
+    def _drain_partition(
         self,
         session: _BSPSession,
         pid: int,
         outgoing: Dict[Tuple[int, int], int],
         remote: List[Tuple[int, Traverser]],
     ) -> float:
-        """Reference per-traverser drain loop for one partition's frontier."""
+        """Per-traverser drain loop for one partition's frontier."""
         queue = session.frontier[pid]
         compute = 0.0
         ctx = None
@@ -316,97 +309,6 @@ class BSPEngine:
                     outgoing[key] = outgoing.get(key, 0) + size
                     remote.append((target, child))
                     self.metrics.messages[MsgKind.TRAVERSER] += 1
-        return compute
-
-    def _drain_partition_batched(
-        self,
-        session: _BSPSession,
-        pid: int,
-        outgoing: Dict[Tuple[int, int], int],
-        remote: List[Tuple[int, Traverser]],
-    ) -> float:
-        """Batched drain: homogeneous runs through one kernel call each.
-
-        Same visit order and identical float accumulation sequence as the
-        scalar drain (cost and serialize terms are added per traverser /
-        per child, in order), so superstep durations are bit-for-bit equal.
-        Unlike the async engine, a location-free child stays on its current
-        partition — the run executes ops directly rather than through
-        :meth:`PSTMMachine.execute_batch`, which resolves to vertex homes.
-        """
-        queue = session.frontier[pid]
-        if not queue:
-            return 0.0
-        ctx = session.context(pid)
-        cost_model = self.cost
-        discount = cost_model.bsp_step_discount
-        op_cost_fields = cost_model.op_cost_fields_us
-        serialize_discounted = cost_model.serialize_us * discount
-        partitioner = self.graph.partitioner
-        ops = session.plan.ops
-        node_of = self.node_of
-        src_node = node_of(pid)
-        query_id = session.query_id
-        compute = 0.0
-        steps = 0
-        edges_total = 0
-        memo_total = 0
-        spawned = 0
-        trav_msgs = 0
-        while queue:
-            head = queue.popleft()
-            op_idx = head.op_idx
-            run = [head]
-            while queue and queue[0].op_idx == op_idx:
-                run.append(queue.popleft())
-            n_run = len(run)
-            session.active -= n_run
-            outcome = ops[op_idx].apply_batch(ctx, run)
-            steps += n_run
-            costs = outcome.costs
-            rows = outcome.children
-            route_cache: Dict[int, Tuple[int, str, Any]] = {}
-            for i in range(n_run):
-                base, edges, memo_ops, props = costs[i]
-                compute += op_cost_fields(base, edges, memo_ops, props) * discount
-                edges_total += edges
-                memo_total += memo_ops
-                for vertex, child_idx, payload, loops in rows[i]:
-                    info = route_cache.get(child_idx)
-                    if info is None:
-                        child_op = ops[child_idx]
-                        info = (child_op.stage, child_op.routing_mode, child_op)
-                        route_cache[child_idx] = info
-                    stage, mode, child_op = info
-                    child = Traverser(
-                        query_id, vertex, child_idx, payload, 0, stage, loops
-                    )
-                    spawned += 1
-                    if mode == "free":
-                        target = pid
-                    elif mode == "vertex":
-                        target = partitioner(vertex)
-                    else:
-                        routed = child_op.routing(partitioner, child)
-                        target = pid if routed is None else routed
-                    if target == pid:
-                        queue.append(child)
-                        session.active += 1
-                    else:
-                        compute += serialize_discounted
-                        size = child.estimated_size_bytes()
-                        key = (src_node, node_of(target))
-                        outgoing[key] = outgoing.get(key, 0) + size
-                        remote.append((target, child))
-                        trav_msgs += 1
-        metrics = self.metrics
-        metrics.steps_executed += steps
-        metrics.edges_scanned += edges_total
-        metrics.memo_ops += memo_total
-        metrics.traversers_spawned += spawned
-        if trav_msgs:
-            metrics.messages[MsgKind.TRAVERSER] += trav_msgs
-        session.qmetrics.steps_executed += steps
         return compute
 
     def _handle_stage_boundary(self, session: _BSPSession) -> None:

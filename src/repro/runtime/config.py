@@ -14,7 +14,7 @@ fails at construction, not mid-simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.core.progress import ProgressMode
 from repro.errors import ConfigurationError
@@ -22,12 +22,18 @@ from repro.errors import ConfigurationError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.faults import FaultPlan
 
-__all__ = ["EngineConfig", "IO_SYNC", "IO_TLC", "IO_TLC_NLC"]
+__all__ = ["EngineConfig", "IO_SYNC", "IO_TLC", "IO_TLC_NLC", "KERNEL_NAMES"]
 
 #: I/O scheduler configurations of Fig 12.
 IO_SYNC = "sync"          # no batching: every message is its own packet
 IO_TLC = "tlc"            # thread-level combining only
 IO_TLC_NLC = "tlc+nlc"    # full two-tier scheduler (default)
+
+#: ``EngineConfig.kernel`` values (docs/PERFORMANCE.md): the production run
+#: kernel and the per-traverser scalar oracle it is compared against.
+#: Spelled here because configuration is the bottom of the layering;
+#: :mod:`repro.runtime.kernels` re-exports it beside the kernels themselves.
+KERNEL_NAMES: Tuple[str, ...] = ("run", "scalar")
 
 
 @dataclass(frozen=True)
@@ -47,20 +53,14 @@ class EngineConfig:
     centralized_agg: bool = False
     #: compute scaling (hand-optimized single-node plugins use < 1)
     cpu_scale: float = 1.0
-    #: True → run the reference one-traverser-at-a-time worker loop instead
-    #: of the batched kernels. Simulated results are identical either way
-    #: (the equivalence suite asserts it); scalar exists for verification
-    #: and debugging, batched is the default because it is much faster in
-    #: wall-clock terms.
-    scalar_execution: bool = False
-    #: explicit kernel tier: "scalar" | "batch" | "vector" | None.
-    #: None auto-selects the fastest available tier — "vector" when NumPy
-    #: is importable, else "batch" (or "scalar" when ``scalar_execution``
-    #: is set). Asking for "vector" without NumPy raises
-    #: ConfigurationError at engine construction; every tier produces
-    #: bit-for-bit identical simulated output, so the choice only affects
-    #: wall-clock time.
-    kernel: Optional[str] = None
+    #: execution kernel, one of :data:`KERNEL_NAMES`: "run" is the
+    #: production drain (homogeneous runs, NumPy-accelerated per run when
+    #: NumPy is importable and the run's shape and width qualify);
+    #: "scalar" is the reference one-traverser-at-a-time loop, kept for
+    #: verification and debugging. Simulated output is bit-for-bit
+    #: identical either way (the equivalence suites assert it), so the
+    #: choice only affects wall-clock time.
+    kernel: str = "run"
     #: fault schedule for chaos runs (None → perfect network, immortal
     #: workers, and a send path bit-identical to the pre-fault engine).
     #: Arming a plan also arms the ack/retransmit layer and the watchdog.
@@ -140,17 +140,23 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.io_mode not in (IO_SYNC, IO_TLC, IO_TLC_NLC):
             raise ConfigurationError(f"unknown io_mode {self.io_mode!r}")
-        if self.kernel not in (None, "scalar", "batch", "vector"):
+        if self.kernel not in KERNEL_NAMES:
             raise ConfigurationError(
-                f"unknown kernel {self.kernel!r}; expected 'scalar', "
-                f"'batch', 'vector', or None for auto-selection"
+                f"unknown kernel {self.kernel!r}; expected one of "
+                f"{', '.join(map(repr, KERNEL_NAMES))}"
             )
-        if self.kernel is not None and self.scalar_execution and (
-            self.kernel != "scalar"
-        ):
+        if self.batch_size < 1:
             raise ConfigurationError(
-                f"kernel={self.kernel!r} conflicts with "
-                f"scalar_execution=True; set one or the other"
+                f"batch_size must be >= 1, got {self.batch_size}"
+            )
+        if self.flush_threshold_bytes < 1:
+            raise ConfigurationError(
+                f"flush_threshold_bytes must be >= 1, "
+                f"got {self.flush_threshold_bytes}"
+            )
+        if self.cpu_scale <= 0:
+            raise ConfigurationError(
+                f"cpu_scale must be > 0, got {self.cpu_scale}"
             )
         for name in ("max_concurrent_queries", "max_traversers_per_query",
                      "max_memo_bytes_per_query", "inbox_capacity"):

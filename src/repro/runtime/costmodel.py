@@ -121,24 +121,6 @@ class CostModel:
             + cost.props * self.prop_us
         )
 
-    def op_cost_fields_us(
-        self, base: int, edges: int, memo_ops: int, props: int
-    ) -> float:
-        """Price one operator application from unpacked event counts.
-
-        The batch execution path reports costs as plain tuples instead of
-        :class:`OpCost` objects; this must stay the *same expression* as
-        :meth:`op_cost_us` (same term order — float addition is not
-        associative) so batched and scalar runs produce identical simulated
-        times.
-        """
-        return self.cpu_scale * (
-            base * self.step_base_us
-            + edges * self.edge_us
-            + memo_ops * self.memo_op_us
-            + props * self.prop_us
-        )
-
     def shared_state_penalty_us(self, cost: OpCost, busy_sharers: int) -> float:
         """Extra cost of latched access to shared memo/graph state.
 

@@ -59,7 +59,6 @@ from repro.runtime.costmodel import (
     validate_cluster,
 )
 from repro.runtime.delivery import DeliveryPlane, TrackerActor
-from repro.runtime.kernels import kernel_name_for
 from repro.runtime.faults import FaultInjector, RecoveryManager
 from repro.runtime.lifecycle import (
     REASON_ADMISSION_TIMEOUT,
@@ -140,7 +139,7 @@ class AsyncPSTMEngine:
         self.trace: Optional[TraceRecorder] = (
             TraceRecorder(
                 self.clock, mode=config.progress_mode.value,
-                kernel=kernel_name_for(config),
+                kernel=config.kernel,
                 nodes=nodes, partitions=self.num_partitions, seed=seed,
             )
             if config.trace else None

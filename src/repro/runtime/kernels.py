@@ -1,48 +1,51 @@
-"""Pluggable execution kernels: the worker drain loop's hot middle.
+"""Execution kernels: the worker drain loop's hot middle.
 
 A :class:`~repro.runtime.worker.Worker` runs one unified drain loop
 (`Worker._run`): prologue (inbox drain + credit release), **kernel**, and
 epilogue (budget sweep, idle weight flush, slowdown, reschedule-or-flush).
 Only the kernel — how queued traversers are popped, executed, priced, and
-their children routed — differs between the reference and optimized
-engines, so exactly that part is a pluggable strategy object:
+their children routed — differs between production and its reference, so
+exactly that part is a strategy object:
 
+* :class:`RunKernel` — the production drain (``EngineConfig.kernel="run"``,
+  the default). Pops contiguous runs sharing ``(query_id, op_idx)`` and
+  executes each through :meth:`RunDrain.execute_batch
+  <repro.runtime.runs.RunDrain.execute_batch>` or, when NumPy imported
+  and the run's operator type and width qualify, through one of
+  :mod:`repro.runtime.vector`'s array programs. The choice is made per
+  run from what the code can observe, never from configuration.
 * :class:`ScalarKernel` — the reference loop: one traverser per kernel
   call, costs priced through :meth:`CostModel.op_cost_us`, one progress
-  action per execution. Selected by ``EngineConfig.kernel="scalar"`` (or
-  the legacy ``scalar_execution`` flag).
-* :class:`BatchKernel` — pops contiguous runs sharing
-  ``(query_id, op_idx)`` and hands each run to one batched
-  ``apply_batch`` call, with routing, buffering, and weight absorption
-  fused in (the run machinery lives in :mod:`repro.runtime.runs`).
-  Bit-for-bit equivalent to the scalar kernel (same float addition order,
-  same RNG draw sequence, same buffer-flush times — the equivalence suite
-  asserts it); only wall-clock time differs.
-* :class:`~repro.runtime.vector.VectorKernel` — the same run structure
-  with NumPy array programs substituted for the per-element inner loops
-  on run shapes it can prove equivalent; falls back to the shared
-  :class:`~repro.runtime.runs.RunDrain` batched body elsewhere. Selected
-  by ``EngineConfig.kernel="vector"`` (the default when NumPy is
-  importable).
+  action per execution. Selected by ``EngineConfig.kernel="scalar"``;
+  kept as the oracle the equivalence suites compare the run kernel with.
 
-All kernels implement :class:`ExecutionKernel` and are stateless — all
-mutable state lives on the worker and the engine's layers — so module
-singletons are shared by every worker. Fault hooks, backpressure, and
-reclaim paths live once, in ``Worker._run`` and the delivery plane, not
-per kernel.
+Both implement :class:`ExecutionKernel` and are stateless — all mutable
+state lives on the worker and the engine's layers — so module singletons
+are shared by every worker. Fault hooks, backpressure, and reclaim paths
+live once, in ``Worker._run`` and the delivery plane, not per kernel.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Protocol, Set
 
+from repro.core.fused import FusedChain, FusedMinDistCount
 from repro.core.progress import ProgressMode
+from repro.core.steps import DedupOp, ExpandOp
 from repro.core.weight import GROUP_MODULUS
+from repro.runtime.config import KERNEL_NAMES
 from repro.runtime.metrics import MsgKind
 from repro.runtime.network import TRACKER_DST, Message
-from repro.runtime.runs import PROGRESS_MSG_BYTES, RunDrain, get_drain
+from repro.runtime.runs import PROGRESS_MSG_BYTES, get_drain
 from repro.runtime.trace import EXEC
-from repro.runtime.vector import HAVE_NUMPY, VECTOR_KERNEL
+from repro.runtime.vector import (
+    HAVE_NUMPY,
+    MIN_VECTOR_RUN,
+    _chain_run,
+    _dedup_run,
+    _expand_run,
+    _fused_branch_count_run,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.engine import EngineConfig
@@ -52,12 +55,11 @@ __all__ = [
     "PROGRESS_MSG_BYTES",
     "ExecutionKernel",
     "ScalarKernel",
-    "BatchKernel",
+    "RunKernel",
     "SCALAR_KERNEL",
-    "BATCH_KERNEL",
+    "RUN_KERNEL",
     "KERNEL_NAMES",
     "kernel_for",
-    "kernel_name_for",
 ]
 
 
@@ -67,7 +69,7 @@ class ExecutionKernel(Protocol):
     Implementations must be stateless (shared across workers) and must
     preserve the simulated-time contract: identical cost accumulation
     order, RNG draw sequence, and buffer-flush times for identical input
-    queues — the property the scalar/batched equivalence suite asserts.
+    queues — the property the scalar/run equivalence suites assert.
     """
 
     def drain(
@@ -85,8 +87,8 @@ class ExecutionKernel(Protocol):
 class ScalarKernel:
     """Reference execution: one traverser per kernel call.
 
-    Kept behind ``EngineConfig.kernel="scalar"`` so the equivalence suite
-    can assert the batched and vector kernels reproduce it bit for bit.
+    Kept behind ``EngineConfig.kernel="scalar"`` so the equivalence suites
+    can assert the run kernel reproduces it bit for bit.
     """
 
     def drain(
@@ -220,9 +222,8 @@ class ScalarKernel:
         return cpu
 
 
-class BatchKernel:
-    """Batched execution: drain homogeneous runs through one kernel call
-    each.
+class RunKernel:
+    """Production execution: drain homogeneous runs, one kernel call each.
 
     Pops contiguous runs of traversers sharing ``(query_id, op_idx)`` and
     hands each run to one batched ``apply_batch`` call. Locally spawned
@@ -232,65 +233,56 @@ class BatchKernel:
     sequence, making simulated time bit-for-bit identical. The wall-clock
     win comes from amortizing dispatch: one kernel call, one
     session/context lookup, and one metrics update per run instead of per
-    traverser. The run machinery itself lives in
-    :class:`~repro.runtime.runs.RunDrain`, shared with the vector kernel.
+    traverser. The run machinery lives in
+    :class:`~repro.runtime.runs.RunDrain`; the array programs substituted
+    for its reference body on qualifying runs live in
+    :mod:`repro.runtime.vector`. A NumPy-less install runs this same
+    kernel with the accelerations never selected.
     """
 
     def drain(
         self, worker: "Worker", t: float, touched: Optional[Set[int]]
     ) -> float:
-        """Pop and execute up to ``batch_size`` traversers as fused runs."""
+        """Pop and execute up to ``batch_size`` traversers as runs,
+        dispatching each run to a vector fast path when its shape
+        qualifies."""
         d = get_drain(worker, t, touched)
         execute_batch = d.execute_batch
         pop_run = d.pop_run
+        # The fast paths only model "children + cost + finished weight":
+        # shared-state penalties, per-execution progress messages, and
+        # trace events need the reference loop's per-element structure.
+        fast_ok = HAVE_NUMPY and d.slim_ok
         while (run := pop_run()) is not None:
+            if fast_ok:
+                op = d.ops[d.run_op_idx]
+                top = type(op)
+                # The chain path is pure-Python specialization (no array
+                # setup), so it pays off at any run length; the NumPy
+                # paths need MIN_VECTOR_RUN elements to amortize.
+                if top is FusedChain:
+                    if _chain_run(d, op, run):
+                        continue
+                elif len(run) >= MIN_VECTOR_RUN:
+                    if top is ExpandOp:
+                        if _expand_run(d, op, run):
+                            continue
+                    elif top is FusedMinDistCount:
+                        if _fused_branch_count_run(d, op, run):
+                            continue
+                    elif top is DedupOp:
+                        if _dedup_run(d, op, run):
+                            continue
             execute_batch(run)
         return d.finish()
 
 
 #: shared stateless kernel instances (one per strategy, not per worker)
 SCALAR_KERNEL = ScalarKernel()
-BATCH_KERNEL = BatchKernel()
-
-#: config.kernel values, in fallback order
-KERNEL_NAMES = ("scalar", "batch", "vector")
-
-
-def kernel_name_for(config: "EngineConfig") -> str:
-    """The tier name ``kernel_for`` would resolve (for traces/reports)."""
-    if config.kernel is not None:
-        return config.kernel
-    if config.scalar_execution:
-        return "scalar"
-    return "vector" if HAVE_NUMPY else "batch"
+RUN_KERNEL = RunKernel()
 
 
 def kernel_for(config: "EngineConfig") -> ExecutionKernel:
-    """Select the execution kernel an engine configuration asks for.
-
-    ``config.kernel`` takes precedence; ``None`` auto-selects the fastest
-    available tier (vector when NumPy is importable, else batch), unless
-    the legacy ``scalar_execution`` flag forces the reference loop.
-    Every tier is bit-for-bit equivalent on simulated output, so
-    auto-selection can never change results — only wall-clock time.
-    """
-    name = config.kernel
-    if name is None:
-        if config.scalar_execution:
-            return SCALAR_KERNEL
-        return VECTOR_KERNEL if HAVE_NUMPY else BATCH_KERNEL
-    if name == "scalar":
-        return SCALAR_KERNEL
-    if name == "batch":
-        return BATCH_KERNEL
-    if name == "vector":
-        if not HAVE_NUMPY:
-            from repro.errors import ConfigurationError
-
-            raise ConfigurationError(
-                "EngineConfig.kernel='vector' requires NumPy, which is not "
-                "installed. Install the optional extra (pip install "
-                "'repro[fast]') or use kernel='batch'."
-            )
-        return VECTOR_KERNEL
-    raise AssertionError(f"unknown kernel {name!r}")  # pragma: no cover
+    """The execution kernel ``config.kernel`` names (validated by
+    ``EngineConfig.__post_init__`` against :data:`KERNEL_NAMES`)."""
+    return SCALAR_KERNEL if config.kernel == "scalar" else RUN_KERNEL

@@ -1,24 +1,22 @@
-"""Shared run-draining machinery for the batched execution kernels.
+"""Run-draining machinery for the production execution kernel.
 
-Both optimized kernels (:class:`~repro.runtime.kernels.BatchKernel` and
-:class:`~repro.runtime.vector.VectorKernel`) drain the partition queue in
+:class:`~repro.runtime.kernels.RunKernel` drains the partition queue in
 *homogeneous runs* — maximal contiguous spans of traversers sharing
 ``(query_id, op_idx)`` — and must replay the scalar kernel's observable
 sequence exactly: the same float additions in the same order, the same RNG
 draws, the same buffer-flush instants, the same progress reports.
 
-:class:`RunDrain` owns everything the kernels share:
+:class:`RunDrain` owns everything one drain needs:
 
 * the per-drain hoisted state (cost constants, routing tables, buffer
   mirrors, per-query session state refreshed when a run's query changes);
 * :meth:`pop_run` — run partitioning against the drain budget, including
   the cancelled-query weight-reclaim path;
 * :meth:`execute_batch` — the reference batched execution of one run
-  (kernel call + weight split + routing + buffering + progress), moved
-  verbatim from the original ``BatchKernel.drain`` loop. The vector kernel
-  uses it as the exact fallback for run shapes it does not vectorize, which
-  is what makes per-run fast-path dispatch safe: every path produces the
-  same simulated trajectory.
+  (kernel call + weight split + routing + buffering + progress). The
+  kernel takes it for every run shape :mod:`repro.runtime.vector` does not
+  accelerate, which is what makes per-run fast-path dispatch safe: every
+  path produces the same simulated trajectory.
 
 ``PROGRESS_MSG_BYTES`` lives here (the bottom of the kernel stack) and is
 re-exported by :mod:`repro.runtime.kernels` for compatibility.
@@ -183,9 +181,9 @@ class RunDrain:
             )
         else:
             self.per_access = 0.0
-        # Sink runs (no children at all) take a slim pricing loop when no
-        # per-traverser side channel (penalty, trace, eager progress) needs
-        # the full body.
+        # Sink runs (no children at all) take a slim pricing loop, and the
+        # kernel may pick an array fast path, when no per-traverser side
+        # channel (penalty, trace, eager progress) needs the full body.
         self.slim_ok = (
             not self.shared
             and self.coalesced
@@ -319,11 +317,10 @@ class RunDrain:
     def execute_batch(self, run: List[Traverser]) -> None:
         """Execute one homogeneous run through the batched reference path.
 
-        This is the original ``BatchKernel.drain`` per-run body: one
-        ``apply_batch`` call, then a fused loop over (traverser, children,
-        cost) doing cost pricing, weight splitting, routing, local enqueue
-        or tier-1 buffering, and progress accounting — in exactly the
-        scalar kernel's order.
+        One ``apply_batch`` call, then a fused loop over (traverser,
+        children, cost) doing cost pricing, weight splitting, routing, local
+        enqueue or tier-1 buffering, and progress accounting — in exactly
+        the scalar kernel's order.
         """
         query_id = self.run_qid
         op_idx = self.run_op_idx

@@ -17,7 +17,7 @@ async runtime (paper §IV-C, the Fig 7 mixed workload):
   tracker node's cached LCT. The query's per-partition
   :class:`~repro.core.steps.StepContext` then reads through a
   :class:`~repro.txn.view.SnapshotStore` at that timestamp instead of the
-  raw CSR store, so scalar, batch, and vector kernels all see the same
+  raw CSR store, so the run and scalar kernels both see the same
   version cut — commits after the pin stay invisible for the query's whole
   life, including crash-recovery retries (the pin survives the retry).
 * **Recovery composition** — when a worker crashes, the recovery manager

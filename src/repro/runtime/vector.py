@@ -1,10 +1,10 @@
-"""The vector execution kernel: NumPy array programs for hot run shapes.
+"""NumPy array programs for hot run shapes: per-run accelerations.
 
-:class:`VectorKernel` is the third kernel tier (docs/PERFORMANCE.md). It
-drains the same homogeneous runs as :class:`~repro.runtime.kernels.BatchKernel`
-— via the shared :class:`~repro.runtime.runs.RunDrain` machinery — but
-substitutes bulk NumPy computation for the per-element inner loops on run
-shapes it can prove bit-for-bit equivalent to the scalar reference:
+:class:`~repro.runtime.kernels.RunKernel` drains homogeneous runs through
+the shared :class:`~repro.runtime.runs.RunDrain` machinery; for run shapes
+that can be proven bit-for-bit equivalent to the scalar reference it
+substitutes one of this module's fast paths — bulk NumPy computation in
+place of the per-element inner loops — for the reference batched body:
 
 * **Expand runs** (:func:`_expand_run`) — the dominant shape. Neighbor
   ranges are gathered from the zero-copy CSR views
@@ -26,11 +26,16 @@ shapes it can prove bit-for-bit equivalent to the scalar reference:
   (:class:`~repro.core.fused.FusedMinDistCount`): memo-pruned distance
   updates with the count partial absorbed in bulk and only loop
   continuations materialized.
+* **Fused chain runs** (:func:`_chain_run`) — a pure-Python
+  specialization (the run's single routing decision hoisted out of the
+  per-child loop), so it pays off at any run length.
 
-Everything else falls back to :meth:`RunDrain.execute_batch`, the exact
-reference batched body — which is what makes per-run dispatch safe: every
-path reproduces the same simulated trajectory, so mixing fast paths and
-fallbacks within one drain is invisible to simulated time.
+Each fast path returns False — before consuming the RNG or mutating
+anything — when a run falls outside its proven shape, and the kernel then
+takes :meth:`RunDrain.execute_batch`, the exact reference batched body.
+That is what makes per-run dispatch safe: every path reproduces the same
+simulated trajectory, so mixing fast paths and fallbacks within one drain
+is invisible to simulated time.
 
 Equivalence constraints honored throughout (the fuzz suites assert them):
 
@@ -45,25 +50,21 @@ Equivalence constraints honored throughout (the fuzz suites assert them):
   (partitioned state, coalesced progress, tracing off) — the shapes whose
   observable side effects are exactly "children + cost + finished weight".
 
-NumPy is an optional dependency (``pip install 'repro[fast]'``):
-``HAVE_NUMPY`` gates kernel auto-selection, and
-:data:`VECTOR_KERNEL` is constructed either way so importing this module
-never requires NumPy.
+NumPy is an optional dependency (``pip install 'repro[fast]'``): the
+kernel selects a fast path only when ``HAVE_NUMPY`` is set, so importing
+this module never requires NumPy.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Set
+from typing import List
 
 from repro.core.fused import FusedChain, FusedMinDistCount
 from repro.core.steps import DedupOp, ExpandOp
 from repro.core.traverser import Traverser
 from repro.graph.placement import Placement
 from repro.graph.property_graph import BOTH
-from repro.runtime.runs import RunDrain, get_drain
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.worker import Worker
+from repro.runtime.runs import RunDrain
 
 try:  # pragma: no cover - exercised via the numpy-absent fallback tests
     import numpy as np
@@ -73,7 +74,7 @@ except ImportError:  # pragma: no cover
     np = None  # type: ignore[assignment]
     HAVE_NUMPY = False
 
-__all__ = ["HAVE_NUMPY", "VectorKernel", "VECTOR_KERNEL"]
+__all__ = ["HAVE_NUMPY", "MIN_VECTOR_RUN"]
 
 #: Runs shorter than this go straight to the reference batched body: the
 #: fixed NumPy dispatch overhead outweighs the bulk win on tiny runs.
@@ -649,56 +650,3 @@ def _fused_branch_count_run(
         op_spawned[op_idx] = op_spawned.get(op_idx, 0) + local_count
         d.qmetrics.traversers_spawned += local_count
     return True
-
-
-class VectorKernel:
-    """Array-programmed execution: NumPy bulk ops on proven run shapes,
-    exact reference fallback elsewhere.
-
-    Stateless (one module singleton shared by every worker), like the
-    other kernels. Simulated output is bit-for-bit identical to the
-    scalar and batch tiers — the fast paths replay the same cost
-    arithmetic, RNG word stream, routing decisions, and buffer-flush
-    instants; the fuzzed equivalence suites assert it.
-    """
-
-    def drain(
-        self, worker: "Worker", t: float, touched: Optional[Set[int]]
-    ) -> float:
-        """Pop and execute up to ``batch_size`` traversers as runs,
-        dispatching each run to a vector fast path when its shape
-        qualifies."""
-        d = get_drain(worker, t, touched)
-        execute_batch = d.execute_batch
-        pop_run = d.pop_run
-        # The fast paths only model "children + cost + finished weight":
-        # shared-state penalties, per-execution progress messages, and
-        # trace events need the reference loop's per-element structure.
-        fast_ok = (not d.shared) and d.coalesced and d.trace is None
-        while (run := pop_run()) is not None:
-            if fast_ok:
-                op = d.ops[d.run_op_idx]
-                top = type(op)
-                # The chain path is pure-Python specialization (no array
-                # setup), so it pays off at any run length; the NumPy
-                # paths need MIN_VECTOR_RUN elements to amortize.
-                if top is FusedChain:
-                    if _chain_run(d, op, run):
-                        continue
-                elif len(run) >= MIN_VECTOR_RUN:
-                    if top is ExpandOp:
-                        if _expand_run(d, op, run):
-                            continue
-                    elif top is FusedMinDistCount:
-                        if _fused_branch_count_run(d, op, run):
-                            continue
-                    elif top is DedupOp:
-                        if _dedup_run(d, op, run):
-                            continue
-            execute_batch(run)
-        return d.finish()
-
-
-#: Shared stateless instance. Constructed even when NumPy is absent —
-#: ``kernel_for`` never hands it out without ``HAVE_NUMPY``.
-VECTOR_KERNEL = VectorKernel()

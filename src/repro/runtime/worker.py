@@ -15,8 +15,8 @@ The drain loop itself is layered: ``Worker._run`` owns the parts every
 execution strategy shares — inbox drain with credit release, the budget
 sweep, idle weight flushes, slowdown, and rescheduling — and delegates the
 execution middle to a pluggable :class:`~repro.runtime.kernels.ExecutionKernel`
-(scalar reference vs batched default), so fault hooks, backpressure, and
-reclaim paths exist exactly once.
+(the production run kernel vs the scalar reference), so fault hooks,
+backpressure, and reclaim paths exist exactly once.
 """
 
 from __future__ import annotations
@@ -201,7 +201,7 @@ class Worker:
         self.node = node
         self.runtime = runtime
         runtime.workers.append(self)
-        #: execution strategy for the drain loop's middle (scalar/batched)
+        #: execution strategy for the drain loop's middle (run/scalar)
         self.kernel = kernel_for(engine.config)
         self.busy_until = 0.0
         self.scheduled = False

@@ -1,13 +1,12 @@
-"""Scalar/batched execution equivalence (the batch path's core contract).
+"""Scalar/run execution equivalence (the run kernel's core contract).
 
-The batched worker loop and the operator ``apply_batch`` kernels promise to
+The run kernel's drain and the operator ``apply_batch`` kernels promise to
 be *observationally identical* to the scalar reference loop: same result
 rows, bit-for-bit identical simulated latency (the float cost accounting
 replays the scalar expression order exactly), the same RNG draw sequence
 for weight splits, and the same engine metric counters. These tests drive
-both paths over the fuzz-query grammar and compare everything, plus
-property-test :func:`split_weights_batch` and the
-:meth:`PSTMMachine.execute_batch` reference kernel directly.
+both kernels — the run kernel with its NumPy fast paths available and
+with NumPy masked — over the fuzz-query grammar and compare everything.
 """
 
 import random
@@ -16,20 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.machine import PSTMMachine
 from repro.core.progress import ProgressMode
-from repro.core.traverser import Traverser
-from repro.core.weight import (
-    GROUP_MODULUS,
-    WeightAccumulator,
-    split_weight,
-    split_weights_batch,
-)
+from repro.core.weight import GROUP_MODULUS, WeightAccumulator
 from repro.graph.partition import PartitionedGraph
 from repro.query.traversal import Traversal
-from repro.runtime.bsp import BSPEngine
 from repro.runtime.engine import AsyncPSTMEngine, EngineConfig
-from tests.conftest import ContextFactory
 from tests.test_fuzz_queries import apply_step, apply_terminal, make_graph
 
 NODES = 2
@@ -51,15 +41,29 @@ def _metrics_key(engine):
     )
 
 
-def _run_path(graph, plan, params_list, scalar, **config_kwargs):
+def _run_path(graph, plan, params_list, kernel, **config_kwargs):
     """Run a query sequence on a fresh engine; everything observable."""
-    config = EngineConfig(scalar_execution=scalar, **config_kwargs)
+    config = EngineConfig(kernel=kernel, **config_kwargs)
     engine = AsyncPSTMEngine(graph, NODES, WPN, config=config)
     outputs = []
     for params in params_list:
         result = engine.run(plan, params)
         outputs.append((result.rows, result.latency_us))
     return outputs, _metrics_key(engine)
+
+
+def _assert_run_matches_scalar(
+    numpy_masked, graph, plan, params_list, **config_kwargs
+):
+    """Rows AND float latency AND metric counters, exactly, on both of
+    the run kernel's dispatch legs."""
+    scalar = _run_path(graph, plan, params_list, "scalar", **config_kwargs)
+    assert _run_path(graph, plan, params_list, "run", **config_kwargs) == scalar
+    with numpy_masked():
+        assert (
+            _run_path(graph, plan, params_list, "run", **config_kwargs)
+            == scalar
+        )
 
 
 # -- full-engine equivalence over the fuzz grammar ---------------------------
@@ -74,7 +78,9 @@ def _run_path(graph, plan, params_list, scalar, **config_kwargs):
     start=st.integers(min_value=0, max_value=29),
 )
 @settings(max_examples=40, deadline=None)
-def test_fuzzed_chains_bitwise_identical(graph_seed, steps, terminal, start):
+def test_fuzzed_chains_bitwise_identical(
+    numpy_masked, graph_seed, steps, terminal, start
+):
     """Rows, exact latency, and metric counters match on random chains."""
     graph = make_graph(graph_seed)
     t = Traversal("fuzz").v_param("s")
@@ -82,14 +88,10 @@ def test_fuzzed_chains_bitwise_identical(graph_seed, steps, terminal, start):
         t = apply_step(t, code)
     t = apply_terminal(t, terminal)
     plan = t.compile(graph)
-    params = [{"s": start}]
-    scalar_out, scalar_metrics = _run_path(graph, plan, params, scalar=True)
-    batched_out, batched_metrics = _run_path(graph, plan, params, scalar=False)
-    assert scalar_out == batched_out  # rows AND float latency, exactly
-    assert scalar_metrics == batched_metrics
+    _assert_run_matches_scalar(numpy_masked, graph, plan, [{"s": start}])
 
 
-def test_multi_query_session_identical():
+def test_multi_query_session_identical(numpy_masked):
     """Back-to-back queries on one engine: per-query RNGs, stage counts,
     and weight accumulators must replay identically across paths."""
     graph = make_graph(7)
@@ -100,37 +102,25 @@ def test_multi_query_session_identical():
         .count()
     ).compile(graph)
     params_list = [{"s": s} for s in range(8)]
-    scalar_out, scalar_metrics = _run_path(
-        graph, plan, params_list, scalar=True
-    )
-    batched_out, batched_metrics = _run_path(
-        graph, plan, params_list, scalar=False
-    )
-    assert scalar_out == batched_out
-    assert scalar_metrics == batched_metrics
+    _assert_run_matches_scalar(numpy_masked, graph, plan, params_list)
 
 
 @pytest.mark.parametrize("mode", list(ProgressMode))
-def test_equivalent_under_every_progress_mode(mode):
+def test_equivalent_under_every_progress_mode(numpy_masked, mode):
     """The naive-delta and uncoalesced-weight report paths also match."""
     graph = make_graph(3)
     plan = (
         Traversal("q").v_param("s").out("e").out("e").dedup().count()
     ).compile(graph)
     params = [{"s": 5}, {"s": 11}]
-    scalar_out, scalar_metrics = _run_path(
-        graph, plan, params, scalar=True, progress_mode=mode
+    _assert_run_matches_scalar(
+        numpy_masked, graph, plan, params, progress_mode=mode
     )
-    batched_out, batched_metrics = _run_path(
-        graph, plan, params, scalar=False, progress_mode=mode
-    )
-    assert scalar_out == batched_out
-    assert scalar_metrics == batched_metrics
 
 
-def test_equivalent_with_shared_state_penalty():
+def test_equivalent_with_shared_state_penalty(numpy_masked):
     """With non-partitioned state several workers share one runtime, which
-    prices every access with the shared-state penalty — the batched loop
+    prices every access with the shared-state penalty — the run kernel
     must replay that float path exactly."""
     rng = random.Random(123)
     from repro.graph.builder import GraphBuilder
@@ -148,96 +138,9 @@ def test_equivalent_with_shared_state_penalty():
         Traversal("q").v_param("s").khop("e", k=2).count()
     ).compile(graph)
     params = [{"s": 1}, {"s": 2}]
-    scalar_out, scalar_metrics = _run_path(
-        graph, plan, params, scalar=True, partitioned_state=False
+    _assert_run_matches_scalar(
+        numpy_masked, graph, plan, params, partitioned_state=False
     )
-    batched_out, batched_metrics = _run_path(
-        graph, plan, params, scalar=False, partitioned_state=False
-    )
-    assert scalar_out == batched_out
-    assert scalar_metrics == batched_metrics
-
-
-def test_bsp_scalar_batched_identical():
-    """The BSP superstep loop honors the same equivalence contract."""
-    graph = make_graph(11)
-    plan = (
-        Traversal("q").v_param("s").khop("e", k=2).dedup().group_count()
-    ).compile(graph)
-    results = {}
-    for scalar in (True, False):
-        engine = BSPEngine(graph, NODES, WPN, scalar_execution=scalar)
-        res = engine.run(plan, {"s": 4})
-        results[scalar] = (
-            res.rows,
-            res.latency_us,
-            engine.metrics.steps_executed,
-            engine.metrics.edges_scanned,
-            engine.metrics.memo_ops,
-        )
-    assert results[True] == results[False]
-
-
-# -- split_weights_batch properties ------------------------------------------
-
-
-@given(
-    seed=st.integers(min_value=0, max_value=10_000),
-    parents=st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=GROUP_MODULUS - 1),
-            st.integers(min_value=0, max_value=9),
-        ),
-        min_size=0,
-        max_size=12,
-    ),
-)
-@settings(max_examples=100, deadline=None)
-def test_split_weights_batch_matches_sequential(seed, parents):
-    """Batch splitting replays the exact scalar RNG sequence per parent."""
-    weights = [w for w, _n in parents]
-    counts = [n for _w, n in parents]
-    rng_a = random.Random(seed)
-    rng_b = random.Random(seed)
-    expected = []
-    for w, n in parents:
-        if n == 0:
-            expected.append([])  # scalar path never splits finished travs
-        else:
-            expected.append(split_weight(w, n, rng_a))
-    got = split_weights_batch(weights, counts, rng_b)
-    assert got == expected
-    # Both RNGs must land in the same state: no extra or missing draws.
-    assert rng_a.getstate() == rng_b.getstate()
-
-
-@given(
-    seed=st.integers(min_value=0, max_value=10_000),
-    weight=st.integers(min_value=0, max_value=GROUP_MODULUS - 1),
-    count=st.integers(min_value=1, max_value=50),
-)
-@settings(max_examples=100, deadline=None)
-def test_split_weights_batch_group_invariant(seed, weight, count):
-    """Children sum to the parent in Z_{2^64} (paper §IV-A invariant)."""
-    [parts] = split_weights_batch([weight], [count], random.Random(seed))
-    assert len(parts) == count
-    assert sum(parts) % GROUP_MODULUS == weight % GROUP_MODULUS
-    assert all(0 <= p < GROUP_MODULUS for p in parts)
-
-
-def test_split_weights_batch_rejects_bad_input():
-    rng = random.Random(0)
-    with pytest.raises(ValueError):
-        split_weights_batch([1, 2], [1], rng)
-    with pytest.raises(ValueError):
-        split_weights_batch([1], [-1], rng)
-
-
-def test_split_weights_batch_zero_count_draws_nothing():
-    rng = random.Random(5)
-    before = rng.getstate()
-    assert split_weights_batch([42], [0], rng) == [[]]
-    assert rng.getstate() == before
 
 
 def test_absorb_many_matches_sequential_absorbs():
@@ -250,116 +153,3 @@ def test_absorb_many_matches_sequential_absorbs():
     assert a.pending == b.pending
     assert a.pending_count == b.pending_count
     assert a.flush() == b.flush()
-
-
-# -- PSTMMachine.execute_batch (the documented reference kernel) -------------
-
-
-def _machine_fixture():
-    rng = random.Random(9)
-    from repro.graph.builder import GraphBuilder
-
-    b = GraphBuilder("v")
-    for v in range(25):
-        b.vertex(v, "v", weight=rng.randint(1, 9))
-    for v in range(25):
-        for _ in range(3):
-            u = rng.randrange(25)
-            if u != v:
-                b.edge(v, u, "e")
-    graph = PartitionedGraph.from_graph(b.build(), 1)
-    plan = (
-        Traversal("q").v_param("s").out("e").dedup().count()
-    ).compile(graph)
-    return graph, plan
-
-
-def test_execute_batch_matches_scalar_execute():
-    """One homogeneous run through execute_batch == N execute calls."""
-    graph, plan = _machine_fixture()
-    machine = PSTMMachine(plan, graph.partitioner)
-    expand_idx = next(
-        i for i, op in enumerate(plan.ops) if op.name.startswith("Expand")
-    )
-    travs = [
-        Traverser(0, v, expand_idx, (None,) * plan.payload_width, 1000 + v)
-        for v in range(10)
-    ]
-
-    factory_a = ContextFactory(graph, {"s": 0})
-    rng_a = random.Random(31)
-    scalar = [
-        machine.execute(factory_a.ctx(0), t, rng_a) for t in travs
-    ]
-
-    factory_b = ContextFactory(graph, {"s": 0})
-    rng_b = random.Random(31)
-    batch = machine.execute_batch(factory_b.ctx(0), travs, rng_b)
-
-    assert rng_a.getstate() == rng_b.getstate()
-    for i, (res, trav) in enumerate(zip(scalar, travs)):
-        got_row = batch.children[i]
-        assert len(got_row) == len(res.children)
-        for (child, pid), (g_child, g_pid) in zip(res.children, got_row):
-            # Scalar pids may be None (location-free); batch resolves them.
-            if pid is None:
-                from repro.core.machine import resolve_partition
-
-                pid = resolve_partition(g_child, graph.partitioner, None)
-            assert g_pid == pid
-            assert (
-                g_child.query_id,
-                g_child.vertex,
-                g_child.op_idx,
-                g_child.payload,
-                g_child.weight,
-                g_child.stage,
-                g_child.loops,
-            ) == (
-                child.query_id,
-                child.vertex,
-                child.op_idx,
-                child.payload,
-                child.weight,
-                child.stage,
-                child.loops,
-            )
-        assert batch.finished[i] == res.finished_weight
-        cost = res.cost
-        assert tuple(batch.costs[i]) == (
-            cost.base,
-            cost.edges,
-            cost.memo_ops,
-            cost.props,
-        )
-
-
-def test_execute_batch_dedup_memo_side_effects_match():
-    """Memo-writing ops admit/prune the same traversers in batch form."""
-    graph, plan = _machine_fixture()
-    machine = PSTMMachine(plan, graph.partitioner)
-    dedup_idx = next(
-        i for i, op in enumerate(plan.ops) if op.name.startswith("Dedup")
-    )
-    # Duplicate vertices: the first occurrence passes, repeats are pruned.
-    vertices = [4, 7, 4, 9, 7, 4, 2]
-    travs = [
-        Traverser(0, v, dedup_idx, (None,) * plan.payload_width, 100 + i)
-        for i, v in enumerate(vertices)
-    ]
-
-    factory_a = ContextFactory(graph, {"s": 0})
-    rng_a = random.Random(5)
-    scalar = [
-        machine.execute(factory_a.ctx(0), t, rng_a) for t in travs
-    ]
-    factory_b = ContextFactory(graph, {"s": 0})
-    rng_b = random.Random(5)
-    batch = machine.execute_batch(factory_b.ctx(0), travs, rng_b)
-
-    for i, res in enumerate(scalar):
-        assert len(batch.children[i]) == len(res.children)
-        assert batch.finished[i] == res.finished_weight
-    # Exactly the distinct vertices pass.
-    passed = [len(row) for row in batch.children]
-    assert passed == [1, 1, 0, 1, 0, 0, 1]

@@ -1,6 +1,6 @@
 """Stage-boundary checkpointing & deterministic restore (docs/RECOVERY.md).
 
-The contract pinned here, across all three kernel tiers:
+The contract pinned here, on both kernels:
 
 1. **invisibility** — an armed checkpoint plane on a healthy run is
    bit-for-bit identical to the unarmed engine (same rows, same simulated
@@ -30,7 +30,7 @@ from repro.runtime.checkpoint import StageCheckpoint
 from repro.runtime.engine import AsyncPSTMEngine, EngineConfig
 from repro.runtime.faults import FaultPlan, WorkerFault
 from repro.runtime.trace import EXEC, RECLAIM, RESTORE, WeightLedgerAuditor
-from repro.runtime.vector import HAVE_NUMPY
+from tests.conftest import KERNELS
 
 NODES, WPN = 4, 2
 ENGINE_SEED = 3
@@ -42,7 +42,6 @@ BEFORE_BOUNDARY = 40.0
 AFTER_BOUNDARY = 120.0
 SECOND_CRASH = 140.0
 
-KERNELS = ["scalar", "batch"] + (["vector"] if HAVE_NUMPY else [])
 
 GRAPH_CFG = PowerLawConfig("ck-demo", 400, 6.0)
 
@@ -89,7 +88,7 @@ def run_ck(
     *,
     crashes=(),
     checkpoint=False,
-    kernel=None,
+    kernel="run",
     retention=1,
     trace=True,
 ):

@@ -27,6 +27,7 @@ from repro.query.traversal import Traversal
 from repro.runtime.engine import AsyncPSTMEngine, EngineConfig
 from repro.runtime.faults import FaultPlan, WorkerFault
 from repro.runtime.lifecycle import QueryState
+from tests.conftest import KERNELS
 from tests.test_lifecycle import LEGAL_KEYS
 
 NODES, WPN = 4, 2
@@ -109,11 +110,11 @@ class TestCancelCrashInterleaving:
     out of the single funnel; these runs would previously double-release
     credits (the gate asserts) or strand the ledger (open_stages > 0)."""
 
-    @pytest.mark.parametrize("scalar", [False, True])
+    @pytest.mark.parametrize("kernel", KERNELS)
     def test_crash_during_cancellation_reclaims_exactly_once(
-            self, graph, scalar):
+            self, graph, kernel):
         config = EngineConfig(
-            scalar_execution=scalar,
+            kernel=kernel,
             inbox_capacity=64,  # armed gate: over-release raises
             fault_plan=FaultPlan(seed=1, worker_faults=(
                 WorkerFault(wid=1, at_us=41.0, down_us=2000.0),)),

@@ -57,6 +57,24 @@ class TestConfiguration:
         with pytest.raises(ConfigurationError):
             EngineConfig(io_mode="warp")
 
+    @pytest.mark.parametrize("kernel", [None, "batch", "vector"])
+    def test_kernel_accepts_exactly_run_and_scalar(self, kernel):
+        with pytest.raises(ConfigurationError, match="'run', 'scalar'"):
+            EngineConfig(kernel=kernel)
+
+    @pytest.mark.parametrize("field, value", [
+        # a drain with no budget pops nothing and reschedules at zero CPU:
+        # the event loop would spin forever at one simulated instant
+        ("batch_size", 0),
+        ("batch_size", -1),
+        ("flush_threshold_bytes", 0),
+        ("cpu_scale", 0.0),
+        ("cpu_scale", -1.0),
+    ])
+    def test_degenerate_sizes_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            EngineConfig(**{field: value})
+
     def test_node_of_layout(self, engine):
         assert engine.node_of(0) == 0
         assert engine.node_of(1) == 0

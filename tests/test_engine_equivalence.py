@@ -13,18 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.fused import FusedCollectSink, FusedGroupCountSink
-from repro.errors import ConfigurationError
 from repro.graph.builder import GraphBuilder
 from repro.graph.partition import PartitionedGraph
 from repro.query.exprs import X
 from repro.query.traversal import Traversal
-from repro.runtime import kernels as kernels_mod
 from repro.runtime.bsp import BSPEngine
 from repro.runtime.cluster import ClusterConfig
 from repro.runtime.engine import AsyncPSTMEngine, EngineConfig
 from repro.runtime.faults import FaultPlan
 from repro.runtime.reference import LocalExecutor
-from repro.runtime.vector import HAVE_NUMPY
 from repro.core.progress import ProgressMode
 
 CLUSTER = ClusterConfig(nodes=2, workers_per_node=2)
@@ -119,15 +116,14 @@ def test_every_query_under_every_progress_mode(mode, query_index):
     assert normalized(got, query_index) == normalized(expected, query_index)
 
 
-# -- kernel tiers and fused plans ----------------------------------------------
+# -- kernels and fused plans ---------------------------------------------------
 #
-# The second equivalence axis: on the SAME compiled plan, every kernel
-# tier (scalar / batch / vector) must reproduce not just the rows but the
-# exact simulated latency — bit for bit, float for float. A fused plan is
-# a DIFFERENT plan, so it only owes the same result rows as its unfused
-# source (its simulated timings differ by design — that is the win).
-
-KERNELS = ["scalar", "batch"] + (["vector"] if HAVE_NUMPY else [])
+# The second equivalence axis: on the SAME compiled plan, the run kernel
+# — with its NumPy fast paths available and with NumPy masked — must
+# reproduce not just the scalar oracle's rows but the exact simulated
+# latency — bit for bit, float for float. A fused plan is a DIFFERENT
+# plan, so it only owes the same result rows as its unfused source (its
+# simulated timings differ by design — that is the win).
 
 
 def _run_kernel(graph, plan, start, kernel, fault_plan=None):
@@ -146,14 +142,16 @@ def _run_kernel(graph, plan, start, kernel, fault_plan=None):
     fuse=st.booleans(),
 )
 @settings(max_examples=25, deadline=None)
-def test_kernel_tiers_bit_identical(seed, query_index, start, fuse):
-    """scalar == batch == vector on rows AND exact simulated latency, on
-    both the unfused and the fused lowering of every fixed-shape query."""
+def test_kernels_bit_identical(numpy_masked, seed, query_index, start, fuse):
+    """scalar == run (NumPy present and masked) on rows AND exact
+    simulated latency, on both the unfused and the fused lowering of
+    every fixed-shape query."""
     graph = make_graph(seed)
     plan = QUERY_BUILDERS[query_index]().compile(graph, fuse=fuse)
     reference = _run_kernel(graph, plan, start, "scalar")
-    for kernel in KERNELS[1:]:
-        assert _run_kernel(graph, plan, start, kernel) == reference
+    assert _run_kernel(graph, plan, start, "run") == reference
+    with numpy_masked():
+        assert _run_kernel(graph, plan, start, "run") == reference
 
 
 @given(
@@ -167,41 +165,25 @@ def test_fused_plan_rows_match_unfused(seed, query_index, start):
     builder = QUERY_BUILDERS[query_index]
     unfused = builder().compile(graph)
     fused = builder().compile(graph, fuse=True)
-    expected, _ = _run_kernel(graph, unfused, start, KERNELS[-1])
-    got, _ = _run_kernel(graph, fused, start, KERNELS[-1])
+    expected, _ = _run_kernel(graph, unfused, start, "run")
+    got, _ = _run_kernel(graph, fused, start, "run")
     assert normalized(got, query_index) == normalized(expected, query_index)
 
 
 @pytest.mark.parametrize("fault_seed", [1, 7, 23])
 @pytest.mark.parametrize("fuse", [False, True])
-def test_kernel_tiers_bit_identical_under_faults(fault_seed, fuse):
+def test_kernels_bit_identical_under_faults(numpy_masked, fault_seed, fuse):
     """A seeded fault plan (drops, dups, delays) arms the ack/retransmit
-    layer; the kernel tiers must still agree bit for bit."""
+    layer; the kernels must still agree bit for bit."""
     graph = make_graph(99)
     plan = QUERY_BUILDERS[2]().compile(graph, fuse=fuse)
     fault = FaultPlan(
         seed=fault_seed, drop_rate=0.15, dup_rate=0.1, delay_rate=0.1
     )
     reference = _run_kernel(graph, plan, 11, "scalar", fault)
-    for kernel in KERNELS[1:]:
-        assert _run_kernel(graph, plan, 11, kernel, fault) == reference
-
-
-def test_kernel_fallback_without_numpy(monkeypatch):
-    """With NumPy absent, auto-selection degrades to the batch tier (and
-    still answers correctly); asking for "vector" explicitly is a clear
-    configuration error naming the repro[fast] extra."""
-    monkeypatch.setattr(kernels_mod, "HAVE_NUMPY", False)
-    assert kernels_mod.kernel_name_for(EngineConfig()) == "batch"
-    assert kernels_mod.kernel_for(EngineConfig()) is kernels_mod.BATCH_KERNEL
-    with pytest.raises(ConfigurationError, match=r"repro\[fast\]"):
-        kernels_mod.kernel_for(EngineConfig(kernel="vector"))
-    graph = make_graph(5)
-    plan = QUERY_BUILDERS[0]().compile(graph)
-    expected = LocalExecutor(graph).run(plan, {"s": 3})
-    engine = AsyncPSTMEngine(graph, CLUSTER.nodes, CLUSTER.workers_per_node)
-    got = engine.run(plan, {"s": 3}).rows
-    assert normalized(got, 0) == normalized(expected, 0)
+    assert _run_kernel(graph, plan, 11, "run", fault) == reference
+    with numpy_masked():
+        assert _run_kernel(graph, plan, 11, "run", fault) == reference
 
 
 # -- aggregation pushdown (fusion rule 5) --------------------------------------
@@ -238,8 +220,8 @@ def test_collect_pushdown_rows_exact(seed, start):
     graph = make_graph(seed)
     unfused = _topn_query(True).compile(graph)
     fused = _topn_query(True).compile(graph, fuse=True)
-    rows_u, _ = _run_kernel(graph, unfused, start, KERNELS[-1])
-    rows_f, _ = _run_kernel(graph, fused, start, KERNELS[-1])
+    rows_u, _ = _run_kernel(graph, unfused, start, "run")
+    rows_f, _ = _run_kernel(graph, fused, start, "run")
     assert rows_f == rows_u
 
 
@@ -254,8 +236,8 @@ def test_group_count_pushdown_rows_exact(seed, start):
                  .filter_(X.prop("weight").gt(10)).group_count(limit=6))
     fused = q().compile(graph, fuse=True)
     assert any(type(op) is FusedGroupCountSink for op in fused.ops)
-    rows_u, _ = _run_kernel(graph, q().compile(graph), start, KERNELS[-1])
-    rows_f, _ = _run_kernel(graph, fused, start, KERNELS[-1])
+    rows_u, _ = _run_kernel(graph, q().compile(graph), start, "run")
+    rows_f, _ = _run_kernel(graph, fused, start, "run")
     assert rows_f == rows_u
 
 

@@ -19,7 +19,6 @@ from repro.query.traversal import Traversal
 from repro.runtime.engine import AsyncPSTMEngine, EngineConfig
 from repro.runtime.faults import FaultPlan
 from repro.runtime.reference import LocalExecutor
-from repro.runtime.vector import HAVE_NUMPY
 
 PARTS = 4
 
@@ -101,9 +100,7 @@ def test_random_chains_agree_across_engines(graph_seed, steps, terminal, start):
     assert sorted(map(repr, got)) == sorted(map(repr, expected))
 
 
-# -- kernel tiers and fused plans ----------------------------------------------
-
-KERNELS = ["scalar", "batch"] + (["vector"] if HAVE_NUMPY else [])
+# -- kernels and fused plans ---------------------------------------------------
 
 
 def _build_chain(steps, terminal):
@@ -131,20 +128,23 @@ def _run_kernel(graph, plan, start, kernel, fault_plan=None):
 )
 @settings(max_examples=40, deadline=None)
 def test_random_chains_kernels_and_fusion_agree(
-    graph_seed, steps, terminal, start
+    numpy_masked, graph_seed, steps, terminal, start
 ):
-    """On each generated chain: every kernel tier reproduces the scalar
-    rows and exact simulated latency on both lowerings, and the fused
-    lowering's rows equal the unfused lowering's."""
+    """On each generated chain: the run kernel (NumPy present and masked)
+    reproduces the scalar rows and exact simulated latency on both
+    lowerings, and the fused lowering's rows equal the unfused
+    lowering's."""
     graph = make_graph(graph_seed)
     t = _build_chain(steps, terminal)
     unfused = t.compile(graph)
     fused = t.compile(graph, fuse=True)
     ref_u = _run_kernel(graph, unfused, start, "scalar")
     ref_f = _run_kernel(graph, fused, start, "scalar")
-    for kernel in KERNELS[1:]:
-        assert _run_kernel(graph, unfused, start, kernel) == ref_u
-        assert _run_kernel(graph, fused, start, kernel) == ref_f
+    assert _run_kernel(graph, unfused, start, "run") == ref_u
+    assert _run_kernel(graph, fused, start, "run") == ref_f
+    with numpy_masked():
+        assert _run_kernel(graph, unfused, start, "run") == ref_u
+        assert _run_kernel(graph, fused, start, "run") == ref_f
     assert sorted(map(repr, ref_f[0])) == sorted(map(repr, ref_u[0]))
 
 
@@ -158,18 +158,19 @@ def test_random_chains_kernels_and_fusion_agree(
 )
 @settings(max_examples=25, deadline=None)
 def test_random_chains_kernels_agree_under_faults(
-    graph_seed, steps, terminal, start, fault_seed
+    numpy_masked, graph_seed, steps, terminal, start, fault_seed
 ):
     """Same agreement with a seeded fault plan armed: drops, dups, and
-    delays exercise the ack/retransmit layer identically per tier."""
+    delays exercise the ack/retransmit layer identically per kernel."""
     graph = make_graph(graph_seed)
     plan = _build_chain(steps, terminal).compile(graph, fuse=True)
     fault = FaultPlan(
         seed=fault_seed, drop_rate=0.1, dup_rate=0.1, delay_rate=0.1
     )
     reference = _run_kernel(graph, plan, start, "scalar", fault)
-    for kernel in KERNELS[1:]:
-        assert _run_kernel(graph, plan, start, kernel, fault) == reference
+    assert _run_kernel(graph, plan, start, "run", fault) == reference
+    with numpy_masked():
+        assert _run_kernel(graph, plan, start, "run", fault) == reference
 
 
 @given(

@@ -1,6 +1,6 @@
 """Live migration: bit-identity, ledger conservation, and composition.
 
-The contract pinned here, across all three kernel tiers (see
+The contract pinned here, on both kernels (see
 docs/PARTITIONING.md):
 
 1. **storage integrity** — ``PartitionedGraph.move_vertices`` relocates
@@ -36,10 +36,14 @@ from repro.runtime.faults import FaultPlan, WorkerFault
 from repro.runtime.lifecycle import QueryState
 from repro.runtime.migrate import Migrator, TrafficMiner
 from repro.runtime.trace import WeightLedgerAuditor
-from repro.runtime.vector import HAVE_NUMPY
-from tests.conftest import FAULT_NODES, FAULT_WPN, khop3_count, make_graph
+from tests.conftest import (
+    FAULT_NODES,
+    FAULT_WPN,
+    KERNELS,
+    khop3_count,
+    make_graph,
+)
 
-KERNELS = ["scalar", "batch"] + (["vector"] if HAVE_NUMPY else [])
 
 GRAPH_N = 200
 NUM_PARTITIONS = FAULT_NODES * FAULT_WPN
@@ -57,7 +61,7 @@ def scan_plan(graph):
     return Traversal("scan").scan("v").out("e").count().compile(graph)
 
 
-def make_engine(graph, kernel=None, *, crash_at=None, **cfg):
+def make_engine(graph, kernel="run", *, crash_at=None, **cfg):
     fault_plan = None
     if crash_at is not None:
         fault_plan = FaultPlan(worker_faults=(
@@ -101,7 +105,7 @@ def audit_of(engine):
 STARTS = [11, 42, 7, 103, 58, 191]
 
 
-def baseline_rows(kernel=None, plan_fn=khop3_count, starts=STARTS):
+def baseline_rows(kernel="run", plan_fn=khop3_count, starts=STARTS):
     graph = make_graph(3)
     engine = make_engine(graph, kernel)
     sessions, _ = run_queries(engine, plan_fn(graph), starts)

@@ -20,6 +20,7 @@ from repro.query.traversal import Traversal
 from repro.runtime.engine import AsyncPSTMEngine, EngineConfig
 from repro.runtime.faults import FaultPlan
 from repro.runtime.lifecycle import QueryState
+from tests.conftest import KERNELS
 
 NODES, WPN = 4, 2  # 8 partitions: cancellation must fan out across >= 4
 
@@ -98,13 +99,13 @@ class TestCooperativeCancellation:
     partitions leaves zero residue, and the stage ledger closes by weight
     reclamation alone — the PR-2 watchdog never fires."""
 
-    @pytest.mark.parametrize("scalar", [False, True])
-    def test_midflight_cancel_leaves_zero_residue(self, graph, scalar):
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_midflight_cancel_leaves_zero_residue(self, graph, kernel):
         # A zero-rate FaultPlan arms the watchdog and reliability layer
         # without injecting anything: if cancellation relied on watchdog
         # recovery, query_retries would be nonzero afterwards.
         config = EngineConfig(
-            scalar_execution=scalar,
+            kernel=kernel,
             fault_plan=FaultPlan(),
             watchdog_timeout_us=50_000.0,
         )

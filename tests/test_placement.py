@@ -138,8 +138,8 @@ class TestRelocation:
             p.relocate({1: -1})
 
     def test_write_through_keeps_hoisted_cache_current(self):
-        """Hot loops hoist ``partitioner._cache`` (machine.execute_batch,
-        runs.py); a relocation must land in that same dict object."""
+        """The run drain hoists ``partitioner._cache`` (runs.py); a
+        relocation must land in that same dict object."""
         p = Placement(4)
         cache = p._cache
         _ = p(21)                            # memoize the hash home

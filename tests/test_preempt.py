@@ -1,6 +1,6 @@
 """Voluntary preemption: pause, evict, and resume (docs/RECOVERY.md).
 
-The contract pinned here, across all three kernel tiers:
+The contract pinned here, on both kernels:
 
 1. **bit-identity** — a query preempted at a stage boundary and resumed
    later produces exactly the rows of an uninterrupted run, spawns the
@@ -51,7 +51,7 @@ from repro.runtime.trace import (
     RESUME,
     WeightLedgerAuditor,
 )
-from repro.runtime.vector import HAVE_NUMPY
+from tests.conftest import KERNELS
 
 NODES, WPN = 4, 2
 ENGINE_SEED = 3
@@ -64,7 +64,6 @@ PREEMPT_MID = 100.0       # both plans: mid stage 1
 RESUME_AT = 400.0         # well after every paused run has gone quiet
 CRASH_WHILE_PAUSING = 120.0
 
-KERNELS = ["scalar", "batch"] + (["vector"] if HAVE_NUMPY else [])
 
 GRAPH_CFG = PowerLawConfig("ck-demo", 400, 6.0)
 
@@ -116,7 +115,7 @@ def interactive_plan(graph):
 
 
 def make_engine(graph, *, interval=0.0, retention=2, crashes=(),
-                kernel=None, **cfg):
+                kernel="run", **cfg):
     fault_plan = None
     if crashes:
         fault_plan = FaultPlan(worker_faults=tuple(
@@ -137,7 +136,7 @@ def make_engine(graph, *, interval=0.0, retention=2, crashes=(),
     )
 
 
-def baseline(graph, plan, kernel=None):
+def baseline(graph, plan, kernel="run"):
     """An uninterrupted run on an unarmed engine (the bit-identity ref)."""
     engine = AsyncPSTMEngine(
         graph, NODES, WPN, config=EngineConfig(trace=True, kernel=kernel),

@@ -37,7 +37,13 @@ from repro.runtime.trace import (
     TraceRecorder,
     WeightLedgerAuditor,
 )
-from tests.conftest import khop3_count, make_graph, run_batch, run_one
+from tests.conftest import (
+    KERNELS,
+    khop3_count,
+    make_graph,
+    run_batch,
+    run_one,
+)
 
 M = GROUP_MODULUS
 
@@ -241,25 +247,25 @@ class TestEngineContracts:
         assert engine.trace is None
         assert result.rows  # the run itself still works
 
-    @pytest.mark.parametrize("scalar", [False, True])
-    def test_tracing_is_pure_observation(self, scalar):
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_tracing_is_pure_observation(self, kernel):
         # Bit-identical rows AND identical simulated clocks, both kernels.
         graph = make_graph(9)
         plan = khop3_count(graph)
         params = [{"s": v} for v in range(4)]
-        base = EngineConfig(scalar_execution=scalar)
-        traced = EngineConfig(scalar_execution=scalar, trace=True)
+        base = EngineConfig(kernel=kernel)
+        traced = EngineConfig(kernel=kernel, trace=True)
         e0, s0 = run_batch(graph, plan, params, base)
         e1, s1 = run_batch(graph, plan, params, traced)
         assert [s.results for s in s0] == [s.results for s in s1]
         assert e0.clock.now == e1.clock.now
 
-    @pytest.mark.parametrize("scalar", [False, True])
-    def test_real_run_audits_clean(self, scalar):
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_real_run_audits_clean(self, kernel):
         graph = make_graph(10)
         engine, sessions = run_batch(
             graph, khop3_count(graph), [{"s": v} for v in range(4)],
-            EngineConfig(scalar_execution=scalar, trace=True))
+            EngineConfig(kernel=kernel, trace=True))
         rep = WeightLedgerAuditor(engine.trace.events).audit()
         assert rep.ok, rep.violations
         assert rep.stages_opened == rep.stages_closed > 0

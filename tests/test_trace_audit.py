@@ -2,7 +2,7 @@
 from the event stream by :class:`WeightLedgerAuditor`, must hold with zero
 violations under randomized interleavings of packet faults, worker crashes,
 caller cancellations, voluntary preemptions, time limits and resource
-budgets — for every kernel tier (docs/OBSERVABILITY.md).
+budgets — on both kernels (docs/OBSERVABILITY.md).
 
 Unlike test_faults / test_overload, which assert on *results* and residue,
 these tests assert on the *ledger at every traced event*: the auditor
@@ -38,14 +38,17 @@ from repro.runtime.faults import FaultPlan, WorkerFault
 from repro.runtime.lifecycle import QueryState
 from repro.runtime.migrate import Migrator
 from repro.runtime.trace import CRASH_LOSS, WeightLedgerAuditor
-from repro.runtime.vector import HAVE_NUMPY
-from tests.conftest import FAULT_NODES, FAULT_WPN, khop3_count, make_graph
+from tests.conftest import (
+    FAULT_NODES,
+    FAULT_WPN,
+    KERNELS,
+    khop3_count,
+    make_graph,
+)
 
 #: the acceptance floor: at least 10 distinct seeded interleavings
 FUZZ_SEEDS = tuple(range(100, 110))
 EXTENDED_SEEDS = tuple(range(110, 125))  # slow-marked deepening of the same
-
-KERNELS = ["batch", "scalar"] + (["vector"] if HAVE_NUMPY else [])
 
 
 def staged_plan(graph):
@@ -155,7 +158,7 @@ def assert_audit_ok(engine, seed):
 
 
 class TestFuzzedInterleavings:
-    """The acceptance gate: >= 10 seeds x every kernel tier, zero
+    """The acceptance gate: >= 10 seeds x both kernels, zero
     violations — and the checkpoint plane drains (a paused query either
     resumed and retired or was cancelled with its snapshots dropped)."""
 
@@ -284,7 +287,7 @@ class TestTransactionPlaneAudit:
 
     @pytest.mark.parametrize("seed", FUZZ_SEEDS[:3])
     def test_crash_replays_version_log_and_stays_clean(self, seed):
-        engine = self.txn_fuzz_run(seed, "batch", crash=True)
+        engine = self.txn_fuzz_run(seed, "run", crash=True)
         report = assert_audit_ok(engine, seed)
         assert report.version_replays == engine.metrics.txn_replays == 1
 

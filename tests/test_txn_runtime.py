@@ -7,7 +7,7 @@ everything:
    transactions commit concurrently is pinned to the tracker's cached LCT
    and must produce rows bit-identical to a *solo*
    :class:`~repro.runtime.reference.LocalExecutor` run against the
-   snapshot view at that pin — whatever the kernel tier and whatever
+   snapshot view at that pin — whatever the kernel and whatever
    fate (crash, cancel, preempt, live migration) hits the run midway.
    Hypothesis drives seeded interleavings of the update stream, the IC
    read wave, and the fate instant.
@@ -45,13 +45,12 @@ from repro.runtime.faults import CRASH, FaultPlan, WorkerFault
 from repro.runtime.migrate import Migrator
 from repro.runtime.reference import LocalExecutor
 from repro.runtime.trace import TXN_COMMIT, WeightLedgerAuditor
-from repro.runtime.vector import HAVE_NUMPY
+from tests.conftest import KERNELS
 
 NODES, WPN = 2, 2
 PARTS = NODES * WPN
 ENGINE_SEED = 3
 
-KERNELS = ["scalar", "batch"] + (["vector"] if HAVE_NUMPY else [])
 
 #: fates a seeded interleaving can suffer midway (PR5's fuzz grammar
 #: grown with a writer terminal and the PR7–PR9 disruption planes)
@@ -91,8 +90,8 @@ def run_interleaving(dataset, kernel: str, seed: int, fate: str):
     """One seeded interleaving of IC reads × SNB updates × one fate.
 
     Builds a fresh partitioned graph per run (live migration mutates the
-    stores), so the same (seed, fate) replays bit-identically on every
-    kernel tier. Returns ``(sessions, engine, plane)`` where sessions
+    stores), so the same (seed, fate) replays bit-identically on both
+    kernels. Returns ``(sessions, engine, plane)`` where sessions
     are ``(session, plan, params)`` triples.
     """
     rng = random.Random(seed)
@@ -173,7 +172,7 @@ def assert_snapshot_equivalent(sessions, engine, plane) -> List[Tuple]:
     """Every finished query's rows == a solo run at its pinned snapshot.
 
     Returns a comparable fingerprint (rows, pin, cancelled) per query
-    for cross-tier identity checks.
+    for cross-kernel identity checks.
     """
     fingerprint = []
     executors: Dict[int, LocalExecutor] = {}
@@ -206,8 +205,8 @@ class TestFuzzedInterleavings:
     def test_interleavings_snapshot_equivalent_across_tiers(
         self, dataset, seed, fate
     ):
-        """Seeded interleaving × fate: every tier's rows equal the solo
-        snapshot run, and the tiers agree bit-for-bit with each other."""
+        """Seeded interleaving × fate: both kernels' rows equal the solo
+        snapshot run, and the kernels agree bit-for-bit with each other."""
         reference = None
         for kernel in KERNELS:
             sessions, engine, plane = run_interleaving(
@@ -217,14 +216,14 @@ class TestFuzzedInterleavings:
             if reference is None:
                 reference = fp
             else:
-                assert fp == reference, f"{kernel} diverged from scalar"
+                assert fp == reference, f"{kernel} diverged from {KERNELS[0]}"
 
     @given(seed=st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=8, deadline=None)
     def test_interleavings_are_deterministic(self, dataset, seed):
         """Same seed, same fate → bit-identical rows and pins."""
-        first = run_interleaving(dataset, "batch", seed, "none")
-        second = run_interleaving(dataset, "batch", seed, "none")
+        first = run_interleaving(dataset, "run", seed, "none")
+        second = run_interleaving(dataset, "run", seed, "none")
         fp1 = [(s.results, s.snapshot_ts) for s, _p, _a in first[0]]
         fp2 = [(s.results, s.snapshot_ts) for s, _p, _a in second[0]]
         assert fp1 == fp2
@@ -236,8 +235,8 @@ class TestFuzzedInterleavings:
     )
     @settings(max_examples=40, deadline=None)
     def test_interleavings_soak(self, dataset, seed, fate):
-        """Extended-seed nightly soak on the cheapest tier pair."""
-        for kernel in ("scalar", KERNELS[-1]):
+        """Extended-seed nightly soak on both kernels."""
+        for kernel in KERNELS:
             sessions, engine, plane = run_interleaving(
                 dataset, kernel, seed, fate
             )
