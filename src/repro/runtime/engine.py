@@ -167,6 +167,7 @@ class AsyncPSTMEngine:
             self.metrics,
             self.delivery.deliver,
             node_combining=(config.io_mode == IO_TLC_NLC),
+            coalesce_weights=config.progress_mode.coalesced,
             faults=self.faults,
             on_retransmit=self.recovery.note_retransmit,
             on_packet_fault=self.recovery.note_packet_fault,

@@ -45,6 +45,9 @@ class RunMetrics:
     bytes_sent: int = 0
     flushes: int = 0  # thread-level buffer flushes
     local_deliveries: int = 0  # same-node shared-memory deliveries
+    # weight reports removed by the node-level fold (tier 2 of coalescing);
+    # messages[PROGRESS] still counts every worker-emitted report
+    progress_reports_coalesced: int = 0
     supersteps: int = 0  # BSP only
     # Fault-injection / reliability-layer counters (all stay 0 when no
     # FaultPlan is configured; see docs/FAULTS.md).

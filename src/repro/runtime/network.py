@@ -15,6 +15,15 @@ per-packet overhead, bandwidth-proportional serialization time, and one-way
 wire latency. Message-kind counters feed Fig 11; packet counters feed
 Fig 12.
 
+**Node-level weight coalescing.** Tier 2 is also the second tier of weight
+coalescing (§IV-A): when the progress mode coalesces, every finished-weight
+report waiting in a node's window beside another report for the same
+``(query, stage)`` is folded into it — one report carrying the sum in
+ℤ/2⁶⁴ℤ, one ``tracker_msg_us`` at the serial tracker — and the tracker
+node's own workers' reports wait for that node's window too instead of
+taking the per-flush shared-memory shortcut
+(:meth:`Network._fold_weight_reports`).
+
 **Reliability layer.** When the engine is configured with a
 :class:`~repro.runtime.faults.FaultPlan`, every remote NIC packet carries a
 per-``(src, dst)`` channel sequence number and is held by the sender until
@@ -33,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
+from repro.core.weight import GROUP_MODULUS
 from repro.runtime.costmodel import CostModel
 from repro.runtime.faults import FaultInjector
 from repro.runtime.metrics import MsgKind, RunMetrics
@@ -42,6 +52,7 @@ from repro.runtime.trace import (
     MSG_FAULT,
     MSG_RETRANSMIT,
     MSG_SEND,
+    NODE_COALESCE,
     TraceRecorder,
 )
 
@@ -80,6 +91,12 @@ class Message:
 
 
 DeliverFn = Callable[[Message], None]
+
+
+def _is_weight_report(msg: Message) -> bool:
+    """A finished-weight report (the only foldable message: ``"delta"``
+    reports are ordered counts, partials carry per-partition state)."""
+    return msg.kind is MsgKind.PROGRESS and msg.payload[0] == "weight"
 
 
 @dataclass
@@ -135,6 +152,9 @@ class Network:
         deliver: callback invoked for every arriving :class:`Message`.
         node_combining: enable tier-2 (NLC) packing of same-destination
             buffers into one packet per window.
+        coalesce_weights: the progress mode coalesces finished weight
+            (tier 1, in the workers); with ``node_combining`` the window
+            then folds same-``(query, stage)`` weight reports too.
         faults: arm the reliability layer and draw packet fates from this
             injector; ``None`` (default) keeps the classic lossless NIC.
         on_retransmit: called with a packet's messages each time it is
@@ -152,6 +172,7 @@ class Network:
         metrics: RunMetrics,
         deliver: DeliverFn,
         node_combining: bool = True,
+        coalesce_weights: bool = False,
         faults: Optional[FaultInjector] = None,
         on_retransmit: Optional[Callable[[List[Message]], None]] = None,
         on_packet_fault: Optional[Callable[[str, List[Message]], None]] = None,
@@ -163,6 +184,7 @@ class Network:
         self.metrics = metrics
         self.deliver = deliver
         self.node_combining = node_combining
+        self._fold_weights = node_combining and coalesce_weights
         # message events carry query_id -1: a packed buffer mixes queries
         self.trace = trace
         # per-node NIC egress availability
@@ -195,7 +217,9 @@ class Network:
         shared-memory shortcut (reliable by definition — the failure model
         only injects faults on the wire); remote traffic goes through the
         NIC, with node-level combining when enabled, and through the
-        ack/retransmit layer when a fault plan is armed.
+        ack/retransmit layer when a fault plan is armed. Under node-level
+        weight coalescing the tracker node's own weight reports are the
+        one same-node exception: they wait for that node's window.
         """
         if not messages:
             return
@@ -215,14 +239,26 @@ class Network:
             self.trace.emit(MSG_SEND, -1, src=src_node, dst=dst_node,
                             n=len(messages), bytes=total)
         if src_node == dst_node:
-            self.metrics.local_deliveries += len(messages)
-            arrival = when + self.cost.hardware.shm_latency_us
-            self.clock.schedule_at(arrival, lambda ms=messages: self._deliver_all(ms))
+            if self._fold_weights:
+                reports = [m for m in messages if _is_weight_report(m)]
+                if reports:
+                    self._combine(src_node, dst_node, reports,
+                                  sum(m.size_bytes for m in reports), when)
+                    messages = [m for m in messages if not _is_weight_report(m)]
+                    if not messages:
+                        return
+            self._deliver_local(messages, when)
             return
         if self.node_combining:
             self._combine(src_node, dst_node, messages, total, when)
         else:
             self._nic_send(src_node, dst_node, messages, total, when)
+
+    def _deliver_local(self, messages: List[Message], when: float) -> None:
+        """Same-node delivery: one shared-memory hop, no NIC."""
+        self.metrics.local_deliveries += len(messages)
+        arrival = when + self.cost.hardware.shm_latency_us
+        self.clock.schedule_at(arrival, lambda ms=messages: self._deliver_all(ms))
 
     # -- node-level combining --------------------------------------------------
 
@@ -244,12 +280,66 @@ class Network:
             self.clock.schedule_at(fire_at, lambda k=key: self._fire_combiner(k))
 
     def _fire_combiner(self, key: Tuple[int, int]) -> None:
-        """Window expiry: hand the combined pack to the NIC."""
+        """Window expiry: fold weight reports, hand the pack to the NIC
+        (or, for the tracker node's own window, to shared memory)."""
         messages = self._combiner.pop(key, [])
         total = self._combiner_bytes.pop(key, 0)
         self._combiner_armed[key] = False
-        if messages:
-            self._nic_send(key[0], key[1], messages, total, self.clock.now)
+        if not messages:
+            return
+        src, dst = key
+        if self._fold_weights:
+            messages, total = self._fold_weight_reports(src, messages, total)
+        if src == dst:
+            self._deliver_local(messages, self.clock.now)
+        else:
+            self._nic_send(src, dst, messages, total, self.clock.now)
+
+    def _fold_weight_reports(
+        self, node: int, messages: List[Message], total: int
+    ) -> Tuple[List[Message], int]:
+        """Fold the window's same-``(query, stage)`` weight reports.
+
+        The stage ledger is a sum in ℤ/2⁶⁴ℤ (Theorem 1), so replacing the
+        reports of one key by one report carrying their sum is exact. The
+        fold keeps the first report's slot in the pack and gives back the
+        wire bytes of the others; it runs before the pack is sequenced, so
+        a retransmitted or duplicated packet carries the same folded
+        report and the receiver's filter still admits it exactly once.
+        Returns the folded pack and its byte total.
+        """
+        slots: Dict[Tuple[int, int], int] = {}
+        folds: Dict[Tuple[int, int], List[int]] = {}
+        out: List[Message] = []
+        for msg in messages:
+            if not _is_weight_report(msg):
+                out.append(msg)
+                continue
+            _tag, query_id, stage, weight = msg.payload
+            key = (query_id, stage)
+            slot = slots.get(key)
+            if slot is None:
+                slots[key] = len(out)
+                out.append(msg)
+                continue
+            inputs = folds.get(key)
+            if inputs is None:
+                inputs = folds[key] = [out[slot].payload[3] % GROUP_MODULUS]
+            inputs.append(weight % GROUP_MODULUS)
+            total -= msg.size_bytes
+        for (query_id, stage), inputs in folds.items():
+            slot = slots[(query_id, stage)]
+            weight = sum(inputs) % GROUP_MODULUS
+            out[slot] = Message(
+                MsgKind.PROGRESS, TRACKER_DST,
+                ("weight", query_id, stage, weight),
+                out[slot].size_bytes, query_id,
+            )
+            self.metrics.progress_reports_coalesced += len(inputs) - 1
+            if self.trace is not None:
+                self.trace.emit(NODE_COALESCE, query_id, node=node, stage=stage,
+                                n=len(inputs), weight=weight, inputs=inputs)
+        return out, total
 
     # -- NIC --------------------------------------------------------------------
 

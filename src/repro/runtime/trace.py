@@ -35,6 +35,7 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
+from repro.core.progress import ProgressMode
 from repro.core.weight import GROUP_MODULUS, ROOT_WEIGHT
 
 if TYPE_CHECKING:  # typing only; trace stays below every runtime layer
@@ -65,6 +66,9 @@ RESUME = "resume"                  # paused query re-admitted: stage,
 EXEC = "exec"                      # kernel run: pid, wid, stage, op_idx, n,
 #                                    spawned, w_in, w_fin[, w_out], cpu
 WEIGHT_FLUSH = "weight_flush"      # coalesced accumulator flushed: wid, stage, weight
+NODE_COALESCE = "node_coalesce"    # same-(query, stage) reports folded in a
+#                                    node's combiner window: node, stage, n,
+#                                    weight (the sum), inputs (the n weights)
 ACCUM_RECLAIM = "accum_reclaim"    # unflushed accumulator drained: wid, stage, weight
 RECLAIM = "reclaim"                # delivery-plane reclaim: stage, weight, count, reported
 CRASH_LOSS = "crash_loss"          # weight destroyed by a crash: wid, stage, weight, count
@@ -235,9 +239,16 @@ class TraceRecorder:
 class _StageLedger:
     """Re-derived Theorem-1 ledger for one (query, stage); all fields are
     group elements mod 2^64. ``tracker_sum`` independently accumulates what
-    the *tracker* saw (progress reports + reclaim reports)."""
+    the *tracker* saw (progress reports + reclaim reports).
 
-    __slots__ = ("active", "finished", "reclaimed", "lost", "tracker_sum")
+    ``flushed`` / ``flushed_n`` follow the coalesced weight through its two
+    tiers — what the workers' accumulators flushed, as a sum and as a
+    report count reduced by every node-level fold — to be matched against
+    the tracker's weight reports (``tracker_sum - reclaimed``, counted in
+    ``reported_n``)."""
+
+    __slots__ = ("active", "finished", "reclaimed", "lost", "tracker_sum",
+                 "flushed", "flushed_n", "reported_n")
 
     def __init__(self) -> None:
         self.active = ROOT_WEIGHT
@@ -245,6 +256,9 @@ class _StageLedger:
         self.reclaimed = 0
         self.lost = 0
         self.tracker_sum = 0
+        self.flushed = 0
+        self.flushed_n = 0
+        self.reported_n = 0
 
 
 @dataclass
@@ -294,6 +308,11 @@ class WeightLedgerAuditor:
     * each stage's seed weights sum to the root weight;
     * at ``stage_close(terminated|cancelled)``: no active weight survives
       *and* the tracker independently received exactly the root weight;
+    * coalesced weight is conserved through both tiers: every
+      ``node_coalesce`` fold carries the sum of its inputs (checked at the
+      fold), and at a clean close the stage's ``weight_flush`` events, less
+      the reports its folds removed, equal the tracker's weight reports in
+      sum and in number;
     * no exec on a never-opened (or already-closed) stage, no reopen, and
       no stage left open at end of trace;
     * transaction-plane events are ledger-neutral: every open ledger still
@@ -317,6 +336,9 @@ class WeightLedgerAuditor:
         stages: Dict[Tuple[int, int], _StageLedger] = {}
         pins: Dict[int, int] = {}  # query -> pinned snapshot timestamp
         lct_seen = 0               # LCT implied by the txn_commit prefix
+        # Only a coalescing run's weight reports all stem from weight_flush
+        # events; the run_config header says whether this is one.
+        coalesced = False
         M = GROUP_MODULUS
 
         def violate(i: int, msg: str) -> None:
@@ -334,10 +356,12 @@ class WeightLedgerAuditor:
             rep.events += 1
 
             if kind == RUN_CONFIG:
-                if str(data.get("mode", "")).startswith("naive"):
+                mode = str(data.get("mode", ""))
+                if mode.startswith("naive"):
                     raise ValueError(
                         "naive-central traces carry no weight ledger; "
                         "audit requires a weighted progress mode")
+                coalesced = mode == ProgressMode.WEIGHTED_COALESCED.value
 
             elif kind == STAGE_OPEN:
                 key = (qid, data["stage"])
@@ -373,6 +397,31 @@ class WeightLedgerAuditor:
                                    f"{data['version_ts']} newer than its "
                                    f"pinned snapshot {pin}")
                 check(i, key, st)
+
+            elif kind == WEIGHT_FLUSH:
+                st = stages.get((qid, data["stage"]))
+                if st is not None:
+                    st.flushed = (st.flushed + data["weight"]) % M
+                    st.flushed_n += 1
+
+            elif kind == NODE_COALESCE:
+                key = (qid, data["stage"])
+                inputs = data["inputs"]
+                rep.checks += 1
+                if len(inputs) != data["n"] or data["n"] < 2:
+                    violate(i, f"stage {key}: fold at node {data['node']} "
+                               f"claims n={data['n']} inputs but lists "
+                               f"{len(inputs)}")
+                if (sum(inputs) - data["weight"]) % M:
+                    violate(i, f"stage {key}: fold at node {data['node']} "
+                               f"does not conserve weight (inputs sum to "
+                               f"{sum(inputs) % M}, folded report carries "
+                               f"{data['weight'] % M})")
+                st = stages.get(key)
+                if st is not None:
+                    # the fold's output is the one report left of its n
+                    # inputs; a stage closed meanwhile ignores it anyway
+                    st.flushed_n -= data["n"] - 1
 
             elif kind == ACCUM_RECLAIM:
                 # Finished weight drained from an unflushed coalescing
@@ -415,6 +464,7 @@ class WeightLedgerAuditor:
                 st = stages.get((qid, data["stage"]))
                 if st is not None:
                     st.tracker_sum = (st.tracker_sum + data["value"]) % M
+                    st.reported_n += 1
 
             elif kind == STAGE_CLOSE:
                 key = (qid, data["stage"])
@@ -435,6 +485,16 @@ class WeightLedgerAuditor:
                         violate(i, f"stage {key} closed ({reason}) but the "
                                    f"tracker received {st.tracker_sum}, not "
                                    f"the root weight {ROOT_WEIGHT}")
+                    # reclaims reach tracker_sum too; the rest of it is
+                    # what the weight reports carried
+                    reported = (st.tracker_sum - st.reclaimed) % M
+                    if coalesced and (st.flushed != reported
+                                      or st.flushed_n != st.reported_n):
+                        violate(i, f"stage {key} closed ({reason}) but its "
+                                   f"workers flushed {st.flushed} in "
+                                   f"{st.flushed_n} report(s) after node "
+                                   f"folds and the tracker's weight reports "
+                                   f"carried {reported} in {st.reported_n}")
                     rep.stages_closed += 1
                 else:
                     # cancel_forced: a crash destroyed the cancelling

@@ -175,6 +175,25 @@ class TestDropRecovery:
         assert engine.metrics.duplicates_suppressed > 0
         assert engine.metrics.packets_delayed > 0
 
+    def test_folded_reports_close_every_ledger_under_drops_and_dups(self):
+        from repro.runtime.trace import WeightLedgerAuditor
+
+        graph = make_graph(3, partitions=8)
+        plan = khop3_count(graph)
+        _, base = run_batch(graph, plan, self.STARTS, nodes=4, wpn=2)
+        cfg = EngineConfig(trace=True, fault_plan=FaultPlan(
+            seed=4, drop_rate=0.05, dup_rate=0.05, ack_drop_rate=0.05))
+        engine, sessions = run_batch(graph, plan, self.STARTS, cfg,
+                                     nodes=4, wpn=2)
+        assert [s.results for s in sessions] == [s.results for s in base]
+        m = engine.metrics
+        assert m.progress_reports_coalesced > 0
+        assert m.retransmits > 0 and m.duplicates_suppressed > 0
+        assert engine.progress.open_stage_count == 0
+        rep = WeightLedgerAuditor(engine.trace.events).audit()
+        assert rep.ok, rep.violations
+        assert rep.stages_closed == len(sessions)
+
 
 # -- LDBC interactive-complex under drops -----------------------------------
 

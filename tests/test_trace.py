@@ -26,12 +26,14 @@ from repro.runtime.trace import (
     EXEC,
     LIFECYCLE,
     MSG_SEND,
+    NODE_COALESCE,
     RECLAIM,
     RUN_CONFIG,
     SEED_DISPATCH,
     STAGE_CLOSE,
     STAGE_OPEN,
     TRACKER_REPORT,
+    WEIGHT_FLUSH,
     AuditReport,
     TraceEvent,
     TraceRecorder,
@@ -76,6 +78,24 @@ def clean_stage(qid=0, stage=0):
            value=(ROOT_WEIGHT - half) % M),
         ev(STAGE_CLOSE, qid, stage=stage, reason="terminated"),
     ]
+
+
+def coalesced_stage(qid=0, stage=0):
+    """clean_stage under weight coalescing: each half is flushed by its
+    worker, the node window folds the two reports, the tracker hears one."""
+    half = 0x1234
+    rest = (ROOT_WEIGHT - half) % M
+    trace = [ev(RUN_CONFIG, -1, mode=ProgressMode.WEIGHTED_COALESCED.value)]
+    trace += clean_stage(qid, stage)[:5]
+    trace += [
+        ev(WEIGHT_FLUSH, qid, stage=stage, wid=2, weight=half, count=1),
+        ev(WEIGHT_FLUSH, qid, stage=stage, wid=3, weight=rest, count=1),
+        ev(NODE_COALESCE, qid, node=1, stage=stage, n=2,
+           weight=ROOT_WEIGHT, inputs=[half, rest]),
+        ev(TRACKER_REPORT, qid, stage=stage, tag="weight", value=ROOT_WEIGHT),
+        ev(STAGE_CLOSE, qid, stage=stage, reason="terminated"),
+    ]
+    return trace
 
 
 class TestAuditorUnits:
@@ -154,6 +174,38 @@ class TestAuditorUnits:
                            reported=False))
         rep = WeightLedgerAuditor(trace).audit()
         assert rep.ok, rep.violations
+
+    def test_folded_stage_passes(self):
+        rep = WeightLedgerAuditor(coalesced_stage()).audit()
+        assert rep.ok, rep.violations
+
+    def test_fold_that_drops_weight_is_named_at_the_fold(self):
+        # The folded report and the tracker agree with each other, so only
+        # the fold's own inputs can expose it.
+        trace = coalesced_stage()
+        fold = next(e for e in trace if e["kind"] == NODE_COALESCE)
+        fold["inputs"][1] = (fold["inputs"][1] + 1) % M
+        rep = WeightLedgerAuditor(trace).audit()
+        assert any("fold at node 1 does not conserve" in v
+                   and f"event {trace.index(fold)}:" in v
+                   for v in rep.violations), rep.violations
+
+    def test_fold_that_double_counts_a_report_is_a_violation(self):
+        # The fold's output reaches the tracker and so does one of its
+        # inputs: the ledger overshoots and the report counts disagree.
+        trace = coalesced_stage()
+        close = trace.pop()
+        trace += [ev(TRACKER_REPORT, stage=0, tag="weight", value=0x1234),
+                  close]
+        rep = WeightLedgerAuditor(trace).audit()
+        assert any("workers flushed" in v and "in 1 report(s)" in v
+                   for v in rep.violations), rep.violations
+
+    def test_flush_that_never_reaches_the_tracker_is_a_violation(self):
+        trace = coalesced_stage()
+        trace.insert(-1, ev(WEIGHT_FLUSH, stage=0, wid=2, weight=9, count=1))
+        rep = WeightLedgerAuditor(trace).audit()
+        assert any("workers flushed" in v for v in rep.violations)
 
     def test_naive_mode_traces_are_rejected(self):
         trace = [ev(RUN_CONFIG, -1, mode=ProgressMode.NAIVE_CENTRAL.value)]
@@ -271,6 +323,19 @@ class TestEngineContracts:
         assert rep.stages_opened == rep.stages_closed > 0
         assert engine.trace.by_kind(LIFECYCLE)
         assert engine.trace.by_kind(MSG_SEND)
+
+    def test_doctored_fold_in_a_real_trace_is_rejected(self):
+        graph = make_graph(10)
+        engine, _sessions = run_batch(
+            graph, khop3_count(graph), [{"s": v} for v in range(4)],
+            EngineConfig(trace=True))
+        events = [e.as_dict() for e in engine.trace.events]
+        folds = [e for e in events if e["kind"] == NODE_COALESCE]
+        assert folds and engine.metrics.progress_reports_coalesced == sum(
+            e["n"] - 1 for e in folds)
+        folds[0]["weight"] = (folds[0]["weight"] + 1) % M
+        rep = WeightLedgerAuditor(events).audit()
+        assert any("does not conserve" in v for v in rep.violations)
 
 
 # -- metrics completeness ----------------------------------------------------

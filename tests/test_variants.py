@@ -1,13 +1,21 @@
 """Tests for the baseline engine variants (§V) and the cluster config."""
 
+import hashlib
+import json
+
 import pytest
 
+from repro.core.progress import ProgressMode
 from repro.errors import ConfigurationError
 from repro.graph.partition import PartitionedGraph
 from repro.query.exprs import X
 from repro.query.traversal import Traversal
 from repro.runtime.cluster import ClusterConfig, PAPER_CLUSTER, SMALL_CLUSTER
 from repro.runtime.costmodel import LEGACY_CORES_8
+from repro.runtime.engine import (
+    AsyncPSTMEngine, EngineConfig, IO_SYNC, IO_TLC,
+)
+from repro.runtime.metrics import MsgKind
 from repro.runtime.reference import LocalExecutor
 from repro.runtime.variants import (
     GRAPHSCOPE_CPU_SCALE,
@@ -19,7 +27,7 @@ from repro.runtime.variants import (
     make_graphscope,
     make_non_partitioned,
 )
-from tests.conftest import random_graph
+from tests.conftest import khop3_count, make_graph, random_graph
 
 
 CLUSTER = ClusterConfig(nodes=2, workers_per_node=2)
@@ -162,3 +170,66 @@ class TestVariantBehaviors:
     def test_constants_sane(self):
         assert 0 < GRAPHSCOPE_CPU_SCALE < 1
         assert SWAP_PENALTY > 10
+
+
+def ablation_run(config, gap_us):
+    """29 3-hop counts, one every ``gap_us``, on the fault suites' graph;
+    returns the engine and a digest of every simulated number of the run
+    (rows, latencies, every counter, clock, per-worker busy time)."""
+    graph = make_graph(11)
+    plan = khop3_count(graph)
+    engine = AsyncPSTMEngine(graph, 2, 2, config=config)
+    sessions = [engine.submit(plan, {"s": s}, at=gap_us * i)
+                for i, s in enumerate(range(0, 200, 7))]
+    engine.clock.run_until_idle()
+    counters = engine.metrics_snapshot()
+    # absent at the commit the digests were taken from; asserted separately
+    counters.pop("progress_reports_coalesced")
+    body = {
+        "rows": [s.results for s in sessions],
+        "latencies": [repr(s.qmetrics.latency_us) for s in sessions],
+        "counters": counters,
+        "tracker_msgs": engine.tracker.messages_processed,
+        "tracker_free_at": repr(engine.tracker.free_at),
+        "now": repr(engine.clock.now),
+        "events": engine.clock.events_run,
+        "busy": [repr(w.busy_total) for w in engine.workers],
+    }
+    blob = json.dumps(body, sort_keys=True, default=repr).encode()
+    return engine, hashlib.sha256(blob).hexdigest()[:16]
+
+
+class TestAblationModesPinned:
+    """Node-level weight coalescing is tier 2 of the *default* progress
+    and I/O modes. Every other mode is an ablation bar of Fig 10-12 and
+    must simulate exactly what it did before the fold existed: the digests
+    below were taken at commit 57399d2 (the fold's parent)."""
+
+    @pytest.mark.parametrize("config, gap_us, tracker_msgs, digest", [
+        (EngineConfig(progress_mode=ProgressMode.WEIGHTED_IMMEDIATE), 3.0,
+         14251, "1c57f29e9e20dab4"),
+        # one at a time: concurrent naive-central queries do not all finish
+        (EngineConfig(progress_mode=ProgressMode.NAIVE_CENTRAL), 5000.0,
+         27047, "ca01530646552180"),
+        (EngineConfig(io_mode=IO_TLC), 3.0, 301, "b7f8547365a1e9ec"),
+        (EngineConfig(io_mode=IO_SYNC), 3.0, 465, "ed090cac081db82f"),
+    ], ids=["weighted_immediate", "naive_central", "io_tlc", "io_sync"])
+    def test_non_default_modes_bit_identical_to_parent(
+            self, config, gap_us, tracker_msgs, digest):
+        engine, got = ablation_run(config, gap_us)
+        assert engine.metrics.progress_reports_coalesced == 0
+        assert engine.tracker.messages_processed == tracker_msgs
+        assert got == digest
+
+    def test_default_mode_folds(self):
+        """The default mode sheds tracker messages (291 at the parent) and
+        the worker-emitted progress count keeps its meaning: every report
+        still counts at ``Network.send``; the fold shows at the tracker."""
+        engine, _digest = ablation_run(EngineConfig(), 3.0)
+        metrics = engine.metrics
+        folded = metrics.progress_reports_coalesced
+        assert folded > 0
+        assert engine.tracker.messages_processed == (
+            metrics.progress_messages
+            + metrics.message_count(MsgKind.PARTIAL) - folded)
+        assert engine.tracker.messages_processed < 291
