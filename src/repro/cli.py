@@ -504,7 +504,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     engine, sessions = _trace_run(recipe)
     trace = engine.trace
 
-    print(f"{len(trace)} trace events from {len(sessions)} queries")
+    print(f"{len(trace)} trace events from {len(sessions)} queries "
+          f"(trace store ~{trace.nbytes / 1024:.0f} KiB)")
     kinds: Dict[str, int] = {}
     for ev in trace:
         kinds[ev.kind] = kinds.get(ev.kind, 0) + 1

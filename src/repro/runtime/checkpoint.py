@@ -171,9 +171,8 @@ class CheckpointPlane:
         engine.metrics.checkpoints_taken += 1
         if engine.trace is not None:
             engine.trace.emit(
-                CHECKPOINT, query_id, stage=ckpt.stage, n_seeds=len(seeds),
-                partitions=len(memos), records=ckpt.record_count(),
-                forced=force,
+                CHECKPOINT, query_id, ckpt.stage, len(seeds), len(memos),
+                ckpt.record_count(), force,
             )
         return True
 

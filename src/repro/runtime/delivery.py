@@ -237,8 +237,7 @@ class DeliveryPlane:
             if engine.trace is not None:
                 # core.progress stays trace-free (cross-package layering);
                 # every report passes through here, so emit at the boundary.
-                engine.trace.emit(TRACKER_REPORT, query_id, stage=stage,
-                                  tag=tag, value=value)
+                engine.trace.emit(TRACKER_REPORT, query_id, stage, tag, value)
             if tag == "weight":
                 engine.progress.report_weight(query_id, stage, value)
             else:
@@ -309,9 +308,8 @@ class DeliveryPlane:
         if fenced:
             report = False
         if self.engine.trace is not None:
-            self.engine.trace.emit(RECLAIM, query_id, stage=stage,
-                                   weight=weight % GROUP_MODULUS, count=count,
-                                   reported=report, fenced=fenced)
+            self.engine.trace.emit(RECLAIM, query_id, stage,
+                                   weight % GROUP_MODULUS, count, report, fenced)
         if count:
             self.engine.metrics.traversers_reclaimed += count
             if session is None:
@@ -347,7 +345,7 @@ class DeliveryPlane:
         runtime = engine.runtimes[pid]
         runtime.memo_store.clear_query(query_id)
         if engine.trace is not None:
-            engine.trace.emit(MEMO_CLEAR, query_id, pid=pid, site="cancel")
+            engine.trace.emit(MEMO_CLEAR, query_id, pid, "cancel")
         weight, n = self.purge_partition(runtime, query_id)
         for worker in engine.workers:
             if worker.runtime is runtime:
@@ -366,7 +364,7 @@ class DeliveryPlane:
         engine = self.engine
         query_id = session.query_id
         if engine.trace is not None:
-            engine.trace.emit(MEMO_CLEAR, query_id, pid=-1, site="teardown")
+            engine.trace.emit(MEMO_CLEAR, query_id, -1, "teardown")
         for runtime in engine.runtimes:
             runtime.memo_store.clear_query(query_id)
             _w, n = self.purge_partition(runtime, query_id)
@@ -377,7 +375,7 @@ class DeliveryPlane:
         self.inflight.pop(query_id, None)
         engine.progress.close_query(query_id)
         if engine.trace is not None:
-            engine.trace.emit(QUERY_CLOSE, query_id, reason="teardown")
+            engine.trace.emit(QUERY_CLOSE, query_id, "teardown")
 
 
 class TrackerActor:

@@ -138,9 +138,8 @@ class AsyncPSTMEngine:
         #: observability plane (docs/OBSERVABILITY.md); None → hooks are off
         self.trace: Optional[TraceRecorder] = (
             TraceRecorder(
-                self.clock, mode=config.progress_mode.value,
-                kernel=config.kernel,
-                nodes=nodes, partitions=self.num_partitions, seed=seed,
+                self.clock, config.progress_mode.value, config.kernel,
+                nodes, self.num_partitions, seed,
             )
             if config.trace else None
         )
@@ -556,8 +555,8 @@ class AsyncPSTMEngine:
             return
         if self.trace is not None:
             # stage >= 0: the ledger closed by reclamation; -1: crash-forced.
-            self.trace.emit(STAGE_CLOSE, query_id, stage=stage,
-                            reason="cancelled" if stage >= 0 else "cancel_forced")
+            self.trace.emit(STAGE_CLOSE, query_id, stage,
+                            "cancelled" if stage >= 0 else "cancel_forced")
         session.lifecycle.to(
             QueryState.PARTIAL if session._salvaged else QueryState.FAILED,
             session.qmetrics.cancel_reason,
@@ -596,7 +595,7 @@ class AsyncPSTMEngine:
             ready_at = self.tracker.charge(now, coord_setup)
         self.progress.open_stage(session.query_id, 0)
         if self.trace is not None:
-            self.trace.emit(STAGE_OPEN, session.query_id, stage=0)
+            self.trace.emit(STAGE_OPEN, session.query_id, 0)
         seeds = self._stage0_seeds(session)
         if ready_at > now:
             self.clock.schedule_at(
@@ -615,9 +614,8 @@ class AsyncPSTMEngine:
     ) -> None:
         """Route seed traversers from the coordinator to their partitions."""
         if self.trace is not None and seeds:
-            self.trace.emit(SEED_DISPATCH, session.query_id,
-                            stage=seeds[0].stage, n=len(seeds),
-                            weight=sum(t.weight for t in seeds))
+            self.trace.emit(SEED_DISPATCH, session.query_id, seeds[0].stage,
+                            len(seeds), sum(t.weight for t in seeds))
         if self.config.progress_mode is ProgressMode.NAIVE_CENTRAL and seeds:
             # The coordinator knows the seed count; no message needed.
             self.progress.add_naive_active(
@@ -702,8 +700,7 @@ class AsyncPSTMEngine:
         # instead of accumulating terminated ledgers for the query's life.
         self.progress.close_stage(session.query_id, stage)
         if self.trace is not None:
-            self.trace.emit(STAGE_CLOSE, session.query_id, stage=stage,
-                            reason="terminated")
+            self.trace.emit(STAGE_CLOSE, session.query_id, stage, "terminated")
         seeds = session.cursor.complete_stage(session.partials, session.rng)
         # Vacuously-empty intermediate stages terminate immediately.
         while not seeds and not session.cursor.finished:
@@ -718,8 +715,7 @@ class AsyncPSTMEngine:
             return
         self.progress.open_stage(session.query_id, session.cursor.current)
         if self.trace is not None:
-            self.trace.emit(STAGE_OPEN, session.query_id,
-                            stage=session.cursor.current)
+            self.trace.emit(STAGE_OPEN, session.query_id, session.cursor.current)
         if (
             self.checkpoints is not None
             and session.lifecycle.state is QueryState.RUNNING

@@ -236,8 +236,7 @@ class RecoveryManager:
         now = engine.clock.now
         engine.faults.note_worker_fault(wf.kind)
         if engine.trace is not None:
-            engine.trace.emit(WORKER_FAULT, -1, wid=wf.wid, fault=wf.kind,
-                              down_us=wf.down_us)
+            engine.trace.emit(WORKER_FAULT, -1, wf.wid, wf.kind, wf.down_us)
         if wf.kind == CRASH:
             engine.metrics.worker_crashes += 1
             runtime = worker.runtime
@@ -386,8 +385,8 @@ class RecoveryManager:
             # "recover" drops the abandoned attempt's open stage ledgers
             # without the terminated/cancelled closing assertions: a crash
             # or exhausted transport legitimately lost weight mid-stage.
-            engine.trace.emit(MEMO_CLEAR, old_query_id, pid=-1, site="recover")
-            engine.trace.emit(QUERY_CLOSE, old_query_id, reason="recover")
+            engine.trace.emit(MEMO_CLEAR, old_query_id, -1, "recover")
+            engine.trace.emit(QUERY_CLOSE, old_query_id, "recover")
         for runtime in engine.runtimes:
             runtime.memo_store.clear_query(old_query_id)
             # purge_partition (not raw purge_query): inboxed traversers of
@@ -413,8 +412,7 @@ class RecoveryManager:
         engine.sessions[new_query_id] = session
         engine.progress.open_stage(new_query_id, 0)
         if engine.trace is not None:
-            engine.trace.emit(STAGE_OPEN, new_query_id, stage=0,
-                              retry_of=old_query_id)
+            engine.trace.emit(STAGE_OPEN, new_query_id, 0, old_query_id)
         engine._dispatch_seeds(session, engine._stage0_seeds(session), engine.clock.now)
         self.arm_watchdog(session)
 
@@ -448,8 +446,8 @@ class RecoveryManager:
             # "restore" (like "recover") drops the dead attempt's open
             # stage ledgers in the auditor before the purges below, so the
             # fenced reclaims and accumulator drains audit as no-ops.
-            engine.trace.emit(MEMO_CLEAR, old_query_id, pid=-1, site="restore")
-            engine.trace.emit(QUERY_CLOSE, old_query_id, reason="restore")
+            engine.trace.emit(MEMO_CLEAR, old_query_id, -1, "restore")
+            engine.trace.emit(QUERY_CLOSE, old_query_id, "restore")
         stage = ckpt.stage
         for runtime in engine.runtimes:
             runtime.memo_store.clear_query(old_query_id)
@@ -494,11 +492,9 @@ class RecoveryManager:
                 runtime.memo_store.install(new_query_id, memo)
         engine.progress.open_stage(new_query_id, stage)
         if engine.trace is not None:
-            engine.trace.emit(RESTORE, new_query_id, stage=stage,
-                              restored_from=old_query_id,
-                              n_seeds=len(ckpt.seeds))
-            engine.trace.emit(STAGE_OPEN, new_query_id, stage=stage,
-                              retry_of=old_query_id)
+            engine.trace.emit(RESTORE, new_query_id, stage, old_query_id,
+                              len(ckpt.seeds))
+            engine.trace.emit(STAGE_OPEN, new_query_id, stage, old_query_id)
         seeds = [t.evolve(query_id=new_query_id) for t in ckpt.seeds]
         engine._dispatch_seeds(session, seeds, engine.clock.now)
         self.arm_watchdog(session)

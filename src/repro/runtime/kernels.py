@@ -37,7 +37,7 @@ from repro.runtime.config import KERNEL_NAMES
 from repro.runtime.metrics import MsgKind
 from repro.runtime.network import TRACKER_DST, Message
 from repro.runtime.runs import PROGRESS_MSG_BYTES, get_drain
-from repro.runtime.trace import EXEC
+from repro.runtime.trace import ABSENT, EXEC
 from repro.runtime.vector import (
     HAVE_NUMPY,
     MIN_VECTOR_RUN,
@@ -161,16 +161,12 @@ class ScalarKernel:
                 # the auditor can reject a read past the query's pin.
                 vh = getattr(ctx.store, "version_high", 0)
                 trace.emit(
-                    EXEC, trav.query_id, pid=runtime.pid, wid=worker.wid,
-                    stage=trav.stage, op_idx=op_idx, n=1,
-                    spawned=len(result.children),
-                    w_in=trav.weight % GROUP_MODULUS,
-                    w_fin=result.finished_weight % GROUP_MODULUS,
-                    w_out=sum(
-                        c.weight for c, _ in result.children
-                    ) % GROUP_MODULUS,
-                    cpu=cost_us,
-                    **({"version_ts": vh} if vh else {}),
+                    EXEC, trav.query_id, runtime.pid, worker.wid,
+                    trav.stage, op_idx, 1, len(result.children),
+                    trav.weight % GROUP_MODULUS,
+                    result.finished_weight % GROUP_MODULUS,
+                    sum(c.weight for c, _ in result.children) % GROUP_MODULUS,
+                    cost_us, vh or ABSENT,
                 )
 
             for child, routed in result.children:

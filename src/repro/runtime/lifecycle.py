@@ -188,8 +188,8 @@ class QueryLifecycle:
         if self._counts is not None:
             self._counts[f"{self.state.value}->{state.value}"] += 1
         if self._trace is not None:
-            self._trace.emit(LIFECYCLE, self._query_id, src=self.state.value,
-                             dst=state.value, reason=reason)
+            self._trace.emit(LIFECYCLE, self._query_id, self.state.value,
+                             state.value, reason)
         self.state = state
         if reason is not None:
             self.reason = reason
@@ -442,7 +442,7 @@ class QuerySession:
             self._contexts[pid] = ctx
             trace = getattr(self.engine, "trace", None)
             if trace is not None:
-                trace.emit(MEMO_ATTACH, self.query_id, pid=pid)
+                trace.emit(MEMO_ATTACH, self.query_id, pid)
         return ctx
 
     @property

@@ -406,9 +406,8 @@ class Migrator:
         engine.metrics.migration_bytes += ship_bytes
         if engine.trace is not None:
             engine.trace.emit(
-                MIGRATE, -1, vertices=len(applied), pairs=len(pairs),
-                bytes=ship_bytes, swept=swept, memo_records=memo_records,
-                version=placement.version,
+                MIGRATE, -1, len(applied), len(pairs), ship_bytes, swept,
+                memo_records, placement.version,
             )
         return {"vertices": len(applied), "bytes": ship_bytes, "swept": swept,
                 "memo_records": memo_records, "pairs": len(pairs)}

@@ -236,8 +236,8 @@ class Network:
             else:
                 counters[kind] += 1
         if self.trace is not None:
-            self.trace.emit(MSG_SEND, -1, src=src_node, dst=dst_node,
-                            n=len(messages), bytes=total)
+            self.trace.emit(MSG_SEND, -1, src_node, dst_node, len(messages),
+                            total)
         if src_node == dst_node:
             if self._fold_weights:
                 reports = [m for m in messages if _is_weight_report(m)]
@@ -337,8 +337,9 @@ class Network:
             )
             self.metrics.progress_reports_coalesced += len(inputs) - 1
             if self.trace is not None:
-                self.trace.emit(NODE_COALESCE, query_id, node=node, stage=stage,
-                                n=len(inputs), weight=weight, inputs=inputs)
+                # a tuple: a recorded event may not alias mutable state
+                self.trace.emit(NODE_COALESCE, query_id, node, stage,
+                                len(inputs), weight, tuple(inputs))
         return out, total
 
     # -- NIC --------------------------------------------------------------------
@@ -394,15 +395,15 @@ class Network:
             arrival += fate.delay_us
             self.metrics.packets_delayed += 1
             if trace is not None:
-                trace.emit(MSG_FAULT, -1, fault="delay", src=packet.src,
-                           dst=packet.dst, seq=packet.seq)
+                trace.emit(MSG_FAULT, -1, "delay", packet.src, packet.dst,
+                           packet.seq)
             if self.on_packet_fault is not None:
                 self.on_packet_fault("delay", packet.messages)
         if fate.drop:
             self.metrics.packets_dropped += 1
             if trace is not None:
-                trace.emit(MSG_FAULT, -1, fault="drop", src=packet.src,
-                           dst=packet.dst, seq=packet.seq)
+                trace.emit(MSG_FAULT, -1, "drop", packet.src, packet.dst,
+                           packet.seq)
             if self.on_packet_fault is not None:
                 self.on_packet_fault("drop", packet.messages)
         else:
@@ -413,8 +414,8 @@ class Network:
             # The network minted a second copy; it takes its own wire trip.
             self.metrics.packets_duplicated += 1
             if trace is not None:
-                trace.emit(MSG_FAULT, -1, fault="duplicate", src=packet.src,
-                           dst=packet.dst, seq=packet.seq)
+                trace.emit(MSG_FAULT, -1, "duplicate", packet.src, packet.dst,
+                           packet.seq)
             if self.on_packet_fault is not None:
                 self.on_packet_fault("duplicate", packet.messages)
             dup_arrival = arrival + self.cost.hardware.network_latency_us
@@ -434,9 +435,8 @@ class Network:
             return  # acknowledged in time
         self.metrics.retransmits += 1
         if self.trace is not None:
-            self.trace.emit(MSG_RETRANSMIT, -1, src=packet.src,
-                            dst=packet.dst, seq=packet.seq,
-                            attempt=packet.attempts)
+            self.trace.emit(MSG_RETRANSMIT, -1, packet.src, packet.dst,
+                            packet.seq, packet.attempts)
         if self.on_retransmit is not None:
             self.on_retransmit(packet.messages)
         self._transmit(packet, self.clock.now)
@@ -482,6 +482,6 @@ class Network:
     def _deliver_all(self, messages: List[Message]) -> None:
         """Hand every message of an arrived packet to the engine."""
         if self.trace is not None:
-            self.trace.emit(MSG_DELIVER, -1, n=len(messages))
+            self.trace.emit(MSG_DELIVER, -1, len(messages))
         for msg in messages:
             self.deliver(msg)

@@ -257,8 +257,7 @@ class CreditGate:
             self.stalls += 1
             if self._trace is not None:
                 self._trace.emit(
-                    CREDIT_STALL, -1, pid=self.pid, n=n,
-                    waiting=len(self._waiters) + 1,
+                    CREDIT_STALL, -1, self.pid, n, len(self._waiters) + 1
                 )
             self._waiters.append((n, send))
 
@@ -271,7 +270,7 @@ class CreditGate:
         """
         self.available += n
         if self._trace is not None:
-            self._trace.emit(CREDIT_RELEASE, -1, pid=self.pid, n=n)
+            self._trace.emit(CREDIT_RELEASE, -1, self.pid, n)
         if self.available > self.capacity:  # pragma: no cover - invariant
             raise AssertionError(
                 f"credit gate {self.pid} over-released: "
@@ -287,9 +286,7 @@ class CreditGate:
     def _take(self, n: int) -> None:
         self.available -= n
         if self._trace is not None:
-            self._trace.emit(
-                CREDIT_ACQUIRE, -1, pid=self.pid, n=n, free=self.available
-            )
+            self._trace.emit(CREDIT_ACQUIRE, -1, self.pid, n, self.available)
         used = self.capacity - self.available
         if used > self.peak_in_use:
             self.peak_in_use = used

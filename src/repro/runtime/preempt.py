@@ -104,7 +104,7 @@ def request_preempt(
     stage = session.cursor.current if not session.cursor.finished else -1
     session.lifecycle.to(QueryState.PAUSING, reason)
     if engine.trace is not None:
-        engine.trace.emit(PREEMPT, query_id, stage=stage, reason=reason)
+        engine.trace.emit(PREEMPT, query_id, stage, reason)
     # Fan the request out to every partition like CANCEL does — the
     # partitions drop nothing (the yield is coordinator-driven at the
     # ledger close), but the control messages model the real fan-out cost
@@ -151,8 +151,8 @@ def pause_at_boundary(
     if engine.trace is not None:
         # "pause" (like "restore") drops any straggling ledger state for
         # the evicted attempt in the auditor before the purges below.
-        engine.trace.emit(MEMO_CLEAR, query_id, pid=-1, site="pause")
-        engine.trace.emit(QUERY_CLOSE, query_id, reason="pause")
+        engine.trace.emit(MEMO_CLEAR, query_id, -1, "pause")
+        engine.trace.emit(QUERY_CLOSE, query_id, "pause")
     for runtime in engine.runtimes:
         runtime.memo_store.clear_query(query_id)
         w, n = delivery.purge_partition(runtime, query_id)
@@ -169,7 +169,7 @@ def pause_at_boundary(
     session.qmetrics.pauses += 1
     engine.metrics.preemptions += 1
     if engine.trace is not None:
-        engine.trace.emit(PAUSE, query_id, stage=stage, n_seeds=len(seeds))
+        engine.trace.emit(PAUSE, query_id, stage, len(seeds))
     adm = engine._admission
     if adm is not None:
         # Re-enter the admission queue at the original priority, then
@@ -247,11 +247,9 @@ def resume_session(engine: "AsyncPSTMEngine", session: "QuerySession") -> None:
     session.lifecycle.to(QueryState.RUNNING)
     engine.progress.open_stage(new_query_id, stage)
     if engine.trace is not None:
-        engine.trace.emit(RESUME, new_query_id, stage=stage,
-                          resumed_from=old_query_id, n_seeds=len(ckpt.seeds),
-                          wait_us=waited)
-        engine.trace.emit(STAGE_OPEN, new_query_id, stage=stage,
-                          retry_of=old_query_id)
+        engine.trace.emit(RESUME, new_query_id, stage, old_query_id,
+                          len(ckpt.seeds), waited)
+        engine.trace.emit(STAGE_OPEN, new_query_id, stage, old_query_id)
     seeds = [t.evolve(query_id=new_query_id) for t in ckpt.seeds]
     engine._dispatch_seeds(session, seeds, now)
     engine.recovery.arm_watchdog(session)

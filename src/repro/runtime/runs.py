@@ -32,7 +32,7 @@ from repro.core.weight import GROUP_MODULUS
 from repro.errors import ExecutionError
 from repro.runtime.metrics import MsgKind
 from repro.runtime.network import TRACKER_DST, Message
-from repro.runtime.trace import EXEC
+from repro.runtime.trace import ABSENT, EXEC
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.worker import Worker
@@ -695,13 +695,9 @@ class RunDrain:
             # the auditor can reject a read past the query's pin.
             vh = getattr(self.ctx.store, "version_high", 0)
             trace.emit(
-                EXEC, query_id, pid=self_pid, wid=worker.wid,
-                stage=stage, op_idx=op_idx, n=n_run,
-                spawned=run_spawned,
-                w_in=sum(tr.weight for tr in run) % modulus,
-                w_fin=fin_total % modulus,
-                cpu=cpu - run_cpu0,
-                **({"version_ts": vh} if vh else {}),
+                EXEC, query_id, self_pid, worker.wid, stage, op_idx, n_run,
+                run_spawned, sum(tr.weight for tr in run) % modulus,
+                fin_total % modulus, ABSENT, cpu - run_cpu0, vh or ABSENT,
             )
         self.spawned_total += run_spawned
         if run_spawned:

@@ -3,11 +3,12 @@
 The observability plane (docs/OBSERVABILITY.md). A :class:`TraceRecorder`
 is attached to the engine only when ``EngineConfig.trace`` is set; every
 hook in the runtime guards on ``trace is not None``, so the disabled mode
-allocates nothing on the hot path. Events are plain timestamped records —
+allocates nothing on the hot path. Events are timestamped records —
 lifecycle transitions, kernel executions, weight reclamations, tracker
 reports, credit movements, network sends/retransmits, memo lifecycle —
 appended in simulated-time order (the simulator is single-threaded, so the
-event list is totally ordered for free).
+event list is totally ordered for free) and stored as flat rows whose
+fields :data:`KIND_FIELDS` names per kind.
 
 Three consumers:
 
@@ -32,6 +33,8 @@ delivery plane, or any other runtime layer (enforced by
 from __future__ import annotations
 
 import json
+import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -44,55 +47,94 @@ if TYPE_CHECKING:  # typing only; trace stays below every runtime layer
 
 # -- event kinds -------------------------------------------------------------
 # Stable string constants: exporters and the auditor match on these, and
-# they appear verbatim in JSONL dumps (docs/OBSERVABILITY.md has the full
-# taxonomy with per-kind payload fields).
+# they appear verbatim in JSONL dumps.
 
-RUN_CONFIG = "run_config"          # engine construction: mode/kernel/cluster
-LIFECYCLE = "lifecycle"            # state-machine edge: src, dst, reason
-STAGE_OPEN = "stage_open"          # ledger opened: stage
-SEED_DISPATCH = "seed_dispatch"    # stage seeds sent: stage, n, weight
-STAGE_CLOSE = "stage_close"        # stage, reason: terminated|cancelled|cancel_forced
-QUERY_CLOSE = "query_close"        # reason: teardown|recover|restore|pause
-CHECKPOINT = "checkpoint"          # stage-boundary snapshot: stage, n_seeds,
-#                                    partitions, records
-RESTORE = "restore"                # resumed from a checkpoint: stage,
-#                                    restored_from (old attempt id), n_seeds
-PREEMPT = "preempt"                # preempt requested: stage, reason
-PAUSE = "pause"                    # evicted at a certified boundary: stage
-#                                    (the resume point), n_seeds, records
-RESUME = "resume"                  # paused query re-admitted: stage,
-#                                    resumed_from (paused attempt id),
-#                                    n_seeds, wait_us
-EXEC = "exec"                      # kernel run: pid, wid, stage, op_idx, n,
-#                                    spawned, w_in, w_fin[, w_out], cpu
-WEIGHT_FLUSH = "weight_flush"      # coalesced accumulator flushed: wid, stage, weight
-NODE_COALESCE = "node_coalesce"    # same-(query, stage) reports folded in a
-#                                    node's combiner window: node, stage, n,
-#                                    weight (the sum), inputs (the n weights)
-ACCUM_RECLAIM = "accum_reclaim"    # unflushed accumulator drained: wid, stage, weight
-RECLAIM = "reclaim"                # delivery-plane reclaim: stage, weight, count, reported
-CRASH_LOSS = "crash_loss"          # weight destroyed by a crash: wid, stage, weight, count
-TRACKER_REPORT = "tracker_report"  # progress message at tracker: stage, tag, value
-MEMO_ATTACH = "memo_attach"        # per-partition memo view created: pid
-MEMO_CLEAR = "memo_clear"          # memos invalidated: pid (-1 = all), site
-MSG_SEND = "msg_send"              # network send: src, dst, n, bytes
-MSG_DELIVER = "msg_deliver"        # payload handed to delivery: n
-MSG_RETRANSMIT = "msg_retransmit"  # RTO fired: src, dst, seq, attempts
-MSG_FAULT = "msg_fault"            # injected packet fate: fault
-CREDIT_ACQUIRE = "credit_acquire"  # inbox credits taken: pid, n
-CREDIT_RELEASE = "credit_release"  # inbox credits returned: pid, n
-CREDIT_STALL = "credit_stall"      # sender parked on a full inbox: pid, n
-WORKER_FAULT = "worker_fault"      # injected worker fault: wid, kind
-MIGRATE = "migrate"                # placement flip: vertices, pairs, bytes,
-#                                    swept (traversers re-routed at the flip)
-SNAPSHOT_PIN = "snapshot_pin"      # query pinned to a version cut: ts (the
-#                                    node-cached LCT at admission)
-TXN_BEGIN = "txn_begin"            # write txn began: txn, read_ts
-TXN_COMMIT = "txn_commit"          # write txn committed: txn, commit_ts, ops
-TXN_ABORT = "txn_abort"            # write txn aborted: txn, reason
-#                                    (lock conflict or torn_commit)
-VERSION_REPLAY = "version_replay"  # crash-recovery version scan: lct,
-#                                    partitions, discarded
+RUN_CONFIG = "run_config"
+LIFECYCLE = "lifecycle"
+STAGE_OPEN = "stage_open"
+SEED_DISPATCH = "seed_dispatch"
+STAGE_CLOSE = "stage_close"
+QUERY_CLOSE = "query_close"
+CHECKPOINT = "checkpoint"
+RESTORE = "restore"
+PREEMPT = "preempt"
+PAUSE = "pause"
+RESUME = "resume"
+EXEC = "exec"
+WEIGHT_FLUSH = "weight_flush"
+NODE_COALESCE = "node_coalesce"
+ACCUM_RECLAIM = "accum_reclaim"
+RECLAIM = "reclaim"
+CRASH_LOSS = "crash_loss"
+TRACKER_REPORT = "tracker_report"
+MEMO_ATTACH = "memo_attach"
+MEMO_CLEAR = "memo_clear"
+MSG_SEND = "msg_send"
+MSG_DELIVER = "msg_deliver"
+MSG_RETRANSMIT = "msg_retransmit"
+MSG_FAULT = "msg_fault"
+CREDIT_ACQUIRE = "credit_acquire"
+CREDIT_RELEASE = "credit_release"
+CREDIT_STALL = "credit_stall"
+WORKER_FAULT = "worker_fault"
+MIGRATE = "migrate"
+SNAPSHOT_PIN = "snapshot_pin"
+TXN_BEGIN = "txn_begin"
+TXN_COMMIT = "txn_commit"
+TXN_ABORT = "txn_abort"
+VERSION_REPLAY = "version_replay"
+
+#: The taxonomy, and the row schema: each kind's payload field names in the
+#: order ``emit`` takes their values and a dump writes them. The one source
+#: — docs/OBSERVABILITY.md's table is checked against it by
+#: ``tools/check_docs_symbols.py``.
+KIND_FIELDS: Dict[str, Tuple[str, ...]] = {
+    RUN_CONFIG: ("mode", "kernel", "nodes", "partitions", "seed"),
+    LIFECYCLE: ("src", "dst", "reason"),  # one state-machine edge
+    STAGE_OPEN: ("stage", "retry_of"),  # retry_of: only on a re-run attempt
+    SEED_DISPATCH: ("stage", "n", "weight"),
+    STAGE_CLOSE: ("stage", "reason"),  # terminated|cancelled|cancel_forced
+    QUERY_CLOSE: ("reason",),  # teardown|recover|restore|pause
+    CHECKPOINT: ("stage", "n_seeds", "partitions", "records", "forced"),
+    RESTORE: ("stage", "restored_from", "n_seeds"),
+    PREEMPT: ("stage", "reason"),
+    PAUSE: ("stage", "n_seeds"),  # stage = the resume point
+    RESUME: ("stage", "resumed_from", "n_seeds", "wait_us"),
+    # one kernel run; w_out only from the scalar kernel, version_ts only
+    # from a snapshot store that has served a version
+    EXEC: ("pid", "wid", "stage", "op_idx", "n", "spawned", "w_in", "w_fin",
+           "w_out", "cpu", "version_ts"),
+    WEIGHT_FLUSH: ("stage", "wid", "weight", "count"),
+    # same-(query, stage) reports folded in a node's combiner window:
+    # weight is the sum, inputs the n weights folded
+    NODE_COALESCE: ("node", "stage", "n", "weight", "inputs"),
+    ACCUM_RECLAIM: ("stage", "wid", "weight"),
+    RECLAIM: ("stage", "weight", "count", "reported", "fenced"),
+    CRASH_LOSS: ("stage", "wid", "weight", "count"),
+    TRACKER_REPORT: ("stage", "tag", "value"),
+    MEMO_ATTACH: ("pid",),
+    MEMO_CLEAR: ("pid", "site"),  # pid -1 = all partitions
+    MSG_SEND: ("src", "dst", "n", "bytes"),
+    MSG_DELIVER: ("n",),
+    MSG_RETRANSMIT: ("src", "dst", "seq", "attempt"),
+    MSG_FAULT: ("fault", "src", "dst", "seq"),
+    CREDIT_ACQUIRE: ("pid", "n", "free"),
+    CREDIT_RELEASE: ("pid", "n"),
+    CREDIT_STALL: ("pid", "n", "waiting"),
+    WORKER_FAULT: ("wid", "fault", "down_us"),
+    MIGRATE: ("vertices", "pairs", "bytes", "swept", "memo_records", "version"),
+    SNAPSHOT_PIN: ("ts",),  # the node-cached LCT at admission
+    TXN_BEGIN: ("txn", "read_ts"),
+    TXN_COMMIT: ("txn", "commit_ts", "ops"),
+    TXN_ABORT: ("txn", "reason"),  # lock conflict or torn_commit
+    VERSION_REPLAY: ("wid", "lct", "partitions", "discarded"),
+}
+
+#: Row placeholder for an optional field that is unset but not trailing
+#: (``exec``'s ``w_out`` sits between ``w_fin`` and ``cpu``): the field is
+#: then absent from ``TraceEvent.data`` and from every export. Unset
+#: trailing fields are simply left off the row.
+ABSENT = object()
 
 #: close reasons that certify a ledger actually closed (auditor asserts)
 _CLOSED_REASONS = ("terminated", "cancelled")
@@ -100,7 +142,9 @@ _CLOSED_REASONS = ("terminated", "cancelled")
 
 class TraceEvent:
     """One structured trace record: ``ts`` (simulated µs), ``kind``,
-    ``query_id`` (-1 when not attributable to one query), payload dict."""
+    ``query_id`` (-1 when not attributable to one query), payload dict.
+    The recorder stores rows, not these: ``recorder.events`` builds one per
+    event read."""
 
     __slots__ = ("ts", "kind", "query_id", "data")
 
@@ -125,42 +169,111 @@ class TraceEvent:
 #: an event as recorded, or as re-read from a JSONL dump
 TraceLike = Union[TraceEvent, Dict[str, Any]]
 
+#: one stored event: ``(ts, kind, query_id, *payload values)``
+Row = Tuple[Any, ...]
+
+
+def _view(row: Row) -> TraceEvent:
+    kind = row[1]
+    return TraceEvent(row[0], kind, row[2], {
+        name: value for name, value in zip(KIND_FIELDS[kind], row[3:])
+        if value is not ABSENT
+    })
+
+
+class _EventLog(Sequence):
+    """``recorder.events``: the row store read as :class:`TraceEvent`
+    objects, each built when read and owned by the reader."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: List[Row]) -> None:
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [_view(row) for row in self._rows[index]]
+        return _view(self._rows[index])
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        return map(_view, self._rows)
+
+
+def _boxed_bytes(value: Any) -> int:
+    """Bytes a row value owns beyond its slot: strings, bools, ``None`` and
+    the interpreter's cached small ints are shared, not owned."""
+    kind = type(value)
+    if kind is float or (kind is int and not -5 <= value <= 256):
+        return sys.getsizeof(value)
+    if kind is tuple:
+        return sys.getsizeof(value) + sum(map(_boxed_bytes, value))
+    return 0
+
 
 class TraceRecorder:
-    """Collects :class:`TraceEvent` records in simulated-time order.
+    """Collects trace events in simulated-time order.
 
-    Constructed once per engine; ``run_info`` keyword arguments become the
-    leading :data:`RUN_CONFIG` event (progress mode, kernel, cluster shape)
-    so a dumped trace is self-describing.
+    An event is stored as one flat row ``(ts, kind, query_id, *values)``,
+    the values in :data:`KIND_FIELDS` order — a tuple of atomics, which
+    the cyclic collector stops tracking, and no per-event object or dict.
+    ``events`` reads the rows back as :class:`TraceEvent` objects.
+
+    Constructed once per engine; ``run_info`` (the :data:`RUN_CONFIG`
+    values: progress mode, kernel, cluster shape, seed) becomes the leading
+    event so a dumped trace is self-describing.
     """
 
-    def __init__(self, clock: "SimClock", **run_info: Any) -> None:
+    def __init__(self, clock: "SimClock", *run_info: Any) -> None:
         self._clock = clock
-        self.events: List[TraceEvent] = []
+        self._rows: List[Row] = []
+        self.events = _EventLog(self._rows)
         if run_info:
-            self.emit(RUN_CONFIG, -1, **run_info)
+            self.emit(RUN_CONFIG, -1, *run_info)
 
     # -- recording ----------------------------------------------------------
 
-    def emit(self, kind: str, query_id: int, **data: Any) -> None:
-        """Append one event stamped with the current simulated time."""
-        self.events.append(TraceEvent(self._clock.now, kind, query_id, data))
+    def emit(self, kind: str, query_id: int, *values: Any) -> None:
+        """Append one event stamped with the current simulated time;
+        ``values`` follow ``KIND_FIELDS[kind]``. An undeclared kind raises
+        ``KeyError``, more values than declared fields ``ValueError``."""
+        if len(values) > len(KIND_FIELDS[kind]):
+            raise ValueError(
+                f"{kind} event takes {KIND_FIELDS[kind]}, got {values}")
+        self._rows.append((self._clock.now, kind, query_id) + values)
 
     # -- access -------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
 
     def by_kind(self, kind: str) -> List[TraceEvent]:
         """Every recorded event of one kind, in simulated-time order."""
-        return [ev for ev in self.events if ev.kind == kind]
+        return [_view(row) for row in self._rows if row[1] == kind]
 
     def for_query(self, query_id: int) -> List[TraceEvent]:
         """Every event attributed to one query, in simulated-time order."""
-        return [ev for ev in self.events if ev.query_id == query_id]
+        return [_view(row) for row in self._rows if row[2] == query_id]
+
+    @property
+    def nbytes(self) -> int:
+        """Estimated bytes the store holds: the row list, the rows, and the
+        floats and large ints their payloads box, plus one timestamp per
+        instant (events of one instant share the clock's float, as those
+        of one query share its id)."""
+        total = sys.getsizeof(self._rows)
+        last_ts = None
+        for row in self._rows:
+            total += sys.getsizeof(row) + sum(map(_boxed_bytes, row[3:]))
+            if row[0] is not last_ts:
+                last_ts = row[0]
+                total += sys.getsizeof(last_ts)
+        return total
 
     # -- exporters ----------------------------------------------------------
 
@@ -295,11 +408,14 @@ def _normalize(ev: TraceLike) -> Tuple[str, int, Dict[str, Any]]:
 class WeightLedgerAuditor:
     """Replays a trace and re-derives the progression-weight ledger.
 
-    Accepts :class:`TraceEvent` objects (``recorder.events``) or plain
-    dicts (a re-read JSONL dump). The audit is independent of the engine's
-    own :class:`~repro.core.progress.ProgressTracker`: it reconstructs each
-    stage's ledger purely from kernel exec events, reclaim events and crash
-    losses, and separately sums what the tracker was told, then checks
+    Accepts any iterable of :class:`TraceEvent` objects
+    (``recorder.events``) or plain dicts (a re-read JSONL dump, or a
+    generator parsing one line by line) and reads it once, holding no copy
+    — so a one-shot iterator audits once. The audit is independent of the
+    engine's own :class:`~repro.core.progress.ProgressTracker`: it
+    reconstructs each stage's ledger purely from kernel exec events,
+    reclaim events and crash losses, and separately sums what the tracker
+    was told, then checks
 
     * ``active + finished + reclaimed + lost ≡ ROOT_WEIGHT`` after every
       ledger-touching event (Theorem 1, extended with the reclamation and
@@ -328,7 +444,7 @@ class WeightLedgerAuditor:
     """
 
     def __init__(self, events: Iterable[TraceLike]) -> None:
-        self._events = list(events)
+        self._events = events
 
     def audit(self) -> AuditReport:
         """Replay the trace once and return the :class:`AuditReport`."""

@@ -107,7 +107,7 @@ class TxnPlane:
         self.engine.metrics.snapshot_pins += 1
         trace = self.engine.trace
         if trace is not None:
-            trace.emit(SNAPSHOT_PIN, session.query_id, ts=ts)
+            trace.emit(SNAPSHOT_PIN, session.query_id, ts)
         return ts
 
     def store_for(self, pid: int, ts: int) -> SnapshotStore:
@@ -220,17 +220,14 @@ class TxnPlane:
     def _on_begin(self, txn: "Transaction") -> None:
         trace = self.engine.trace
         if trace is not None:
-            trace.emit(TXN_BEGIN, -1, txn=txn.txn_id, read_ts=txn.read_ts)
+            trace.emit(TXN_BEGIN, -1, txn.txn_id, txn.read_ts)
 
     def _on_commit(self, txn: "Transaction", commit_ts: int) -> None:
         engine = self.engine
         engine.metrics.txn_commits += 1
         trace = engine.trace
         if trace is not None:
-            trace.emit(
-                TXN_COMMIT, -1, txn=txn.txn_id, commit_ts=commit_ts,
-                ops=len(txn.writes),
-            )
+            trace.emit(TXN_COMMIT, -1, txn.txn_id, commit_ts, len(txn.writes))
         # LCT broadcast: instantaneous, or delayed by the configured lag —
         # a delayed broadcast carries the watermark it left the manager
         # with, so caches are stale-but-never-ahead.
@@ -247,7 +244,7 @@ class TxnPlane:
         self.engine.metrics.txn_aborts += 1
         trace = self.engine.trace
         if trace is not None:
-            trace.emit(TXN_ABORT, -1, txn=txn.txn_id, reason=reason)
+            trace.emit(TXN_ABORT, -1, txn.txn_id, reason)
 
     # -- crash-recovery composition ----------------------------------------
 
@@ -268,9 +265,8 @@ class TxnPlane:
         trace = engine.trace
         if trace is not None:
             trace.emit(
-                VERSION_REPLAY, -1, wid=wid, lct=report.lct,
-                partitions=report.partitions_scanned,
-                discarded=report.versions_discarded,
+                VERSION_REPLAY, -1, wid, report.lct,
+                report.partitions_scanned, report.versions_discarded,
             )
         deferred, self._deferred = self._deferred, []
         for apply_fn, label, service_us, home_vid in deferred:

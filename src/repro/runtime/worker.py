@@ -271,8 +271,7 @@ class Worker:
                         entry[0] = (entry[0] + trav.weight) % GROUP_MODULUS
                         entry[1] += 1
             for (qid, stage), (weight, count) in losses.items():
-                trace.emit(CRASH_LOSS, qid, stage=stage, wid=self.wid,
-                           weight=weight, count=count)
+                trace.emit(CRASH_LOSS, qid, stage, self.wid, weight, count)
         self.alive = False
         self.scheduled = False
         self._buffers.clear()
@@ -364,9 +363,8 @@ class Worker:
                     # The auditor moves this weight back from "finished" to
                     # "active": it was absorbed at execution time but never
                     # reported, and the combined reclaim below re-reports it.
-                    trace.emit(ACCUM_RECLAIM, query_id, stage=key[1],
-                               wid=self.wid,
-                               weight=pending % GROUP_MODULUS)
+                    trace.emit(ACCUM_RECLAIM, query_id, key[1], self.wid,
+                               pending % GROUP_MODULUS)
         return weight % GROUP_MODULUS, n
 
     # -- main loop -----------------------------------------------------------
@@ -566,8 +564,8 @@ class Worker:
             if combined is None:
                 continue
             if trace is not None:
-                trace.emit(WEIGHT_FLUSH, query_id, stage=stage, wid=self.wid,
-                           weight=combined % GROUP_MODULUS, count=count)
+                trace.emit(WEIGHT_FLUSH, query_id, stage, self.wid,
+                           combined % GROUP_MODULUS, count)
             cost += self._buffer_message(
                 Message(
                     MsgKind.PROGRESS,

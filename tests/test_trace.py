@@ -233,16 +233,16 @@ class TestAuditorUnits:
 class TestRecorder:
     def test_emit_stamps_simulated_time_and_filters(self):
         clock = SimClock()
-        rec = TraceRecorder(clock, mode="weighted")
-        rec.emit(STAGE_OPEN, 3, stage=0)
-        clock.schedule(10.0, lambda: rec.emit(EXEC, 3, stage=0, n=1))
+        rec = TraceRecorder(clock, "weighted")
+        rec.emit(STAGE_OPEN, 3, 0)
+        clock.schedule(10.0, lambda: rec.emit(EXEC, 3, 0, 0, 0, 0, 1))
         clock.run_until_idle()
         assert [e.kind for e in rec] == [RUN_CONFIG, STAGE_OPEN, EXEC]
         assert rec.by_kind(EXEC)[0].ts == 10.0
         assert len(rec.for_query(3)) == 2 and len(rec) == 3
 
     def test_run_config_leads_the_trace(self):
-        rec = TraceRecorder(SimClock(), mode="weighted+wc", nodes=2)
+        rec = TraceRecorder(SimClock(), "weighted+wc", "run", 2)
         assert rec.events[0].kind == RUN_CONFIG
         assert rec.events[0].as_dict()["nodes"] == 2
 

@@ -1,0 +1,249 @@
+"""The trace store (docs/OBSERVABILITY.md, "The store"): one flat row per
+event keyed by ``KIND_FIELDS``, read back through ``recorder.events``.
+
+Three contracts:
+
+* **schema** — every emit site hands its values in the declared order
+  (the sites are positional, so a swapped pair would land in the wrong
+  field silently): across the fault / overload / checkpoint / preempt /
+  migrate / transaction scenarios, on both kernels, every declared kind is
+  emitted and every field holds a value of its declared domain;
+* **export equivalence** — a JSONL dump streamed back through the auditor
+  gives the in-memory report, and ``repro trace --replay`` round-trips;
+* **footprint** — bytes retained per recorded event stay under the guard,
+  and ``TraceRecorder.nbytes`` tracks what ``tracemalloc`` measures.
+"""
+
+from __future__ import annotations
+
+import gc
+import json
+import random
+import tracemalloc
+
+import pytest
+
+from repro.cli import main
+from repro.core.weight import GROUP_MODULUS
+from repro.datasets.synthetic import powerlaw_graph
+from repro.graph.partition import PartitionedGraph
+from repro.ldbc.generator import SNB_TINY, generate_snb
+from repro.ldbc.queries import IC_QUERIES, IS_QUERIES
+from repro.runtime.engine import AsyncPSTMEngine, EngineConfig
+from repro.runtime.faults import FaultPlan, WorkerFault
+from repro.runtime.simclock import SimClock
+from repro.runtime.trace import (
+    ABSENT,
+    EXEC,
+    KIND_FIELDS,
+    LIFECYCLE,
+    MSG_SEND,
+    STAGE_OPEN,
+    TraceRecorder,
+    WeightLedgerAuditor,
+)
+from tests import test_checkpoint as ck
+from tests import test_trace_audit as fuzz
+from tests.conftest import (
+    KERNELS,
+    khop3_count,
+    make_graph,
+    run_batch,
+)
+
+#: bytes retained per recorded event on the IC+IS batch below; the object +
+#: kwargs-dict store this one replaced measured 365
+FOOTPRINT_GUARD_BYTES = 200
+
+
+# -- schema ------------------------------------------------------------------
+
+
+def _count(v):
+    return type(v) is int and v >= 0
+
+
+def _weight(v):
+    return type(v) is int and 0 <= v < GROUP_MODULUS
+
+
+def _text(v):
+    return type(v) is str
+
+
+def _flag(v):
+    return type(v) is bool
+
+
+def _micros(v):
+    return type(v) in (int, float) and v >= 0
+
+
+#: field name -> domain; a field not listed is a count (a non-negative int)
+DOMAINS = {
+    "mode": _text, "kernel": _text, "site": _text, "tag": _text,
+    "fault": _text,
+    "reason": lambda v: v is None or _text(v),
+    "reported": _flag, "fenced": _flag, "forced": _flag,
+    "cpu": _micros, "wait_us": _micros,
+    "down_us": lambda v: v is None or _micros(v),
+    "stage": lambda v: type(v) is int and v >= -1,   # -1: no ledger attached
+    "pid": lambda v: type(v) is int and v >= -1,     # -1: every partition
+    "w_in": _weight, "w_fin": _weight, "w_out": _weight,
+    "value": lambda v: type(v) is int,               # a weight, or a ±delta
+    "weight": lambda v: type(v) is int,              # seed weights sum unreduced
+    "inputs": lambda v: type(v) is tuple and all(map(_weight, v)),
+}
+#: lifecycle edges name states where the network kinds name nodes
+KIND_DOMAINS = {LIFECYCLE: {"src": _text, "dst": _text}}
+
+
+def _scenarios(kernel):
+    """Traced engines that between them fire every plane."""
+    for seed in (100, 104):  # faults, cancels, preempts, checkpoints; 104 flips
+        yield fuzz.fuzz_run(seed, kernel)
+    graph = make_graph(4)
+    # worker crash: destroyed weight, retry under a fresh id
+    yield run_batch(graph, khop3_count(graph), [{"s": v} for v in range(6)],
+                    EngineConfig(
+                        trace=True, kernel=kernel,
+                        fault_plan=FaultPlan(seed=2, worker_faults=(
+                            WorkerFault(wid=1, at_us=40.0, kind="crash",
+                                        down_us=500.0),))))[0]
+    # crash past a stage boundary: restored from the checkpoint
+    ck_graph = PartitionedGraph.from_graph(
+        powerlaw_graph(ck.GRAPH_CFG, seed=ck.GRAPH_SEED), ck.NODES * ck.WPN)
+    yield ck.run_ck(ck_graph, ck.two_stage_plan(ck_graph), kernel=kernel,
+                    checkpoint=True, crashes=((2, ck.AFTER_BOUNDARY),))[0]
+    # tight inbox credits: senders stall
+    yield run_batch(graph, khop3_count(graph), [{"s": 3}, {"s": 7}],
+                    EngineConfig(trace=True, kernel=kernel, inbox_capacity=8,
+                                 batch_size=8))[0]
+    # writers beside readers, a crash (version replay), and one abort
+    txn = fuzz.TestTransactionPlaneAudit().txn_fuzz_run(100, kernel, crash=True)
+    txn.txnplane.schedule_update(
+        txn.clock.now + 1.0, lambda m: m.abort(m.begin(), "test"),
+        label="abort", service_us=0.0)
+    txn.clock.run_until_idle()
+    yield txn
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_every_site_emits_its_kind_schema(kernel):
+    seen = set()
+    for engine in _scenarios(kernel):
+        for ev in engine.trace.events:
+            seen.add(ev.kind)
+            declared = KIND_FIELDS[ev.kind]
+            names = tuple(ev.data)
+            # payload keys are a subsequence of the declared fields
+            it = iter(declared)
+            assert all(name in it for name in names), (ev.kind, names)
+            domains = KIND_DOMAINS.get(ev.kind, {})
+            for name, value in ev.data.items():
+                ok = domains.get(name) or DOMAINS.get(name, _count)
+                assert ok(value), (ev.kind, name, value)
+            if ev.kind == EXEC:  # only the scalar kernel reports w_out
+                assert ("w_out" in ev.data) == (kernel == "scalar")
+    assert seen == set(KIND_FIELDS), set(KIND_FIELDS) - seen
+
+
+def test_emit_rejects_undeclared_kinds_and_overlong_rows():
+    rec = TraceRecorder(SimClock())
+    with pytest.raises(KeyError):
+        rec.emit("no_such_kind", 0, 1)
+    with pytest.raises(ValueError, match="stage_open"):
+        rec.emit(STAGE_OPEN, 0, 1, 2, 3)
+    assert len(rec) == 0
+
+
+def test_events_is_a_sequence_of_fresh_views():
+    rec = TraceRecorder(SimClock(), "weighted+wc")
+    rec.emit(STAGE_OPEN, 5, 0)
+    rec.emit(EXEC, 5, 1, 2, 0, 3, 4, 5, 6, 7, ABSENT, 0.5)
+    rec.emit(MSG_SEND, -1, 0, 1, 2, 64)
+    events = rec.events
+    assert len(events) == 4 and [e.kind for e in events[1:]] == [
+        STAGE_OPEN, EXEC, MSG_SEND]
+    assert events[-1].data == {"src": 0, "dst": 1, "n": 2, "bytes": 64}
+    assert events[0].as_dict() == {
+        "ts": 0.0, "kind": "run_config", "query_id": -1, "mode": "weighted+wc"}
+    # an unset field is absent, not null — mid-row or trailing
+    assert list(events[2].data) == [
+        "pid", "wid", "stage", "op_idx", "n", "spawned", "w_in", "w_fin", "cpu"]
+    assert events[1].data == {"stage": 0}
+    # a view is the reader's own: editing it cannot doctor the record
+    events[1].data["stage"] = 9
+    assert events[1].data == {"stage": 0}
+
+
+# -- export equivalence ------------------------------------------------------
+
+
+def _stream(path):
+    with open(path) as fh:
+        for line in fh:
+            record = json.loads(line)
+            if record["kind"] != "run_metrics":
+                yield record
+
+
+def test_streamed_dump_audits_like_the_live_trace(tmp_path):
+    engine = fuzz.fuzz_run(103, "run")
+    path = tmp_path / "trace.jsonl"
+    engine.trace.dump_jsonl(str(path), metrics=engine.metrics)
+    live = WeightLedgerAuditor(engine.trace.events).audit()
+    streamed = WeightLedgerAuditor(_stream(path)).audit()  # a generator
+    assert live.ok and live.events == len(engine.trace) > 0
+    assert streamed == live
+
+
+@pytest.mark.parametrize("workload", ["khop3", "ic9"])
+def test_cli_dump_replays_identical(workload, tmp_path, capsys):
+    path = str(tmp_path / f"{workload}.jsonl")
+    assert main(["trace", "--workload", workload, "--queries", "4",
+                 "--out", path]) == 0
+    assert "trace store" in capsys.readouterr().out
+    assert main(["trace", "--replay", path]) == 0
+    assert "replay IDENTICAL" in capsys.readouterr().out
+
+
+# -- footprint ---------------------------------------------------------------
+
+
+def _retained(graph, batch, trace):
+    """Bytes still allocated after running ``batch``, engine alive."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        engine = AsyncPSTMEngine(graph, 4, 2, config=EngineConfig(trace=trace))
+        for plan, params in batch:
+            engine.submit(plan, params)
+        engine.clock.run_until_idle()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0], engine
+    finally:
+        tracemalloc.stop()
+
+
+def test_footprint_per_event_stays_under_the_guard():
+    """The spine's read mix in miniature (each IC once, each IS six times):
+    what a traced run retains beyond the same run untraced, per event."""
+    dataset = generate_snb(SNB_TINY)
+    graph = dataset.partitioned(8)
+    batch = []
+    for table, per_type in ((IC_QUERIES, 1), (IS_QUERIES, 6)):
+        for num in sorted(table):
+            plan = table[num].build().compile(graph)
+            batch += [(plan, table[num].make_params(dataset,
+                                                    random.Random(900 + i)))
+                      for i in range(per_type)]
+    _retained(graph, batch, False)  # warm caches the first run fills
+    untraced, _ = _retained(graph, batch, False)
+    traced, engine = _retained(graph, batch, True)
+    events = len(engine.trace)
+    per_event = (traced - untraced) / events
+    assert events > 5_000
+    assert per_event <= FOOTPRINT_GUARD_BYTES, per_event
+    # the store's own estimate is that measurement, without tracemalloc
+    assert engine.trace.nbytes / events == pytest.approx(per_event, rel=0.1)

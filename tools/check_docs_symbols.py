@@ -21,6 +21,11 @@ forms (``repro.runtime.migrate.Migrator``) check only their final
 ``clock.now`` — instance shorthand whose receiver is prose context) and
 tool invocations (``python -m repro``) are out of scope.
 
+The trace taxonomy is held to the same standard: the event table in
+docs/OBSERVABILITY.md (one row per kind, its ``fields`` column listing the
+payload names in order) must equal ``repro.runtime.trace.KIND_FIELDS``,
+the table the recorder stores rows by.
+
 Stdlib only (like ``tools/check_layering.py``). Exit 0 = no stale refs.
 """
 
@@ -81,10 +86,43 @@ def split_ref(ref: str):
     return None  # fully lowercase: instance shorthand, out of scope
 
 
+TAXONOMY_DOC = ROOT / "docs" / "OBSERVABILITY.md"
+TAXONOMY_HEADING = "## Event taxonomy"
+
+
+def taxonomy_errors() -> list:
+    """Differences between the doc's event table and ``KIND_FIELDS``.
+
+    A table row is ``| `kind` | emitted by | `field`, ... | notes |``;
+    only the first and third cells are read.
+    """
+    sys.path.insert(0, str(SRC))
+    from repro.runtime.trace import KIND_FIELDS
+
+    where = TAXONOMY_DOC.relative_to(ROOT)
+    text = TAXONOMY_DOC.read_text()
+    if TAXONOMY_HEADING not in text:
+        return [f"{where}: no `{TAXONOMY_HEADING}` section"]
+    section = text.split(TAXONOMY_HEADING, 1)[1].split("\n## ", 1)[0]
+    documented = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in re.split(r"(?<!\\)\|", line)]
+        if len(cells) >= 5 and re.fullmatch(r"`\w+`", cells[1]):
+            documented[cells[1].strip("`")] = tuple(
+                re.findall(r"`(\w+)`", cells[3]))
+    # None on either side: the kind is missing from that table
+    return [
+        f"{where}: `{kind}` documents fields {documented.get(kind)}, "
+        f"KIND_FIELDS declares {KIND_FIELDS.get(kind)}"
+        for kind in sorted(set(documented) | set(KIND_FIELDS))
+        if documented.get(kind) != KIND_FIELDS.get(kind)
+    ]
+
+
 def main() -> int:
     files = [ROOT / "README.md"] + sorted((ROOT / "docs").glob("*.md"))
     index = class_files()
-    errors = []
+    errors = taxonomy_errors()
     checked = 0
     for path in files:
         for lineno, line in enumerate(path.read_text().splitlines(), 1):
@@ -112,10 +150,10 @@ def main() -> int:
                     )
     if errors:
         print("\n".join(errors))
-        print(f"\n{len(errors)} stale symbol reference(s)")
+        print(f"\n{len(errors)} stale reference(s)")
         return 1
     print(f"docs symbols OK: {checked} class-member references across "
-          f"{len(files)} files")
+          f"{len(files)} files; trace taxonomy matches KIND_FIELDS")
     return 0
 
 
