@@ -32,7 +32,7 @@ try:  # pragma: no cover - exercised via the numpy-absent fallback tests
 except ImportError:  # pragma: no cover
     np = None  # type: ignore[assignment]
 
-__all__ = ["Placement", "mix64", "stable_key_hash"]
+__all__ = ["Placement", "home_node", "mix64", "stable_key_hash"]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -51,6 +51,17 @@ def mix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
     return x ^ (x >> 31)
+
+
+def home_node(query_id: int, nodes: int) -> int:
+    """The node whose coordinator lane hosts a query attempt's weight
+    ledger, seed dispatch and partial combine (docs/SIMULATION.md).
+
+    Hashed, not ``query_id % nodes``: benchmark streams are periodic (each
+    LDBC IC type recurs every 56 queries), so a modulo pins every instance
+    of a heavy type to one lane.
+    """
+    return mix64(query_id) % nodes
 
 
 _FNV_OFFSET = 0xCBF29CE484222325

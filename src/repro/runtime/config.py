@@ -127,7 +127,7 @@ class EngineConfig:
     trace: bool = False
     #: arm the transaction plane (docs/TRANSACTIONS.md): the engine builds
     #: a TxnPlane sharing the graph's placement, every admitted query is
-    #: pinned to a snapshot timestamp (the tracker node's cached LCT), and
+    #: pinned to a snapshot timestamp (its home node's cached LCT), and
     #: the kernels read base + TEL-delta snapshot views instead of the raw
     #: CSR stores. Off by default: the unarmed engine is bit-identical to
     #: pre-PR10 behaviour.

@@ -5,7 +5,8 @@ partition runtimes. It owns every invariant about what happens to a
 message *after* the wire and *before* a worker executes it:
 
 * **Routing** — :meth:`deliver` is the network's terminal callback:
-  tracker-bound messages queue behind the serial :class:`TrackerActor`,
+  tracker-bound messages queue on their query's home-node lane of the
+  :class:`TrackerActor`,
   traversers/seeds enqueue at their partition (through the credit-gated
   inbox when backpressure is armed), CANCELs purge.
 * **Exactly-once weight reclamation** — a cancelled query's progression
@@ -250,6 +251,7 @@ class DeliveryPlane:
             session.partials.append(partial)
             if len(session.partials) >= session.expected_partials:
                 done_at = engine.tracker.charge(
+                    query_id,
                     engine.clock.now,
                     engine.cost.combine_partial_us * len(session.partials),
                 )
@@ -379,28 +381,43 @@ class DeliveryPlane:
 
 
 class TrackerActor:
-    """The centralized progress tracker / query coordinator CPU.
+    """The progress tracker / query coordinator CPUs: one lane per node.
 
-    A serial resource: progress and partial messages queue behind each
-    other, which is exactly the bottleneck weight coalescing relieves.
+    Each lane is a serial resource: the progress reports, partial combines
+    and instantiation charges of the queries homed on its node
+    (:meth:`AsyncPSTMEngine.home_node`) queue behind each other — the
+    bottleneck weight coalescing relieves — while differently-homed
+    queries never contend.
     """
 
     def __init__(self, engine: "AsyncPSTMEngine") -> None:
         self.engine = engine
-        self.free_at = 0.0
+        self.lane_free_at = [0.0] * engine.nodes
+        #: per-lane simulated µs of service (every submit and charge) and
+        #: of queueing before service
+        self.busy_us = [0.0] * engine.nodes
+        self.wait_us = [0.0] * engine.nodes
         self.messages_processed = 0
 
+    @property
+    def free_at(self) -> float:
+        """When the latest-busy lane frees up."""
+        return max(self.lane_free_at)
+
     def submit(self, msg: Message, at: float, cost_us: float) -> None:
-        """Queue a message behind the tracker's serial CPU."""
-        start = max(self.free_at, at)
-        self.free_at = start + cost_us
+        """Queue a message behind its query's home lane."""
         self.messages_processed += 1
         self.engine.clock.schedule_at(
-            self.free_at, lambda m=msg: self.engine.tracker_handle(m)
+            self.charge(msg.query_id, at, cost_us),
+            lambda m=msg: self.engine.tracker_handle(m),
         )
 
-    def charge(self, at: float, cost_us: float) -> float:
-        """Occupy the tracker CPU for ``cost_us``; returns completion time."""
-        start = max(self.free_at, at)
-        self.free_at = start + cost_us
-        return self.free_at
+    def charge(self, query_id: int, at: float, cost_us: float) -> float:
+        """Occupy the query's home lane for ``cost_us``; returns completion
+        time."""
+        lane = self.engine.home_node(query_id)
+        start = max(self.lane_free_at[lane], at)
+        self.wait_us[lane] += start - at
+        self.busy_us[lane] += cost_us
+        self.lane_free_at[lane] = done = start + cost_us
+        return done

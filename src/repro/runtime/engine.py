@@ -14,10 +14,10 @@ its own module and the engine wires them together and owns the public API:
   partition instead), each draining through a pluggable execution kernel;
 * **delivery** (:mod:`repro.runtime.delivery`) — message routing, cancel
   filtering, exactly-once weight reclamation and credit release, and the
-  serial tracker actor;
+  per-node coordinator lanes of the tracker actor;
 * **transport** (:mod:`repro.runtime.network`) — two-tier message passing;
 * **progress** (:mod:`repro.core.progress`) — weight-based tracking with
-  optional coalescing, hosted on the centralized tracker;
+  optional coalescing, each query's ledger hosted on its home node;
 * **recovery** (:mod:`repro.runtime.faults`) — worker-fault firing, the
   progress watchdog, and bounded query retry;
 * **overload protection** (:mod:`repro.runtime.overload`) — admission
@@ -48,6 +48,7 @@ from repro.errors import (
     ResourceBudgetExceededError,
     RetryBudgetExceededError,
 )
+from repro.graph import placement
 from repro.graph.partition import PartitionedGraph
 from repro.query.plan import PhysicalPlan
 from repro.runtime.config import EngineConfig, IO_SYNC, IO_TLC, IO_TLC_NLC
@@ -194,7 +195,6 @@ class AsyncPSTMEngine:
                     self.workers.append(Worker(self, wid, node, self.runtimes[node]))
                     wid += 1
 
-        self.tracker_node = 0
         self.tracker = TrackerActor(self)
         #: transaction plane (docs/TRANSACTIONS.md); None keeps the read
         #: path bit-identical to the pre-transactional engine
@@ -234,6 +234,12 @@ class AsyncPSTMEngine:
     def node_of(self, pid: int) -> int:
         """The node hosting a partition."""
         return pid // self.partitions_per_node
+
+    def home_node(self, query_id: int) -> int:
+        """The node coordinating a query attempt: its reports and partials
+        go there, its seeds and CANCEL/PREEMPT fan out from there, and its
+        coordinator work occupies that node's tracker lane."""
+        return placement.home_node(query_id, self.nodes)
 
     def resolve_target(self, trav: Traverser, routed: Optional[int]) -> int:
         """The partition a traverser should execute on."""
@@ -276,6 +282,8 @@ class AsyncPSTMEngine:
             "credit_stalls": stalls,
             "peak_credits_in_use": max((g.peak_in_use for g in gates), default=0),
             "waiting_sends": sum(g.waiting_sends for g in gates),
+            "tracker_busy_us": list(self.tracker.busy_us),
+            "tracker_wait_us": list(self.tracker.wait_us),
         }
         if self._admission is not None:
             snap["admission_running"] = self._admission.running
@@ -525,9 +533,10 @@ class AsyncPSTMEngine:
             return
         session.lifecycle.to(QueryState.CANCELLING, reason)
         self.delivery.cancelling[query_id] = session
+        home = self.home_node(query_id)
         for pid in range(self.num_partitions):
             self.network.send(
-                self.tracker_node,
+                home,
                 self.node_of(pid),
                 [
                     Message(
@@ -592,7 +601,7 @@ class AsyncPSTMEngine:
                 * len(self.workers)
                 * len(session.plan.ops)
             )
-            ready_at = self.tracker.charge(now, coord_setup)
+            ready_at = self.tracker.charge(session.query_id, now, coord_setup)
         self.progress.open_stage(session.query_id, 0)
         if self.trace is not None:
             self.trace.emit(STAGE_OPEN, session.query_id, 0)
@@ -622,6 +631,7 @@ class AsyncPSTMEngine:
                 session.query_id, seeds[0].stage, len(seeds)
             )
         delivery = self.delivery
+        home = self.home_node(session.query_id)
         by_pid: Dict[int, List[Traverser]] = {}
         for trav in seeds:
             pid = self.resolve_target(trav, session.machine.route(trav))
@@ -631,7 +641,7 @@ class AsyncPSTMEngine:
             if delivery.track_inflight:
                 delivery.note_outbound(session.query_id)
             self.network.send(
-                self.tracker_node,
+                home,
                 self.node_of(pid),
                 [Message(MsgKind.SEED, pid, travs, size, session.query_id)],
                 now,
@@ -660,6 +670,7 @@ class AsyncPSTMEngine:
             return
         barrier = session.cursor.barrier()
         now = self.clock.now
+        home = self.home_node(query_id)
         expected = 0
         for pid, runtime in enumerate(self.runtimes):
             memo = runtime.memo_store.peek(query_id)
@@ -672,7 +683,7 @@ class AsyncPSTMEngine:
             size = barrier.estimated_partial_size(value)
             self.network.send(
                 self.node_of(pid),
-                self.tracker_node,
+                home,
                 [
                     Message(
                         MsgKind.PARTIAL,

@@ -193,7 +193,7 @@ class ScalarKernel:
                         PROGRESS_MSG_BYTES,
                         trav.query_id,
                     ),
-                    engine.tracker_node,
+                    engine.home_node(trav.query_id),
                     t + cpu,
                 )
             elif result.finished_weight:
@@ -211,7 +211,7 @@ class ScalarKernel:
                             PROGRESS_MSG_BYTES,
                             trav.query_id,
                         ),
-                        engine.tracker_node,
+                        engine.home_node(trav.query_id),
                         t + cpu,
                     )
 

@@ -19,9 +19,9 @@ Fig 12.
 coalescing (§IV-A): when the progress mode coalesces, every finished-weight
 report waiting in a node's window beside another report for the same
 ``(query, stage)`` is folded into it — one report carrying the sum in
-ℤ/2⁶⁴ℤ, one ``tracker_msg_us`` at the serial tracker — and the tracker
-node's own workers' reports wait for that node's window too instead of
-taking the per-flush shared-memory shortcut
+ℤ/2⁶⁴ℤ, one ``tracker_msg_us`` on the query's tracker lane — and a
+query's home node's own workers' reports wait for that node's window too
+instead of taking the per-flush shared-memory shortcut
 (:meth:`Network._fold_weight_reports`).
 
 **Reliability layer.** When the engine is configured with a
@@ -218,13 +218,14 @@ class Network:
         only injects faults on the wire); remote traffic goes through the
         NIC, with node-level combining when enabled, and through the
         ack/retransmit layer when a fault plan is armed. Under node-level
-        weight coalescing the tracker node's own weight reports are the
-        one same-node exception: they wait for that node's window.
+        weight coalescing a home node's own weight reports are the one
+        same-node exception: they wait for that node's window.
         """
         if not messages:
             return
         counters = self.metrics.messages
         traverser_kind = MsgKind.TRAVERSER
+        has_progress = False
         total = 0
         for msg in messages:
             total += msg.size_bytes
@@ -235,18 +236,23 @@ class Network:
                 counters[kind] += len(msg.payload)
             else:
                 counters[kind] += 1
+                if kind is MsgKind.PROGRESS:
+                    has_progress = True
         if self.trace is not None:
             self.trace.emit(MSG_SEND, -1, src_node, dst_node, len(messages),
                             total)
         if src_node == dst_node:
-            if self._fold_weights:
-                reports = [m for m in messages if _is_weight_report(m)]
+            if has_progress and self._fold_weights:
+                reports: List[Message] = []
+                rest: List[Message] = []
+                for m in messages:
+                    (reports if _is_weight_report(m) else rest).append(m)
                 if reports:
                     self._combine(src_node, dst_node, reports,
                                   sum(m.size_bytes for m in reports), when)
-                    messages = [m for m in messages if not _is_weight_report(m)]
-                    if not messages:
+                    if not rest:
                         return
+                    messages = rest
             self._deliver_local(messages, when)
             return
         if self.node_combining:
@@ -281,7 +287,7 @@ class Network:
 
     def _fire_combiner(self, key: Tuple[int, int]) -> None:
         """Window expiry: fold weight reports, hand the pack to the NIC
-        (or, for the tracker node's own window, to shared memory)."""
+        (or, for a home node's own window, to shared memory)."""
         messages = self._combiner.pop(key, [])
         total = self._combiner_bytes.pop(key, 0)
         self._combiner_armed[key] = False

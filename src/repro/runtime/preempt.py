@@ -110,9 +110,10 @@ def request_preempt(
     # ledger close), but the control messages model the real fan-out cost
     # and let per-partition observers see the request in the trace.
     now = engine.clock.now
+    home = engine.home_node(query_id)
     for pid in range(engine.num_partitions):
         engine.network.send(
-            engine.tracker_node,
+            home,
             engine.node_of(pid),
             [
                 Message(

@@ -78,7 +78,7 @@ class RunDrain:
         # progress mode
         "naive", "coalesced",
         # topology
-        "self_pid", "ppn", "tracker_node", "num_nodes", "modulus",
+        "self_pid", "ppn", "num_nodes", "modulus",
         # tier-1 buffer mirrors
         "track_inflight", "note_outbound", "trav_buffers", "buffer_bytes",
         "flush_threshold", "flush", "size_cache", "last_payload",
@@ -128,7 +128,6 @@ class RunDrain:
         self.coalesced = mode.coalesced
         self.self_pid = runtime.pid
         self.ppn = engine.partitions_per_node
-        self.tracker_node = engine.tracker_node
         self.num_nodes = engine.nodes
         self.modulus = GROUP_MODULUS
 
@@ -361,7 +360,9 @@ class RunDrain:
         coalesced = self.coalesced
         self_pid = self.self_pid
         ppn = self.ppn
-        tracker_node = self.tracker_node
+        # eager (non-coalesced) progress reports go to the query's home
+        # node; coalesced ones leave through Worker._flush_idle_accums
+        home = None if coalesced else self.engine.home_node(query_id)
         modulus = self.modulus
         track_inflight = self.track_inflight
         note_outbound = self.note_outbound
@@ -635,7 +636,7 @@ class RunDrain:
                             PROGRESS_MSG_BYTES,
                             query_id,
                         ),
-                        tracker_node,
+                        home,
                         t + cpu,
                     )
             elif naive:
@@ -650,7 +651,7 @@ class RunDrain:
                         PROGRESS_MSG_BYTES,
                         query_id,
                     ),
-                    tracker_node,
+                    home,
                     t + cpu,
                 )
             else:
@@ -679,7 +680,7 @@ class RunDrain:
                                 PROGRESS_MSG_BYTES,
                                 query_id,
                             ),
-                            tracker_node,
+                            home,
                             t + cpu,
                         )
         if lcount:

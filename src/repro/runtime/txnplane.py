@@ -14,7 +14,7 @@ async runtime (paper §IV-C, the Fig 7 mixed workload):
   (optionally delayed by ``EngineConfig.lct_broadcast_lag_us`` — staleness
   is the only permitted cache error).
 * **Readers** — :meth:`TxnPlane.pin` stamps every admitted query with the
-  tracker node's cached LCT. The query's per-partition
+  cached LCT of its home node. The query's per-partition
   :class:`~repro.core.steps.StepContext` then reads through a
   :class:`~repro.txn.view.SnapshotStore` at that timestamp instead of the
   raw CSR store, so the run and scalar kernels both see the same
@@ -95,14 +95,14 @@ class TxnPlane:
     # -- snapshot pinning (the read path) ----------------------------------
 
     def pin(self, session) -> int:
-        """Pin an admitted query to the tracker node's cached LCT.
+        """Pin an admitted query to its home node's cached LCT.
 
         Called once per query at admission; the timestamp survives crash
         retries and checkpoint restores (the session object persists), so
         a recovered query replays against the *same* version cut and its
         rows stay bit-identical to the fault-free run.
         """
-        ts = self.txm.cached_lct(self.engine.tracker_node)
+        ts = self.txm.cached_lct(self.engine.home_node(session.query_id))
         session.snapshot_ts = ts
         self.engine.metrics.snapshot_pins += 1
         trace = self.engine.trace
@@ -124,14 +124,9 @@ class TxnPlane:
             self._stores[key] = store
         return store
 
-    def snapshot_graph(self, ts: Optional[int] = None) -> SnapshotGraph:
-        """A cluster-wide snapshot view (solo-run equivalence checks).
-
-        Defaults to the tracker node's cached LCT — the cut :meth:`pin`
-        would stamp on a query admitted right now.
-        """
-        if ts is None:
-            ts = self.txm.cached_lct(self.engine.tracker_node)
+    def snapshot_graph(self, ts: int) -> SnapshotGraph:
+        """A cluster-wide snapshot view at a pinned timestamp (solo-run
+        equivalence checks)."""
         return SnapshotGraph(self.engine.graph, self.txm.partitions, ts)
 
     # -- the write path ----------------------------------------------------

@@ -574,7 +574,7 @@ class Worker:
                     PROGRESS_MSG_BYTES,
                     query_id,
                 ),
-                self.engine.tracker_node,
+                self.engine.home_node(query_id),
                 when + cost,
             )
         return cost

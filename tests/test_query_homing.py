@@ -1,0 +1,212 @@
+"""Query-homed coordinators: one tracker lane per node, each query attempt
+coordinated from ``engine.home_node(query_id)`` (docs/SIMULATION.md).
+
+Pinned here:
+
+1. **endpoint consistency** — every tracker-bound message is sent to its
+   query's home node and every SEED / CANCEL / PREEMPT fan-out leaves from
+   it, in every progress mode, on both kernels, through cancellation,
+   preemption and crash + checkpoint restore (a fresh attempt id is a
+   fresh home);
+2. **no aliasing** — a periodic stream whose every ``nodes``-th query is
+   the heavy one still loads the lanes evenly (``query_id % nodes`` would
+   pin every heavy query to one lane);
+3. **lane accounting** — ``busy_us`` counts everything a lane serves:
+   reports, partial combines and dataflow-instantiation charges.
+
+The "placement and nothing else" digests live beside the ablation pins in
+tests/test_variants.py; lane independence in tests/test_worker_internals.py.
+"""
+
+from collections import Counter
+
+import pytest
+
+from repro.core.progress import ProgressMode
+from repro.query.traversal import Traversal
+from repro.runtime.engine import AsyncPSTMEngine, EngineConfig
+from repro.runtime.faults import FaultPlan, WorkerFault
+from repro.runtime.metrics import MsgKind
+from repro.runtime.network import TRACKER_DST
+from tests.conftest import KERNELS, make_graph
+
+NODES, WPN = 4, 2
+N_QUERIES = 6
+
+
+@pytest.fixture(scope="module")
+def graph():
+    return make_graph(11, partitions=NODES * WPN)
+
+
+def two_stage_plan(graph):
+    """Stage 0 closes at t ~= 64-212 us for the six staggered queries below
+    (either weighted mode); the whole batch is quiet by t ~= 1 000 us."""
+    return (
+        Traversal("two_stage").v_param("s").khop("e", k=2).as_("v")
+        .group_count("v").out("e").count().compile(graph)
+    )
+
+
+def check_endpoints(engine):
+    """Shim ``network.send`` to assert both ends of every coordinator
+    message; returns the per-kind tally of what it checked."""
+    seen = Counter()
+    real_send = engine.network.send
+
+    def send(src, dst, messages, when):
+        for m in messages:
+            if m.dst_pid == TRACKER_DST:
+                assert dst == engine.home_node(m.query_id), m
+                seen[m.kind] += 1
+            elif m.kind in (MsgKind.SEED, MsgKind.CONTROL):
+                assert src == engine.home_node(m.query_id), m
+                seen[m.kind] += 1
+        real_send(src, dst, messages, when)
+
+    engine.network.send = send
+    return seen
+
+
+#: naive active counters support neither checkpoints nor fault plans
+#: (``EngineConfig`` rejects both), so they get the first two scenarios
+SCENARIOS = [
+    (mode, scenario)
+    for mode in ProgressMode
+    for scenario in ("plain", "cancel", "preempt", "crash")
+    if mode.is_weighted or scenario in ("plain", "cancel")
+]
+
+
+class TestEndpointConsistency:
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize(
+        "mode, scenario", SCENARIOS,
+        ids=[f"{m.value}-{s}" for m, s in SCENARIOS],
+    )
+    def test_coordinator_messages_use_the_home_node(
+            self, graph, mode, scenario, kernel):
+        cfg = {"progress_mode": mode, "kernel": kernel}
+        if scenario in ("preempt", "crash"):
+            cfg["checkpoint_interval_us"] = 0.0
+        if scenario == "crash":
+            # after every stage-0 boundary, while stage 1 still runs
+            cfg["fault_plan"] = FaultPlan(worker_faults=(
+                WorkerFault(wid=1, at_us=230.0, down_us=30.0),
+            ))
+        engine = AsyncPSTMEngine(
+            graph, NODES, WPN, config=EngineConfig(**cfg), seed=3
+        )
+        seen = check_endpoints(engine)
+        plan = two_stage_plan(graph)
+        # one at a time under naive counters: concurrent ones do not all
+        # finish (ROADMAP, pre-existing)
+        gap = 10.0 if mode.is_weighted else 5000.0
+        sessions = [engine.submit(plan, {"s": 7 * i}, at=gap * i)
+                    for i in range(N_QUERIES)]
+        first_ids = [s.query_id for s in sessions]
+        assert len({engine.home_node(q) for q in first_ids}) > 1
+        clock = engine.clock
+        if scenario == "cancel":
+            for i in (0, 2, 5):
+                clock.schedule_at(gap * i + 50.0,
+                                  lambda s=sessions[i]: engine.cancel(s))
+        elif scenario == "preempt":
+            for i in (1, 3):
+                clock.schedule_at(gap * i + 30.0,
+                                  lambda s=sessions[i]: engine.preempt(s))
+                clock.schedule_at(3000.0,
+                                  lambda s=sessions[i]: engine.resume(s))
+        clock.run_until_idle()
+
+        assert seen[MsgKind.SEED] and seen[MsgKind.PROGRESS]
+        assert seen[MsgKind.PARTIAL]
+        metrics = engine.metrics
+        if scenario == "cancel":
+            assert metrics.queries_cancelled == 3
+            # cooperative cancels fan a CANCEL out; naive teardown is local
+            assert bool(seen[MsgKind.CONTROL]) == mode.is_weighted
+        else:
+            assert all(s.qmetrics.done for s in sessions)
+        if scenario == "preempt":
+            assert metrics.resumes == 2 and seen[MsgKind.CONTROL]
+        if scenario == "crash":
+            assert metrics.checkpoint_restores > 0
+        if scenario in ("preempt", "crash"):
+            # the spliced attempts ran under fresh ids — and the shim held
+            # their messages to the fresh ids' homes
+            respliced = [s.query_id for s, q in zip(sessions, first_ids)
+                         if s.query_id != q]
+            assert respliced and min(respliced) >= N_QUERIES
+
+
+class TestNoAliasing:
+    def test_periodic_heavy_stream_spreads_over_the_lanes(self):
+        """Every ``nodes``-th query is ~8x heavier at the tracker (a 3-hop
+        beside 1-hops, one report per finished traverser). Hashed homes
+        load the lanes evenly; ``query_id % nodes`` — run as the
+        counterfactual — stacks every heavy query on lane 0."""
+        nodes = 4
+        graph = make_graph(11, degree=4, partitions=nodes)
+        light = Traversal("l").v_param("s").out("e").count().compile(graph)
+        heavy = (Traversal("h").v_param("s").khop("e", k=3).count()
+                 .compile(graph))
+
+        def lane_imbalance(home_node=None):
+            engine = AsyncPSTMEngine(
+                graph, nodes, 1, config=EngineConfig(
+                    progress_mode=ProgressMode.WEIGHTED_IMMEDIATE),
+            )
+            if home_node is not None:
+                engine.home_node = home_node
+            engine.run_closed_loop(
+                lambda i: (heavy if i % nodes == 0 else light,
+                           {"s": i % 200}),
+                clients=8, total_queries=224,
+            )
+            busy = engine.tracker.busy_us
+            return max(busy) / (sum(busy) / nodes)
+
+        assert lane_imbalance() < 1.3
+        assert lane_imbalance(lambda query_id: query_id % nodes) > 2.0
+
+
+class TestLaneAccounting:
+    def test_busy_us_counts_reports_combines_and_instantiation(self, graph):
+        """sum(busy_us) == reports x tracker_msg_us + sum of combine
+        charges + instantiation charges, exactly (the default prices are
+        dyadic, so the float sums are order-independent)."""
+        engine = AsyncPSTMEngine(
+            graph, NODES, WPN,
+            config=EngineConfig(per_query_instantiation=True),
+        )
+        cost = engine.cost
+        plan = two_stage_plan(graph)
+        n_queries = 24
+        combined = []
+        real_complete = engine._complete_stage
+
+        def complete_stage(session, stage):
+            combined.append(len(session.partials))
+            real_complete(session, stage)
+
+        engine._complete_stage = complete_stage
+        engine.run_closed_loop(
+            lambda i: (plan, {"s": 7 * i}), clients=4,
+            total_queries=n_queries,
+        )
+        tracker = engine.tracker
+        instantiation = (cost.operator_instantiation_us * 0.25
+                         * len(engine.workers) * len(plan.ops))
+        assert sum(combined) > 0
+        assert sum(tracker.busy_us) == (
+            tracker.messages_processed * cost.tracker_msg_us
+            + cost.combine_partial_us * sum(combined)
+            + instantiation * n_queries
+        )
+        snap = engine.overload_snapshot()
+        assert snap["tracker_busy_us"] == tracker.busy_us
+        assert snap["tracker_wait_us"] == tracker.wait_us
+        # the closed loop keeps several same-lane queries in flight
+        assert sum(tracker.wait_us) > 0
+        assert sum(1 for b in tracker.busy_us if b) > 1

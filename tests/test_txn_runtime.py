@@ -312,6 +312,60 @@ class TestSnapshotMonotonicity:
             assert {r[0] for r in s.results} == expected
             assert len(s.results) == len(expected)
 
+    def test_pin_reads_its_home_nodes_cache(self):
+        """Nodes hear of a commit at different times (the broadcast is
+        staggered here, one node every 40 us): a query's pin is what its
+        *home* node has heard of by admission — stale against the manager,
+        never ahead of that cache — and its rows are the solo rows at
+        that cut."""
+        graph = chain_graph()
+        engine = AsyncPSTMEngine(
+            graph, NODES, WPN,
+            config=EngineConfig(trace=True, transactions=True,
+                                lct_broadcast_lag_us=20.0),
+            seed=ENGINE_SEED,
+        )
+        plane, clock = engine.txnplane, engine.clock
+        txm = plane.txm
+        arrive = txm.broadcast_lct
+
+        def staggered(nodes, lct=None):
+            for node in nodes:
+                clock.schedule_at(clock.now + 40.0 * node,
+                                  lambda n=node: arrive([n], lct))
+
+        txm.broadcast_lct = staggered
+        for j in range(4):
+            def add(m, j=j):
+                txn = m.begin()
+                m.add_edge(txn, 0, 2 + j, "knows", 9000 + j)
+                m.commit(txn)
+            plane.schedule_update(100.0 + j * 50.0, add)
+        plan = probe_plan(graph)
+        sessions = []
+        heard = {}  # query id -> (home's cache, node 0's, the manager's LCT)
+
+        def probe():
+            session = engine.submit(plan, {"s": 0})
+            home = engine.home_node(session.query_id)
+            heard[session.query_id] = (
+                txm.cached_lct(home), txm.cached_lct(0), txm.lct)
+            sessions.append(session)
+
+        for k in range(12):
+            clock.schedule_at(110.0 + k * 25.0, probe)
+        clock.run_until_idle()
+
+        assert len({engine.home_node(q) for q in heard}) == NODES
+        for s in sessions:
+            cached, _at_node_0, lct = heard[s.query_id]
+            assert s.snapshot_ts == cached <= lct
+            solo = LocalExecutor(plane.snapshot_graph(s.snapshot_ts))
+            assert sorted(s.results) == sorted(solo.run(plan, {"s": 0}))
+        # the lag was observable, and so was whose cache a pin read
+        assert any(cached < lct for cached, _, lct in heard.values())
+        assert any(cached != at_0 for cached, at_0, _ in heard.values())
+
     def test_final_probe_sees_every_commit(self):
         """After the last broadcast lands, a fresh pin covers all commits."""
         graph = chain_graph()

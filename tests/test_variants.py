@@ -172,13 +172,13 @@ class TestVariantBehaviors:
         assert SWAP_PENALTY > 10
 
 
-def ablation_run(config, gap_us):
+def ablation_run(config, gap_us, nodes=2):
     """29 3-hop counts, one every ``gap_us``, on the fault suites' graph;
     returns the engine and a digest of every simulated number of the run
     (rows, latencies, every counter, clock, per-worker busy time)."""
     graph = make_graph(11)
     plan = khop3_count(graph)
-    engine = AsyncPSTMEngine(graph, 2, 2, config=config)
+    engine = AsyncPSTMEngine(graph, nodes, 4 // nodes, config=config)
     sessions = [engine.submit(plan, {"s": s}, at=gap_us * i)
                 for i, s in enumerate(range(0, 200, 7))]
     engine.clock.run_until_idle()
@@ -199,11 +199,21 @@ def ablation_run(config, gap_us):
     return engine, hashlib.sha256(blob).hexdigest()[:16]
 
 
+def home_everything_on_node_0(monkeypatch):
+    monkeypatch.setattr(AsyncPSTMEngine, "home_node",
+                        lambda self, query_id: 0)
+
+
 class TestAblationModesPinned:
-    """Node-level weight coalescing is tier 2 of the *default* progress
-    and I/O modes. Every other mode is an ablation bar of Fig 10-12 and
-    must simulate exactly what it did before the fold existed: the digests
-    below were taken at commit 57399d2 (the fold's parent)."""
+    """Two changes moved only the modes they meant to, and these digests
+    are the proof. *Node-level weight coalescing* is tier 2 of the default
+    progress and I/O modes: every other mode is an ablation bar of
+    Fig 10-12 and simulates exactly what it did at commit 57399d2 (the
+    fold's parent). *Query homing* is placement and nothing else: with
+    every query homed on node 0 — the old single coordinator — those
+    digests, and the default mode's from commit c478d19 (homing's parent),
+    reproduce bit for bit. The hashed-home pins beside them freeze what
+    the modes simulate now."""
 
     @pytest.mark.parametrize("config, gap_us, tracker_msgs, digest", [
         (EngineConfig(progress_mode=ProgressMode.WEIGHTED_IMMEDIATE), 3.0,
@@ -215,11 +225,42 @@ class TestAblationModesPinned:
         (EngineConfig(io_mode=IO_SYNC), 3.0, 465, "ed090cac081db82f"),
     ], ids=["weighted_immediate", "naive_central", "io_tlc", "io_sync"])
     def test_non_default_modes_bit_identical_to_parent(
-            self, config, gap_us, tracker_msgs, digest):
+            self, monkeypatch, config, gap_us, tracker_msgs, digest):
+        home_everything_on_node_0(monkeypatch)
         engine, got = ablation_run(config, gap_us)
         assert engine.metrics.progress_reports_coalesced == 0
         assert engine.tracker.messages_processed == tracker_msgs
         assert got == digest
+
+    def test_default_mode_homed_on_node_0_bit_identical_to_parent(
+            self, monkeypatch):
+        home_everything_on_node_0(monkeypatch)
+        engine, got = ablation_run(EngineConfig(), 3.0)
+        assert engine.tracker.messages_processed == 273
+        assert got == "9db0d9054b16b1de"
+        assert engine.tracker.busy_us[1] == 0.0
+
+    def test_one_node_cluster_bit_identical_to_parent(self):
+        """One node, one lane, no patch: the c478d19 digest as is."""
+        engine, got = ablation_run(EngineConfig(), 3.0, nodes=1)
+        assert engine.tracker.messages_processed == 224
+        assert got == "3718ec8f6af7afb3"
+
+    @pytest.mark.parametrize("config, gap_us, tracker_msgs, digest", [
+        (EngineConfig(), 3.0, 288, "bdddaf226cb098b7"),
+        (EngineConfig(progress_mode=ProgressMode.WEIGHTED_IMMEDIATE), 3.0,
+         14251, "177325d1ca87eb9b"),
+        (EngineConfig(progress_mode=ProgressMode.NAIVE_CENTRAL), 5000.0,
+         27047, "0118406f3d1456b4"),
+        (EngineConfig(io_mode=IO_TLC), 3.0, 277, "d3c9436c0c07a13d"),
+        (EngineConfig(io_mode=IO_SYNC), 3.0, 569, "49a1d72053f85338"),
+    ], ids=["default", "weighted_immediate", "naive_central", "io_tlc",
+            "io_sync"])
+    def test_hashed_homes_pinned(self, config, gap_us, tracker_msgs, digest):
+        engine, got = ablation_run(config, gap_us)
+        assert engine.tracker.messages_processed == tracker_msgs
+        assert got == digest
+        assert all(engine.tracker.busy_us)  # both lanes served queries
 
     def test_default_mode_folds(self):
         """The default mode sheds tracker messages (291 at the parent) and

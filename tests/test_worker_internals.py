@@ -8,6 +8,7 @@ from repro.query.traversal import Traversal
 from repro.runtime.engine import AsyncPSTMEngine, EngineConfig
 from repro.runtime.delivery import TrackerActor
 from repro.runtime.metrics import MsgKind
+from repro.runtime.network import TRACKER_DST, Message
 from repro.runtime.worker import PROGRESS_MSG_BYTES
 from tests.conftest import random_graph
 
@@ -80,24 +81,52 @@ class TestWeightCoalescingRules:
             assert all(v == 0 for v in runtime.stage_counts.values())
 
 
+def report(query_id):
+    return Message(MsgKind.PROGRESS, TRACKER_DST, None, PROGRESS_MSG_BYTES,
+                   query_id)
+
+
 class TestTrackerActor:
     def test_serial_processing_charges_time(self, graph, engine):
         tracker = TrackerActor(engine)
-        msg = object()
         handled = []
         engine.tracker_handle = lambda m: handled.append(m)  # type: ignore
-        tracker.submit(msg, at=0.0, cost_us=2.0)
-        tracker.submit(msg, at=0.0, cost_us=2.0)
+        tracker.submit(report(0), at=0.0, cost_us=2.0)
+        tracker.submit(report(0), at=0.0, cost_us=2.0)
         assert tracker.free_at == pytest.approx(4.0)
         engine.clock.run_until_idle()
         assert len(handled) == 2
 
     def test_charge_occupies_cpu(self, graph, engine):
         tracker = TrackerActor(engine)
-        t1 = tracker.charge(at=10.0, cost_us=5.0)
-        t2 = tracker.charge(at=0.0, cost_us=5.0)  # queues behind the first
+        t1 = tracker.charge(0, at=10.0, cost_us=5.0)
+        t2 = tracker.charge(0, at=0.0, cost_us=5.0)  # queues behind the first
         assert t1 == 15.0
         assert t2 == 20.0
+        lane = engine.home_node(0)
+        assert tracker.busy_us[lane] == 10.0
+        assert tracker.wait_us[lane] == 15.0  # the second waited 0 -> 15
+
+    def test_lanes_are_independent(self, graph, engine):
+        """Differently-homed queries never queue behind each other; two
+        reports for one query serialize on its lane."""
+        a = 0
+        b = next(q for q in range(1, 64)
+                 if engine.home_node(q) != engine.home_node(a))
+        tracker = engine.tracker
+        cost_us = engine.cost.tracker_msg_us
+        handled = []
+        engine.tracker_handle = (  # type: ignore
+            lambda m: handled.append((m.query_id, engine.clock.now)))
+        at = 7.0
+        for query_id in (a, b, a):
+            tracker.submit(report(query_id), at, cost_us)
+        engine.clock.run_until_idle()
+        assert handled == [(a, at + cost_us), (b, at + cost_us),
+                           (a, at + 2 * cost_us)]
+        assert tracker.free_at == at + 2 * cost_us
+        assert tracker.messages_processed == 3
+        assert sum(tracker.wait_us) == cost_us  # only a's second report
 
     def test_progress_size_constant(self):
         assert PROGRESS_MSG_BYTES == 16
