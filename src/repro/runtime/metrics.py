@@ -27,6 +27,11 @@ class MsgKind(Enum):
     SEED = "seed"
     CONTROL = "control"
 
+    # Members are singletons: identity hashing is exact, and it keeps
+    # ``Enum.__hash__`` (a Python-level call per ``counters[kind] += 1``)
+    # off the per-message send path.
+    __hash__ = object.__hash__
+
     @property
     def is_progress(self) -> bool:
         return self is MsgKind.PROGRESS

@@ -65,7 +65,7 @@ RTO_RTT_MULTIPLIER = 4.0
 MAX_BACKOFF_FACTOR = 16.0
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """One logical message (traverser pack, progress report, partial, ...).
 

@@ -181,7 +181,12 @@ class PartitionRuntime:
         """Wake one idle, alive worker (the least busy) to process the queue."""
         if not self.queue and not self.inbox:
             return
-        idle = [w for w in self.workers if not w.scheduled and w.alive]
+        workers = self.workers
+        if len(workers) == 1:
+            # shared-nothing: Worker.wake checks scheduled/alive itself
+            workers[0].wake(now)
+            return
+        idle = [w for w in workers if not w.scheduled and w.alive]
         if idle:
             min(idle, key=lambda w: w.busy_until).wake(now)
 
