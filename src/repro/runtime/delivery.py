@@ -113,9 +113,15 @@ class DeliveryPlane:
             return
         runtime = engine.runtimes[msg.dst_pid]
         if msg.kind is MsgKind.TRAVERSER:
-            if self.track_inflight and msg.query_id in self.inflight:
-                self.inflight[msg.query_id] -= len(msg.payload)
             travs = msg.payload
+            if self.track_inflight:
+                # A pack is stamped with its first traverser's query but
+                # mixes queries (tier-1 buffers pack per node): each
+                # traverser settles its own query's count.
+                inflight = self.inflight
+                for trav in travs:
+                    if trav.query_id in inflight:
+                        inflight[trav.query_id] -= 1
             if self.cancelling:
                 # Batches can mix queries (tier-1 buffers pack per node),
                 # so arrivals of cancelling queries are filtered out here

@@ -99,9 +99,7 @@ class TestEndpointConsistency:
         )
         seen = check_endpoints(engine)
         plan = two_stage_plan(graph)
-        # one at a time under naive counters: concurrent ones do not all
-        # finish (ROADMAP, pre-existing)
-        gap = 10.0 if mode.is_weighted else 5000.0
+        gap = 10.0
         sessions = [engine.submit(plan, {"s": 7 * i}, at=gap * i)
                     for i in range(N_QUERIES)]
         first_ids = [s.query_id for s in sessions]

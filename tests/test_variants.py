@@ -218,7 +218,8 @@ class TestAblationModesPinned:
     @pytest.mark.parametrize("config, gap_us, tracker_msgs, digest", [
         (EngineConfig(progress_mode=ProgressMode.WEIGHTED_IMMEDIATE), 3.0,
          14251, "1c57f29e9e20dab4"),
-        # one at a time: concurrent naive-central queries do not all finish
+        # one at a time, as at the fold's parent: concurrent naive-central
+        # queries did not all finish then (TestNaiveCentralConcurrent)
         (EngineConfig(progress_mode=ProgressMode.NAIVE_CENTRAL), 5000.0,
          27047, "ca01530646552180"),
         (EngineConfig(io_mode=IO_TLC), 3.0, 301, "b7f8547365a1e9ec"),
@@ -274,3 +275,23 @@ class TestAblationModesPinned:
             metrics.progress_messages
             + metrics.message_count(MsgKind.PARTIAL) - folded)
         assert engine.tracker.messages_processed < 291
+
+
+class TestNaiveCentralConcurrent:
+    """The naive detector's in-flight count settles per traverser: tier-1
+    packs mix queries but are stamped with their first traverser's, so a
+    per-pack decrement left every other query of a pack in flight forever
+    (12 of these 29 finished at a 3 us gap, 15 at 50 us)."""
+
+    @pytest.mark.parametrize("kernel", ["run", "scalar"])
+    @pytest.mark.parametrize("gap_us", [3.0, 50.0])
+    def test_concurrent_queries_all_finish_with_default_rows(
+            self, kernel, gap_us):
+        naive, _ = ablation_run(EngineConfig(
+            progress_mode=ProgressMode.NAIVE_CENTRAL, kernel=kernel), gap_us)
+        default, _ = ablation_run(EngineConfig(kernel=kernel), gap_us)
+        assert len(naive.completed) == 29
+        assert all(s.qmetrics.done for s in naive.completed.values())
+        assert ({q: s.results for q, s in naive.completed.items()}
+                == {q: s.results for q, s in default.completed.items()})
+        assert naive.delivery.inflight == {}
