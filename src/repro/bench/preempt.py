@@ -4,9 +4,9 @@ The headline experiment for voluntary preemption (docs/RECOVERY.md). A
 mixed workload shares **one** execution slot:
 
 * **analytics** — a stream of three-stage queries (2-hop expansion,
-  group, expand, group, expand — ~345 µs solo), priority 1;
-* **interactive** — a stream of one-hop lookups (~56 µs solo),
-  priority 0 (more urgent), arriving every 160 µs.
+  group, expand, group, expand — ~300 µs solo), priority 1;
+* **interactive** — a stream of one-hop lookups, priority 0 (more
+  urgent), arriving every 0.47 analytics-solo latencies.
 
 Without preemption an interactive arrival waits for the resident
 analytics query to *finish* — its end-to-end latency is dominated by the
@@ -64,8 +64,12 @@ ANALYTICS_QUERIES = 4
 INTERACTIVE_QUERIES = 24
 QUICK_ANALYTICS = 2
 QUICK_INTERACTIVE = 8
-FIRST_ARRIVAL_US = 100.0
-ARRIVAL_SPACING_US = 160.0
+#: the interactive cadence in units of the run's own measured analytics
+#: solo latency, so a change to the simulated network keeps the timeline's
+#: shape (the first arrival lands mid-way through the first analytics
+#: query; about two arrivals per analytics query)
+FIRST_ARRIVAL_X_SOLO = 0.293
+ARRIVAL_SPACING_X_SOLO = 0.4685
 
 
 def build_graph() -> PartitionedGraph:
@@ -93,7 +97,7 @@ def analytics_plan(graph: PartitionedGraph):
 
 
 def interactive_plan(graph: PartitionedGraph):
-    """A one-hop lookup: the latency-sensitive class (~56 us solo)."""
+    """A one-hop lookup: the latency-sensitive class."""
     return (
         Traversal("ic_short")
         .v_param("start")
@@ -110,8 +114,11 @@ def percentile(values: List[float], q: float) -> float:
     return ordered[rank]
 
 
-def run_mixed(preemption: bool, quick: bool) -> Dict[str, Any]:
-    """One open-loop mixed run; returns latency stats and gate inputs."""
+def run_mixed(preemption: bool, quick: bool,
+              solo_latency_us: float) -> Dict[str, Any]:
+    """One open-loop mixed run; returns latency stats and gate inputs.
+    ``solo_latency_us`` (an analytics query alone) sets the interactive
+    arrival cadence."""
     graph = build_graph()
     engine = AsyncPSTMEngine(
         graph, NODES, WPN,
@@ -145,9 +152,10 @@ def run_mixed(preemption: bool, quick: bool) -> Dict[str, Any]:
     i_plan = interactive_plan(graph)
     for _ in range(n_analytics):
         submit(a_plan, 0.0, priority=1, kind="analytics")
+    first = FIRST_ARRIVAL_X_SOLO * solo_latency_us
+    spacing = ARRIVAL_SPACING_X_SOLO * solo_latency_us
     for i in range(n_interactive):
-        submit(i_plan, FIRST_ARRIVAL_US + i * ARRIVAL_SPACING_US,
-               priority=0, kind="interactive")
+        submit(i_plan, first + i * spacing, priority=0, kind="interactive")
     engine.clock.run_until_idle()
 
     def e2e(kind):
@@ -204,7 +212,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     runs = {}
     for label, preemption in (("off", False), ("on", True)):
-        run = run_mixed(preemption, args.quick)
+        run = run_mixed(preemption, args.quick, solo.latency_us)
         runs[label] = run
         ic, an = run["interactive"], run["analytics"]
         print(f"preemption {label:<3}: interactive p50={ic['p50_us']:>7.1f} "
@@ -242,7 +250,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             "workload": {
                 "analytics": runs["on"]["analytics"]["n"],
                 "interactive": runs["on"]["interactive"]["n"],
-                "arrival_spacing_us": ARRIVAL_SPACING_US,
+                "arrival_spacing_us":
+                    ARRIVAL_SPACING_X_SOLO * solo.latency_us,
                 "slots": 1,
             },
             "solo_analytics": {

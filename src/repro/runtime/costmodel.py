@@ -84,8 +84,6 @@ class CostModel:
     serialize_us: float = 0.02
     #: CPU cost of handing a buffer to the node combiner (shared memory)
     combiner_handoff_us: float = 0.3
-    #: window the node-level combiner waits to merge thread flushes
-    nlc_window_us: float = 4.0
     #: progress tracker CPU per message processed
     tracker_msg_us: float = 0.5
     #: coordinator CPU for combining one partial

@@ -15,13 +15,19 @@ per-packet overhead, bandwidth-proportional serialization time, and one-way
 wire latency. Message-kind counters feed Fig 11; packet counters feed
 Fig 12.
 
+Tier 2 is **work-conserving and causal**: one pump per source node hands
+the NIC a pack the instant it is free (the rule Linux's TCP autocorking
+uses: coalesce only while the device is still busy with the previous
+send), and a pack holds only flushes whose own instant has come. At low
+load a flush leaves when it was produced; under contention everything
+produced while the NIC was busy rides together, so packing grows with
+load instead of being bought with a timer (:meth:`Network._pump`).
+
 **Node-level weight coalescing.** Tier 2 is also the second tier of weight
 coalescing (§IV-A): when the progress mode coalesces, every finished-weight
-report waiting in a node's window beside another report for the same
+report leaving in a pack beside another report for the same
 ``(query, stage)`` is folded into it — one report carrying the sum in
-ℤ/2⁶⁴ℤ, one ``tracker_msg_us`` on the query's tracker lane — and a
-query's home node's own workers' reports wait for that node's window too
-instead of taking the per-flush shared-memory shortcut
+ℤ/2⁶⁴ℤ, one ``tracker_msg_us`` on the query's tracker lane
 (:meth:`Network._fold_weight_reports`).
 
 **Reliability layer.** When the engine is configured with a
@@ -40,6 +46,8 @@ the unreliable one. See ``docs/FAULTS.md`` for the full protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.weight import GROUP_MODULUS
@@ -91,6 +99,9 @@ class Message:
 
 
 DeliverFn = Callable[[Message], None]
+
+#: a staged flush's instant (``Network._staged`` rows lead with it)
+_WHEN = itemgetter(0)
 
 
 def _is_weight_report(msg: Message) -> bool:
@@ -150,11 +161,11 @@ class Network:
         cost: calibrated cost model (tx time, latencies).
         metrics: run-wide counters to update.
         deliver: callback invoked for every arriving :class:`Message`.
-        node_combining: enable tier-2 (NLC) packing of same-destination
-            buffers into one packet per window.
+        node_combining: enable tier-2 (NLC) packing of the same-destination
+            buffers flushed while the node's NIC was busy into one packet.
         coalesce_weights: the progress mode coalesces finished weight
-            (tier 1, in the workers); with ``node_combining`` the window
-            then folds same-``(query, stage)`` weight reports too.
+            (tier 1, in the workers); with ``node_combining`` each pack
+            then folds its same-``(query, stage)`` weight reports too.
         faults: arm the reliability layer and draw packet fates from this
             injector; ``None`` (default) keeps the classic lossless NIC.
         on_retransmit: called with a packet's messages each time it is
@@ -189,10 +200,12 @@ class Network:
         self.trace = trace
         # per-node NIC egress availability
         self._nic_free_at = [0.0] * num_nodes
-        # NLC: per (src, dst) pending messages and whether a send is armed
-        self._combiner: Dict[Tuple[int, int], List[Message]] = {}
-        self._combiner_bytes: Dict[Tuple[int, int], int] = {}
-        self._combiner_armed: Dict[Tuple[int, int], bool] = {}
+        # NLC: per source node, the staged flushes ``(when, dst, messages,
+        # total)`` in staging order, and the instant its pump is armed for
+        self._staged: List[List[Tuple[float, int, List[Message], int]]] = [
+            [] for _ in range(num_nodes)
+        ]
+        self._pump_at = [inf] * num_nodes
         # -- reliability layer (armed only when a FaultPlan is configured) --
         self.faults = faults
         self.on_retransmit = on_retransmit
@@ -217,15 +230,12 @@ class Network:
         shared-memory shortcut (reliable by definition — the failure model
         only injects faults on the wire); remote traffic goes through the
         NIC, with node-level combining when enabled, and through the
-        ack/retransmit layer when a fault plan is armed. Under node-level
-        weight coalescing a home node's own weight reports are the one
-        same-node exception: they wait for that node's window.
+        ack/retransmit layer when a fault plan is armed.
         """
         if not messages:
             return
         counters = self.metrics.messages
         traverser_kind = MsgKind.TRAVERSER
-        has_progress = False
         total = 0
         for msg in messages:
             total += msg.size_bytes
@@ -236,26 +246,12 @@ class Network:
                 counters[kind] += len(msg.payload)
             else:
                 counters[kind] += 1
-                if kind is MsgKind.PROGRESS:
-                    has_progress = True
         if self.trace is not None:
             self.trace.emit(MSG_SEND, -1, src_node, dst_node, len(messages),
                             total)
         if src_node == dst_node:
-            if has_progress and self._fold_weights:
-                reports: List[Message] = []
-                rest: List[Message] = []
-                for m in messages:
-                    (reports if _is_weight_report(m) else rest).append(m)
-                if reports:
-                    self._combine(src_node, dst_node, reports,
-                                  sum(m.size_bytes for m in reports), when)
-                    if not rest:
-                        return
-                    messages = rest
             self._deliver_local(messages, when)
-            return
-        if self.node_combining:
+        elif self.node_combining:
             self._combine(src_node, dst_node, messages, total, when)
         else:
             self._nic_send(src_node, dst_node, messages, total, when)
@@ -276,35 +272,53 @@ class Network:
         total: int,
         when: float,
     ) -> None:
-        """Stage messages in the per-``(src, dst)`` combiner window."""
-        key = (src, dst)
-        self._combiner.setdefault(key, []).extend(messages)
-        self._combiner_bytes[key] = self._combiner_bytes.get(key, 0) + total
-        if not self._combiner_armed.get(key):
-            self._combiner_armed[key] = True
-            fire_at = when + self.cost.nlc_window_us
-            self.clock.schedule_at(fire_at, lambda k=key: self._fire_combiner(k))
+        """Stage a flush on the ``src → dst`` stream; arm ``src``'s pump."""
+        self._staged[src].append((when, dst, messages, total))
+        self._arm_pump(src, when)
 
-    def _fire_combiner(self, key: Tuple[int, int]) -> None:
-        """Window expiry: fold weight reports, hand the pack to the NIC
-        (or, for a home node's own window, to shared memory)."""
-        messages = self._combiner.pop(key, [])
-        total = self._combiner_bytes.pop(key, 0)
-        self._combiner_armed[key] = False
-        if not messages:
-            return
-        src, dst = key
-        if self._fold_weights:
-            messages, total = self._fold_weight_reports(src, messages, total)
-        if src == dst:
-            self._deliver_local(messages, self.clock.now)
-        else:
-            self._nic_send(src, dst, messages, total, self.clock.now)
+    def _arm_pump(self, src: int, when: float) -> None:
+        """Arm ``src``'s pump for ``when`` or the instant its NIC frees,
+        whichever is later. An arm for an earlier instant supersedes a
+        later one."""
+        at = max(when, self._nic_free_at[src])
+        if at < self._pump_at[src]:
+            self._pump_at[src] = at
+            self.clock.schedule_at(at, lambda: self._pump(src, at))
+
+    def _pump(self, src: int, at: float) -> None:
+        """One NIC hand-off: if ``src``'s NIC is free, the stream whose
+        oldest staged flush is earliest (ties: staging order) sends every
+        flush it holds with ``when <= now`` as one pack, weight reports
+        folded. Later-stamped flushes of a drain still in progress wait
+        for the next pack — nothing leaves the node before it was
+        produced — and the pump re-arms while anything is staged."""
+        if at != self._pump_at[src]:
+            return  # superseded
+        self._pump_at[src] = inf
+        staged = self._staged[src]
+        now = self.clock.now
+        if self._nic_free_at[src] <= now:
+            dst = min(staged, key=_WHEN)[1]
+            messages: List[Message] = []
+            total = 0
+            rest = []
+            for entry in staged:
+                if entry[1] == dst and entry[0] <= now:
+                    messages.extend(entry[2])
+                    total += entry[3]
+                else:
+                    rest.append(entry)
+            self._staged[src] = staged = rest
+            if self._fold_weights and len(messages) > 1:
+                messages, total = self._fold_weight_reports(src, messages, total)
+            self._nic_send(src, dst, messages, total, now)
+        if staged:
+            self._arm_pump(src, min(staged, key=_WHEN)[0])
 
     def _fold_weight_reports(
         self, node: int, messages: List[Message], total: int
     ) -> Tuple[List[Message], int]:
-        """Fold the window's same-``(query, stage)`` weight reports.
+        """Fold a pack's same-``(query, stage)`` weight reports.
 
         The stage ledger is a sum in ℤ/2⁶⁴ℤ (Theorem 1), so replacing the
         reports of one key by one report carrying their sum is exact. The

@@ -105,7 +105,7 @@ KIND_FIELDS: Dict[str, Tuple[str, ...]] = {
     EXEC: ("pid", "wid", "stage", "op_idx", "n", "spawned", "w_in", "w_fin",
            "w_out", "cpu", "version_ts"),
     WEIGHT_FLUSH: ("stage", "wid", "weight", "count"),
-    # same-(query, stage) reports folded in a node's combiner window:
+    # same-(query, stage) reports folded in one of a node's tier-2 packs:
     # weight is the sum, inputs the n weights folded
     NODE_COALESCE: ("node", "stage", "n", "weight", "inputs"),
     ACCUM_RECLAIM: ("stage", "wid", "weight"),

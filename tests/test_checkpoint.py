@@ -14,7 +14,7 @@ The contract pinned here, on both kernels:
    attempt, so a second crash restores again from the same boundary.
 
 The two-stage plan's boundary for this graph/seed is crossed at
-t ~= 86.8 us and the healthy run finishes at t ~= 175 us; the crash
+t ~= 72.8 us and the healthy run finishes at t ~= 150 us; the crash
 times below are chosen against those instants.
 """
 

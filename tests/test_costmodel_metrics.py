@@ -142,3 +142,37 @@ class TestLatencyRecorder:
         values = rec.values
         values.append(2.0)
         assert len(rec) == 1
+
+
+class TestDocumentedConstants:
+    """docs/SIMULATION.md's "The constants" section is held to the cost
+    model's defaults by ``tools/check_docs_symbols.py``."""
+
+    @pytest.fixture
+    def tool(self):
+        import sys
+        from pathlib import Path
+        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+        try:
+            import check_docs_symbols
+        finally:
+            sys.path.pop(0)
+        return check_docs_symbols
+
+    def test_the_docs_match_the_code(self, tool):
+        assert tool.constants_errors() == []
+
+    def test_deleted_and_retuned_constants_are_caught(
+            self, tool, tmp_path, monkeypatch):
+        doc = tmp_path / "SIMULATION.md"
+        doc.write_text(
+            "## The constants\n"
+            "`edge_us=0.02`, `network_gbps=200`, `nlc_window_us=4`,\n"
+            "`syscall_us=3`.\n"
+            "## Sensitivity\n`bsp_barrier_us=1`\n"
+        )
+        monkeypatch.setattr(tool, "CONSTANTS_DOC", doc)
+        monkeypatch.setattr(tool, "ROOT", tmp_path)
+        errors = tool.constants_errors()
+        assert len(errors) == 2
+        assert "nlc_window_us" in errors[0] and "syscall_us=3" in errors[1]

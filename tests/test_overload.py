@@ -20,6 +20,7 @@ from repro.query.traversal import Traversal
 from repro.runtime.engine import AsyncPSTMEngine, EngineConfig
 from repro.runtime.faults import FaultPlan
 from repro.runtime.lifecycle import QueryState
+from repro.runtime.trace import CHECKPOINT
 from tests.conftest import KERNELS
 
 NODES, WPN = 4, 2  # 8 partitions: cancellation must fan out across >= 4
@@ -370,35 +371,51 @@ class TestAdmissionSlotAccounting:
         fire on the *re-parked* entry a pause creates later: the session
         is PAUSED (not QUEUED) and resumes normally.
 
-        Timeline (soak graph, one slot): a short blocker holds the slot
-        until ~50us, so the analytics query parks at t=0 and arms its
-        280us deadline; it dispatches at ~50, checkpoints its first
-        boundary at ~127, and at t=150 a higher-priority arrival preempts
-        it — it pauses at ~197 and re-enters the wait queue. The stale
-        timer fires at 280, inside the paused window, and must be a
-        no-op."""
-        config = EngineConfig(
-            max_concurrent_queries=1,
-            admission_queue_size=8,
-            admission_timeout_us=280.0,
-            checkpoint_interval_us=0.0,
-            preemption=True,
-        )
-        engine = AsyncPSTMEngine(graph, NODES, WPN, config=config)
+        Timeline (soak graph, one slot), in the run's own units: a short
+        blocker holds the slot, so the analytics query parks at t=0 and
+        arms its deadline; it dispatches when the blocker finishes and
+        checkpoints its two boundaries at b1 and b2 (read off a reference
+        run without the preemptor). A higher-priority arrival mid-way
+        between them preempts it — it pauses at b2 and re-enters the wait
+        queue for as long as the preemptor runs. The deadline is set to
+        fire half a preemptor-latency into that paused window, and must
+        be a no-op."""
         staged3 = (
             Traversal("staged3").v_param("s").khop("knows", k=2)
             .as_("a").group_count("a").out("knows")
             .as_("b").group_count("b").out("knows").count()
         ).compile(graph)
+        short = (Traversal("short").v_param("s").out("knows").count()
+                 ).compile(graph)
+
+        def start(admission_timeout_us, trace=False):
+            engine = AsyncPSTMEngine(graph, NODES, WPN, config=EngineConfig(
+                max_concurrent_queries=1,
+                admission_queue_size=8,
+                admission_timeout_us=admission_timeout_us,
+                checkpoint_interval_us=0.0,
+                preemption=True,
+                trace=trace,
+            ))
+            engine.submit(short, {"s": 7})  # blocker: analytics must park
+            return engine, engine.submit(staged3, {"s": 3}, priority=1)
+
+        ref, _ = start(None, trace=True)
+        ref.clock.run_until_idle()
+        b1, b2 = (ev.ts for ev in ref.trace.by_kind(CHECKPOINT))
         solo = AsyncPSTMEngine(graph, NODES, WPN).run(staged3, {"s": 3})
-        engine.submit(  # blocker: forces the analytics query to park
-            (Traversal("short").v_param("s").out("knows").count())
-            .compile(graph),
-            {"s": 7},
-        )
-        analytics = engine.submit(staged3, {"s": 3}, priority=1)
-        engine.submit(khop_plan(graph), {"s": 7}, priority=0, at=150.0)
+        preemptor_us = AsyncPSTMEngine(graph, NODES, WPN).run(
+            khop_plan(graph), {"s": 7}).latency_us
+
+        deadline = b2 + preemptor_us / 2
+        engine, analytics = start(deadline)
+        engine.submit(khop_plan(graph), {"s": 7}, priority=0,
+                      at=(b1 + b2) / 2)
+        at_deadline = []
+        engine.clock.schedule_at(
+            deadline, lambda: at_deadline.append(analytics.lifecycle.state))
         engine.clock.run_until_idle()
+        assert at_deadline == [QueryState.PAUSED]
         assert engine.metrics.preemptions == 1
         assert engine.metrics.resumes == 1
         assert analytics.qmetrics.pauses == 1

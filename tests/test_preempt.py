@@ -19,10 +19,10 @@ The contract pinned here, on both kernels:
    the paused query resumes through the normal slot handoff.
 
 Timeline facts for this graph/seed (see tests/test_checkpoint.py): the
-two-stage plan crosses its boundary at t ~= 86.8 us and finishes at
-t ~= 175 us; the three-stage plan crosses boundaries at t ~= 86.8 and
-t ~= 204 us and finishes at t ~= 345 us; the one-hop interactive plan
-finishes in a single stage at t ~= 56 us.
+two-stage plan crosses its boundary at t ~= 72.8 us and finishes at
+t ~= 150 us; the three-stage plan crosses boundaries at t ~= 72.8 and
+t ~= 190 us and finishes at t ~= 301 us; the one-hop interactive plan
+finishes in a single stage at t ~= 39 us.
 """
 
 import pytest
@@ -49,6 +49,7 @@ from repro.runtime.trace import (
     PREEMPT,
     RECLAIM,
     RESUME,
+    TRACKER_REPORT,
     WeightLedgerAuditor,
 )
 from tests.conftest import KERNELS
@@ -59,7 +60,7 @@ GRAPH_SEED = 7
 START = {"start": 11}
 
 #: instants relative to the plans' timelines (see module doc)
-PREEMPT_EARLY = 40.0      # two-stage: mid stage 0, before the 86.8 boundary
+PREEMPT_EARLY = 40.0      # two-stage: mid stage 0, before the 72.8 boundary
 PREEMPT_MID = 100.0       # both plans: mid stage 1
 RESUME_AT = 400.0         # well after every paused run has gone quiet
 CRASH_WHILE_PAUSING = 120.0
@@ -422,12 +423,21 @@ class TestCancelInteraction:
         open) is the ordinary cooperative cancellation — the pause never
         happens."""
         plan = two_stage_plan(pe_graph)
+        # the yield window in the run's own units: from the preempt to
+        # the instant an uninterrupted run's stage-0 ledger closes (its
+        # last stage-0 report reaches the tracker)
+        ref = make_engine(pe_graph)
+        ref.run(plan, START)
+        ledger_closes = max(ev.ts for ev in ref.trace.by_kind(TRACKER_REPORT)
+                            if ev.data["stage"] == 0)
+        assert PREEMPT_EARLY < ledger_closes
         engine = make_engine(pe_graph)
         session = engine.submit(plan, START)
         engine.clock.schedule_at(
             PREEMPT_EARLY, lambda: engine.preempt(session))
         engine.clock.schedule_at(
-            60.0, lambda: engine.cancel(session, "shed"))
+            (PREEMPT_EARLY + ledger_closes) / 2,
+            lambda: engine.cancel(session, "shed"))
         engine.clock.run_until_idle()
         with pytest.raises(QueryCancelledError):
             engine.result_of(session)

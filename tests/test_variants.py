@@ -205,23 +205,35 @@ def home_everything_on_node_0(monkeypatch):
 
 
 class TestAblationModesPinned:
-    """Two changes moved only the modes they meant to, and these digests
-    are the proof. *Node-level weight coalescing* is tier 2 of the default
-    progress and I/O modes: every other mode is an ablation bar of
-    Fig 10-12 and simulates exactly what it did at commit 57399d2 (the
-    fold's parent). *Query homing* is placement and nothing else: with
-    every query homed on node 0 — the old single coordinator — those
-    digests, and the default mode's from commit c478d19 (homing's parent),
-    reproduce bit for bit. The hashed-home pins beside them freeze what
-    the modes simulate now."""
+    """Three changes moved only the modes they meant to, and these digests
+    are the proof. Three generations of pins:
+
+    * ``io_tlc`` / ``io_sync``, homed on node 0 — taken at commit 57399d2,
+      the parent of *node-level weight coalescing* (tier 2 of the default
+      progress and I/O modes: every other mode is an ablation bar of
+      Fig 10-12), and untouched since. They never enter the tier-2
+      combiner, so they also prove the *work-conserving combiner* stayed
+      confined to the NLC path.
+    * ``io_tlc`` / ``io_sync`` with hashed homes — taken at PR 18, *query
+      homing* (placement and nothing else: homed on node 0, the old single
+      coordinator, the 57399d2 digests reproduce), and untouched since.
+    * every row that sends through tier 2 (default, ``weighted_immediate``,
+      ``naive_central``, either homing, and the one-node cluster, which
+      lost its ``(n, n)`` window) — re-taken once at PR 19, the
+      work-conserving combiner (child of 387955b): a pack leaves when the
+      NIC is free instead of after a 4 us timer, so every latency under
+      NLC moved. Before it these rows held the 57399d2 (non-default
+      modes), c478d19 (default on node 0, one node) and PR 18 (hashed)
+      digests; the NAIVE_CENTRAL in-flight fix that landed just before
+      the combiner reproduced both of its sequential pins."""
 
     @pytest.mark.parametrize("config, gap_us, tracker_msgs, digest", [
         (EngineConfig(progress_mode=ProgressMode.WEIGHTED_IMMEDIATE), 3.0,
-         14251, "1c57f29e9e20dab4"),
-        # one at a time, as at the fold's parent: concurrent naive-central
-        # queries did not all finish then (TestNaiveCentralConcurrent)
+         14251, "f20ccf319fb1ad31"),
+        # one at a time, as at 57399d2: concurrent naive-central queries
+        # did not all finish then (TestNaiveCentralConcurrent)
         (EngineConfig(progress_mode=ProgressMode.NAIVE_CENTRAL), 5000.0,
-         27047, "ca01530646552180"),
+         27042, "21a07d8950775b0d"),
         (EngineConfig(io_mode=IO_TLC), 3.0, 301, "b7f8547365a1e9ec"),
         (EngineConfig(io_mode=IO_SYNC), 3.0, 465, "ed090cac081db82f"),
     ], ids=["weighted_immediate", "naive_central", "io_tlc", "io_sync"])
@@ -237,22 +249,24 @@ class TestAblationModesPinned:
             self, monkeypatch):
         home_everything_on_node_0(monkeypatch)
         engine, got = ablation_run(EngineConfig(), 3.0)
-        assert engine.tracker.messages_processed == 273
-        assert got == "9db0d9054b16b1de"
+        assert engine.tracker.messages_processed == 277
+        assert got == "c27f703912c2b867"
         assert engine.tracker.busy_us[1] == 0.0
 
     def test_one_node_cluster_bit_identical_to_parent(self):
-        """One node, one lane, no patch: the c478d19 digest as is."""
+        """One node, one lane, no patch, no NIC: every report crosses
+        shared memory unfolded."""
         engine, got = ablation_run(EngineConfig(), 3.0, nodes=1)
-        assert engine.tracker.messages_processed == 224
-        assert got == "3718ec8f6af7afb3"
+        assert engine.metrics.packets_sent == 0
+        assert engine.tracker.messages_processed == 269
+        assert got == "f40a2c951472050d"
 
     @pytest.mark.parametrize("config, gap_us, tracker_msgs, digest", [
-        (EngineConfig(), 3.0, 288, "bdddaf226cb098b7"),
+        (EngineConfig(), 3.0, 285, "7570bb21c72807cb"),
         (EngineConfig(progress_mode=ProgressMode.WEIGHTED_IMMEDIATE), 3.0,
-         14251, "177325d1ca87eb9b"),
+         14251, "2c5a9284a6db269e"),
         (EngineConfig(progress_mode=ProgressMode.NAIVE_CENTRAL), 5000.0,
-         27047, "0118406f3d1456b4"),
+         27042, "f1170ea3c1e6c38f"),
         (EngineConfig(io_mode=IO_TLC), 3.0, 277, "d3c9436c0c07a13d"),
         (EngineConfig(io_mode=IO_SYNC), 3.0, 569, "49a1d72053f85338"),
     ], ids=["default", "weighted_immediate", "naive_central", "io_tlc",
@@ -264,17 +278,23 @@ class TestAblationModesPinned:
         assert all(engine.tracker.busy_us)  # both lanes served queries
 
     def test_default_mode_folds(self):
-        """The default mode sheds tracker messages (291 at the parent) and
-        the worker-emitted progress count keeps its meaning: every report
-        still counts at ``Network.send``; the fold shows at the tracker."""
-        engine, _digest = ablation_run(EngineConfig(), 3.0)
+        """The worker-emitted progress count keeps its meaning: every
+        report still counts at ``Network.send``; the fold shows at the
+        tracker. A fold needs NIC contention — two workers of one node
+        reporting one (query, stage) while their NIC is busy — which the
+        pins' 3 us open loop on 2 x 2 workers never has (it folds nothing)
+        and a 16-client closed loop on 2 x 4 does."""
+        graph = make_graph(11, partitions=8)
+        plan = khop3_count(graph)
+        engine = AsyncPSTMEngine(graph, 2, 4, config=EngineConfig())
+        engine.run_closed_loop(lambda i: (plan, {"s": 7 * i % 200}),
+                               clients=16, total_queries=64)
         metrics = engine.metrics
         folded = metrics.progress_reports_coalesced
         assert folded > 0
         assert engine.tracker.messages_processed == (
             metrics.progress_messages
             + metrics.message_count(MsgKind.PARTIAL) - folded)
-        assert engine.tracker.messages_processed < 291
 
 
 class TestNaiveCentralConcurrent:

@@ -26,6 +26,11 @@ docs/OBSERVABILITY.md (one row per kind, its ``fields`` column listing the
 payload names in order) must equal ``repro.runtime.trace.KIND_FIELDS``,
 the table the recorder stores rows by.
 
+So are the calibration constants: every backticked ``name=value`` in
+docs/SIMULATION.md's "The constants" section must name a field of
+``CostModel`` or ``HardwareProfile`` whose default equals the value, so a
+deleted or re-tuned constant fails here instead of reading fine.
+
 Stdlib only (like ``tools/check_layering.py``). Exit 0 = no stale refs.
 """
 
@@ -119,10 +124,50 @@ def taxonomy_errors() -> list:
     ]
 
 
+CONSTANTS_DOC = ROOT / "docs" / "SIMULATION.md"
+CONSTANTS_HEADING = "## The constants"
+#: `name=value` — a documented default
+TICKED_DEFAULT = re.compile(r"`(\w+)=([^`\s]+)`")
+
+
+def constants_errors() -> list:
+    """Documented ``name=value`` defaults that ``CostModel`` /
+    ``HardwareProfile`` do not declare with that value."""
+    import dataclasses
+
+    sys.path.insert(0, str(SRC))
+    from repro.runtime.costmodel import CostModel, HardwareProfile
+
+    where = CONSTANTS_DOC.relative_to(ROOT)
+    text = CONSTANTS_DOC.read_text()
+    if CONSTANTS_HEADING not in text:
+        return [f"{where}: no `{CONSTANTS_HEADING}` section"]
+    section = text.split(CONSTANTS_HEADING, 1)[1].split("\n## ", 1)[0]
+    defaults = {
+        f.name: f.default
+        for cls in (HardwareProfile, CostModel)
+        for f in dataclasses.fields(cls)
+    }
+    errors = []
+    for name, value in TICKED_DEFAULT.findall(section):
+        if name not in defaults:
+            errors.append(f"{where}: `{name}={value}` — neither CostModel "
+                          f"nor HardwareProfile has a field {name!r}")
+            continue
+        try:
+            same = float(value) == defaults[name]
+        except (TypeError, ValueError):
+            same = value == str(defaults[name])
+        if not same:
+            errors.append(f"{where}: `{name}={value}` — the default in "
+                          f"code is {defaults[name]!r}")
+    return errors
+
+
 def main() -> int:
     files = [ROOT / "README.md"] + sorted((ROOT / "docs").glob("*.md"))
     index = class_files()
-    errors = taxonomy_errors()
+    errors = taxonomy_errors() + constants_errors()
     checked = 0
     for path in files:
         for lineno, line in enumerate(path.read_text().splitlines(), 1):
@@ -153,7 +198,8 @@ def main() -> int:
         print(f"\n{len(errors)} stale reference(s)")
         return 1
     print(f"docs symbols OK: {checked} class-member references across "
-          f"{len(files)} files; trace taxonomy matches KIND_FIELDS")
+          f"{len(files)} files; trace taxonomy matches KIND_FIELDS; "
+          f"documented constants match the cost model")
     return 0
 
 
