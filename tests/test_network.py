@@ -50,11 +50,9 @@ def watch_packs(net):
 
     def nic_send(src, dst, messages, total, when):
         start = max(when, net._nic_free_at[src])
-        still = [row[2] for row in net._staged[src]]
-        left = [w for w, ms in staged[src]
-                if not any(ms is held for held in still)]
-        staged[src] = [(w, ms) for w, ms in staged[src]
-                       if any(ms is held for held in still)]
+        held = {id(row[2]) for row in net._staged[src]}  # not in this pack
+        left = [w for w, ms in staged[src] if id(ms) not in held]
+        staged[src] = [(w, ms) for w, ms in staged[src] if id(ms) in held]
         packs.append((start, src, dst, left))
         early.extend((w, start) for w in left if w > start)
         real_nic_send(src, dst, messages, total, when)

@@ -82,7 +82,7 @@ def clean_stage(qid=0, stage=0):
 
 def coalesced_stage(qid=0, stage=0):
     """clean_stage under weight coalescing: each half is flushed by its
-    worker, the node window folds the two reports, the tracker hears one."""
+    worker, the node's pack folds the two reports, the tracker hears one."""
     half = 0x1234
     rest = (ROOT_WEIGHT - half) % M
     trace = [ev(RUN_CONFIG, -1, mode=ProgressMode.WEIGHTED_COALESCED.value)]

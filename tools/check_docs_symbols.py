@@ -91,6 +91,14 @@ def split_ref(ref: str):
     return None  # fully lowercase: instance shorthand, out of scope
 
 
+def doc_section(path: Path, heading: str):
+    """The text under a ``## `` heading up to the next one, or None."""
+    text = path.read_text()
+    if heading not in text:
+        return None
+    return text.split(heading, 1)[1].split("\n## ", 1)[0]
+
+
 TAXONOMY_DOC = ROOT / "docs" / "OBSERVABILITY.md"
 TAXONOMY_HEADING = "## Event taxonomy"
 
@@ -105,10 +113,9 @@ def taxonomy_errors() -> list:
     from repro.runtime.trace import KIND_FIELDS
 
     where = TAXONOMY_DOC.relative_to(ROOT)
-    text = TAXONOMY_DOC.read_text()
-    if TAXONOMY_HEADING not in text:
+    section = doc_section(TAXONOMY_DOC, TAXONOMY_HEADING)
+    if section is None:
         return [f"{where}: no `{TAXONOMY_HEADING}` section"]
-    section = text.split(TAXONOMY_HEADING, 1)[1].split("\n## ", 1)[0]
     documented = {}
     for line in section.splitlines():
         cells = [c.strip() for c in re.split(r"(?<!\\)\|", line)]
@@ -139,10 +146,9 @@ def constants_errors() -> list:
     from repro.runtime.costmodel import CostModel, HardwareProfile
 
     where = CONSTANTS_DOC.relative_to(ROOT)
-    text = CONSTANTS_DOC.read_text()
-    if CONSTANTS_HEADING not in text:
+    section = doc_section(CONSTANTS_DOC, CONSTANTS_HEADING)
+    if section is None:
         return [f"{where}: no `{CONSTANTS_HEADING}` section"]
-    section = text.split(CONSTANTS_HEADING, 1)[1].split("\n## ", 1)[0]
     defaults = {
         f.name: f.default
         for cls in (HardwareProfile, CostModel)
