@@ -31,6 +31,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.core.progress import ProgressMode
+from repro.core.subquery import gather_partials
 from repro.core.traverser import Traverser
 from repro.core.weight import GROUP_MODULUS
 from repro.errors import ExecutionError
@@ -250,32 +251,86 @@ class DeliveryPlane:
             else:
                 engine.progress.report_delta(query_id, stage, value)
         elif msg.kind is MsgKind.PARTIAL:
-            _tag, query_id, stage, partial = msg.payload
+            _tag, query_id, stage, partial, expected = msg.payload
             session = engine.sessions.get(query_id)
             if session is None or session.cursor.current != stage:
                 return
             session.partials.append(partial)
-            if len(session.partials) >= session.expected_partials:
-                done_at = engine.tracker.charge(
-                    query_id,
-                    engine.clock.now,
-                    engine.cost.combine_partial_us * len(session.partials),
-                )
-                # Stamp the deferred combine with the attempt id: a crash
-                # restore in the charge window rekeys the *same* session
-                # object (fresh query_id, partials reset), so the
-                # sessions-identity guard inside _complete_stage alone
-                # would let this stale event combine empty partials and
-                # retire the restored attempt.
-                engine.clock.schedule_at(
-                    done_at,
-                    lambda s=session, st=stage, a=query_id: (
-                        engine._complete_stage(s, st)
-                        if s.query_id == a else None
-                    ),
-                )
+            if len(session.partials) >= expected:
+                self._combine(session, stage, engine.cost.combine_partial_us)
         else:  # pragma: no cover
             raise ExecutionError(f"unexpected tracker message kind {msg.kind}")
+
+    # -- stage close (Fig 6) --------------------------------------------------
+
+    def stage_terminated(self, query_id: int, stage: int) -> None:
+        """Weight ledger hit 1: bring the barrier's partials to the
+        coordinator and combine them."""
+        engine = self.engine
+        cancelling = self.cancelling.get(query_id)
+        if cancelling is not None:
+            # A cancelled stage's ledger closed: all outstanding weight was
+            # executed or reclaimed, so nothing of the query remains queued,
+            # buffered, or in flight — finish the teardown.
+            engine._finalize_cancel(cancelling, stage)
+            return
+        session = engine.sessions.get(query_id)
+        if session is None or session.cursor.current != stage:
+            return
+        if self.track_inflight and not self.query_quiescent(query_id, stage):
+            # Transient zero crossing: traversers are still in transit.
+            # Their own reports will re-trigger the zero check later.
+            return
+        session.partials = []
+        gathered = gather_partials(
+            session.plan, stage, query_id,
+            [runtime.memo_store for runtime in engine.runtimes],
+        )
+        if not gathered:
+            engine._complete_stage(session, stage)
+            return
+        home = engine.home_node(query_id)
+        now = engine.clock.now
+        for partial in gathered:
+            engine.network.send(
+                engine.node_of(partial.pid),
+                home,
+                [
+                    Message(
+                        MsgKind.PARTIAL,
+                        TRACKER_DST,
+                        ("partial", query_id, stage, partial, len(gathered)),
+                        partial.size_bytes,
+                        query_id,
+                    )
+                ],
+                now,
+            )
+
+    def _combine(
+        self, session: "QuerySession", stage: int, per_partial_us: float
+    ) -> None:
+        """Every partial of a closed stage is at the coordinator: occupy
+        the home lane for the combine and schedule the stage's completion.
+
+        The event is stamped with the attempt id: a crash restore in the
+        charge window rekeys the *same* session object (fresh query_id,
+        partials reset), so the sessions-identity guard inside
+        ``_complete_stage`` alone would let this stale event combine empty
+        partials and retire the restored attempt.
+        """
+        engine = self.engine
+        attempt = session.query_id
+        done_at = engine.tracker.charge(
+            attempt, engine.clock.now, per_partial_us * len(session.partials)
+        )
+        engine.clock.schedule_at(
+            done_at,
+            lambda: (
+                engine._complete_stage(session, stage)
+                if session.query_id == attempt else None
+            ),
+        )
 
     # -- weight reclamation & purge (docs/OVERLOAD.md) -----------------------
 

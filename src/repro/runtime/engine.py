@@ -36,7 +36,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.core.machine import resolve_partition
 from repro.core.memo import MemoStore
 from repro.core.progress import ProgressMode, ProgressTracker
-from repro.core.subquery import GatheredPartial
 from repro.core.traverser import Traverser
 from repro.errors import (
     AdmissionTimeoutError,
@@ -72,7 +71,7 @@ from repro.runtime.lifecycle import (
     stage0_seeds,
 )
 from repro.runtime.metrics import LatencyRecorder, MsgKind, RunMetrics
-from repro.runtime.network import TRACKER_DST, Message, Network
+from repro.runtime.network import Message, Network
 from repro.runtime.checkpoint import CheckpointPlane
 from repro.runtime.overload import MEMO_CHECK_INTERVAL, AdmissionController
 from repro.runtime.preempt import (cancel_paused, pause_at_boundary,
@@ -201,7 +200,9 @@ class AsyncPSTMEngine:
         self.txnplane: Optional[TxnPlane] = (
             TxnPlane(self) if config.transactions else None
         )
-        self.progress = ProgressTracker(config.progress_mode, self._stage_terminated)
+        self.progress = ProgressTracker(
+            config.progress_mode, self.delivery.stage_terminated
+        )
         self.sessions: Dict[int, QuerySession] = {}
         self.completed: Dict[int, QuerySession] = {}
         self._next_query_id = 0
@@ -648,58 +649,6 @@ class AsyncPSTMEngine:
             )
 
     # -- stage lifecycle ------------------------------------------------------------------
-
-    def _stage_terminated(self, query_id: int, stage: int) -> None:
-        """Weight ledger hit 1: gather the barrier's partials (Fig 6)."""
-        cancelling = self.delivery.cancelling.get(query_id)
-        if cancelling is not None:
-            # A cancelled stage's ledger closed: all outstanding weight was
-            # executed or reclaimed, so nothing of the query remains queued,
-            # buffered, or in flight — finish the teardown.
-            self._finalize_cancel(cancelling, stage)
-            return
-        session = self.sessions.get(query_id)
-        if session is None or session.cursor.current != stage:
-            return
-        if (
-            self.config.progress_mode is ProgressMode.NAIVE_CENTRAL
-            and not self.delivery.query_quiescent(query_id, stage)
-        ):
-            # Transient zero crossing: traversers are still in transit.
-            # Their own reports will re-trigger the zero check later.
-            return
-        barrier = session.cursor.barrier()
-        now = self.clock.now
-        home = self.home_node(query_id)
-        expected = 0
-        for pid, runtime in enumerate(self.runtimes):
-            memo = runtime.memo_store.peek(query_id)
-            if memo is None:
-                continue
-            value = barrier.partial(memo)
-            if value is None:
-                continue
-            expected += 1
-            size = barrier.estimated_partial_size(value)
-            self.network.send(
-                self.node_of(pid),
-                home,
-                [
-                    Message(
-                        MsgKind.PARTIAL,
-                        TRACKER_DST,
-                        ("partial", query_id, stage,
-                         GatheredPartial(pid, value, size)),
-                        size,
-                        query_id,
-                    )
-                ],
-                now,
-            )
-        session.expected_partials = expected
-        session.partials = []
-        if expected == 0:
-            self._complete_stage(session, stage)
 
     def _complete_stage(self, session: QuerySession, stage: int) -> None:
         if self.sessions.get(session.query_id) is not session:

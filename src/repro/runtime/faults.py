@@ -408,7 +408,6 @@ class RecoveryManager:
         session.rng = random.Random((engine.seed << 20) ^ new_query_id)
         session._contexts = [None] * engine.num_partitions
         session.partials = []
-        session.expected_partials = 0
         engine.sessions[new_query_id] = session
         engine.progress.open_stage(new_query_id, 0)
         if engine.trace is not None:
@@ -483,7 +482,6 @@ class RecoveryManager:
         session.rng = rng
         session._contexts = [None] * engine.num_partitions
         session.partials = []
-        session.expected_partials = 0
         engine.sessions[new_query_id] = session
         engine.checkpoints.rekey(old_query_id, new_query_id)
         for pid, runtime in enumerate(engine.runtimes):

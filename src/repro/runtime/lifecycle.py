@@ -63,7 +63,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.machine import PSTMMachine
 from repro.core.steps import FixedVertexSource, StepContext
-from repro.core.subquery import GatheredPartial, StageCursor
+from repro.core.subquery import GatheredPartial, StageCursor, gather_partials
 from repro.core.traverser import Traverser, make_root
 from repro.core.weight import ROOT_WEIGHT, split_weight
 from repro.errors import ExecutionError, LifecycleError
@@ -316,7 +316,6 @@ class QuerySession:
         self.cursor = StageCursor(plan, query_id)
         self.qmetrics = QueryMetrics(query_id, plan.name, submitted_at_us=0.0)
         self._contexts: List[Optional[StepContext]] = [None] * engine.num_partitions
-        self.expected_partials = 0
         self.partials: List[GatheredPartial] = []
         #: the one source of truth for this query's outcome
         self.lifecycle = QueryLifecycle(
@@ -461,19 +460,10 @@ def salvage_partial(engine: "AsyncPSTMEngine", session: QuerySession) -> None:
     torn down, modelling its latency is pointless) and finalized into
     rows flagged ``partial``. Degraded-mode answer, exact subset.
     """
-    query_id = session.query_id
-    barrier = session.cursor.barrier()
-    gathered: List[GatheredPartial] = []
-    for pid, runtime in enumerate(engine.runtimes):
-        memo = runtime.memo_store.peek(query_id)
-        if memo is None:
-            continue
-        value = barrier.partial(memo)
-        if value is None:
-            continue
-        gathered.append(
-            GatheredPartial(pid, value, barrier.estimated_partial_size(value))
-        )
+    gathered = gather_partials(
+        session.plan, session.cursor.current, session.query_id,
+        [runtime.memo_store for runtime in engine.runtimes],
+    )
     session.cursor.complete_stage(gathered, session.rng)
     if session.cursor.finished:
         session._salvaged = True

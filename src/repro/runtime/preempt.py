@@ -231,7 +231,6 @@ def resume_session(engine: "AsyncPSTMEngine", session: "QuerySession") -> None:
     session.rng = rng
     session._contexts = [None] * engine.num_partitions
     session.partials = []
-    session.expected_partials = 0
     engine.sessions[new_query_id] = session
     engine.checkpoints.rekey(old_query_id, new_query_id)
     for pid, runtime in enumerate(engine.runtimes):
