@@ -435,10 +435,22 @@ class DeliveryPlane:
         for worker in engine.workers:
             _w, n = worker.reclaim_query(query_id)
             self.reclaim(query_id, -1, 0, n, report=False, session=session)
-        self.inflight.pop(query_id, None)
-        engine.progress.close_query(query_id)
+        self.retire_attempt(query_id)
         if engine.trace is not None:
             engine.trace.emit(QUERY_CLOSE, query_id, "teardown")
+
+    def retire_attempt(self, query_id: int) -> None:
+        """Forget an attempt id: its in-flight count, ledgers, session entry
+        and home, and the reports workers still buffer for it — nobody is
+        left to read those, and once the home is gone they could only be
+        addressed by the hash (``engine.home_node``)."""
+        engine = self.engine
+        self.inflight.pop(query_id, None)
+        engine.progress.close_query(query_id)
+        engine.sessions.pop(query_id, None)
+        engine._homes.pop(query_id, None)
+        for worker in engine.workers:
+            worker.drop_reports(query_id)
 
 
 class TrackerActor:

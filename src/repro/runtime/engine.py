@@ -205,6 +205,9 @@ class AsyncPSTMEngine:
         )
         self.sessions: Dict[int, QuerySession] = {}
         self.completed: Dict[int, QuerySession] = {}
+        #: attempt id -> home node, decided from the attempt's first seeds
+        #: (:meth:`_route_seeds`) and dropped with the attempt
+        self._homes: Dict[int, int] = {}
         self._next_query_id = 0
         # -- overload protection (all None/False for default configs, so the
         # -- hot paths see one falsy check and stay bit-identical) ----------
@@ -239,8 +242,28 @@ class AsyncPSTMEngine:
     def home_node(self, query_id: int) -> int:
         """The node coordinating a query attempt: its reports and partials
         go there, its seeds and CANCEL/PREEMPT fan out from there, and its
-        coordinator work occupies that node's tracker lane."""
-        return placement.home_node(query_id, self.nodes)
+        coordinator work occupies that node's tracker lane. An id with no
+        recorded home (not started yet, or retired: a stale retransmit)
+        resolves to the hash."""
+        home = self._homes.get(query_id)
+        return placement.home_node(query_id, self.nodes) if home is None else home
+
+    def _route_seeds(self, session: QuerySession, seeds: List[Traverser]
+                      ) -> Dict[int, List[Traverser]]:
+        """Group an attempt's seeds by partition and, the first time, home
+        it: on the node its seeds start on when that is one node (work
+        goes where the traversal starts), else on the hash of its id."""
+        by_pid: Dict[int, List[Traverser]] = {}
+        for trav in seeds:
+            pid = self.resolve_target(trav, session.machine.route(trav))
+            by_pid.setdefault(pid, []).append(trav)
+        if session.query_id not in self._homes:
+            nodes = {self.node_of(pid) for pid in by_pid}
+            self._homes[session.query_id] = (
+                nodes.pop() if len(nodes) == 1
+                else placement.home_node(session.query_id, self.nodes)
+            )
+        return by_pid
 
     def resolve_target(self, trav: Traverser, routed: Optional[int]) -> int:
         """The partition a traverser should execute on."""
@@ -582,6 +605,9 @@ class AsyncPSTMEngine:
         session.lifecycle.to(QueryState.RUNNING)
         now = self.clock.now
         session.qmetrics.submitted_at_us = now
+        seeds = self._stage0_seeds(session)
+        # the snapshot pin and the instantiation charge read the home
+        self._route_seeds(session, seeds)
         if self.txnplane is not None and session.snapshot_ts is None:
             # Pin once: a recovery retry re-enters RUNNING but keeps the
             # original version cut, so its rows replay bit-identically.
@@ -606,7 +632,6 @@ class AsyncPSTMEngine:
         self.progress.open_stage(session.query_id, 0)
         if self.trace is not None:
             self.trace.emit(STAGE_OPEN, session.query_id, 0)
-        seeds = self._stage0_seeds(session)
         if ready_at > now:
             self.clock.schedule_at(
                 ready_at, lambda: self._dispatch_seeds(session, seeds, self.clock.now)
@@ -632,11 +657,8 @@ class AsyncPSTMEngine:
                 session.query_id, seeds[0].stage, len(seeds)
             )
         delivery = self.delivery
+        by_pid = self._route_seeds(session, seeds)
         home = self.home_node(session.query_id)
-        by_pid: Dict[int, List[Traverser]] = {}
-        for trav in seeds:
-            pid = self.resolve_target(trav, session.machine.route(trav))
-            by_pid.setdefault(pid, []).append(trav)
         for pid, travs in by_pid.items():
             size = sum(t.estimated_size_bytes() for t in travs)
             if delivery.track_inflight:
@@ -696,9 +718,7 @@ class AsyncPSTMEngine:
             runtime.drop_query(session.query_id)
         for worker in self.workers:
             worker.drop_query(session.query_id)
-        self.delivery.inflight.pop(session.query_id, None)
-        self.progress.close_query(session.query_id)
-        self.sessions.pop(session.query_id, None)
+        self.delivery.retire_attempt(session.query_id)
         self._retire(session)
 
     # -- convenience runners ------------------------------------------------------------------

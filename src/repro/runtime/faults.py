@@ -392,9 +392,7 @@ class RecoveryManager:
             # purge_partition (not raw purge_query): inboxed traversers of
             # the abandoned attempt hold sender credits that must flow back.
             engine.delivery.purge_partition(runtime, old_query_id)
-        engine.delivery.inflight.pop(old_query_id, None)
-        engine.progress.close_query(old_query_id)
-        engine.sessions.pop(old_query_id, None)
+        engine.delivery.retire_attempt(old_query_id)
         if session.qmetrics.retries >= engine.config.retry_budget:
             session.lifecycle.to(QueryState.FAILED, REASON_RETRY_BUDGET)
             engine._retire(session)
@@ -455,10 +453,8 @@ class RecoveryManager:
         for worker in engine.workers:
             w, n = worker.reclaim_query(old_query_id)
             delivery.reclaim(old_query_id, stage, w, n, session=session)
-        delivery.inflight.pop(old_query_id, None)
-        engine.progress.close_query(old_query_id)
+        delivery.retire_attempt(old_query_id)
         delivery.fenced.discard(old_query_id)
-        engine.sessions.pop(old_query_id, None)
         if session.qmetrics.retries >= engine.config.retry_budget:
             engine.checkpoints.drop(old_query_id)
             session.lifecycle.to(QueryState.FAILED, REASON_RETRY_BUDGET)

@@ -161,10 +161,8 @@ def pause_at_boundary(
     for worker in engine.workers:
         w, n = worker.reclaim_query(query_id)
         delivery.reclaim(query_id, stage, w, n, session=session)
-    delivery.inflight.pop(query_id, None)
-    engine.progress.close_query(query_id)
+    delivery.retire_attempt(query_id)
     delivery.fenced.discard(query_id)
-    engine.sessions.pop(query_id, None)
     session.lifecycle.to(QueryState.PAUSED, "preempt")
     session.paused_at_us = engine.clock.now
     session.qmetrics.pauses += 1

@@ -6,12 +6,16 @@ Pinned here:
 1. **endpoint consistency** — every tracker-bound message is sent to its
    query's home node and every SEED / CANCEL / PREEMPT fan-out leaves from
    it, in every progress mode, on both kernels, through cancellation,
-   preemption and crash + checkpoint restore (a fresh attempt id is a
-   fresh home);
-2. **no aliasing** — a periodic stream whose every ``nodes``-th query is
+   preemption and crash + checkpoint restore (a fresh attempt id is homed
+   afresh, from the seeds it starts with);
+2. **the home rule** — an attempt whose seeds start on one node is homed
+   there; broadcast sources, sources on two nodes and restored
+   multi-partition frontiers take the hash of the attempt id; the table
+   holds live attempts only;
+3. **no aliasing** — a periodic stream whose every ``nodes``-th query is
    the heavy one still loads the lanes evenly (``query_id % nodes`` would
    pin every heavy query to one lane);
-3. **lane accounting** — ``busy_us`` counts everything a lane serves:
+4. **lane accounting** — ``busy_us`` counts everything a lane serves:
    reports, partial combines and dataflow-instantiation charges.
 
 The "placement and nothing else" digests live beside the ablation pins in
@@ -23,6 +27,7 @@ from collections import Counter
 import pytest
 
 from repro.core.progress import ProgressMode
+from repro.graph import placement
 from repro.query.traversal import Traversal
 from repro.runtime.engine import AsyncPSTMEngine, EngineConfig
 from repro.runtime.faults import FaultPlan, WorkerFault
@@ -32,6 +37,11 @@ from tests.conftest import KERNELS, make_graph
 
 NODES, WPN = 4, 2
 N_QUERIES = 6
+#: a cancel this long after submission finds stage 0's ledger still open
+#: (its last report lands 37-95 us after submission in either weighted mode)
+CANCEL_AFTER_US = 30.0
+#: after every stage-0 boundary, while stage 1 still runs
+CRASH_AT_US = 230.0
 
 
 @pytest.fixture(scope="module")
@@ -90,9 +100,8 @@ class TestEndpointConsistency:
         if scenario in ("preempt", "crash"):
             cfg["checkpoint_interval_us"] = 0.0
         if scenario == "crash":
-            # after every stage-0 boundary, while stage 1 still runs
             cfg["fault_plan"] = FaultPlan(worker_faults=(
-                WorkerFault(wid=1, at_us=230.0, down_us=30.0),
+                WorkerFault(wid=1, at_us=CRASH_AT_US, down_us=30.0),
             ))
         engine = AsyncPSTMEngine(
             graph, NODES, WPN, config=EngineConfig(**cfg), seed=3
@@ -107,7 +116,7 @@ class TestEndpointConsistency:
         clock = engine.clock
         if scenario == "cancel":
             for i in (0, 2, 5):
-                clock.schedule_at(gap * i + 50.0,
+                clock.schedule_at(gap * i + CANCEL_AFTER_US,
                                   lambda s=sessions[i]: engine.cancel(s))
         elif scenario == "preempt":
             for i in (1, 3):
@@ -136,6 +145,119 @@ class TestEndpointConsistency:
             respliced = [s.query_id for s, q in zip(sessions, first_ids)
                          if s.query_id != q]
             assert respliced and min(respliced) >= N_QUERIES
+
+
+def record_homes(engine):
+    """Shim ``_dispatch_seeds``; returns the list it fills with one
+    ``(attempt id, home node, nodes its seeds resolve to)`` per stage
+    dispatch."""
+    homes = []
+    real = engine._dispatch_seeds
+
+    def dispatch(session, seeds, now):
+        real(session, seeds, now)
+        nodes = {engine.node_of(engine.resolve_target(
+            t, session.machine.route(t))) for t in seeds}
+        homes.append((session.query_id, engine.home_node(session.query_id),
+                      nodes))
+
+    engine._dispatch_seeds = dispatch
+    return homes
+
+
+class TestStartVertexHoming:
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("mode", ProgressMode, ids=lambda m: m.value)
+    def test_single_source_plan_homes_on_its_start_vertex_node(
+            self, graph, mode, kernel):
+        engine = AsyncPSTMEngine(
+            graph, NODES, WPN,
+            config=EngineConfig(progress_mode=mode, kernel=kernel), seed=3,
+        )
+        seen = check_endpoints(engine)
+        plan = two_stage_plan(graph)
+        starts = [7 * i for i in range(N_QUERIES)]
+        sessions = [engine.submit(plan, {"s": s}) for s in starts]
+        want = [engine.node_of(graph.partition_of(s)) for s in starts]
+        assert len(set(want)) > 1
+        # decided at dispatch, before anything ran — and kept for stage 1,
+        # whose reseeded frontier spans every node
+        assert [engine.home_node(s.query_id) for s in sessions] == want
+        engine.clock.run_until_idle()
+        assert all(s.qmetrics.done for s in sessions)
+        assert seen[MsgKind.SEED] and seen[MsgKind.PROGRESS]
+        idle = set(range(NODES)) - set(want)
+        assert all(engine.tracker.busy_us[n] == 0.0 for n in idle)
+        assert engine._homes == {}
+
+    def test_broadcast_and_two_node_sources_keep_the_hashed_home(self, graph):
+        engine = AsyncPSTMEngine(graph, NODES, WPN, seed=3)
+        homes = record_homes(engine)
+        scan = Traversal("scan").scan("v").out("e").count().compile(graph)
+        left = Traversal("l").v_param("a").out("e").as_("x")
+        right = Traversal("r").v_param("b").in_("e").as_("y")
+        join = Traversal.join("j", left, "x", right, "y").count().compile(graph)
+        node_of = lambda v: engine.node_of(graph.partition_of(v))
+        a = 0
+        far = next(v for v in range(1, 200) if node_of(v) != node_of(a))
+        near = next(v for v in range(1, 200) if node_of(v) == node_of(a))
+        for _ in range(3):
+            engine.submit(scan, {})
+            engine.submit(join, {"a": a, "b": far})
+        together = engine.submit(join, {"a": a, "b": near})
+        engine.clock.run_until_idle()
+        for qid, home, nodes in homes:
+            if qid == together.query_id:
+                assert nodes == {node_of(a)} and home == node_of(a)
+            else:
+                assert len(nodes) > 1
+                assert home == placement.home_node(qid, NODES)
+
+    def test_force_retry_lands_on_the_same_node(self, graph):
+        """No checkpoint plane: a crash force-retries from stage 0 under a
+        fresh id, whose seeds are the same start vertex."""
+        engine = AsyncPSTMEngine(graph, NODES, WPN, config=EngineConfig(
+            fault_plan=FaultPlan(worker_faults=(
+                WorkerFault(wid=1, at_us=20.0, down_us=30.0),)),
+        ), seed=3)
+        homes = record_homes(engine)
+        plan = two_stage_plan(graph)
+        for i in range(N_QUERIES):
+            engine.submit(plan, {"s": 7 * i})
+        engine.clock.run_until_idle()
+        assert engine.metrics.query_retries > 0
+        assert engine.metrics.checkpoint_restores == 0
+        stage0 = [(q, home, nodes) for q, home, nodes in homes
+                  if len(nodes) == 1]
+        # every first attempt and every retry starts on its start vertex
+        assert len(stage0) == N_QUERIES + engine.metrics.query_retries
+        assert all(nodes == {home} for _q, home, nodes in stage0)
+        assert engine._homes == {}
+
+    def test_restored_multi_partition_frontier_takes_the_hash(self, graph):
+        engine = AsyncPSTMEngine(graph, NODES, WPN, config=EngineConfig(
+            checkpoint_interval_us=0.0,
+            fault_plan=FaultPlan(worker_faults=(
+                WorkerFault(wid=1, at_us=CRASH_AT_US, down_us=30.0),)),
+        ), seed=3)
+        homes = record_homes(engine)
+        plan = two_stage_plan(graph)
+        sessions = [engine.submit(plan, {"s": 7 * i}, at=10.0 * i)
+                    for i in range(N_QUERIES)]
+        engine.clock.run_until_idle()
+        assert all(s.qmetrics.done for s in sessions)
+        assert engine.metrics.checkpoint_restores > 0
+        restored = [(q, h, n) for q, h, n in homes if q >= N_QUERIES]
+        assert restored
+        for qid, home, nodes in restored:
+            assert len(nodes) > 1
+            assert home == placement.home_node(qid, NODES)
+        assert engine._homes == {}
+
+    def test_unknown_attempt_resolves_to_the_hash(self, graph):
+        engine = AsyncPSTMEngine(graph, NODES, WPN)
+        assert [engine.home_node(q) for q in range(50)] == [
+            placement.home_node(q, NODES) for q in range(50)]
 
 
 class TestNoAliasing:

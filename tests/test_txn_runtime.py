@@ -315,9 +315,10 @@ class TestSnapshotMonotonicity:
     def test_pin_reads_its_home_nodes_cache(self):
         """Nodes hear of a commit at different times (the broadcast is
         staggered here, one node every 40 us): a query's pin is what its
-        *home* node has heard of by admission — stale against the manager,
-        never ahead of that cache — and its rows are the solo rows at
-        that cut."""
+        *home* node — the node its start vertex lives on, recorded by the
+        engine before the pin reads it — has heard of by admission: stale
+        against the manager, never ahead of that cache — and its rows are
+        the solo rows at that cut."""
         graph = chain_graph()
         engine = AsyncPSTMEngine(
             graph, NODES, WPN,
@@ -335,36 +336,40 @@ class TestSnapshotMonotonicity:
                                   lambda n=node: arrive([n], lct))
 
         txm.broadcast_lct = staggered
+        node_of = lambda v: engine.node_of(graph.partition_of(v))
+        # one start vertex per node: the probes' homes cover the cluster
+        starts = [next(v for v in range(24) if node_of(v) == n)
+                  for n in range(NODES)]
         for j in range(4):
             def add(m, j=j):
                 txn = m.begin()
-                m.add_edge(txn, 0, 2 + j, "knows", 9000 + j)
+                for start in starts:
+                    m.add_edge(txn, start, 12 + j, "knows", 9000 + j)
                 m.commit(txn)
             plane.schedule_update(100.0 + j * 50.0, add)
         plan = probe_plan(graph)
-        sessions = []
-        heard = {}  # query id -> (home's cache, node 0's, the manager's LCT)
+        probes = []  # (session, start, home's cache, node 0's, manager's LCT)
 
-        def probe():
-            session = engine.submit(plan, {"s": 0})
+        def probe(start):
+            session = engine.submit(plan, {"s": start})
             home = engine.home_node(session.query_id)
-            heard[session.query_id] = (
-                txm.cached_lct(home), txm.cached_lct(0), txm.lct)
-            sessions.append(session)
+            assert home == node_of(start)
+            probes.append((session, start, txm.cached_lct(home),
+                           txm.cached_lct(0), txm.lct))
 
         for k in range(12):
-            clock.schedule_at(110.0 + k * 25.0, probe)
+            clock.schedule_at(110.0 + k * 25.0,
+                              lambda s=starts[k % NODES]: probe(s))
         clock.run_until_idle()
 
-        assert len({engine.home_node(q) for q in heard}) == NODES
-        for s in sessions:
-            cached, _at_node_0, lct = heard[s.query_id]
-            assert s.snapshot_ts == cached <= lct
-            solo = LocalExecutor(plane.snapshot_graph(s.snapshot_ts))
-            assert sorted(s.results) == sorted(solo.run(plan, {"s": 0}))
+        for session, start, cached, _at_node_0, lct in probes:
+            assert session.snapshot_ts == cached <= lct
+            solo = LocalExecutor(plane.snapshot_graph(session.snapshot_ts))
+            assert (sorted(session.results)
+                    == sorted(solo.run(plan, {"s": start})))
         # the lag was observable, and so was whose cache a pin read
-        assert any(cached < lct for cached, _, lct in heard.values())
-        assert any(cached != at_0 for cached, at_0, _ in heard.values())
+        assert any(cached < lct for _s, _v, cached, _0, lct in probes)
+        assert any(cached != at_0 for _s, _v, cached, at_0, _l in probes)
 
     def test_final_probe_sees_every_commit(self):
         """After the last broadcast lands, a fresh pin covers all commits."""

@@ -205,27 +205,28 @@ def home_everything_on_node_0(monkeypatch):
 
 
 class TestAblationModesPinned:
-    """Three changes moved only the modes they meant to, and these digests
-    are the proof. Three generations of pins:
+    """Each change moved only the modes it meant to, and these digests are
+    the proof. The rows homed on node 0 patch ``home_node`` itself, so no
+    home rule reaches them; the ``test_hashed_homes_pinned`` rows run the
+    engine's own rule. Generations of pins:
 
     * ``io_tlc`` / ``io_sync``, homed on node 0 — taken at commit 57399d2,
       the parent of *node-level weight coalescing* (tier 2 of the default
       progress and I/O modes: every other mode is an ablation bar of
-      Fig 10-12), and untouched since. They never enter the tier-2
-      combiner, so they also prove the *work-conserving combiner* stayed
-      confined to the NLC path.
-    * ``io_tlc`` / ``io_sync`` with hashed homes — taken at PR 18, *query
-      homing* (placement and nothing else: homed on node 0, the old single
-      coordinator, the 57399d2 digests reproduce), and untouched since.
-    * every row that sends through tier 2 (default, ``weighted_immediate``,
-      ``naive_central``, either homing, and the one-node cluster, which
-      lost its ``(n, n)`` window) — re-taken once at PR 19, the
-      work-conserving combiner (child of 387955b): a pack leaves when the
-      NIC is free instead of after a 4 us timer, so every latency under
-      NLC moved. Before it these rows held the 57399d2 (non-default
-      modes), c478d19 (default on node 0, one node) and PR 18 (hashed)
-      digests; the NAIVE_CENTRAL in-flight fix that landed just before
-      the combiner reproduced both of its sequential pins."""
+      Fig 10-12). They never enter the tier-2 combiner, so they also
+      proved the *work-conserving combiner* stayed confined to the NLC
+      path.
+    * every row that sends through tier 2, homed on node 0 (default,
+      ``weighted_immediate``, ``naive_central``) and the one-node cluster
+      — re-taken once at PR 19, the work-conserving combiner (child of
+      387955b): a pack leaves when the NIC is free instead of after a
+      4 us timer, so every latency under NLC moved.
+    * all five ``test_hashed_homes_pinned`` rows — re-taken at PR 24
+      commit (1), *start-vertex homing*: an attempt whose seeds start on
+      one node is homed there, so every mode's own-home digest moved and
+      no node-0 row did; with the rule patched back to the hash of the
+      attempt id the PR 18 / PR 19 digests they held reproduce bit for
+      bit (and the spine's ``sim_digest`` on all five workloads)."""
 
     @pytest.mark.parametrize("config, gap_us, tracker_msgs, digest", [
         (EngineConfig(progress_mode=ProgressMode.WEIGHTED_IMMEDIATE), 3.0,
@@ -262,13 +263,13 @@ class TestAblationModesPinned:
         assert got == "f40a2c951472050d"
 
     @pytest.mark.parametrize("config, gap_us, tracker_msgs, digest", [
-        (EngineConfig(), 3.0, 285, "7570bb21c72807cb"),
+        (EngineConfig(), 3.0, 286, "9eb170f87d0d109c"),
         (EngineConfig(progress_mode=ProgressMode.WEIGHTED_IMMEDIATE), 3.0,
-         14251, "2c5a9284a6db269e"),
+         14251, "7c69a47935a969a6"),
         (EngineConfig(progress_mode=ProgressMode.NAIVE_CENTRAL), 5000.0,
-         27042, "f1170ea3c1e6c38f"),
-        (EngineConfig(io_mode=IO_TLC), 3.0, 277, "d3c9436c0c07a13d"),
-        (EngineConfig(io_mode=IO_SYNC), 3.0, 569, "49a1d72053f85338"),
+         27042, "49a9f31848381d2c"),
+        (EngineConfig(io_mode=IO_TLC), 3.0, 277, "391f464184478547"),
+        (EngineConfig(io_mode=IO_SYNC), 3.0, 504, "4ba3629910c4e3cb"),
     ], ids=["default", "weighted_immediate", "naive_central", "io_tlc",
             "io_sync"])
     def test_hashed_homes_pinned(self, config, gap_us, tracker_msgs, digest):
