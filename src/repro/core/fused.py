@@ -97,6 +97,8 @@ class FusedMinDistCount(VertexRoutedOp):
       memo and the dedup table live at the vertex's home partition.
     """
 
+    forwards_weight_past_partial = True
+
     def __init__(
         self,
         branch: MinDistBranchOp,
@@ -179,6 +181,8 @@ class FusedCountSink(PhysicalOp):
     expand→filter→count collapse of one chain into one op).
     """
 
+    writes_partial = True
+
     def __init__(self, inner: PhysicalOp, agg: AggregateOp) -> None:
         super().__init__(f"Fused({inner.name}+Count)")
         self.inner = inner
@@ -235,6 +239,8 @@ class _FusedAbsorbSink(PhysicalOp):
     inner cost tuple is bumped by the absorb (+1 base, +1 memo op),
     preserving tuple sharing for the kernels' identity cost caches.
     """
+
+    writes_partial = True
 
     def __init__(self, inner: PhysicalOp, agg: AggregateOp, tag: str) -> None:
         super().__init__(f"Fused({inner.name}+{tag})")

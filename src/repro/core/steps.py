@@ -197,6 +197,17 @@ class PhysicalOp:
     is_barrier: bool = False
     #: True for source ops seeded once per partition by the engine.
     is_source: bool = False
+    #: True when executing this op can change its stage's barrier partial
+    #: on the executing partition (the barrier itself and the sinks fused
+    #: into it). The write finishes the traverser's weight there, so a
+    #: weight report from that partition always follows it — the report
+    #: the partial rides to the coordinator on.
+    writes_partial: bool = False
+    #: True for an op that changes the barrier partial but may forward the
+    #: traverser's whole weight: no report is bound to follow the write, so
+    #: its stage's partials are gathered when the ledger closes instead
+    #: (:meth:`~repro.query.plan.PhysicalPlan.partials_ride`).
+    forwards_weight_past_partial: bool = False
     #: How :meth:`routing` behaves, so batch kernels can route children
     #: without a per-child method call: ``"free"`` (always ``None``),
     #: ``"vertex"`` (always ``partitioner(trav.vertex)``), or ``"custom"``
@@ -862,6 +873,7 @@ class AggregateOp(PhysicalOp):
     """
 
     is_barrier = True
+    writes_partial = True
 
     #: memo label prefix for partials
     MEMO = "__agg__"

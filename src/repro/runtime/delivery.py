@@ -241,22 +241,22 @@ class DeliveryPlane:
         """Process one tracker-bound message (progress report or partial)."""
         engine = self.engine
         if msg.kind is MsgKind.PROGRESS:
-            tag, query_id, stage, value = msg.payload
+            tag, query_id, stage, value, *riding = msg.payload
             if engine.trace is not None:
                 # core.progress stays trace-free (cross-package layering);
                 # every report passes through here, so emit at the boundary.
                 engine.trace.emit(TRACKER_REPORT, query_id, stage, tag, value)
             if tag == "weight":
+                if riding:
+                    # before the weight: this report may close the ledger
+                    self._hold_partials(query_id, stage, riding[0])
                 engine.progress.report_weight(query_id, stage, value)
             else:
                 engine.progress.report_delta(query_id, stage, value)
         elif msg.kind is MsgKind.PARTIAL:
             _tag, query_id, stage, partial, expected = msg.payload
-            session = engine.sessions.get(query_id)
-            if session is None or session.cursor.current != stage:
-                return
-            session.partials.append(partial)
-            if len(session.partials) >= expected:
+            session = self._hold_partials(query_id, stage, (partial,))
+            if session is not None and len(session.partials) >= expected:
                 self._combine(session, stage, engine.cost.combine_partial_us)
         else:  # pragma: no cover
             raise ExecutionError(f"unexpected tracker message kind {msg.kind}")
@@ -281,31 +281,48 @@ class DeliveryPlane:
             # Transient zero crossing: traversers are still in transit.
             # Their own reports will re-trigger the zero check later.
             return
-        session.partials = []
+        cost = engine.cost
+        if (engine.config.progress_mode.coalesced
+                and session.plan.partials_ride(stage)):
+            # Every partition's last absorb finished weight there, so its
+            # last flush — which this close could not happen without —
+            # shipped its final partial: nothing is left to gather.
+            self._combine(session, stage,
+                          cost.tracker_msg_us + cost.combine_partial_us)
+            return
         gathered = gather_partials(
             session.plan, stage, query_id,
             [runtime.memo_store for runtime in engine.runtimes],
         )
         if not gathered:
-            engine._complete_stage(session, stage)
+            self._combine(session, stage, cost.combine_partial_us)
             return
         home = engine.home_node(query_id)
-        now = engine.clock.now
-        for partial in gathered:
+        for p in gathered:
+            payload = ("partial", query_id, stage,
+                       (p.pid, 0, p.value, p.size_bytes), len(gathered))
             engine.network.send(
-                engine.node_of(partial.pid),
-                home,
-                [
-                    Message(
-                        MsgKind.PARTIAL,
-                        TRACKER_DST,
-                        ("partial", query_id, stage, partial, len(gathered)),
-                        partial.size_bytes,
-                        query_id,
-                    )
-                ],
-                now,
+                engine.node_of(p.pid), home,
+                [Message(MsgKind.PARTIAL, TRACKER_DST, payload, p.size_bytes,
+                         query_id)],
+                engine.clock.now,
             )
+
+    def _hold_partials(
+        self, query_id: int, stage: int, partials
+    ) -> Optional["QuerySession"]:
+        """Keep ``(pid, version, value, bytes)`` partials that rode in on a
+        weight report (or were gathered): per partition the highest version
+        wins, whatever order its workers' reports or delayed packets arrive
+        in. Returns the session, None when the partials are stale."""
+        session = self.engine.sessions.get(query_id)
+        if session is None or session.cursor.current != stage:
+            return None
+        held = session.partials
+        for pid, version, value, size in partials:
+            if pid not in held or held[pid][0] < version:
+                held[pid] = (version, value, size)
+        return session
 
     def _combine(
         self, session: "QuerySession", stage: int, per_partial_us: float
@@ -320,6 +337,9 @@ class DeliveryPlane:
         partials and retire the restored attempt.
         """
         engine = self.engine
+        if not session.partials:
+            engine._complete_stage(session, stage)
+            return
         attempt = session.query_id
         done_at = engine.tracker.charge(
             attempt, engine.clock.now, per_partial_us * len(session.partials)
@@ -426,6 +446,7 @@ class DeliveryPlane:
         """
         engine = self.engine
         query_id = session.query_id
+        session.partials = {}
         if engine.trace is not None:
             engine.trace.emit(MEMO_CLEAR, query_id, -1, "teardown")
         for runtime in engine.runtimes:

@@ -36,6 +36,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.core.machine import resolve_partition
 from repro.core.memo import MemoStore
 from repro.core.progress import ProgressMode, ProgressTracker
+from repro.core.subquery import GatheredPartial
 from repro.core.traverser import Traverser
 from repro.errors import (
     AdmissionTimeoutError,
@@ -285,9 +286,9 @@ class AsyncPSTMEngine:
     def overload_snapshot(self) -> Dict[str, Any]:
         """Observability for the overload layer (bench + leak assertions).
 
-        ``open_stages`` and ``cancelling`` must both be 0 at quiescence —
-        a nonzero value is a leaked ledger or a cancellation that never
-        finalized. ``peak_inbox_depth`` must stay ≤ ``inbox_capacity``
+        ``open_stages``, ``homed_attempts`` and ``cancelling`` must all be 0
+        at quiescence — a nonzero value is a leaked ledger or home-table
+        entry, or a cancellation that never finalized. ``peak_inbox_depth`` must stay ≤ ``inbox_capacity``
         when credit gating is armed (the bounded-memory claim).
         """
         gates = self.delivery.gates or []
@@ -295,6 +296,7 @@ class AsyncPSTMEngine:
         self.metrics.credit_stalls = stalls
         snap: Dict[str, Any] = {
             "open_stages": self.progress.open_stage_count,
+            "homed_attempts": len(self._homes),
             "cancelling": len(self.delivery.cancelling),
             "active_sessions": len(self.sessions),
             "peak_queue_depth": max(
@@ -681,9 +683,16 @@ class AsyncPSTMEngine:
         # (retransmitted / stale) weight reports resolve to "unknown stage"
         # instead of accumulating terminated ledgers for the query's life.
         self.progress.close_stage(session.query_id, stage)
+        held = sorted(session.partials.items())
+        session.partials = {}
         if self.trace is not None:
-            self.trace.emit(STAGE_CLOSE, session.query_id, stage, "terminated")
-        seeds = session.cursor.complete_stage(session.partials, session.rng)
+            rode = tuple((pid, p[0]) for pid, p in held if p[0])
+            self.trace.emit(
+                STAGE_CLOSE, session.query_id, stage, "terminated",
+                *((rode, session.plan.partial_writers(stage)) if rode else ()))
+        seeds = session.cursor.complete_stage(
+            [GatheredPartial(pid, value, size)
+             for pid, (_version, value, size) in held], session.rng)
         # Vacuously-empty intermediate stages terminate immediately.
         while not seeds and not session.cursor.finished:
             seeds = session.cursor.complete_stage([], session.rng)

@@ -405,7 +405,7 @@ class RecoveryManager:
         session.cursor = StageCursor(session.plan, new_query_id)
         session.rng = random.Random((engine.seed << 20) ^ new_query_id)
         session._contexts = [None] * engine.num_partitions
-        session.partials = []
+        session.partials = {}
         engine.sessions[new_query_id] = session
         engine.progress.open_stage(new_query_id, 0)
         if engine.trace is not None:
@@ -477,7 +477,7 @@ class RecoveryManager:
         rng.setstate(ckpt.rng_state)
         session.rng = rng
         session._contexts = [None] * engine.num_partitions
-        session.partials = []
+        session.partials = {}
         engine.sessions[new_query_id] = session
         engine.checkpoints.rekey(old_query_id, new_query_id)
         for pid, runtime in enumerate(engine.runtimes):

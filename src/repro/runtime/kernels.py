@@ -128,6 +128,10 @@ class ScalarKernel:
                 touched.add(trav.query_id)
             ctx = session.context(runtime.pid)
             result = session.machine.execute(ctx, trav, session.rng)
+            if session.plan.ops[trav.op_idx].writes_partial:
+                key = (trav.query_id, trav.stage)
+                versions = runtime.partial_versions
+                versions[key] = versions.get(key, 0) + 1
             cost_us = cm.op_cost_us(result.cost)
             if sharers > 1:
                 # Shared-state (non-partitioned) penalty: reduced locality on

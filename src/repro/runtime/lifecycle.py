@@ -63,7 +63,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.machine import PSTMMachine
 from repro.core.steps import FixedVertexSource, StepContext
-from repro.core.subquery import GatheredPartial, StageCursor, gather_partials
+from repro.core.subquery import StageCursor, gather_partials
 from repro.core.traverser import Traverser, make_root
 from repro.core.weight import ROOT_WEIGHT, split_weight
 from repro.errors import ExecutionError, LifecycleError
@@ -316,7 +316,10 @@ class QuerySession:
         self.cursor = StageCursor(plan, query_id)
         self.qmetrics = QueryMetrics(query_id, plan.name, submitted_at_us=0.0)
         self._contexts: List[Optional[StepContext]] = [None] * engine.num_partitions
-        self.partials: List[GatheredPartial] = []
+        #: the current stage's barrier partials at the coordinator, pid ->
+        #: (version, value, bytes): ridden in on weight reports (highest
+        #: version kept) or gathered after the close (version 0)
+        self.partials: Dict[int, Tuple[int, Any, int]] = {}
         #: the one source of truth for this query's outcome
         self.lifecycle = QueryLifecycle(
             engine.metrics.lifecycle_transitions,

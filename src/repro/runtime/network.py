@@ -110,6 +110,13 @@ def _is_weight_report(msg: Message) -> bool:
     return msg.kind is MsgKind.PROGRESS and msg.payload[0] == "weight"
 
 
+def _ships(msg: Message) -> Tuple[tuple, ...]:
+    """The barrier partials riding a weight report, each ``(pid, version,
+    value, bytes)`` (``Worker._flush_idle_accums`` appends them as a fifth
+    payload element when it has one to ship)."""
+    return msg.payload[4] if len(msg.payload) > 4 else ()
+
+
 @dataclass
 class _Packet:
     """Sender-side record of one unacknowledged reliable packet."""
@@ -329,31 +336,41 @@ class Network:
         Returns the folded pack and its byte total.
         """
         slots: Dict[Tuple[int, int], int] = {}
-        folds: Dict[Tuple[int, int], List[int]] = {}
+        # per folded key: the input weights, every input's riding partials,
+        # and the bytes of those the folded-in reports brought along
+        folds: Dict[Tuple[int, int], list] = {}
         out: List[Message] = []
         for msg in messages:
             if not _is_weight_report(msg):
                 out.append(msg)
                 continue
-            _tag, query_id, stage, weight = msg.payload
+            query_id, stage, weight = msg.payload[1:4]
             key = (query_id, stage)
             slot = slots.get(key)
             if slot is None:
                 slots[key] = len(out)
                 out.append(msg)
                 continue
-            inputs = folds.get(key)
-            if inputs is None:
-                inputs = folds[key] = [out[slot].payload[3] % GROUP_MODULUS]
-            inputs.append(weight % GROUP_MODULUS)
-            total -= msg.size_bytes
-        for (query_id, stage), inputs in folds.items():
+            fold = folds.get(key)
+            if fold is None:
+                first = out[slot]
+                fold = folds[key] = [
+                    [first.payload[3] % GROUP_MODULUS], list(_ships(first)), 0
+                ]
+            ships = _ships(msg)
+            riding = sum(ship[3] for ship in ships)
+            fold[0].append(weight % GROUP_MODULUS)
+            fold[1].extend(ships)
+            fold[2] += riding
+            total -= msg.size_bytes - riding
+        for (query_id, stage), (inputs, ships, riding) in folds.items():
             slot = slots[(query_id, stage)]
             weight = sum(inputs) % GROUP_MODULUS
             out[slot] = Message(
                 MsgKind.PROGRESS, TRACKER_DST,
-                ("weight", query_id, stage, weight),
-                out[slot].size_bytes, query_id,
+                ("weight", query_id, stage, weight)
+                + ((tuple(ships),) if ships else ()),
+                out[slot].size_bytes + riding, query_id,
             )
             self.metrics.progress_reports_coalesced += len(inputs) - 1
             if self.trace is not None:

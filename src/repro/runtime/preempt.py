@@ -228,7 +228,7 @@ def resume_session(engine: "AsyncPSTMEngine", session: "QuerySession") -> None:
     rng.setstate(ckpt.rng_state)
     session.rng = rng
     session._contexts = [None] * engine.num_partitions
-    session.partials = []
+    session.partials = {}
     engine.sessions[new_query_id] = session
     engine.checkpoints.rekey(old_query_id, new_query_id)
     for pid, runtime in enumerate(engine.runtimes):

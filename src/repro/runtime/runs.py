@@ -328,6 +328,10 @@ class RunDrain:
         ops = self.ops
         op = ops[op_idx]
         outcome = op.apply_batch(self.ctx, run)
+        if op.writes_partial:
+            versions = self.runtime.partial_versions
+            key = (query_id, stage)
+            versions[key] = versions.get(key, 0) + n_run
         spec_rows = outcome.children
         costs = outcome.costs
         self.steps += n_run

@@ -62,6 +62,7 @@ PAUSE = "pause"
 RESUME = "resume"
 EXEC = "exec"
 WEIGHT_FLUSH = "weight_flush"
+PARTIAL_SHIP = "partial_ship"
 NODE_COALESCE = "node_coalesce"
 ACCUM_RECLAIM = "accum_reclaim"
 RECLAIM = "reclaim"
@@ -93,7 +94,10 @@ KIND_FIELDS: Dict[str, Tuple[str, ...]] = {
     LIFECYCLE: ("src", "dst", "reason"),  # one state-machine edge
     STAGE_OPEN: ("stage", "retry_of"),  # retry_of: only on a re-run attempt
     SEED_DISPATCH: ("stage", "n", "weight"),
-    STAGE_CLOSE: ("stage", "reason"),  # terminated|cancelled|cancel_forced
+    # reason: terminated|cancelled|cancel_forced. versions: the (pid,
+    # version) of every partial combined, writers: the op indexes that
+    # write the stage's partial — both only when the partials rode reports
+    STAGE_CLOSE: ("stage", "reason", "versions", "writers"),
     QUERY_CLOSE: ("reason",),  # teardown|recover|restore|pause
     CHECKPOINT: ("stage", "n_seeds", "partitions", "records", "forced"),
     RESTORE: ("stage", "restored_from", "n_seeds"),
@@ -105,6 +109,8 @@ KIND_FIELDS: Dict[str, Tuple[str, ...]] = {
     EXEC: ("pid", "wid", "stage", "op_idx", "n", "spawned", "w_in", "w_fin",
            "w_out", "cpu", "version_ts"),
     WEIGHT_FLUSH: ("stage", "wid", "weight", "count"),
+    # the partition's barrier partial leaving on the report just flushed
+    PARTIAL_SHIP: ("stage", "pid", "wid", "version", "bytes"),
     # same-(query, stage) reports folded in one of a node's tier-2 packs:
     # weight is the sum, inputs the n weights folded
     NODE_COALESCE: ("node", "stage", "n", "weight", "inputs"),
@@ -358,10 +364,14 @@ class _StageLedger:
     tiers — what the workers' accumulators flushed, as a sum and as a
     report count reduced by every node-level fold — to be matched against
     the tracker's weight reports (``tracker_sum - reclaimed``, counted in
-    ``reported_n``)."""
+    ``reported_n``).
+
+    ``ships`` holds each partition's highest ``partial_ship`` version and
+    ``execs`` the traversers executed per ``(pid, op_idx)`` — matched at
+    close against the versions the coordinator combined."""
 
     __slots__ = ("active", "finished", "reclaimed", "lost", "tracker_sum",
-                 "flushed", "flushed_n", "reported_n")
+                 "flushed", "flushed_n", "reported_n", "ships", "execs")
 
     def __init__(self) -> None:
         self.active = ROOT_WEIGHT
@@ -372,6 +382,8 @@ class _StageLedger:
         self.flushed = 0
         self.flushed_n = 0
         self.reported_n = 0
+        self.ships: Dict[int, int] = {}
+        self.execs: Dict[Tuple[int, int], int] = {}
 
 
 @dataclass
@@ -429,6 +441,11 @@ class WeightLedgerAuditor:
       fold), and at a clean close the stage's ``weight_flush`` events, less
       the reports its folds removed, equal the tracker's weight reports in
       sum and in number;
+    * results are complete where partials ride weight reports: every
+      partial a ``stage_close`` combined is its partition's highest
+      ``partial_ship`` version, every partition that shipped is combined,
+      and that version counts every traverser the partition executed at an
+      op writing the barrier's partial — none is later than its last ship;
     * no exec on a never-opened (or already-closed) stage, no reopen, and
       no stage left open at end of trace;
     * transaction-plane events are ledger-neutral: every open ledger still
@@ -498,6 +515,8 @@ class WeightLedgerAuditor:
                 if st is None:
                     violate(i, f"exec on unopened/closed stage {key}")
                     continue
+                site = (data.get("pid"), data.get("op_idx"))
+                st.execs[site] = st.execs.get(site, 0) + data.get("n", 1)
                 w_fin = data["w_fin"] % M
                 st.active = (st.active - w_fin) % M
                 st.finished = (st.finished + w_fin) % M
@@ -519,6 +538,12 @@ class WeightLedgerAuditor:
                 if st is not None:
                     st.flushed = (st.flushed + data["weight"]) % M
                     st.flushed_n += 1
+
+            elif kind == PARTIAL_SHIP:
+                st = stages.get((qid, data["stage"]))
+                if st is not None:
+                    st.ships[data["pid"]] = max(
+                        data["version"], st.ships.get(data["pid"], 0))
 
             elif kind == NODE_COALESCE:
                 key = (qid, data["stage"])
@@ -611,6 +636,22 @@ class WeightLedgerAuditor:
                                    f"{st.flushed_n} report(s) after node "
                                    f"folds and the tracker's weight reports "
                                    f"carried {reported} in {st.reported_n}")
+                    if "versions" in data:
+                        rep.checks += 1
+                        combined = dict(map(tuple, data["versions"]))
+                        if combined != st.ships:
+                            violate(i, f"stage {key} combined partial "
+                                       f"versions {combined}, not the "
+                                       f"highest shipped ones {st.ships}")
+                        for pid, version in combined.items():
+                            wrote = sum(n for (p, op), n in st.execs.items()
+                                        if p == pid and op in data["writers"])
+                            if wrote != version:
+                                violate(i, f"stage {key} combined version "
+                                           f"{version} of partition {pid}, "
+                                           f"which wrote its partial {wrote} "
+                                           f"times: a write is later than "
+                                           f"its last ship")
                     rep.stages_closed += 1
                 else:
                     # cancel_forced: a crash destroyed the cancelling

@@ -32,7 +32,8 @@ from repro.runtime.kernels import PROGRESS_MSG_BYTES, kernel_for
 from repro.runtime.metrics import MsgKind
 from repro.runtime.network import TRACKER_DST, Message
 from repro.runtime.overload import check_budgets_of
-from repro.runtime.trace import ACCUM_RECLAIM, CRASH_LOSS, WEIGHT_FLUSH
+from repro.runtime.trace import (ACCUM_RECLAIM, CRASH_LOSS, PARTIAL_SHIP,
+                                 WEIGHT_FLUSH)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.engine import AsyncPSTMEngine
@@ -60,6 +61,11 @@ class PartitionRuntime:
         # stage) ever seen, which grows without bound under long mixed
         # workloads.
         self.stage_counts: Dict[Tuple[int, int], int] = {}
+        # Barrier-partial versions per (query, stage): traversers executed
+        # here by partial-writing ops (the kernels count them), and the
+        # version last shipped on a weight report (_flush_idle_accums).
+        self.partial_versions: Dict[Tuple[int, int], int] = {}
+        self.partial_shipped: Dict[Tuple[int, int], int] = {}
         self.workers: List["Worker"] = []
         # High-water marks for the soak harness's bounded-memory assertions
         # (sampled at arrival batches, not per local append).
@@ -123,10 +129,12 @@ class PartitionRuntime:
             counts.pop(key, None)
 
     def drop_query(self, query_id: int) -> None:
-        """Purge all stage counts of a finished/aborted query."""
-        counts = self.stage_counts
-        for key in [k for k in counts if k[0] == query_id]:
-            del counts[key]
+        """Purge all stage counts and partial versions of a finished/
+        aborted query."""
+        for table in (self.stage_counts, self.partial_versions,
+                      self.partial_shipped):
+            for key in [k for k in table if k[0] == query_id]:
+                del table[key]
 
     def reclaim_query(self, query_id: int) -> Tuple[int, int, int]:
         """Purge a query's queued + inboxed traversers and stage counts.
@@ -569,30 +577,57 @@ class Worker:
             return 0.0
         cost = 0.0
         trace = self.engine.trace
-        for (query_id, stage), accum in self._accums.items():
+        runtime = self.runtime
+        versions = runtime.partial_versions
+        for key, accum in self._accums.items():
             if accum.pending_count == 0:
                 continue
-            if self.runtime.stage_counts.get((query_id, stage), 0) > 0:
+            if runtime.stage_counts.get(key, 0) > 0:
                 continue
             count = accum.pending_count
             combined = accum.flush()
             if combined is None:
                 continue
+            query_id, stage = key
             if trace is not None:
                 trace.emit(WEIGHT_FLUSH, query_id, stage, self.wid,
                            combined % GROUP_MODULUS, count)
+            payload = ("weight", query_id, stage, combined)
+            size = PROGRESS_MSG_BYTES
+            version = versions.get(key)
+            if version is not None and version != runtime.partial_shipped.get(key):
+                runtime.partial_shipped[key] = version
+                ship = self._partial_to_ship(query_id, stage, version)
+                if ship is not None:
+                    payload += ((ship,),)
+                    size += ship[3]
             cost += self._buffer_message(
-                Message(
-                    MsgKind.PROGRESS,
-                    TRACKER_DST,
-                    ("weight", query_id, stage, combined),
-                    PROGRESS_MSG_BYTES,
-                    query_id,
-                ),
+                Message(MsgKind.PROGRESS, TRACKER_DST, payload, size, query_id),
                 self.engine.home_node(query_id),
                 when + cost,
             )
         return cost
+
+    def _partial_to_ship(self, query_id: int, stage: int, version: int):
+        """The partition's barrier partial as it rides a weight report,
+        ``(pid, version, value, bytes)`` — or None when the stage gathers
+        (``PhysicalPlan.partials_ride``), the attempt is no longer running,
+        or nothing was absorbed here. The value is the live memo object:
+        only a partition's highest version is combined, and its last write
+        is behind the flush that shipped it."""
+        session = self.engine.sessions.get(query_id)
+        if session is None or not session.plan.partials_ride(stage):
+            return None
+        runtime = self.runtime
+        barrier = session.plan.barrier_of(stage)
+        value = barrier.partial(runtime.memo_store.peek(query_id))
+        if value is None:
+            return None
+        size = barrier.estimated_partial_size(value)
+        if self.engine.trace is not None:
+            self.engine.trace.emit(PARTIAL_SHIP, query_id, stage, runtime.pid,
+                                   self.wid, version, size)
+        return runtime.pid, version, value, size
 
     def _flush_all(self, when: float) -> float:
         cost = 0.0

@@ -33,6 +33,7 @@ from repro.runtime.engine import AsyncPSTMEngine, EngineConfig
 from repro.runtime.faults import FaultPlan, WorkerFault
 from repro.runtime.metrics import MsgKind
 from repro.runtime.network import TRACKER_DST
+from repro.runtime.trace import PARTIAL_SHIP
 from tests.conftest import KERNELS, make_graph
 
 NODES, WPN = 4, 2
@@ -127,7 +128,8 @@ class TestEndpointConsistency:
         clock.run_until_idle()
 
         assert seen[MsgKind.SEED] and seen[MsgKind.PROGRESS]
-        assert seen[MsgKind.PARTIAL]
+        # the default mode's partials ride its weight reports
+        assert bool(seen[MsgKind.PARTIAL]) == (not mode.coalesced)
         metrics = engine.metrics
         if scenario == "cancel":
             assert metrics.queries_cancelled == 3
@@ -252,7 +254,62 @@ class TestStartVertexHoming:
         for qid, home, nodes in restored:
             assert len(nodes) > 1
             assert home == placement.home_node(qid, NODES)
+        assert engine.overload_snapshot()["homed_attempts"] == 0
+
+    def test_stream_hammering_one_hub_vertex_is_bound_by_its_partition(self):
+        """Every query of the stream is homed on the hub's node. The hub's
+        partition — which scans its ~400 edges for each of them — stays
+        the bottleneck, not the lane beside it (a stream of point lookups
+        on a low-degree vertex is the other way round: docs/SIMULATION.md,
+        "Progress tracker")."""
+        import random
+
+        from repro.graph.builder import GraphBuilder
+        from repro.graph.partition import PartitionedGraph
+
+        rng = random.Random(1)
+        b = GraphBuilder("v")
+        for v in range(400):
+            b.vertex(v, "v", weight=rng.randint(1, 50))
+        for v in range(1, 400):
+            b.edge(0, v, "e")
+        for v in range(400):
+            for u in rng.sample(range(400), 3):
+                if u != v:
+                    b.edge(v, u, "e")
+        hub = PartitionedGraph.from_graph(b.build(), NODES * WPN)
+        plan = Traversal("hub").v_param("s").out("e").count().compile(hub)
+        engine = AsyncPSTMEngine(hub, NODES, WPN)
+        engine.run_closed_loop(lambda i: (plan, {"s": 0}),
+                               clients=16, total_queries=200)
+        pid = hub.partition_of(0)
+        lane = engine.node_of(pid)
+        busy = engine.tracker.busy_us
+        assert [n for n in range(NODES) if busy[n]] == [lane]
+        assert busy[lane] < engine.workers[pid].busy_total
+        assert engine.workers[pid].busy_total == max(
+            w.busy_total for w in engine.workers)
+
+    def test_table_holds_live_attempts_only(self, graph):
+        """The home table is bounded by the attempts in flight: it peaks at
+        the client count and is empty at idle, after 1 008 queries."""
+        engine = AsyncPSTMEngine(graph, NODES, WPN)
+        plan = Traversal("p").v_param("s").out("e").count().compile(graph)
+        peak = []
+        real = engine._dispatch_seeds
+
+        def dispatch(session, seeds, now):
+            real(session, seeds, now)
+            peak.append(len(engine._homes))
+
+        engine._dispatch_seeds = dispatch
+        engine.run_closed_loop(lambda i: (plan, {"s": i % 200}),
+                               clients=32, total_queries=1008)
+        assert len(engine.completed) == 1008
+        assert max(peak) == 32
         assert engine._homes == {}
+        snap = engine.overload_snapshot()
+        assert snap["homed_attempts"] == 0 and snap["open_stages"] == 0
 
     def test_unknown_attempt_resolves_to_the_hash(self, graph):
         engine = AsyncPSTMEngine(graph, NODES, WPN)
@@ -293,12 +350,15 @@ class TestNoAliasing:
 
 class TestLaneAccounting:
     def test_busy_us_counts_reports_combines_and_instantiation(self, graph):
-        """sum(busy_us) == reports x tracker_msg_us + sum of combine
-        charges + instantiation charges, exactly (the default prices are
-        dyadic, so the float sums are order-independent)."""
+        """sum(busy_us) == reports x tracker_msg_us + combined partials x
+        (tracker_msg_us + combine_partial_us) + instantiation charges,
+        exactly (the default prices are dyadic, so the float sums are
+        order-independent). A partial that rode a report costs the lane
+        what a gathered one did, charged when the ledger closes; a
+        superseded ship costs nothing."""
         engine = AsyncPSTMEngine(
             graph, NODES, WPN,
-            config=EngineConfig(per_query_instantiation=True),
+            config=EngineConfig(per_query_instantiation=True, trace=True),
         )
         cost = engine.cost
         plan = two_stage_plan(graph)
@@ -319,11 +379,14 @@ class TestLaneAccounting:
         instantiation = (cost.operator_instantiation_us * 0.25
                          * len(engine.workers) * len(plan.ops))
         assert sum(combined) > 0
+        assert engine.metrics.message_count(MsgKind.PARTIAL) == 0
         assert sum(tracker.busy_us) == (
             tracker.messages_processed * cost.tracker_msg_us
-            + cost.combine_partial_us * sum(combined)
+            + (cost.tracker_msg_us + cost.combine_partial_us) * sum(combined)
             + instantiation * n_queries
         )
+        # more partials were shipped than combined: the rest cost no lane time
+        assert len(engine.trace.by_kind(PARTIAL_SHIP)) > sum(combined)
         snap = engine.overload_snapshot()
         assert snap["tracker_busy_us"] == tracker.busy_us
         assert snap["tracker_wait_us"] == tracker.wait_us

@@ -351,6 +351,76 @@ class TestTransactionPlaneAudit:
         assert any("monotonic" in v for v in report.violations)
 
 
+class TestResultCompleteness:
+    """Where partials ride weight reports the audit covers the rows too:
+    what a ``stage_close`` combined must be every shipping partition's
+    highest ``partial_ship`` version, and that version must count every
+    traverser the partition executed at a partial-writing op."""
+
+    @pytest.fixture(scope="class")
+    def events(self):
+        graph = make_graph(11, partitions=8)
+        plan = (Traversal("two_stage").v_param("s").khop("e", k=2).as_("v")
+                .group_count("v").out("e").count().compile(graph))
+        engine = AsyncPSTMEngine(graph, 4, 2, config=EngineConfig(trace=True))
+        engine.run_closed_loop(lambda i: (plan, {"s": 7 * i}),
+                               clients=4, total_queries=8)
+        events = list(engine.trace.events)
+        report = WeightLedgerAuditor(events).audit()
+        assert report.ok and report.stages_closed == 16
+        return events
+
+    @staticmethod
+    def last_ship_of_a_reshipping_partition(events):
+        """Index of the final ship of a (query, stage, pid) that shipped
+        more than once."""
+        from repro.runtime.trace import PARTIAL_SHIP
+
+        ships = {}
+        for i, e in enumerate(events):
+            if e.kind == PARTIAL_SHIP:
+                ships.setdefault(
+                    (e.query_id, e.data["stage"], e.data["pid"]), []
+                ).append(i)
+        return next(idxs[-1] for idxs in ships.values() if len(idxs) > 1)
+
+    def test_trace_with_the_last_ship_removed_is_rejected(self, events):
+        doctored = list(events)
+        del doctored[self.last_ship_of_a_reshipping_partition(events)]
+        report = WeightLedgerAuditor(doctored).audit()
+        assert not report.ok
+        assert any("highest shipped" in v for v in report.violations)
+
+    def test_write_after_the_last_ship_is_rejected(self, events):
+        """Replay a partial-writing exec after its partition's last ship:
+        the combined version no longer counts every write."""
+        from repro.runtime.trace import EXEC, STAGE_CLOSE, TraceEvent
+
+        last = self.last_ship_of_a_reshipping_partition(events)
+        ship = events[last]
+        close = next(e for e in events[last:] if e.kind == STAGE_CLOSE
+                     and e.query_id == ship.query_id
+                     and e.data["stage"] == ship.data["stage"])
+        write = next(e for e in events if e.kind == EXEC
+                     and e.query_id == ship.query_id
+                     and e.data["stage"] == ship.data["stage"]
+                     and e.data["pid"] == ship.data["pid"]
+                     and e.data["op_idx"] in close.data["writers"])
+        doctored = list(events)
+        # weight-neutral, so only the completeness check can object
+        doctored.insert(last + 1, TraceEvent(
+            ship.ts, EXEC, write.query_id, dict(write.data, w_in=0, w_fin=0)))
+        report = WeightLedgerAuditor(doctored).audit()
+        assert not report.ok
+        assert any("later than its last ship" in v for v in report.violations)
+
+    def test_jsonl_round_trip_still_audits(self, events):
+        import json
+
+        dumped = [json.loads(json.dumps(e.as_dict())) for e in events]
+        assert WeightLedgerAuditor(dumped).audit().ok
+
+
 @pytest.mark.slow
 class TestLDBCTraced:
     """IC9 on the tiny SNB dataset: the ledger discipline must hold on a

@@ -93,6 +93,10 @@ DOMAINS = {
     "value": lambda v: type(v) is int,               # a weight, or a ±delta
     "weight": lambda v: type(v) is int,              # seed weights sum unreduced
     "inputs": lambda v: type(v) is tuple and all(map(_weight, v)),
+    # stage_close: the (pid, version) pairs combined; the writing op indexes
+    "versions": lambda v: type(v) is tuple and all(
+        type(p) is tuple and len(p) == 2 and all(map(_count, p)) for p in v),
+    "writers": lambda v: type(v) is tuple and all(map(_count, v)),
 }
 #: lifecycle edges name states where the network kinds name nodes
 KIND_DOMAINS = {LIFECYCLE: {"src": _text, "dst": _text}}

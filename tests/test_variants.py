@@ -208,25 +208,30 @@ class TestAblationModesPinned:
     """Each change moved only the modes it meant to, and these digests are
     the proof. The rows homed on node 0 patch ``home_node`` itself, so no
     home rule reaches them; the ``test_hashed_homes_pinned`` rows run the
-    engine's own rule. Generations of pins:
+    engine's own rule. Generations of pins, by the commit each was taken
+    at:
 
-    * ``io_tlc`` / ``io_sync``, homed on node 0 — taken at commit 57399d2,
-      the parent of *node-level weight coalescing* (tier 2 of the default
-      progress and I/O modes: every other mode is an ablation bar of
-      Fig 10-12). They never enter the tier-2 combiner, so they also
-      proved the *work-conserving combiner* stayed confined to the NLC
-      path.
-    * every row that sends through tier 2, homed on node 0 (default,
-      ``weighted_immediate``, ``naive_central``) and the one-node cluster
-      — re-taken once at PR 19, the work-conserving combiner (child of
-      387955b): a pack leaves when the NIC is free instead of after a
-      4 us timer, so every latency under NLC moved.
-    * all five ``test_hashed_homes_pinned`` rows — re-taken at PR 24
-      commit (1), *start-vertex homing*: an attempt whose seeds start on
-      one node is homed there, so every mode's own-home digest moved and
-      no node-0 row did; with the rule patched back to the hash of the
-      attempt id the PR 18 / PR 19 digests they held reproduce bit for
-      bit (and the spine's ``sim_digest`` on all five workloads)."""
+    * ``weighted_immediate`` / ``naive_central``, homed on node 0 — PR 19,
+      the work-conserving combiner (child of 387955b): a pack leaves when
+      the NIC is free instead of after a 4 us timer, so every latency
+      under NLC moved. Untouched since: neither mode coalesces, so
+      neither has a report for a partial to ride on.
+    * ``weighted_immediate`` / ``naive_central`` under the engine's own
+      rule — PR 24 commit (1), *start-vertex homing*: an attempt whose
+      seeds start on one node is homed there, so all five own-home
+      digests moved and no node-0 row did; with the rule patched back to
+      the hash of the attempt id the PR 18 / PR 19 digests reproduce bit
+      for bit (and the spine's ``sim_digest`` on all five workloads).
+    * every coalescing row (``default``, ``io_tlc``, ``io_sync`` under
+      either homing, and the one-node cluster) — PR 24 commit (2),
+      *partials ride the closing weight report*: the gather and its
+      PARTIAL messages are gone (116 tracker messages fewer on each of
+      these runs; the lanes' ``busy_us`` totals did not move). The two
+      non-coalescing modes above keep their gather and their digests —
+      the proof the change is confined. Before it ``io_tlc`` / ``io_sync``
+      on node 0 still held their 57399d2 digests (the parent of
+      node-level weight coalescing) and the rest their PR 19 / commit (1)
+      ones."""
 
     @pytest.mark.parametrize("config, gap_us, tracker_msgs, digest", [
         (EngineConfig(progress_mode=ProgressMode.WEIGHTED_IMMEDIATE), 3.0,
@@ -235,8 +240,8 @@ class TestAblationModesPinned:
         # did not all finish then (TestNaiveCentralConcurrent)
         (EngineConfig(progress_mode=ProgressMode.NAIVE_CENTRAL), 5000.0,
          27042, "21a07d8950775b0d"),
-        (EngineConfig(io_mode=IO_TLC), 3.0, 301, "b7f8547365a1e9ec"),
-        (EngineConfig(io_mode=IO_SYNC), 3.0, 465, "ed090cac081db82f"),
+        (EngineConfig(io_mode=IO_TLC), 3.0, 189, "1e15f3bed240d56a"),
+        (EngineConfig(io_mode=IO_SYNC), 3.0, 347, "35388c29f8fb398e"),
     ], ids=["weighted_immediate", "naive_central", "io_tlc", "io_sync"])
     def test_non_default_modes_bit_identical_to_parent(
             self, monkeypatch, config, gap_us, tracker_msgs, digest):
@@ -250,8 +255,8 @@ class TestAblationModesPinned:
             self, monkeypatch):
         home_everything_on_node_0(monkeypatch)
         engine, got = ablation_run(EngineConfig(), 3.0)
-        assert engine.tracker.messages_processed == 277
-        assert got == "c27f703912c2b867"
+        assert engine.tracker.messages_processed == 161
+        assert got == "7925975aa37d61d8"
         assert engine.tracker.busy_us[1] == 0.0
 
     def test_one_node_cluster_bit_identical_to_parent(self):
@@ -259,17 +264,17 @@ class TestAblationModesPinned:
         shared memory unfolded."""
         engine, got = ablation_run(EngineConfig(), 3.0, nodes=1)
         assert engine.metrics.packets_sent == 0
-        assert engine.tracker.messages_processed == 269
-        assert got == "f40a2c951472050d"
+        assert engine.tracker.messages_processed == 153
+        assert got == "f294a3bd75f1d37c"
 
     @pytest.mark.parametrize("config, gap_us, tracker_msgs, digest", [
-        (EngineConfig(), 3.0, 286, "9eb170f87d0d109c"),
+        (EngineConfig(), 3.0, 170, "92c85387748fd412"),
         (EngineConfig(progress_mode=ProgressMode.WEIGHTED_IMMEDIATE), 3.0,
          14251, "7c69a47935a969a6"),
         (EngineConfig(progress_mode=ProgressMode.NAIVE_CENTRAL), 5000.0,
          27042, "49a9f31848381d2c"),
-        (EngineConfig(io_mode=IO_TLC), 3.0, 277, "391f464184478547"),
-        (EngineConfig(io_mode=IO_SYNC), 3.0, 504, "4ba3629910c4e3cb"),
+        (EngineConfig(io_mode=IO_TLC), 3.0, 161, "3c6750495d7ad69a"),
+        (EngineConfig(io_mode=IO_SYNC), 3.0, 388, "1f85f020cc05cd86"),
     ], ids=["default", "weighted_immediate", "naive_central", "io_tlc",
             "io_sync"])
     def test_hashed_homes_pinned(self, config, gap_us, tracker_msgs, digest):
@@ -281,10 +286,12 @@ class TestAblationModesPinned:
     def test_default_mode_folds(self):
         """The worker-emitted progress count keeps its meaning: every
         report still counts at ``Network.send``; the fold shows at the
-        tracker. A fold needs NIC contention — two workers of one node
-        reporting one (query, stage) while their NIC is busy — which the
-        pins' 3 us open loop on 2 x 2 workers never has (it folds nothing)
-        and a 16-client closed loop on 2 x 4 does."""
+        tracker, and nothing else reaches it — the partials ride those
+        reports, so no gather message does. A fold needs NIC contention —
+        two workers of one node reporting one (query, stage) while their
+        NIC is busy — which the pins' 3 us open loop on 2 x 2 workers
+        never has (it folds nothing) and a 16-client closed loop on 2 x 4
+        does."""
         graph = make_graph(11, partitions=8)
         plan = khop3_count(graph)
         engine = AsyncPSTMEngine(graph, 2, 4, config=EngineConfig())
@@ -293,9 +300,9 @@ class TestAblationModesPinned:
         metrics = engine.metrics
         folded = metrics.progress_reports_coalesced
         assert folded > 0
+        assert metrics.message_count(MsgKind.PARTIAL) == 0
         assert engine.tracker.messages_processed == (
-            metrics.progress_messages
-            + metrics.message_count(MsgKind.PARTIAL) - folded)
+            metrics.progress_messages - folded)
 
 
 class TestNaiveCentralConcurrent:
