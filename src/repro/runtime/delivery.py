@@ -291,9 +291,7 @@ class DeliveryPlane:
                           cost.tracker_msg_us + cost.combine_partial_us)
             return
         gathered = gather_partials(
-            session.plan, stage, query_id,
-            [runtime.memo_store for runtime in engine.runtimes],
-        )
+            session.plan, stage, query_id, engine.memo_stores)
         if not gathered:
             self._combine(session, stage, cost.combine_partial_us)
             return

@@ -182,6 +182,8 @@ class AsyncPSTMEngine:
             PartitionRuntime(p, graph.stores[p], MemoStore(p))
             for p in range(self.num_partitions)
         ]
+        #: every partition's memo store, in pid order (what a gather reads)
+        self.memo_stores = [runtime.memo_store for runtime in self.runtimes]
         self.workers: List[Worker] = []
         if config.partitioned_state:
             for pid in range(self.num_partitions):
@@ -249,8 +251,9 @@ class AsyncPSTMEngine:
         home = self._homes.get(query_id)
         return placement.home_node(query_id, self.nodes) if home is None else home
 
-    def _route_seeds(self, session: QuerySession, seeds: List[Traverser]
-                      ) -> Dict[int, List[Traverser]]:
+    def _route_seeds(
+        self, session: QuerySession, seeds: List[Traverser]
+    ) -> Dict[int, List[Traverser]]:
         """Group an attempt's seeds by partition and, the first time, home
         it: on the node its seeds start on when that is one node (work
         goes where the traversal starts), else on the hash of its id."""
@@ -288,8 +291,9 @@ class AsyncPSTMEngine:
 
         ``open_stages``, ``homed_attempts`` and ``cancelling`` must all be 0
         at quiescence — a nonzero value is a leaked ledger or home-table
-        entry, or a cancellation that never finalized. ``peak_inbox_depth`` must stay ≤ ``inbox_capacity``
-        when credit gating is armed (the bounded-memory claim).
+        entry, or a cancellation that never finalized.
+        ``peak_inbox_depth`` must stay ≤ ``inbox_capacity`` when credit
+        gating is armed (the bounded-memory claim).
         """
         gates = self.delivery.gates or []
         stalls = sum(g.stalls for g in gates)

@@ -465,8 +465,7 @@ def salvage_partial(engine: "AsyncPSTMEngine", session: QuerySession) -> None:
     """
     gathered = gather_partials(
         session.plan, session.cursor.current, session.query_id,
-        [runtime.memo_store for runtime in engine.runtimes],
-    )
+        engine.memo_stores)
     session.cursor.complete_stage(gathered, session.rng)
     if session.cursor.finished:
         session._salvaged = True

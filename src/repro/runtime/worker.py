@@ -564,12 +564,12 @@ class Worker:
     def drop_reports(self, query_id: int) -> None:
         """Discard the tier-1 buffered reports of a retired attempt."""
         for dst_node, msgs in self._buffers.items():
-            kept = [m for m in msgs if m.query_id != query_id]
-            if len(kept) != len(msgs):
-                self._buffers[dst_node] = kept
+            dropped = [m for m in msgs if m.query_id == query_id]
+            if dropped:  # rare: most retirements find the buffers empty
+                self._buffers[dst_node] = [
+                    m for m in msgs if m.query_id != query_id]
                 self._buffer_bytes[dst_node] -= sum(
-                    m.size_bytes for m in msgs if m.query_id == query_id
-                )
+                    m.size_bytes for m in dropped)
 
     def _flush_idle_accums(self, when: float) -> float:
         """Flush finished-weight accumulators whose stage has drained here."""

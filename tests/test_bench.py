@@ -104,3 +104,81 @@ class TestHarness:
         assert np_engine.graph.num_partitions == BENCH_CLUSTER.nodes
         with pytest.raises(ValueError):
             build_engine("warp-drive", "lj", BENCH_CLUSTER)
+
+
+class TestBenchTrajectory:
+    """``tools/bench_trajectory.py``: two spine ``--out`` results in, the
+    docs/PERFORMANCE.md trajectory row out."""
+
+    @pytest.fixture(scope="class")
+    def tool(self):
+        import sys
+        from pathlib import Path
+
+        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+        try:
+            import bench_trajectory
+        finally:
+            sys.path.pop(0)
+        return bench_trajectory
+
+    SPEC = {"end_to_end": [
+        {"name": "host_wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "sim_latency_p50_us", "unit": "us", "better": "lower",
+         "bound": 0.2},
+        {"name": "sim_throughput_qps", "unit": "1/s", "better": "higher",
+         "bound": 0.1},
+    ]}
+
+    @staticmethod
+    def result(wall, p50, qps, digest, packets):
+        def stat(median, spread=0.0):
+            return {"median": median, "min": median * (1 - spread / 2),
+                    "max": median * (1 + spread / 2), "n": 3}
+        return {"workloads": {"ic_open": {
+            "end_to_end": {"host_wall_s": stat(*wall),
+                           "sim_latency_p50_us": stat(p50),
+                           "sim_throughput_qps": stat(qps)},
+            "sim_digest": digest, "rows_sha": "r0",
+            "failed": {"incomplete": 0, "bad_rows": 0}, "attempted": 1008,
+            "per_layer": {"network.packets": packets},
+        }}}
+
+    def test_row_has_medians_changes_verdicts_and_digests(self, tool):
+        parent = self.result((4.0, 0.1), 36.94, 27516.0, "d0", 32999)
+        change = self.result((4.1, 0.4), 26.92, 24000.0, "d1", 30828)
+        text = tool.trajectory_row(parent, change, self.SPEC,
+                                   ["network.packets"])
+        lines = text.splitlines()
+        assert lines[0] == ("| workload | `host_wall_s` | "
+                            "`sim_latency_p50_us` | `sim_throughput_qps` |")
+        row = lines[2].split(" | ")
+        assert row[0] == "| `ic_open`"
+        # spread 0.4 > bound 0.25: cannot be told apart
+        assert row[1] == "4 → 4.10 (+2.5%) ?"
+        # better by more than its bound
+        assert row[2] == "**36.9 → 26.9 (-27.1%)**"
+        # a higher-is-better metric that fell by more than its bound
+        assert row[3] == "27 516 → 24 000 (-12.8%) ! |"
+        assert ("- `ic_open`: `sim_digest` DIFFERS, `rows_sha` equal; "
+                "failed 0 → 0 of 1008") in lines
+        assert lines[-1] == "| `ic_open` | 32 999 → 30 828 |"
+
+    def test_unchanged_cells_are_plain_and_bounds_come_from_benchmark_json(
+            self, tool, tmp_path, capsys):
+        import json
+
+        same = self.result((4.0, 0.0), 36.94, 27516.0, "d0", 32999)
+        full = json.loads((tool.ROOT / "BENCHMARK.json").read_text())
+        # the real contract names six metrics; give the files all of them
+        for m in full["end_to_end"]:
+            same["workloads"]["ic_open"]["end_to_end"].setdefault(
+                m["name"], {"median": 1.0, "min": 1.0, "max": 1.0, "n": 1})
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps(same))
+        b.write_text(json.dumps(same))
+        assert tool.main([str(a), str(b)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("(+0.0%)") == len(full["end_to_end"])
+        assert "**" not in out and " !" not in out and " ?" not in out
+        assert "`sim_digest` equal" in out

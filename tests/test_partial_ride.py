@@ -35,6 +35,7 @@ from repro.runtime.metrics import MsgKind
 from repro.runtime.network import TRACKER_DST, Message, Network
 from repro.runtime.trace import PARTIAL_SHIP, STAGE_CLOSE, WeightLedgerAuditor
 from tests.conftest import KERNELS, make_graph
+from tests.test_query_homing import two_stage_plan
 
 NODES, WPN = 4, 2
 
@@ -64,7 +65,7 @@ def watch_closes(engine):
                 and session.plan.partials_ride(stage)):
             pulled = gather_partials(
                 session.plan, stage, query_id,
-                [runtime.memo_store for runtime in engine.runtimes])
+                engine.memo_stores)
             held = [GatheredPartial(pid, value, size) for pid, (_v, value, size)
                     in sorted(session.partials.items())]
             assert held == pulled, (query_id, stage, held, pulled)
@@ -86,13 +87,6 @@ def count_ships(engine):
 @pytest.fixture(scope="module")
 def graph():
     return make_graph(11, partitions=NODES * WPN)
-
-
-def two_stage_plan(graph):
-    return (
-        Traversal("two_stage").v_param("s").khop("e", k=2).as_("v")
-        .group_count("v").out("e").count().compile(graph)
-    )
 
 
 def khop_plans(graph):
@@ -220,11 +214,10 @@ class TestNothingToRideOn:
         (``test_kernels_bit_identical(seed=3, query_index=3, start=0,
         fuse=True)``): the ledger closes while a partition holds a count
         partial it never flushed weight for, so the stage must gather."""
-        from tests.test_engine_equivalence import QUERY_BUILDERS
-        from tests.test_engine_equivalence import make_graph as tiny_graph
-
-        graph = tiny_graph(3)
-        plan = QUERY_BUILDERS[3]().compile(graph, fuse=True)
+        # that suite's graph 3 and query 3, rebuilt here
+        graph = make_graph(3, n=40, degree=3, partitions=4)
+        plan = (Traversal("q3").v_param("s").khop("e", k=2).count()
+                .compile(graph, fuse=True))
         assert any(type(op) is FusedMinDistCount for op in plan.ops)
         assert not plan.partials_ride(0)
         rows = {}

@@ -359,9 +359,10 @@ class TestResultCompleteness:
 
     @pytest.fixture(scope="class")
     def events(self):
+        from tests.test_query_homing import two_stage_plan
+
         graph = make_graph(11, partitions=8)
-        plan = (Traversal("two_stage").v_param("s").khop("e", k=2).as_("v")
-                .group_count("v").out("e").count().compile(graph))
+        plan = two_stage_plan(graph)
         engine = AsyncPSTMEngine(graph, 4, 2, config=EngineConfig(trace=True))
         engine.run_closed_loop(lambda i: (plan, {"s": 7 * i}),
                                clients=4, total_queries=8)
