@@ -28,7 +28,7 @@ budgets, or the query lifecycle — those stay above it in the engine.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.progress import ProgressMode
 from repro.core.subquery import gather_partials
@@ -57,14 +57,6 @@ class DeliveryPlane:
         #: queries mid-cancellation: cancelled but their stage ledger has
         #: not yet re-absorbed all outstanding progression weight
         self.cancelling: Dict[int, "QuerySession"] = {}
-        #: retired attempt ids being replaced by a checkpoint restore:
-        #: their reclaims must NOT report to the tracker (docs/RECOVERY.md).
-        #: The restored attempt re-dispatches the checkpointed frontier
-        #: itself; letting the dead attempt's purged weight also reach its
-        #: still-open ledger would double-count the same progression
-        #: weight and could spuriously "complete" the dead stage mid-
-        #: restore. The exactly-once funnel stays exactly-once by fencing.
-        self.fenced: Set[int] = set()
         #: per-partition credit gates (None → backpressure disarmed)
         self.gates: Optional[List[CreditGate]] = (
             [
@@ -360,32 +352,29 @@ class DeliveryPlane:
         count: int,
         report: bool = True,
         session: Optional["QuerySession"] = None,
+        fenced: bool = False,
     ) -> None:
         """The one reclamation bookkeeping path (exactly-once invariant).
 
         Every site that removes a cancelled/aborted query's traversers —
         the deliver-time filter, the CANCEL purge at a partition, the
-        worker-buffer purge, and the drain loop's dead-session drop —
-        funnels through here: ``count`` traversers are charged to the
-        global and per-query reclaim counters, and ``weight`` (mod 2^64)
-        is folded into the stage ledger via one tracker-direct report (a
-        costless control-plane shortcut: the cancel fan-out already paid
-        the wire, and a reclamation report has no ordering hazard since
-        the ledger only sums). ``report=False`` is the teardown variant:
-        the ledger is being closed outright, so weight is discarded.
-        ``session`` overrides the mid-cancellation lookup for queries no
-        longer in :attr:`cancelling`.
+        eviction purge, and the drain loop's dead-session drop — funnels
+        through here: ``count`` traversers are charged to the global and
+        per-query reclaim counters, and ``weight`` (mod 2^64) is folded
+        into the stage ledger via one tracker-direct report (a costless
+        control-plane shortcut: the cancel fan-out already paid the wire,
+        and a reclamation report has no ordering hazard since the ledger
+        only sums). ``report=False`` discards the weight. ``session``
+        overrides the mid-cancellation lookup for queries no longer in
+        :attr:`cancelling`.
 
-        A query id in :attr:`fenced` (a retired attempt being replaced by
-        a checkpoint restore) takes the no-op path regardless of
-        ``report``: its traverser counters are still charged, but the
-        tracker never hears about the weight. The restored attempt
-        replays the checkpointed frontier itself; reporting the dead
-        attempt's purged weight here too would double-count it in the
-        ProgressTracker and could spuriously close the dead stage's
-        still-open ledger mid-restore.
+        ``fenced=True`` is :meth:`evict`'s form: the attempt is being
+        retired, so its traverser counters are still charged but the
+        tracker never hears about the weight. A restored or resumed
+        attempt replays the checkpointed frontier itself; reporting the
+        retired attempt's purged weight too would double-count it and
+        could spuriously close the retired stage's ledger mid-splice.
         """
-        fenced = query_id in self.fenced
         if fenced:
             report = False
         if self.engine.trace is not None:
@@ -435,28 +424,34 @@ class DeliveryPlane:
                 n += w_n
         self.reclaim(query_id, stage, weight, n)
 
-    def teardown(self, session: "QuerySession") -> None:
-        """Hard per-partition cleanup of a cancelled/aborted query.
+    def evict(self, session: "QuerySession", stage: int, reason: str) -> None:
+        """Remove every trace of a session's current attempt from the cluster.
 
-        The reclaim variant with ``report=False``: the query's progress
-        state is closed outright below, so purged weight has no ledger to
-        report to — only the traverser counters are charged.
+        The one purge behind force-retry, checkpoint restore, pause and
+        cancel teardown. The auditor is told first (MEMO_CLEAR, then
+        QUERY_CLOSE with ``reason``) so it drops the attempt's open stage
+        ledgers without the closing assertions — a crash legitimately
+        lost weight mid-stage — and the purge below audits as a no-op:
+        every partition's memos, queue and inbox and every worker's tier-1
+        buffers and accumulators go through fenced reclaims charged to
+        ``stage``, and the id is retired. The session keeps its query id
+        until :func:`~repro.runtime.lifecycle.start_attempt` mints a fresh
+        one.
         """
         engine = self.engine
         query_id = session.query_id
-        session.partials = {}
         if engine.trace is not None:
-            engine.trace.emit(MEMO_CLEAR, query_id, -1, "teardown")
+            engine.trace.emit(MEMO_CLEAR, query_id, -1, reason)
+            engine.trace.emit(QUERY_CLOSE, query_id, reason)
+        session.partials = {}
         for runtime in engine.runtimes:
             runtime.memo_store.clear_query(query_id)
-            _w, n = self.purge_partition(runtime, query_id)
-            self.reclaim(query_id, -1, 0, n, report=False, session=session)
+            w, n = self.purge_partition(runtime, query_id)
+            self.reclaim(query_id, stage, w, n, session=session, fenced=True)
         for worker in engine.workers:
-            _w, n = worker.reclaim_query(query_id)
-            self.reclaim(query_id, -1, 0, n, report=False, session=session)
+            w, n = worker.reclaim_query(query_id)
+            self.reclaim(query_id, stage, w, n, session=session, fenced=True)
         self.retire_attempt(query_id)
-        if engine.trace is not None:
-            engine.trace.emit(QUERY_CLOSE, query_id, "teardown")
 
     def retire_attempt(self, query_id: int) -> None:
         """Forget an attempt id: its in-flight count, ledgers, session entry

@@ -70,6 +70,7 @@ from repro.runtime.lifecycle import (
     QueryState,
     salvage_partial,
     stage0_seeds,
+    start_attempt,
 )
 from repro.runtime.metrics import LatencyRecorder, MsgKind, RunMetrics
 from repro.runtime.network import Message, Network
@@ -558,7 +559,7 @@ class AsyncPSTMEngine:
                 QueryState.PARTIAL if session._salvaged else QueryState.FAILED,
                 reason,
             )
-            self.delivery.teardown(session)
+            self.delivery.evict(session, stage, "teardown")
             self._retire(session)
             return
         session.lifecycle.to(QueryState.CANCELLING, reason)
@@ -600,7 +601,7 @@ class AsyncPSTMEngine:
             QueryState.PARTIAL if session._salvaged else QueryState.FAILED,
             session.qmetrics.cancel_reason,
         )
-        self.delivery.teardown(session)
+        self.delivery.evict(session, stage, "teardown")
         self._retire(session)
 
     # -- dispatch -----------------------------------------------------------
@@ -611,7 +612,7 @@ class AsyncPSTMEngine:
         session.lifecycle.to(QueryState.RUNNING)
         now = self.clock.now
         session.qmetrics.submitted_at_us = now
-        seeds = self._stage0_seeds(session)
+        seeds = stage0_seeds(self, session)
         # the snapshot pin and the instantiation charge read the home
         self._route_seeds(session, seeds)
         if self.txnplane is not None and session.snapshot_ts is None:
@@ -635,20 +636,7 @@ class AsyncPSTMEngine:
                 * len(session.plan.ops)
             )
             ready_at = self.tracker.charge(session.query_id, now, coord_setup)
-        self.progress.open_stage(session.query_id, 0)
-        if self.trace is not None:
-            self.trace.emit(STAGE_OPEN, session.query_id, 0)
-        if ready_at > now:
-            self.clock.schedule_at(
-                ready_at, lambda: self._dispatch_seeds(session, seeds, self.clock.now)
-            )
-        else:
-            self._dispatch_seeds(session, seeds, now)
-        self.recovery.arm_watchdog(session)
-
-    def _stage0_seeds(self, session: QuerySession) -> List[Traverser]:
-        # Body lives in lifecycle.stage0_seeds; recovery calls this too.
-        return stage0_seeds(self, session)
+        start_attempt(self, session, seeds, ready_at=ready_at)
 
     def _dispatch_seeds(
         self, session: QuerySession, seeds: List[Traverser], now: float

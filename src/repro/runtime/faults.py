@@ -41,19 +41,11 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.core.subquery import StageCursor
 from repro.errors import ConfigurationError
-from repro.runtime.lifecycle import REASON_RETRY_BUDGET, QueryState
-from repro.runtime.trace import (
-    MEMO_CLEAR,
-    QUERY_CLOSE,
-    RESTORE,
-    STAGE_OPEN,
-    WORKER_FAULT,
-)
+from repro.runtime.lifecycle import REASON_RETRY_BUDGET, QueryState, start_attempt
+from repro.runtime.trace import RESTORE, WORKER_FAULT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.checkpoint import StageCheckpoint
     from repro.runtime.engine import AsyncPSTMEngine
     from repro.runtime.lifecycle import QuerySession
     from repro.runtime.network import Message
@@ -356,139 +348,42 @@ class RecoveryManager:
     def recover_query(self, session: "QuerySession") -> None:
         """Re-execute a stuck query under a fresh query id (bounded).
 
-        With checkpointing armed and a stage-boundary checkpoint stored,
-        recovery resumes from it (:meth:`restore_query`) and replays only
-        the work after the boundary. Otherwise the abandoned attempt is
-        torn down completely — per-partition memos invalidated, queued
-        traversers purged, progress state closed — and the query restarts
-        from its stage-0 seeds. Either way the fresh attempt gets a
-        **new query id**, so anything of the old attempt still in flight
-        (buffered traversers, retransmitted packets, stale weight reports)
-        resolves to a dead session on arrival and is discarded instead of
-        contaminating the retry. Budget exhaustion moves the session's
+        The abandoned attempt is evicted
+        (:meth:`~repro.runtime.delivery.DeliveryPlane.evict`: memos,
+        queued and buffered traversers, accumulators and progress state
+        all go), then :func:`~repro.runtime.lifecycle.start_attempt`
+        re-runs it under a **new query id**, so anything of the old
+        attempt still in flight (retransmitted packets, stale weight
+        reports) resolves to a dead session on arrival instead of
+        contaminating the retry. With checkpointing armed and a
+        stage-boundary checkpoint stored, the new attempt resumes from it
+        and replays only the work after the boundary — bit-for-bit the
+        rows of an uncrashed run (docs/RECOVERY.md); otherwise it restarts
+        from its stage-0 seeds. Budget exhaustion moves the session's
         lifecycle to FAILED; :meth:`AsyncPSTMEngine.run` surfaces that as
         RetryBudgetExceededError.
         """
         engine = self.engine
-        checkpoints = engine.checkpoints
-        if checkpoints is not None:
-            ckpt = checkpoints.latest(session.query_id)
-            if ckpt is not None:
-                self.restore_query(session, ckpt)
-                return
-            # Armed but nothing stored yet (crash before the first stage
-            # boundary, or the interval gate skipped every boundary so
-            # far): fall back to the full force-retry below.
-            engine.metrics.checkpoint_fallbacks += 1
-        old_query_id = session.query_id
-        if engine.trace is not None:
-            # "recover" drops the abandoned attempt's open stage ledgers
-            # without the terminated/cancelled closing assertions: a crash
-            # or exhausted transport legitimately lost weight mid-stage.
-            engine.trace.emit(MEMO_CLEAR, old_query_id, -1, "recover")
-            engine.trace.emit(QUERY_CLOSE, old_query_id, "recover")
-        for runtime in engine.runtimes:
-            runtime.memo_store.clear_query(old_query_id)
-            # purge_partition (not raw purge_query): inboxed traversers of
-            # the abandoned attempt hold sender credits that must flow back.
-            engine.delivery.purge_partition(runtime, old_query_id)
-        engine.delivery.retire_attempt(old_query_id)
+        ckpt = None
+        if engine.checkpoints is not None:
+            ckpt = engine.checkpoints.latest(session.query_id)
+            if ckpt is None:
+                # Armed but nothing stored yet (crash before the first
+                # stage boundary, or the interval gate skipped every
+                # boundary so far): fall back to the full force-retry.
+                engine.metrics.checkpoint_fallbacks += 1
+        if ckpt is None:
+            engine.delivery.evict(session, session.cursor.current, "recover")
+        else:
+            engine.delivery.evict(session, ckpt.stage, "restore")
         if session.qmetrics.retries >= engine.config.retry_budget:
             session.lifecycle.to(QueryState.FAILED, REASON_RETRY_BUDGET)
             engine._retire(session)
             return
         session.qmetrics.retries += 1
         engine.metrics.query_retries += 1
-        new_query_id = engine._next_query_id
-        engine._next_query_id += 1
-        session.query_id = new_query_id
-        session.cursor = StageCursor(session.plan, new_query_id)
-        session.rng = random.Random((engine.seed << 20) ^ new_query_id)
-        session._contexts = [None] * engine.num_partitions
-        session.partials = {}
-        engine.sessions[new_query_id] = session
-        engine.progress.open_stage(new_query_id, 0)
-        if engine.trace is not None:
-            engine.trace.emit(STAGE_OPEN, new_query_id, 0, old_query_id)
-        engine._dispatch_seeds(session, engine._stage0_seeds(session), engine.clock.now)
-        self.arm_watchdog(session)
-
-    def restore_query(
-        self, session: "QuerySession", ckpt: "StageCheckpoint"
-    ) -> None:
-        """Resume a stuck query from its newest stage-boundary checkpoint.
-
-        The same fencing idiom as the force retry — the restored attempt
-        runs under a **fresh query id** so the dead attempt's strays
-        resolve to a dead session — but instead of restarting from the
-        stage-0 seeds, every partition's memo shard is rolled back to the
-        checkpointed boundary and the checkpointed frontier (whose weights
-        sum to the root weight by construction) is re-dispatched. Only the
-        work after the boundary is replayed; the rows are bit-for-bit
-        identical to an uncrashed run because the checkpoint carries the
-        session RNG state as of the boundary (docs/RECOVERY.md).
-
-        While the dead attempt is being purged its id sits in
-        ``delivery.fenced``, so the purge's weight reclaims take the no-op
-        path instead of reporting to the progress tracker — the restored
-        attempt replays that weight itself, and a report here would
-        double-count it (and could spuriously close the dead stage's
-        still-open ledger mid-restore).
-        """
-        engine = self.engine
-        delivery = engine.delivery
-        old_query_id = session.query_id
-        delivery.fenced.add(old_query_id)
-        if engine.trace is not None:
-            # "restore" (like "recover") drops the dead attempt's open
-            # stage ledgers in the auditor before the purges below, so the
-            # fenced reclaims and accumulator drains audit as no-ops.
-            engine.trace.emit(MEMO_CLEAR, old_query_id, -1, "restore")
-            engine.trace.emit(QUERY_CLOSE, old_query_id, "restore")
-        stage = ckpt.stage
-        for runtime in engine.runtimes:
-            runtime.memo_store.clear_query(old_query_id)
-            w, n = delivery.purge_partition(runtime, old_query_id)
-            delivery.reclaim(old_query_id, stage, w, n, session=session)
-        for worker in engine.workers:
-            w, n = worker.reclaim_query(old_query_id)
-            delivery.reclaim(old_query_id, stage, w, n, session=session)
-        delivery.retire_attempt(old_query_id)
-        delivery.fenced.discard(old_query_id)
-        if session.qmetrics.retries >= engine.config.retry_budget:
-            engine.checkpoints.drop(old_query_id)
-            session.lifecycle.to(QueryState.FAILED, REASON_RETRY_BUDGET)
-            engine._retire(session)
-            return
-        session.qmetrics.retries += 1
-        session.qmetrics.restores += 1
-        engine.metrics.query_retries += 1
-        engine.metrics.checkpoint_restores += 1
-        new_query_id = engine._next_query_id
-        engine._next_query_id += 1
-        session.query_id = new_query_id
-        cursor = StageCursor(session.plan, new_query_id)
-        cursor.current = stage
-        session.cursor = cursor
-        # Exact resume point: getstate() was captured right after the
-        # boundary's split_weight draws, so the replay's draws continue the
-        # original sequence bit for bit.
-        rng = random.Random(0)
-        rng.setstate(ckpt.rng_state)
-        session.rng = rng
-        session._contexts = [None] * engine.num_partitions
-        session.partials = {}
-        engine.sessions[new_query_id] = session
-        engine.checkpoints.rekey(old_query_id, new_query_id)
-        for pid, runtime in enumerate(engine.runtimes):
-            memo = ckpt.build_memo(pid)
-            if memo is not None:
-                runtime.memo_store.install(new_query_id, memo)
-        engine.progress.open_stage(new_query_id, stage)
-        if engine.trace is not None:
-            engine.trace.emit(RESTORE, new_query_id, stage, old_query_id,
-                              len(ckpt.seeds))
-            engine.trace.emit(STAGE_OPEN, new_query_id, stage, old_query_id)
-        seeds = [t.evolve(query_id=new_query_id) for t in ckpt.seeds]
-        engine._dispatch_seeds(session, seeds, engine.clock.now)
-        self.arm_watchdog(session)
+        if ckpt is not None:
+            session.qmetrics.restores += 1
+            engine.metrics.checkpoint_restores += 1
+        start_attempt(engine, session, ckpt=ckpt,
+                      event=() if ckpt is None else (RESTORE,))

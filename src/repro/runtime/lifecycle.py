@@ -51,7 +51,8 @@ survive as derived, read-only properties.
 This module also hosts the session/result types that travel the state
 machine: :class:`QuerySession` (runtime state of one in-flight query),
 :class:`QueryResult` (outcome, with ``partial``/``rejected`` derived from
-the terminal state) and :class:`QueryProfile` (EXPLAIN ANALYZE output).
+the terminal state) and :class:`QueryProfile` (EXPLAIN ANALYZE output),
+plus :func:`start_attempt`, the one place an attempt of a query opens.
 """
 
 from __future__ import annotations
@@ -69,11 +70,12 @@ from repro.core.weight import ROOT_WEIGHT, split_weight
 from repro.errors import ExecutionError, LifecycleError
 from repro.query.plan import PhysicalPlan
 from repro.runtime.metrics import QueryMetrics
-from repro.runtime.trace import LIFECYCLE, MEMO_ATTACH
+from repro.runtime.trace import LIFECYCLE, MEMO_ATTACH, STAGE_OPEN
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from collections import Counter
 
+    from repro.runtime.checkpoint import StageCheckpoint
     from repro.runtime.engine import AsyncPSTMEngine
     from repro.runtime.trace import TraceRecorder
 
@@ -504,3 +506,73 @@ def stage0_seeds(
             )
     weights = split_weight(ROOT_WEIGHT, len(specs), session.rng)
     return [t.evolve(weight=w) for t, w in zip(specs, weights)]
+
+
+def start_attempt(
+    engine: "AsyncPSTMEngine",
+    session: QuerySession,
+    seeds: Optional[List[Traverser]] = None,
+    ckpt: Optional["StageCheckpoint"] = None,
+    ready_at: Optional[float] = None,
+    event: Tuple = (),
+) -> None:
+    """Open and dispatch one attempt of a query.
+
+    The one splice behind a first dispatch, force-retry, checkpoint
+    restore and resume. A session whose id
+    :meth:`~repro.runtime.delivery.DeliveryPlane.evict` retired restarts
+    under a **fresh query id** — the fencing token that makes the retired
+    attempt's strays resolve to a dead session — with a fresh cursor and
+    contexts, its checkpoints re-keyed, and either the stage-0 seeds of an
+    RNG seeded from the new id or ``ckpt``'s stage, seeds, RNG state and
+    memo shards. A first attempt keeps the id ``submit`` gave it and
+    dispatches ``seeds``, at ``ready_at`` when that is later than now.
+
+    ``event`` is a checkpoint splice's trace kind and trailing fields,
+    emitted as ``(kind, new id, stage, retired id, n_seeds, *rest)``
+    before STAGE_OPEN.
+    """
+    stage = 0
+    retry_of = None
+    if engine.sessions.get(session.query_id) is not session:
+        retry_of = session.query_id
+        query_id = session.query_id = engine._next_query_id
+        engine._next_query_id += 1
+        session.cursor = StageCursor(session.plan, query_id)
+        if ckpt is None:
+            session.rng = random.Random((engine.seed << 20) ^ query_id)
+        else:
+            stage = session.cursor.current = ckpt.stage
+            # Exact resume point: getstate() was captured right after the
+            # boundary's split_weight draws, so the replay's draws continue
+            # the original sequence bit for bit.
+            session.rng = random.Random(0)
+            session.rng.setstate(ckpt.rng_state)
+        session._contexts = [None] * engine.num_partitions
+        engine.sessions[query_id] = session
+        if engine.checkpoints is not None:
+            engine.checkpoints.rekey(retry_of, query_id)
+        if ckpt is None:
+            seeds = stage0_seeds(engine, session)
+        else:
+            seeds = [t.evolve(query_id=query_id) for t in ckpt.seeds]
+            for pid, runtime in enumerate(engine.runtimes):
+                memo = ckpt.build_memo(pid)
+                if memo is not None:
+                    runtime.memo_store.install(query_id, memo)
+    query_id = session.query_id
+    engine.progress.open_stage(query_id, stage)
+    if engine.trace is not None:
+        if event:
+            engine.trace.emit(event[0], query_id, stage, retry_of, len(seeds),
+                              *event[1:])
+        engine.trace.emit(STAGE_OPEN, query_id, stage,
+                          *(() if retry_of is None else (retry_of,)))
+    now = engine.clock.now
+    if ready_at is not None and ready_at > now:
+        engine.clock.schedule_at(
+            ready_at,
+            lambda: engine._dispatch_seeds(session, seeds, engine.clock.now))
+    else:
+        engine._dispatch_seeds(session, seeds, now)
+    engine.recovery.arm_watchdog(session)

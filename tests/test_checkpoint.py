@@ -247,7 +247,6 @@ class TestCrashRecovery:
                   if ev.data.get("fenced")]
         assert fenced  # the restore purged live stage-1 state
         assert all(ev.data["reported"] is False for ev in fenced)
-        assert not engine.delivery.fenced  # fence lifted after the purge
 
 
 # -- retention ---------------------------------------------------------------

@@ -22,6 +22,7 @@ import pytest
 
 from repro.errors import ConfigurationError, RetryBudgetExceededError
 from repro.core.progress import ProgressMode
+from repro.query.traversal import Traversal
 from repro.runtime.engine import AsyncPSTMEngine, EngineConfig
 from repro.runtime.faults import (
     CRASH,
@@ -30,7 +31,9 @@ from repro.runtime.faults import (
     FaultPlan,
     WorkerFault,
 )
-from tests.conftest import khop3_count, make_graph, run_batch, run_one
+from repro.runtime.lifecycle import QueryState
+from repro.runtime.metrics import MsgKind
+from tests.conftest import KERNELS, khop3_count, make_graph, run_batch, run_one
 
 NODES, WPN = 2, 2
 
@@ -307,3 +310,148 @@ class TestWorkerFaults:
         for runtime in engine.runtimes:
             assert runtime.memo_store.active_queries() == []
             assert not runtime.queue
+
+
+# -- residue: every way an attempt ends leaves nothing behind ---------------
+#
+# Timeline facts for make_graph(3), start vertex 5: khop3_count finishes at
+# t ~= 105 us; the two-stage plan closes stage 0 at t ~= 48 us and
+# finishes at t ~= 115 us.
+
+CRASH_INSTANTS = (10.0, 25.0, 40.0, 60.0, 80.0)
+
+
+def two_stage_plan(graph):
+    return (Traversal("two_stage").v_param("s").khop("e", k=2).as_("v")
+            .group_count("v").out("e").count().compile(graph))
+
+
+def watch_retirements(engine, plan):
+    """Shim ``retire_attempt`` to assert, right after every attempt id is
+    retired, that nothing of it is resident anywhere, and ``network.send``
+    to assert that no retired id is sent again. Returns the retired ids."""
+    retired = set()
+    delivery = engine.delivery
+    real_retire = delivery.retire_attempt
+    real_send = engine.network.send
+
+    def retire(query_id):
+        real_retire(query_id)
+        retired.add(query_id)
+        for worker in engine.workers:
+            assert query_id not in worker.resident_queries()
+        for runtime in engine.runtimes:
+            assert query_id not in runtime.memo_store.active_queries()
+            for table in (runtime.stage_counts, runtime.partial_versions,
+                          runtime.partial_shipped):
+                assert all(key[0] != query_id for key in table)
+        for stage in range(plan.num_stages):
+            assert engine.progress.ledger(query_id, stage) is None
+        assert query_id not in engine.sessions
+        assert query_id not in engine._homes
+        assert query_id not in delivery.inflight
+
+    def send(src, dst, messages, when):
+        for m in messages:
+            ids = {m.query_id}
+            if m.kind in (MsgKind.TRAVERSER, MsgKind.SEED):
+                ids.update(t.query_id for t in m.payload)
+            assert not ids & retired, m
+        real_send(src, dst, messages, when)
+
+    delivery.retire_attempt = retire
+    engine.network.send = send
+    return retired
+
+
+def run_watched(engine, plan, schedule=lambda engine, session: None):
+    """Run one query with retirements watched; returns ``(session, first
+    attempt id, retired ids)``."""
+    retired = watch_retirements(engine, plan)
+    session = engine.submit(plan, {"s": 5})
+    first_id = session.query_id
+    schedule(engine, session)
+    engine.clock.run_until_idle()
+    return session, first_id, retired
+
+
+class TestAttemptResidue:
+    """Force-retry, restore, pause and cancel all end an attempt through
+    ``DeliveryPlane.evict``: right after it, the retired id holds no worker
+    state, memo, stage count, partial version, ledger, session, home or
+    in-flight count, and no later message carries it."""
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_force_retry(self, kernel):
+        """A crash on each worker at each instant, checkpointing off."""
+        graph = make_graph(3)
+        plan = khop3_count(graph)
+        _, base = run_one(graph, plan, {"s": 5})
+        retries = 0
+        for wid in range(NODES * WPN):
+            for at in CRASH_INSTANTS:
+                engine = AsyncPSTMEngine(graph, NODES, WPN, config=EngineConfig(
+                    kernel=kernel, watchdog_timeout_us=20_000.0,
+                    fault_plan=FaultPlan(seed=1, worker_faults=(
+                        WorkerFault(wid=wid, at_us=at, down_us=3000.0),)),
+                ))
+                session, first_id, retired = run_watched(engine, plan)
+                assert engine.result_of(session).rows == base.rows
+                assert first_id in retired
+                retries += engine.metrics.query_retries
+        # most crash points hit live state and force a retry
+        assert retries > NODES * WPN * len(CRASH_INSTANTS) // 2
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_restore(self, kernel):
+        """A crash after the stage-0 boundary restores from its checkpoint."""
+        graph = make_graph(3)
+        plan = two_stage_plan(graph)
+        _, base = run_one(graph, plan, {"s": 5})
+        for wid in range(NODES * WPN):
+            engine = AsyncPSTMEngine(graph, NODES, WPN, config=EngineConfig(
+                kernel=kernel, checkpoint_interval_us=0.0,
+                watchdog_timeout_us=20_000.0,
+                fault_plan=FaultPlan(seed=1, worker_faults=(
+                    WorkerFault(wid=wid, at_us=80.0, down_us=3000.0),)),
+            ))
+            session, first_id, retired = run_watched(engine, plan)
+            assert engine.result_of(session).rows == base.rows
+            assert engine.metrics.checkpoint_restores == 1, wid
+            assert first_id in retired
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_pause_resume(self, kernel):
+        """Preempted mid stage 0, paused at its boundary, resumed later."""
+        graph = make_graph(3)
+        plan = two_stage_plan(graph)
+        _, base = run_one(graph, plan, {"s": 5})
+        engine = AsyncPSTMEngine(graph, NODES, WPN, config=EngineConfig(
+            kernel=kernel, checkpoint_interval_us=0.0))
+
+        def schedule(engine, session):
+            engine.clock.schedule_at(25.0, lambda: engine.preempt(session))
+            engine.clock.schedule_at(1000.0, lambda: engine.resume(session))
+
+        session, first_id, retired = run_watched(engine, plan, schedule)
+        assert engine.result_of(session).rows == base.rows
+        assert engine.metrics.resumes == 1
+        assert first_id in retired
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_cooperative_cancel(self, kernel):
+        """A CANCEL fanned out mid stage 0, torn down once its ledger
+        closes."""
+        graph = make_graph(3)
+        plan = two_stage_plan(graph)
+        engine = AsyncPSTMEngine(graph, NODES, WPN,
+                                 config=EngineConfig(kernel=kernel))
+
+        def schedule(engine, session):
+            engine.clock.schedule_at(25.0, lambda: engine.cancel(session))
+
+        session, first_id, retired = run_watched(engine, plan, schedule)
+        assert session.lifecycle.state is QueryState.FAILED
+        assert engine.metrics.lifecycle_transitions[
+            "running->cancelling"] == 1
+        assert first_id in retired

@@ -310,7 +310,6 @@ class TestPauseResume:
                   if ev.data.get("fenced")]
         assert fenced
         assert all(ev.data["reported"] is False for ev in fenced)
-        assert not engine.delivery.fenced
 
 
 # -- refusals and overtaking -------------------------------------------------
