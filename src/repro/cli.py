@@ -504,8 +504,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
     engine, sessions = _trace_run(recipe)
     trace = engine.trace
 
+    nbytes = trace.nbytes
     print(f"{len(trace)} trace events from {len(sessions)} queries "
-          f"(trace store ~{trace.nbytes / 1024:.0f} KiB)")
+          f"(trace store ~{nbytes / 1024:.0f} KiB, "
+          f"{nbytes / len(trace):.0f} B/event)")
     kinds: Dict[str, int] = {}
     for ev in trace:
         kinds[ev.kind] = kinds.get(ev.kind, 0) + 1

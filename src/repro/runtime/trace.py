@@ -8,7 +8,8 @@ lifecycle transitions, kernel executions, weight reclamations, tracker
 reports, credit movements, network sends/retransmits, memo lifecycle —
 appended in simulated-time order (the simulator is single-threaded, so the
 event list is totally ordered for free) and stored as flat rows whose
-fields :data:`KIND_FIELDS` names per kind.
+fields :data:`KIND_FIELDS` names per kind, sealed every
+:data:`CHUNK_EVENTS` events into per-kind typed columns.
 
 Three consumers:
 
@@ -33,9 +34,13 @@ delivery plane, or any other runtime layer (enforced by
 from __future__ import annotations
 
 import json
+import struct
 import sys
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat, starmap
+from operator import is_
 from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.core.progress import ProgressMode
@@ -149,8 +154,8 @@ _CLOSED_REASONS = ("terminated", "cancelled")
 class TraceEvent:
     """One structured trace record: ``ts`` (simulated µs), ``kind``,
     ``query_id`` (-1 when not attributable to one query), payload dict.
-    The recorder stores rows, not these: ``recorder.events`` builds one per
-    event read."""
+    The recorder stores rows and columns, not these: ``recorder.events``
+    builds one per event read."""
 
     __slots__ = ("ts", "kind", "query_id", "data")
 
@@ -175,42 +180,35 @@ class TraceEvent:
 #: an event as recorded, or as re-read from a JSONL dump
 TraceLike = Union[TraceEvent, Dict[str, Any]]
 
-#: one stored event: ``(ts, kind, query_id, *payload values)``
+#: one stored event: ``(ts, query_id, *payload values)``, its kind kept
+#: beside it as a code into :data:`_KINDS`
 Row = Tuple[Any, ...]
 
+#: events per sealed chunk of the store
+CHUNK_EVENTS = 4096
 
-def _view(row: Row) -> TraceEvent:
-    kind = row[1]
-    return TraceEvent(row[0], kind, row[2], {
-        name: value for name, value in zip(KIND_FIELDS[kind], row[3:])
+#: the kind codes a chunk stores (one byte each), and their inverse
+_KINDS = tuple(KIND_FIELDS)
+_CODES = {kind: code for code, kind in enumerate(_KINDS)}
+#: per kind code: its field count, and a stored row's length (``ts``,
+#: ``query_id``, the fields)
+_WIDTHS = tuple(map(len, KIND_FIELDS.values()))
+_ROW_WIDTHS = tuple(2 + width for width in _WIDTHS)
+#: ``_PADDING[n]``: what fills a row ``n`` values short of its schema
+_PADDING = tuple((ABSENT,) * n for n in range(max(_WIDTHS) + 1))
+
+
+def _view(code: int, row: Row) -> TraceEvent:
+    kind = _KINDS[code]
+    return TraceEvent(row[0], kind, row[1], {
+        name: value for name, value in zip(KIND_FIELDS[kind], row[2:])
         if value is not ABSENT
     })
 
 
-class _EventLog(Sequence):
-    """``recorder.events``: the row store read as :class:`TraceEvent`
-    objects, each built when read and owned by the reader."""
-
-    __slots__ = ("_rows",)
-
-    def __init__(self, rows: List[Row]) -> None:
-        self._rows = rows
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [_view(row) for row in self._rows[index]]
-        return _view(self._rows[index])
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return map(_view, self._rows)
-
-
 def _boxed_bytes(value: Any) -> int:
-    """Bytes a row value owns beyond its slot: strings, bools, ``None`` and
-    the interpreter's cached small ints are shared, not owned."""
+    """Bytes a stored value owns beyond its slot: strings, bools, ``None``
+    and the interpreter's cached small ints are shared, not owned."""
     kind = type(value)
     if kind is float or (kind is int and not -5 <= value <= 256):
         return sys.getsizeof(value)
@@ -219,13 +217,198 @@ def _boxed_bytes(value: Any) -> int:
     return 0
 
 
+# -- sealed columns ----------------------------------------------------------
+
+
+class _Repeated:
+    """A column holding one object throughout, stored once."""
+
+    __slots__ = ("value", "n")
+
+    def __init__(self, value: Any, n: int) -> None:
+        self.value = value
+        self.n = n
+
+    def __getitem__(self, index: int) -> Any:
+        return self.value
+
+    def __iter__(self) -> Iterator[Any]:
+        return repeat(self.value, self.n)
+
+
+#: ``(typecode, lowest, highest + 1)`` of the signed int arrays, narrowest
+#: first
+_SIGNED = tuple(
+    (code, -(1 << (8 * array(code).itemsize - 1)),
+     1 << (8 * array(code).itemsize - 1))
+    for code in "bhiq")
+
+#: an int column's typecode is first guessed from every this-many-th value
+_SAMPLE_STRIDE = 64
+
+
+def _int_code(lo: int, hi: int) -> Optional[str]:
+    """The narrowest array typecode that holds every int in ``[lo, hi]``."""
+    for code, low, high in _SIGNED:
+        if low <= lo and hi < high:
+            return code
+    return "Q" if lo >= 0 and hi < 1 << 64 else None
+
+
+def _packed(code: Optional[str], values: List[Any]) -> Any:
+    if code is None:
+        return tuple(values)
+    return array(code, struct.pack(f"{len(values)}{code}", *values))
+
+
+def _column(values: List[Any]) -> Any:
+    """One field of one kind's rows in a chunk, stored so every value reads
+    back with its type and value: one object throughout once, all ``float``
+    as ``array('d')``, all ``int`` in the narrowest int array that holds
+    them, anything else (bools, ``None``, strings, tuples, mixed types,
+    ints beyond 64 bits) as a tuple."""
+    first, n = values[0], len(values)
+    if values[-1] is first and all(map(is_, values, repeat(first))):
+        return _Repeated(first, n)
+    types = list(map(type, values))
+    if types.count(int) != n:
+        return _packed("d" if types.count(float) == n else None, values)
+    # The sample's typecode can only be too narrow, which struct.pack
+    # reports; the whole column is then sized exactly.
+    sample = values[::_SAMPLE_STRIDE]
+    try:
+        return _packed(_int_code(min(sample), max(sample)), values)
+    except struct.error:
+        return _packed(_int_code(min(values), max(values)), values)
+
+
+def _column_bytes(column: Any) -> int:
+    if type(column) is _Repeated:
+        return sys.getsizeof(column) + _boxed_bytes(column.value)
+    if type(column) is tuple:
+        return _boxed_bytes(column)
+    return sys.getsizeof(column)  # an array: header and buffer
+
+
+class _Chunk:
+    """:data:`CHUNK_EVENTS` sealed events: their kind codes in order, and
+    for each kind present its ``(ts, query_id, *fields)`` columns, whose
+    ``k``-th entries are that kind's ``k``-th event in the chunk."""
+
+    __slots__ = ("codes", "columns")
+
+    def __init__(self, codes: bytes,
+                 columns: Dict[int, Tuple[Any, ...]]) -> None:
+        self.codes = codes
+        self.columns = columns
+
+    def rows(self, code: int) -> Iterable[Row]:
+        return zip(*self.columns.get(code, ()))
+
+    def row(self, code: int, k: int) -> Row:
+        return tuple(column[k] for column in self.columns[code])
+
+    @property
+    def nbytes(self) -> int:
+        total = (sys.getsizeof(self) + sys.getsizeof(self.codes)
+                 + sys.getsizeof(self.columns))
+        for columns in self.columns.values():
+            total += sys.getsizeof(columns) + sum(map(_column_bytes, columns))
+        return total
+
+
+class _Tail:
+    """The events since the last seal: their kind codes in order, and each
+    kind's rows end to end in one flat list, padded to the kind's width
+    with :data:`ABSENT`."""
+
+    __slots__ = ("codes", "flat")
+
+    def __init__(self) -> None:
+        self.codes = bytearray()
+        self.flat: List[List[Any]] = [[] for _ in _KINDS]
+
+    def rows(self, code: int) -> Iterable[Row]:
+        return zip(*[iter(self.flat[code])] * _ROW_WIDTHS[code])
+
+    def row(self, code: int, k: int) -> Row:
+        width = _ROW_WIDTHS[code]
+        return tuple(self.flat[code][k * width:(k + 1) * width])
+
+    def seal(self) -> _Chunk:
+        """Move every event into a :class:`_Chunk`; a kind's column ``j``
+        is its flat list's every ``width``-th value from ``j``, sliced at C
+        speed."""
+        columns = {}
+        for code, flat in enumerate(self.flat):
+            if flat:
+                width = _ROW_WIDTHS[code]
+                columns[code] = tuple(
+                    _column(flat[j::width]) for j in range(width))
+                flat.clear()
+        chunk = _Chunk(bytes(self.codes), columns)
+        self.codes.clear()
+        return chunk
+
+    @property
+    def nbytes(self) -> int:
+        total = (sys.getsizeof(self) + sys.getsizeof(self.codes)
+                 + sys.getsizeof(self.flat))
+        stamps = {}  # events of one instant share the clock's float
+        for code, flat in enumerate(self.flat):
+            width = _ROW_WIDTHS[code]
+            total += sys.getsizeof(flat)
+            for j in range(2, width):
+                total += sum(map(_boxed_bytes, flat[j::width]))
+            stamps.update(zip(map(id, flat[::width]), flat[::width]))
+        return total + sum(map(_boxed_bytes, stamps.values()))
+
+
+def _in_order(segment: Union[_Chunk, _Tail]) -> Iterator[Tuple[int, Row]]:
+    """A chunk's or the tail's ``(code, row)`` pairs in emit order."""
+    codes = segment.codes
+    rows = {code: iter(segment.rows(code)) for code in set(codes)}
+    return zip(codes, map(next, map(rows.__getitem__, codes)))
+
+
+class _EventLog(Sequence):
+    """``recorder.events``: the store read as :class:`TraceEvent` objects,
+    each built when read and owned by the reader."""
+
+    __slots__ = ("_recorder",)
+
+    def __init__(self, recorder: "TraceRecorder") -> None:
+        self._recorder = recorder
+
+    def __len__(self) -> int:
+        return len(self._recorder)
+
+    def __getitem__(self, index):
+        picked = range(len(self))[index]
+        if not isinstance(index, slice):
+            return _view(*self._recorder._at(picked))
+        ahead = picked if picked.step > 0 else picked[::-1]
+        if not ahead:
+            return []
+        rows = islice(self._recorder._rows(ahead.start), 0,
+                      ahead[-1] - ahead.start + 1, ahead.step)
+        events = list(starmap(_view, rows))
+        return events if ahead is picked else events[::-1]
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        return starmap(_view, self._recorder._rows())
+
+
 class TraceRecorder:
     """Collects trace events in simulated-time order.
 
-    An event is stored as one flat row ``(ts, kind, query_id, *values)``,
-    the values in :data:`KIND_FIELDS` order — a tuple of atomics, which
-    the cyclic collector stops tracking, and no per-event object or dict.
-    ``events`` reads the rows back as :class:`TraceEvent` objects.
+    ``emit`` extends its kind's flat list by one row ``(ts, query_id,
+    *values)``, the values in :data:`KIND_FIELDS` order, and appends the
+    kind's one-byte code to the order. Every :data:`CHUNK_EVENTS` events
+    the rows are sealed into a chunk of per-kind typed columns, so a stored
+    event costs tens of bytes, not a tuple and its boxed numbers. ``events``
+    reads the store back as :class:`TraceEvent` objects, each value with
+    the type and value it was emitted with.
 
     Constructed once per engine; ``run_info`` (the :data:`RUN_CONFIG`
     values: progress mode, kernel, cluster shape, seed) becomes the leading
@@ -234,8 +417,10 @@ class TraceRecorder:
 
     def __init__(self, clock: "SimClock", *run_info: Any) -> None:
         self._clock = clock
-        self._rows: List[Row] = []
-        self.events = _EventLog(self._rows)
+        self._chunk_events = CHUNK_EVENTS  # every chunk this recorder seals
+        self._chunks: List[_Chunk] = []
+        self._tail = _Tail()
+        self.events = _EventLog(self)
         if run_info:
             self.emit(RUN_CONFIG, -1, *run_info)
 
@@ -245,41 +430,67 @@ class TraceRecorder:
         """Append one event stamped with the current simulated time;
         ``values`` follow ``KIND_FIELDS[kind]``. An undeclared kind raises
         ``KeyError``, more values than declared fields ``ValueError``."""
-        if len(values) > len(KIND_FIELDS[kind]):
+        code = _CODES[kind]
+        short = _WIDTHS[code] - len(values)
+        if short < 0:
             raise ValueError(
                 f"{kind} event takes {KIND_FIELDS[kind]}, got {values}")
-        self._rows.append((self._clock.now, kind, query_id) + values)
+        tail = self._tail
+        flat = tail.flat[code]
+        flat.append(self._clock.now)
+        flat.append(query_id)
+        flat += values
+        if short:
+            flat += _PADDING[short]
+        tail.codes.append(code)
+        if len(tail.codes) == self._chunk_events:
+            self._chunks.append(tail.seal())
 
     # -- access -------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._chunks) * self._chunk_events + len(self._tail.codes)
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
 
+    def _rows(self, start: int = 0) -> Iterator[Tuple[int, Row]]:
+        """``(code, row)`` of every event from index ``start`` on."""
+        first, skip = divmod(start, self._chunk_events)
+        segments = self._chunks[first:] + [self._tail]
+        return islice(chain.from_iterable(map(_in_order, segments)),
+                      skip, None)
+
+    def _at(self, index: int) -> Tuple[int, Row]:
+        """``(code, row)`` of the event at ``0 <= index < len(self)``: its
+        kind's how-manyeth in its chunk is counted off the kind codes."""
+        first, j = divmod(index, self._chunk_events)
+        segment = (self._chunks[first] if first < len(self._chunks)
+                   else self._tail)
+        code = segment.codes[j]
+        return code, segment.row(code, segment.codes.count(code, 0, j))
+
     def by_kind(self, kind: str) -> List[TraceEvent]:
         """Every recorded event of one kind, in simulated-time order."""
-        return [_view(row) for row in self._rows if row[1] == kind]
+        code = _CODES.get(kind)
+        if code is None:
+            return []
+        return [_view(code, row) for segment in self._chunks + [self._tail]
+                for row in segment.rows(code)]
 
     def for_query(self, query_id: int) -> List[TraceEvent]:
         """Every event attributed to one query, in simulated-time order."""
-        return [_view(row) for row in self._rows if row[2] == query_id]
+        return [_view(code, row) for code, row in self._rows()
+                if row[1] == query_id]
 
     @property
     def nbytes(self) -> int:
-        """Estimated bytes the store holds: the row list, the rows, and the
-        floats and large ints their payloads box, plus one timestamp per
-        instant (events of one instant share the clock's float, as those
-        of one query share its id)."""
-        total = sys.getsizeof(self._rows)
-        last_ts = None
-        for row in self._rows:
-            total += sys.getsizeof(row) + sum(map(_boxed_bytes, row[3:]))
-            if row[0] is not last_ts:
-                last_ts = row[0]
-                total += sys.getsizeof(last_ts)
-        return total
+        """Estimated bytes the store holds: each sealed chunk's kind codes
+        and column buffers, plus what its tuple columns box; and the
+        unsealed rows, the floats and large ints their payloads box, and
+        one timestamp per instant."""
+        return (sys.getsizeof(self._chunks) + self._tail.nbytes
+                + sum(chunk.nbytes for chunk in self._chunks))
 
     # -- exporters ----------------------------------------------------------
 

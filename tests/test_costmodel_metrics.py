@@ -146,7 +146,8 @@ class TestLatencyRecorder:
 
 class TestDocumentedConstants:
     """docs/SIMULATION.md's "The constants" section is held to the cost
-    model's defaults by ``tools/check_docs_symbols.py``."""
+    model's defaults, and docs/OBSERVABILITY.md's "The store" to the trace
+    store's ``CHUNK_EVENTS``, by ``tools/check_docs_symbols.py``."""
 
     @pytest.fixture
     def tool(self):
@@ -176,3 +177,21 @@ class TestDocumentedConstants:
         errors = tool.constants_errors()
         assert len(errors) == 2
         assert "nlc_window_us" in errors[0] and "syscall_us=3" in errors[1]
+
+    def test_the_store_doc_matches_the_chunk_size(self, tool):
+        assert tool.chunk_events_errors() == []
+
+    def test_a_stale_or_missing_chunk_size_is_caught(
+            self, tool, tmp_path, monkeypatch):
+        doc = tmp_path / "OBSERVABILITY.md"
+        monkeypatch.setattr(tool, "STORE_DOC", doc)
+        monkeypatch.setattr(tool, "ROOT", tmp_path)
+        doc.write_text(
+            "## The store\nsealed every `CHUNK_EVENTS=1024` events\n"
+            "## Event taxonomy\n`CHUNK_EVENTS=4096`\n"
+        )
+        (error,) = tool.chunk_events_errors()
+        assert "CHUNK_EVENTS=1024" in error
+        doc.write_text("## The store\nsealed every so often\n")
+        (error,) = tool.chunk_events_errors()
+        assert "documents no `CHUNK_EVENTS=`" in error

@@ -1,13 +1,16 @@
 """The trace store (docs/OBSERVABILITY.md, "The store"): one flat row per
-event keyed by ``KIND_FIELDS``, read back through ``recorder.events``.
+event keyed by ``KIND_FIELDS``, sealed every ``CHUNK_EVENTS`` events into
+per-kind typed columns, read back through ``recorder.events``.
 
-Three contracts:
+Four contracts:
 
 * **schema** — every emit site hands its values in the declared order
   (the sites are positional, so a swapped pair would land in the wrong
   field silently): across the fault / overload / checkpoint / preempt /
   migrate / transaction scenarios, on both kernels, every declared kind is
   emitted and every field holds a value of its declared domain;
+* **round trip** — whatever is emitted reads back with its exact type and
+  value, wherever the chunk boundaries fall, through every access path;
 * **export equivalence** — a JSONL dump streamed back through the auditor
   gives the in-memory report, and ``repro trace --replay`` round-trips;
 * **footprint** — bytes retained per recorded event stay under the guard,
@@ -22,6 +25,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.core.weight import GROUP_MODULUS
@@ -29,6 +34,7 @@ from repro.datasets.synthetic import powerlaw_graph
 from repro.graph.partition import PartitionedGraph
 from repro.ldbc.generator import SNB_TINY, generate_snb
 from repro.ldbc.queries import IC_QUERIES, IS_QUERIES
+from repro.runtime import trace
 from repro.runtime.engine import AsyncPSTMEngine, EngineConfig
 from repro.runtime.faults import FaultPlan, WorkerFault
 from repro.runtime.simclock import SimClock
@@ -51,9 +57,11 @@ from tests.conftest import (
     run_batch,
 )
 
-#: bytes retained per recorded event on the IC+IS batch below; the object +
-#: kwargs-dict store this one replaced measured 365
-FOOTPRINT_GUARD_BYTES = 200
+#: bytes retained per recorded event on the IC+IS batch below (21 350
+#: events: five sealed chunks and a tail): this store measured 43.8, the
+#: flat-row store it replaced 202.1 (365 on the smaller batch this test ran
+#: before, for the object + kwargs-dict store before that)
+FOOTPRINT_GUARD_BYTES = 50
 
 
 # -- schema ------------------------------------------------------------------
@@ -181,6 +189,95 @@ def test_events_is_a_sequence_of_fresh_views():
     assert events[1].data == {"stage": 0}
 
 
+# -- round trip --------------------------------------------------------------
+
+#: what one field of one kind holds; a field draws from one or two, so
+#: columns come out typed as well as mixed
+VALUE_DOMAINS = (
+    st.integers(-128, 127),
+    st.integers(-2**63, 2**64 - 1),
+    st.sampled_from([2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**70, -2**63,
+                     -2**63 - 1, 0, 1, -1]),
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1.0]),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.tuples(st.integers(0, 2**64 - 1), st.booleans()),
+    st.just(ABSENT),
+)
+STAMPS = st.one_of(st.floats(0, 1e9), st.integers(0, 10**6))
+
+
+@st.composite
+def emitted(draw):
+    """``(ts, kind, query_id, values)`` per event, trailing fields
+    sometimes omitted."""
+    kinds = draw(st.lists(st.sampled_from(sorted(KIND_FIELDS)), min_size=1,
+                          max_size=4, unique=True))
+    domains = {
+        (kind, i): st.one_of(*draw(st.lists(
+            st.sampled_from(VALUE_DOMAINS), min_size=1, max_size=2)))
+        for kind in kinds for i in range(len(KIND_FIELDS[kind]))
+    }
+    out = []
+    for _ in range(draw(st.integers(0, 60))):
+        kind = draw(st.sampled_from(kinds))
+        width = draw(st.sampled_from([len(KIND_FIELDS[kind])] * 3 + list(
+            range(len(KIND_FIELDS[kind])))))
+        out.append((draw(STAMPS), kind, draw(st.integers(-1, 3)), tuple(
+            draw(domains[kind, i]) for i in range(width))))
+    return out
+
+
+def _exact(ev):
+    """An event as a comparable key that tells ``True`` from ``1``, ``1.0``
+    from ``1`` and ``-0.0`` from ``0.0``, nested in tuples too."""
+    return (ev.kind, type(ev.ts), repr(ev.ts), type(ev.query_id),
+            ev.query_id, [(name, type(v), repr(v))
+                          for name, v in ev.data.items()])
+
+
+class _Clock:
+    now = 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(events=emitted(), chunk=st.integers(1, 7), data=st.data())
+def test_every_value_reads_back_exactly_across_chunks(events, chunk, data):
+    clock = _Clock()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trace, "CHUNK_EVENTS", chunk)
+        rec = TraceRecorder(clock)
+        for ts, kind, qid, values in events:
+            clock.now = ts
+            rec.emit(kind, qid, *values)
+    read = list(rec.events)
+    assert list(map(_exact, read)) == [
+        (kind, type(ts), repr(ts), int, qid,
+         [(name, type(v), repr(v)) for name, v in zip(KIND_FIELDS[kind], values)
+          if v is not ABSENT])
+        for ts, kind, qid, values in events]
+    assert len(rec) == len(rec.events) == len(events)
+    assert rec.nbytes > 0
+    if read:
+        for i in data.draw(st.lists(st.integers(-len(read), len(read) - 1),
+                                    max_size=8)):
+            assert _exact(rec.events[i]) == _exact(read[i])
+    bound = st.none() | st.integers(-len(read) - 2, len(read) + 2)
+    for _ in range(4):
+        cut = slice(data.draw(bound), data.draw(bound),
+                    data.draw(st.sampled_from([None, 1, 2, 3, -1, -2, -5])))
+        assert list(map(_exact, rec.events[cut])) == list(
+            map(_exact, read[cut])), cut
+    for kind in sorted(KIND_FIELDS)[:3] + sorted({e[1] for e in events}):
+        assert list(map(_exact, rec.by_kind(kind))) == [
+            _exact(e) for e in read if e.kind == kind]
+    for qid in range(-1, 5):
+        assert list(map(_exact, rec.for_query(qid))) == [
+            _exact(e) for e in read if e.query_id == qid]
+
+
 # -- export equivalence ------------------------------------------------------
 
 
@@ -207,7 +304,7 @@ def test_cli_dump_replays_identical(workload, tmp_path, capsys):
     path = str(tmp_path / f"{workload}.jsonl")
     assert main(["trace", "--workload", workload, "--queries", "4",
                  "--out", path]) == 0
-    assert "trace store" in capsys.readouterr().out
+    assert "B/event)" in capsys.readouterr().out
     assert main(["trace", "--replay", path]) == 0
     assert "replay IDENTICAL" in capsys.readouterr().out
 
@@ -231,12 +328,13 @@ def _retained(graph, batch, trace):
 
 
 def test_footprint_per_event_stays_under_the_guard():
-    """The spine's read mix in miniature (each IC once, each IS six times):
-    what a traced run retains beyond the same run untraced, per event."""
+    """The spine's read mix in miniature (each IC three times, each IS 18
+    times): what a traced run retains beyond the same run untraced, per
+    event."""
     dataset = generate_snb(SNB_TINY)
     graph = dataset.partitioned(8)
     batch = []
-    for table, per_type in ((IC_QUERIES, 1), (IS_QUERIES, 6)):
+    for table, per_type in ((IC_QUERIES, 3), (IS_QUERIES, 18)):
         for num in sorted(table):
             plan = table[num].build().compile(graph)
             batch += [(plan, table[num].make_params(dataset,
@@ -247,7 +345,7 @@ def test_footprint_per_event_stays_under_the_guard():
     traced, engine = _retained(graph, batch, True)
     events = len(engine.trace)
     per_event = (traced - untraced) / events
-    assert events > 5_000
+    assert events >= 4 * trace.CHUNK_EVENTS
     assert per_event <= FOOTPRINT_GUARD_BYTES, per_event
     # the store's own estimate is that measurement, without tracemalloc
     assert engine.trace.nbytes / events == pytest.approx(per_event, rel=0.1)

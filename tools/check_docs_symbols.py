@@ -29,7 +29,10 @@ the table the recorder stores rows by.
 So are the calibration constants: every backticked ``name=value`` in
 docs/SIMULATION.md's "The constants" section must name a field of
 ``CostModel`` or ``HardwareProfile`` whose default equals the value, so a
-deleted or re-tuned constant fails here instead of reading fine.
+deleted or re-tuned constant fails here instead of reading fine. The
+trace store's sealing period likewise: docs/OBSERVABILITY.md's "The store"
+section must document ``CHUNK_EVENTS=<value>`` as
+``repro.runtime.trace.CHUNK_EVENTS`` has it.
 
 Stdlib only (like ``tools/check_layering.py``). Exit 0 = no stale refs.
 """
@@ -170,10 +173,33 @@ def constants_errors() -> list:
     return errors
 
 
+STORE_DOC = ROOT / "docs" / "OBSERVABILITY.md"
+STORE_HEADING = "## The store"
+
+
+def chunk_events_errors() -> list:
+    """The store section's documented ``CHUNK_EVENTS=`` values that differ
+    from ``repro.runtime.trace.CHUNK_EVENTS``, or its lack of one."""
+    sys.path.insert(0, str(SRC))
+    from repro.runtime.trace import CHUNK_EVENTS
+
+    where = STORE_DOC.relative_to(ROOT)
+    section = doc_section(STORE_DOC, STORE_HEADING)
+    if section is None:
+        return [f"{where}: no `{STORE_HEADING}` section"]
+    documented = [value for name, value in TICKED_DEFAULT.findall(section)
+                  if name == "CHUNK_EVENTS"]
+    if not documented:
+        return [f"{where}: `{STORE_HEADING}` documents no `CHUNK_EVENTS=`"]
+    return [f"{where}: `CHUNK_EVENTS={value}` — the code seals every "
+            f"{CHUNK_EVENTS} events"
+            for value in documented if value != str(CHUNK_EVENTS)]
+
+
 def main() -> int:
     files = [ROOT / "README.md"] + sorted((ROOT / "docs").glob("*.md"))
     index = class_files()
-    errors = taxonomy_errors() + constants_errors()
+    errors = taxonomy_errors() + constants_errors() + chunk_events_errors()
     checked = 0
     for path in files:
         for lineno, line in enumerate(path.read_text().splitlines(), 1):
@@ -205,7 +231,7 @@ def main() -> int:
         return 1
     print(f"docs symbols OK: {checked} class-member references across "
           f"{len(files)} files; trace taxonomy matches KIND_FIELDS; "
-          f"documented constants match the cost model")
+          f"documented constants match the cost model and the trace store")
     return 0
 
 
