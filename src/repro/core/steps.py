@@ -404,8 +404,7 @@ class ExpandOp(VertexRoutedOp):
                 p = p[: self.edge_slot] + (eid,) + p[self.edge_slot + 1 :]
             if self.edge_prop is not None:
                 key, slot = self.edge_prop
-                record = ctx.store.edge_record(eid)
-                value = record.properties.get(key) if record is not None else None
+                value = ctx.store.edge_property(eid, key)
                 p = p[:slot] + (value,) + p[slot + 1 :]
                 out.cost.props += 1
             out.child(nbr, self.next_idx, p, trav.loops + 1)

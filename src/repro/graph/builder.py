@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro.errors import VertexNotFoundError
 from repro.graph.partition import PartitionedGraph
-from repro.graph.property_graph import PropertyGraph
+from repro.graph.property_graph import EdgeTable, PropertyGraph
 
 
 class GraphBuilder:
@@ -27,7 +28,7 @@ class GraphBuilder:
     def __init__(self, default_vertex_label: str = "vertex") -> None:
         self._default_label = default_vertex_label
         self._vertices: Dict[int, Tuple[str, Dict[str, Any]]] = {}
-        self._edges: List[Tuple[int, int, str, Dict[str, Any]]] = []
+        self._edges = EdgeTable()
 
     def vertex(self, vid: int, label: Optional[str] = None, **props: Any) -> "GraphBuilder":
         """Declare a vertex; repeated declarations merge properties."""
@@ -42,13 +43,13 @@ class GraphBuilder:
 
     def edge(self, src: int, dst: int, label: str = "edge", **props: Any) -> "GraphBuilder":
         """Add a directed edge (endpoints may be declared later)."""
-        self._edges.append((src, dst, label, dict(props)))
+        self._edges.append(src, dst, label, None, props)
         return self
 
     def edges(self, pairs: Iterable[Tuple[int, int]], label: str = "edge") -> "GraphBuilder":
         """Bulk-add unlabelled-property edges from ``(src, dst)`` pairs."""
         for src, dst in pairs:
-            self._edges.append((src, dst, label, {}))
+            self._edges.append(src, dst, label, None, None)
         return self
 
     def get_vertex_prop(self, vid: int, key: str, default: Any = None) -> Any:
@@ -72,20 +73,16 @@ class GraphBuilder:
         :meth:`vertex` are auto-created with the default label.
         """
         graph = PropertyGraph()
-        implicit = set()
-        if not strict:
-            declared = set(self._vertices)
-            for src, dst, _label, _props in self._edges:
-                if src not in declared:
-                    implicit.add(src)
-                if dst not in declared:
-                    implicit.add(dst)
         for vid, (label, props) in self._vertices.items():
             graph.add_vertex(vid, label, **props)
-        for vid in sorted(implicit):
+        edges = self._edges
+        missing = set(edges.src).union(edges.dst).difference(self._vertices)
+        if strict and missing:
+            raise VertexNotFoundError(next(v for pair in zip(edges.src, edges.dst)
+                                           for v in pair if v in missing))
+        for vid in sorted(missing):
             graph.add_vertex(vid, self._default_label)
-        for src, dst, label, props in self._edges:
-            graph.add_edge(src, dst, label, **props)
+        graph._edges = edges.copy()  # noqa: SLF001 - endpoints all exist now
         return graph
 
     def build_partitioned(

@@ -1,10 +1,10 @@
 """Compressed sparse row (CSR) adjacency index.
 
-Per-partition workers scan adjacency lists millions of times per query; the
-generic dict-of-lists layout of :class:`repro.graph.property_graph.PropertyGraph`
-is convenient for construction but slow and memory-hungry for scans. Each
-partition therefore builds one :class:`CSRIndex` per (direction, edge label)
-over its local vertices.
+Per-partition workers scan adjacency lists millions of times per query;
+the insertion-ordered edge table of
+:class:`repro.graph.property_graph.PropertyGraph` is the wrong shape for
+those scans. Each partition therefore builds one :class:`CSRIndex` per
+(direction, edge label) over its local vertices.
 
 The three flat arrays are ``array('q')`` typed arrays (signed 64-bit): a
 Python list of ``n`` small ints costs ~28 bytes per element in object
@@ -19,6 +19,7 @@ store keeps the global↔local mapping.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -78,6 +79,12 @@ class CSRIndex:
     @property
     def num_edges(self) -> int:
         return len(self._targets)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held: the object and its three arrays (not NumPy views)."""
+        return sys.getsizeof(self) + sum(map(sys.getsizeof, (
+            self._offsets, self._targets, self._edge_ids)))
 
     def degree(self, local_src: int) -> int:
         """Number of edges of a local source index."""

@@ -14,20 +14,25 @@ table — and this module keeps the storage side. A partition stores:
   ``IndexLookup`` step.
 
 Cut edges appear in the out-CSR of the source's partition and the in-CSR of
-the destination's partition; traversers, not edges, cross partitions.
-:meth:`PartitionedGraph.move_vertices` relocates vertices between stores
-(rows, edge records, rebuilt CSRs) in lockstep with the placement flip —
-the storage half of live migration (docs/PARTITIONING.md).
+the destination's partition; traversers, not edges, cross partitions. CSRs
+are counting-sorted from the graph's :class:`~repro.graph.property_graph.EdgeTable`,
+which the stores share for edge records; :meth:`PartitionedGraph.move_vertices`
+re-sorts them in lockstep with the placement flip (docs/PARTITIONING.md).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+import sys
+from array import array
+from itertools import accumulate
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import PartitionError, VertexNotFoundError
 from repro.graph.csr import CSRIndex
 from repro.graph.placement import Placement, mix64  # noqa: F401 - re-export
-from repro.graph.property_graph import BOTH, IN, OUT, Edge, PropertyGraph
+from repro.graph.property_graph import (
+    BOTH, IN, OUT, Edge, EdgeTable, PropertyGraph, boxed_bytes,
+)
 
 #: modelled wire cost of shipping one vertex row / one CSR edge entry
 #: during migration (labels + props headers; target gid + edge id)
@@ -56,6 +61,8 @@ class PartitionStore:
         local_vertices: List[int],
         vertex_labels: Dict[int, str],
         vertex_props: Dict[int, Dict[str, Any]],
+        edges: EdgeTable,
+        csrs: Dict[Tuple[str, str], CSRIndex],
     ) -> None:
         self.pid = pid
         self._local_vertices = local_vertices
@@ -63,9 +70,10 @@ class PartitionStore:
         self._vertex_labels = vertex_labels
         self._vertex_props = vertex_props
         # (direction, edge_label) -> CSRIndex over local source indexes
-        self._csr: Dict[Tuple[str, str], CSRIndex] = {}
-        # edge id -> Edge (only edges whose source OR dest is local)
-        self._edge_records: Dict[int, Edge] = {}
+        self._csr = csrs
+        # the graph's edge table; a record is visible here when its
+        # source or destination is local
+        self._edges = edges
         # (vertex_label, prop_key) -> {value: [vids]}
         self._prop_index: Dict[Tuple[str, str], Dict[Any, List[int]]] = {}
         # vertex_label -> [local vids]
@@ -74,14 +82,6 @@ class PartitionStore:
             self._label_index.setdefault(vertex_labels[vid], []).append(vid)
 
     # -- construction ---------------------------------------------------
-
-    def set_csr(self, direction: str, label: str, csr: CSRIndex) -> None:
-        """Attach the CSR index for one (direction, label)."""
-        self._csr[(direction, label)] = csr
-
-    def add_edge_record(self, edge: Edge) -> None:
-        """Register an edge record touching this partition."""
-        self._edge_records[edge.eid] = edge
 
     def build_property_index(self, vertex_label: str, key: str) -> None:
         """Build a (label, key) → vertices exact-match index."""
@@ -197,8 +197,19 @@ class PartitionStore:
         )
 
     def edge_record(self, eid: int) -> Optional[Edge]:
-        """The Edge record by id, if this partition holds it."""
-        return self._edge_records.get(eid)
+        """The Edge by id when its source or destination is local."""
+        edges, local = self._edges, self._local_index
+        row = edges.row(eid)
+        if row is None or (edges.src[row] not in local
+                           and edges.dst[row] not in local):
+            return None
+        return edges.edge(row)
+
+    def edge_property(self, eid: int, key: str) -> Any:
+        """One property of an edge in this store's adjacency (``None`` when
+        unset), read from the shared table without building an Edge."""
+        props = self._edges.props.get(eid)
+        return None if props is None else props.get(key)
 
     # -- index lookup ---------------------------------------------------
 
@@ -215,13 +226,27 @@ class PartitionStore:
         """True when the (label, key) index was built."""
         return (vertex_label, key) in self._prop_index
 
+    # -- footprint ------------------------------------------------------
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes this store holds beyond the vertex maps and edge table it
+        shares with the graph: its vertex indexes and CSRs."""
+        total = (
+            sum(map(sys.getsizeof, (self._local_vertices, self._local_index,
+                                    self._csr, self._label_index)))
+            + sum(map(boxed_bytes, self._local_index.values()))
+            + sum(csr.nbytes for csr in self._csr.values())
+            + sum(map(sys.getsizeof, self._label_index.values()))
+        )
+        for index in self._prop_index.values():
+            total += sys.getsizeof(index) + sum(map(sys.getsizeof, index.values()))
+        return total
+
     # -- migration ------------------------------------------------------
 
     def _reshard(
-        self,
-        local_vertices: List[int],
-        csrs: Dict[Tuple[str, str], CSRIndex],
-        edge_records: Dict[int, Edge],
+        self, local_vertices: List[int], csrs: Dict[Tuple[str, str], CSRIndex]
     ) -> None:
         """Replace this partition's contents in place (live migration).
 
@@ -238,8 +263,6 @@ class PartitionStore:
         )
         self._csr.clear()
         self._csr.update(csrs)
-        self._edge_records.clear()
-        self._edge_records.update(edge_records)
         self._label_index.clear()
         for vid in local_vertices:
             self._label_index.setdefault(self._vertex_labels[vid], []).append(vid)
@@ -338,6 +361,13 @@ class PartitionedGraph:
         """A vertex's neighbors, routed through its owner."""
         return self.store_of(vid).neighbors(vid, direction, label)
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes partitioning adds to the graph it shares: every store's
+        vertex indexes and CSRs, and the placement memo."""
+        return sys.getsizeof(self.partitioner._cache) + sum(
+            store.nbytes for store in self.stores)
+
     def partition_sizes(self) -> List[int]:
         """Owned-vertex count per partition."""
         return [store.vertex_count for store in self.stores]
@@ -345,24 +375,15 @@ class PartitionedGraph:
     def cut_stats(self) -> Dict[str, Any]:
         """Edge-cut and balance statistics for the current placement.
 
-        Placement quality, observable without tracing: every out-edge is
-        counted once (from its owner's out-CSR) and is *cut* when source
-        and destination live in different partitions — cut edges are
-        exactly the edges whose traversers cross the network (Fig 11).
+        Placement quality, observable without tracing: every edge of the
+        edge table is counted once and is *cut* when source and
+        destination live in different partitions — cut edges are exactly
+        the edges whose traversers cross the network (Fig 11).
         """
         placement = self.partitioner
-        cut = 0
-        total = 0
-        for store in self.stores:
-            pid = store.pid
-            for (direction, _label), csr in store._csr.items():
-                if direction != OUT:
-                    continue
-                for local in range(csr.num_sources):
-                    for dst in csr.neighbors(local):
-                        total += 1
-                        if placement(dst) != pid:
-                            cut += 1
+        table = self.stores[0]._edges
+        total = len(table)
+        cut = sum(placement(s) != placement(d) for s, d in zip(table.src, table.dst))
         sizes = self.partition_sizes()
         mean = sum(sizes) / len(sizes) if sizes else 0.0
         return {
@@ -385,8 +406,8 @@ class PartitionedGraph:
         The storage half of live migration: applies the placement
         relocation (write-through, so routing flips atomically), then
         reshards every affected store in place — local vertex lists, CSR
-        adjacency (rebuilt on both sides; cut edges appear in both
-        partitions per the class invariant), edge records, and built
+        adjacency (rebuilt on both sides from the edge table; cut edges
+        appear in both partitions per the class invariant), and built
         indexes. Returns ``(applied_moves, modelled_ship_bytes)``; no-op
         moves are dropped. Runtime state (memos, queued traversers,
         checkpoints) is the :class:`~repro.runtime.migrate.Migrator`'s
@@ -407,127 +428,98 @@ class PartitionedGraph:
             degree = self.stores[old_pid[vid]].degree(vid, BOTH)
             ship_bytes += VERTEX_SHIP_BYTES + degree * EDGE_SHIP_BYTES
         affected = {old_pid[v] for v in applied} | set(applied.values())
-        # One global edge map: eids are unique, cut edges appear twice.
-        edges: Dict[int, Edge] = {}
-        for store in self.stores:
-            edges.update(store._edge_records)
+        # Survivors keep their dense order (CSR locality is preserved for
+        # untouched vertices); arrivals are appended in vid order.
+        residents: Dict[int, List[int]] = {}
         for pid in sorted(affected):
-            self._rebuild_partition(pid, applied, edges)
+            store = self.stores[pid]
+            residents[pid] = [v for v in store._local_vertices if placement(v) == pid]
+            residents[pid] += sorted(v for v, p in applied.items()
+                                     if p == pid and v not in store._local_index)
+        # Slices in eid order: from_graph's insertion order for auto eids.
+        table = self.stores[0]._edges
+        rows = sorted(range(len(table)), key=table.eid.__getitem__)
+        for pid, csrs in _build_csrs(table, residents, rows).items():
+            self.stores[pid]._reshard(residents[pid], csrs)
         return applied, ship_bytes
 
-    def _rebuild_partition(
-        self, pid: int, applied: Dict[int, int], edges: Dict[int, Edge]
-    ) -> None:
-        """Reshard one store to match the current placement.
-
-        Keeps the surviving residents' dense order (CSR locality is
-        preserved for untouched vertices) and appends arrivals in vid
-        order; adjacency lists are rebuilt in eid order, which is the
-        original insertion order ``from_graph`` used.
-        """
-        placement = self.partitioner
-        store = self.stores[pid]
-        local = [v for v in store._local_vertices if placement(v) == pid]
-        present = store._local_index
-        local.extend(sorted(
-            v for v, p in applied.items() if p == pid and v not in present
-        ))
-        local_index = {vid: i for i, vid in enumerate(local)}
-        out_adj: Dict[str, Dict[int, List[Tuple[int, int]]]] = {}
-        in_adj: Dict[str, Dict[int, List[Tuple[int, int]]]] = {}
-        records: Dict[int, Edge] = {}
-        for eid in sorted(edges):
-            edge = edges[eid]
-            if placement(edge.src) == pid:
-                out_adj.setdefault(edge.label, {}).setdefault(
-                    local_index[edge.src], []
-                ).append((edge.dst, edge.eid))
-                records[eid] = edge
-            if placement(edge.dst) == pid:
-                in_adj.setdefault(edge.label, {}).setdefault(
-                    local_index[edge.dst], []
-                ).append((edge.src, edge.eid))
-                records[eid] = edge
-        n = len(local)
-        csrs: Dict[Tuple[str, str], CSRIndex] = {}
-        for label, adj in out_adj.items():
-            csrs[(OUT, label)] = CSRIndex.from_adjacency(n, adj)
-        for label, adj in in_adj.items():
-            csrs[(IN, label)] = CSRIndex.from_adjacency(n, adj)
-        store._reshard(local, csrs, records)
-
     @classmethod
-    def from_graph(
-        cls,
-        graph: PropertyGraph,
-        num_partitions: int,
-        partitioner: Optional[Callable[[int], int]] = None,
-    ) -> "PartitionedGraph":
+    def from_graph(cls, graph: PropertyGraph, num_partitions: int) -> "PartitionedGraph":
         """Shard ``graph`` into ``num_partitions`` partitions.
 
         Every edge is materialized twice when it crosses partitions: in the
         source partition's out-CSR and the destination partition's in-CSR.
         """
         hp = HashPartitioner(num_partitions)
-        if partitioner is not None:
-            hp.__call__ = partitioner  # pragma: no cover - escape hatch
-        assignment: Dict[int, int] = {}
         local_lists: List[List[int]] = [[] for _ in range(num_partitions)]
         bound = 0
         for vid in graph.vertices():
-            pid = hp(vid)
-            assignment[vid] = pid
-            local_lists[pid].append(vid)
+            local_lists[hp(vid)].append(vid)
             if vid >= bound:
                 bound = vid + 1
         # Sizes the placement plane's dense bulk-lookup table.
         hp.vertex_bound = bound
-
-        stores: List[PartitionStore] = []
-        for pid in range(num_partitions):
-            # Share label/props dicts: stores only read the entries they own.
-            store = PartitionStore(
-                pid,
-                local_lists[pid],
-                graph._vertex_labels,  # noqa: SLF001 - intentional internal share
-                graph._vertex_props,  # noqa: SLF001
-            )
-            stores.append(store)
-
-        # Group edges per (partition, direction, label) adjacency.
-        out_adj: List[Dict[str, Dict[int, List[Tuple[int, int]]]]] = [
-            {} for _ in range(num_partitions)
+        # Share vertex maps and edge table: stores read what they own or touch.
+        table = graph._edges  # noqa: SLF001 - intentional internal share
+        built = _build_csrs(table, dict(enumerate(local_lists)), range(len(table)))
+        stores = [
+            PartitionStore(pid, vids, graph._vertex_labels,  # noqa: SLF001
+                           graph._vertex_props, table, built[pid])  # noqa: SLF001
+            for pid, vids in enumerate(local_lists)
         ]
-        in_adj: List[Dict[str, Dict[int, List[Tuple[int, int]]]]] = [
-            {} for _ in range(num_partitions)
-        ]
-        local_index = [
-            {vid: i for i, vid in enumerate(vids)} for vids in local_lists
-        ]
-        for edge in graph.edges():
-            sp = assignment[edge.src]
-            dp = assignment[edge.dst]
-            out_adj[sp].setdefault(edge.label, {}).setdefault(
-                local_index[sp][edge.src], []
-            ).append((edge.dst, edge.eid))
-            in_adj[dp].setdefault(edge.label, {}).setdefault(
-                local_index[dp][edge.dst], []
-            ).append((edge.src, edge.eid))
-            stores[sp].add_edge_record(edge)
-            if dp != sp:
-                stores[dp].add_edge_record(edge)
+        return cls(hp, stores, graph.vertex_count, graph.edge_count,
+                   graph.label_counts())
 
-        for pid in range(num_partitions):
-            n = len(local_lists[pid])
-            for label, adj in out_adj[pid].items():
-                stores[pid].set_csr(OUT, label, CSRIndex.from_adjacency(n, adj))
-            for label, adj in in_adj[pid].items():
-                stores[pid].set_csr(IN, label, CSRIndex.from_adjacency(n, adj))
 
-        return cls(
-            hp,
-            stores,
-            graph.vertex_count,
-            graph.edge_count,
-            graph.label_counts(),
-        )
+def _build_csrs(
+    table: EdgeTable, residents: Dict[int, List[int]], rows: Iterable[int]
+) -> Dict[int, Dict[Tuple[str, str], CSRIndex]]:
+    """Counting-sort edge-table rows into per-partition CSR indexes.
+
+    ``residents`` maps each partition to build to its vertices in dense
+    local order; rows with no endpoint among them are skipped. Each
+    source's slice lists its edges in ``rows`` order, and each partition's
+    indexes come out-labels first, then in-labels, each by first appearance.
+    """
+    n_labels = len(table.labels)
+    # vid -> (pid * n_labels, local index); a row's group adds its label code
+    home = {
+        vid: (pid * n_labels, i)
+        for pid, vids in residents.items() for i, vid in enumerate(vids)
+    }
+    built: Dict[int, Dict[Tuple[str, str], CSRIndex]] = {p: {} for p in residents}
+    codes, eids = table.codes, table.eid
+    for direction, ends, others in ((OUT, table.src, table.dst),
+                                    (IN, table.dst, table.src)):
+        # Pass 1: counts[i + 2] = the group's edges at local source i.
+        slots: Dict[int, Any] = {}
+        for r in rows:
+            h = home.get(ends[r])
+            if h is not None:
+                g = h[0] + codes[r]
+                counts = slots.get(g)
+                if counts is None:
+                    n = len(residents[g // n_labels])
+                    counts = slots[g] = array("q", bytes(8 * (n + 2)))
+                counts[h[1] + 2] += 1
+        # Prefix sums leave source i's slice start in bounds[i + 1]; pass 2
+        # places each edge there and bumps it, so bounds[:-1] ends up as
+        # the CSR offsets.
+        for g, counts in slots.items():
+            bounds = array("q", accumulate(counts))
+            slots[g] = (bounds, array("q", bytes(8 * bounds[-1])),
+                        array("q", bytes(8 * bounds[-1])))
+        for r in rows:
+            h = home.get(ends[r])
+            if h is not None:
+                bounds, targets, ids = slots[h[0] + codes[r]]
+                i = h[1] + 1
+                pos = bounds[i]
+                bounds[i] = pos + 1
+                targets[pos] = others[r]
+                ids[pos] = eids[r]
+        for g, (bounds, targets, ids) in slots.items():
+            label = table.labels[g % n_labels]
+            built[g // n_labels][(direction, label)] = CSRIndex(
+                bounds[:-1], targets, ids)
+    return built

@@ -9,12 +9,20 @@ matching the labelled property graphs used by LDBC SNB and Gremlin.
 representation. Distributed engines do not execute against it directly; they
 use :class:`repro.graph.partition.PartitionedGraph`, which shards it by a
 vertex hash function and builds per-partition CSR indexes.
+
+Edges live in one columnar :class:`EdgeTable` (no Python object per edge)
+that the partition stores share; an :class:`Edge` is built on read.
 """
 
 from __future__ import annotations
 
+import copy
+import sys
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from itertools import chain
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import EdgeNotFoundError, GraphError, VertexNotFoundError
 
@@ -55,22 +63,109 @@ class Edge:
         raise GraphError(f"vertex {vid} is not an endpoint of edge {self.eid}")
 
 
+def boxed_bytes(value: Any) -> int:
+    """Bytes a stored int, float or str owns beyond its slot; the
+    interpreter's cached small ints and every other object count 0."""
+    kind = type(value)
+    if kind is float or kind is str or (kind is int and not -5 <= value <= 256):
+        return sys.getsizeof(value)
+    return 0
+
+
+class EdgeTable:
+    """Edges as rows of typed columns, in insertion order.
+
+    ``src``, ``dst`` and ``eid`` are ``array('q')`` columns and ``codes``
+    indexes each row's label in ``labels``. ``props`` maps an eid to its
+    property dict, only for edges that have any; a dict is replaced, never
+    mutated, so copies of the table share it. Auto-assigned eids run one
+    past the largest so far; an eid → row map exists once some eid ≠ its row.
+    """
+
+    __slots__ = ("src", "dst", "eid", "codes", "labels", "label_codes",
+                 "props", "next_eid", "_row_of")
+
+    def __init__(self) -> None:
+        self.src, self.dst, self.eid = array("q"), array("q"), array("q")
+        self.codes = array("H")
+        self.labels: List[str] = []
+        self.label_codes: Dict[str, int] = {}
+        self.props: Dict[int, Dict[str, Any]] = {}
+        self.next_eid = 0
+        self._row_of: Optional[Dict[int, int]] = None
+
+    def __len__(self) -> int:
+        return len(self.src)
+
+    def append(self, src: int, dst: int, label: str, eid: Optional[int],
+               props: Optional[Dict[str, Any]]) -> int:
+        """Add one row (``eid=None`` auto-assigns); returns its number."""
+        row = len(self.src)
+        if eid is None:
+            eid = self.next_eid
+        if eid != row and self._row_of is None:
+            self._row_of = dict(zip(self.eid, range(row)))
+        if self._row_of is not None:
+            self._row_of[eid] = row
+        self.next_eid = max(self.next_eid, eid + 1)
+        code = self.label_codes.get(label)
+        if code is None:
+            code = self.label_codes[label] = len(self.labels)
+            self.labels.append(label)
+        self.src.append(src)
+        self.dst.append(dst)
+        self.eid.append(eid)
+        self.codes.append(code)
+        if props:
+            self.props[eid] = props
+        return row
+
+    def row(self, eid: int) -> Optional[int]:
+        """The row holding ``eid``, or ``None``."""
+        if self._row_of is not None:
+            return self._row_of.get(eid)
+        return eid if 0 <= eid < len(self.src) else None
+
+    def edge(self, row: int) -> Edge:
+        """One row as an :class:`Edge` with its own copy of the properties."""
+        eid = self.eid[row]
+        return Edge(eid, self.src[row], self.dst[row],
+                    self.labels[self.codes[row]], dict(self.props.get(eid, ())))
+
+    def copy(self) -> "EdgeTable":
+        """An independent table with the same rows (property dicts shared)."""
+        other = EdgeTable()
+        for name in self.__slots__:
+            setattr(other, name, copy.copy(getattr(self, name)))
+        return other
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held: the columns, labels, property dicts and eid map."""
+        total = sum(map(sys.getsizeof, (self, self.src, self.dst, self.eid,
+                                        self.codes, self.labels, self.label_codes)))
+        for table in filter(None, (self.props, self._row_of)):
+            total += sys.getsizeof(table) + sum(
+                map(boxed_bytes, chain(table, table.values())))
+        return total + sum(sys.getsizeof(props) + sum(map(boxed_bytes, props.values()))
+                           for props in self.props.values())
+
+
 class PropertyGraph:
     """Mutable in-memory labelled property graph.
 
     Vertices are integer ids with a label and a property dict. Edges are
-    directed, labelled, and carry properties. Adjacency is indexed by
-    direction and edge label for O(1) + O(degree) neighbor scans.
+    rows of an :class:`EdgeTable`; the first adjacency read in a direction
+    sorts the rows by that endpoint (stably, so each vertex lists its edges
+    in insertion order), and the next edge insert drops that order.
     """
 
     def __init__(self) -> None:
         self._vertex_labels: Dict[int, str] = {}
         self._vertex_props: Dict[int, Dict[str, Any]] = {}
-        self._edges: Dict[int, Edge] = {}
-        # adjacency[vid][label] -> list of edge ids, per direction
-        self._out: Dict[int, Dict[str, List[int]]] = {}
-        self._in: Dict[int, Dict[str, List[int]]] = {}
-        self._next_eid = 0
+        self._edges = EdgeTable()
+        # direction -> (endpoint of each sorted row, sorted rows)
+        self._order: Dict[str, Tuple[array, array]] = {}
         self._labels_to_vertices: Dict[str, List[int]] = {}
 
     # ------------------------------------------------------------------
@@ -83,8 +178,6 @@ class PropertyGraph:
             raise GraphError(f"vertex {vid} already exists")
         self._vertex_labels[vid] = label
         self._vertex_props[vid] = dict(properties)
-        self._out[vid] = {}
-        self._in[vid] = {}
         self._labels_to_vertices.setdefault(label, []).append(vid)
         return vid
 
@@ -105,18 +198,11 @@ class PropertyGraph:
             raise VertexNotFoundError(src)
         if dst not in self._vertex_labels:
             raise VertexNotFoundError(dst)
-        if eid is None:
-            eid = self._next_eid
-            self._next_eid += 1
-        else:
-            if eid in self._edges:
-                raise GraphError(f"edge {eid} already exists")
-            self._next_eid = max(self._next_eid, eid + 1)
-        edge = Edge(eid=eid, src=src, dst=dst, label=label, properties=dict(properties))
-        self._edges[eid] = edge
-        self._out[src].setdefault(label, []).append(eid)
-        self._in[dst].setdefault(label, []).append(eid)
-        return edge
+        if eid is not None and self._edges.row(eid) is not None:
+            raise GraphError(f"edge {eid} already exists")
+        self._order.clear()
+        return self._edges.edge(
+            self._edges.append(src, dst, label, eid, properties))
 
     def set_vertex_property(self, vid: int, key: str, value: Any) -> None:
         """Set one vertex property."""
@@ -124,9 +210,12 @@ class PropertyGraph:
         self._vertex_props[vid][key] = value
 
     def set_edge_property(self, eid: int, key: str, value: Any) -> None:
-        """Set one edge property."""
-        edge = self.edge(eid)
-        edge.properties[key] = value
+        """Set one edge property: the one write path for edge data (the
+        edge's dict is replaced, never mutated)."""
+        if not self.has_edge(eid):
+            raise EdgeNotFoundError(eid)
+        props = self._edges.props
+        props[eid] = {**props.get(eid, {}), key: value}
 
     # ------------------------------------------------------------------
     # vertex access
@@ -167,20 +256,22 @@ class PropertyGraph:
 
     def has_edge(self, eid: int) -> bool:
         """True when the edge id exists."""
-        return eid in self._edges
+        return self._edges.row(eid) is not None
 
     def edge(self, eid: int) -> Edge:
         """The Edge by id (raises EdgeNotFoundError)."""
-        try:
-            return self._edges[eid]
-        except KeyError:
-            raise EdgeNotFoundError(eid) from None
+        row = self._edges.row(eid)
+        if row is None:
+            raise EdgeNotFoundError(eid)
+        return self._edges.edge(row)
 
     def edges(self, label: Optional[str] = None) -> Iterator[Edge]:
-        """Iterate edges, optionally one label."""
+        """Iterate edges in insertion order, optionally one label."""
+        table = self._edges
         if label is None:
-            return iter(self._edges.values())
-        return (e for e in self._edges.values() if e.label == label)
+            return map(table.edge, range(len(table)))
+        code = table.label_codes.get(label)
+        return (table.edge(row) for row, c in enumerate(table.codes) if c == code)
 
     # ------------------------------------------------------------------
     # adjacency
@@ -188,21 +279,19 @@ class PropertyGraph:
 
     def out_edges(self, vid: int, label: Optional[str] = None) -> List[Edge]:
         """Outgoing edges of a vertex (optionally one label)."""
-        self._require_vertex(vid)
-        return [self._edges[eid] for eid in self._adj_eids(self._out[vid], label)]
+        return list(map(self._edges.edge, self._rows(vid, OUT, label)))
 
     def in_edges(self, vid: int, label: Optional[str] = None) -> List[Edge]:
         """Incoming edges of a vertex (optionally one label)."""
-        self._require_vertex(vid)
-        return [self._edges[eid] for eid in self._adj_eids(self._in[vid], label)]
+        return list(map(self._edges.edge, self._rows(vid, IN, label)))
 
     def out_neighbors(self, vid: int, label: Optional[str] = None) -> List[int]:
         """Targets of a vertex's outgoing edges."""
-        return [e.dst for e in self.out_edges(vid, label)]
+        return list(map(self._edges.dst.__getitem__, self._rows(vid, OUT, label)))
 
     def in_neighbors(self, vid: int, label: Optional[str] = None) -> List[int]:
         """Sources of a vertex's incoming edges."""
-        return [e.src for e in self.in_edges(vid, label)]
+        return list(map(self._edges.src.__getitem__, self._rows(vid, IN, label)))
 
     def neighbors(
         self, vid: int, direction: str = OUT, label: Optional[str] = None
@@ -218,14 +307,7 @@ class PropertyGraph:
 
     def degree(self, vid: int, direction: str = OUT, label: Optional[str] = None) -> int:
         """Edge count at a vertex in one direction."""
-        self._require_vertex(vid)
-        if direction == OUT:
-            return sum(1 for _ in self._adj_eids(self._out[vid], label))
-        if direction == IN:
-            return sum(1 for _ in self._adj_eids(self._in[vid], label))
-        if direction == BOTH:
-            return self.degree(vid, OUT, label) + self.degree(vid, IN, label)
-        raise GraphError(f"unknown direction: {direction!r}")
+        return len(self.neighbors(vid, direction, label))
 
     # ------------------------------------------------------------------
     # stats
@@ -254,9 +336,16 @@ class PropertyGraph:
         for props in self._vertex_props.values():
             size += 8  # vertex id
             size += sum(_value_size(v) for v in props.values())
-        for edge in self._edges.values():
-            size += sum(_value_size(v) for v in edge.properties.values())
+        for props in self._edges.props.values():
+            size += sum(_value_size(v) for v in props.values())
         return size
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the edge store holds: the edge table, and the adjacency
+        order once a read has built it (vertex maps are not counted)."""
+        return self._edges.nbytes + sum(
+            sys.getsizeof(a) for pair in self._order.values() for a in pair)
 
     # ------------------------------------------------------------------
     # internal helpers
@@ -266,17 +355,23 @@ class PropertyGraph:
         if vid not in self._vertex_labels:
             raise VertexNotFoundError(vid)
 
-    @staticmethod
-    def _adj_eids(
-        adj: Dict[str, List[int]], label: Optional[str]
-    ) -> Iterator[int]:
+    def _rows(self, vid: int, direction: str, label: Optional[str]) -> Sequence[int]:
+        """Table rows of ``vid``'s edges in one direction, insertion order."""
+        self._require_vertex(vid)
+        table = self._edges
+        index = self._order.get(direction)
+        if index is None:
+            ends = table.src if direction == OUT else table.dst
+            order = array("q", sorted(range(len(ends)), key=ends.__getitem__))
+            index = self._order[direction] = (
+                array("q", map(ends.__getitem__, order)), order)
+        keys, order = index
+        lo = bisect_left(keys, vid)
+        rows = order[lo:bisect_right(keys, vid, lo)]
         if label is None:
-            for eids in adj.values():
-                for eid in eids:
-                    yield eid
-        else:
-            for eid in adj.get(label, ()):
-                yield eid
+            return rows
+        code, codes = table.label_codes.get(label), table.codes
+        return [row for row in rows if codes[row] == code]
 
 
 def _value_size(value: Any) -> int:

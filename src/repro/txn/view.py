@@ -198,6 +198,13 @@ class SnapshotStore:
             return record
         return self._base.edge_record(eid)
 
+    def edge_property(self, eid: int, key: str) -> Any:
+        """Edge property from the delta cache or the base."""
+        record = self._delta_edges.get(eid)
+        if record is None:
+            return self._base.edge_property(eid, key)
+        return record.properties.get(key)
+
     # -- index lookup -----------------------------------------------------
 
     def has_property_index(self, vertex_label: str, key: str) -> bool:

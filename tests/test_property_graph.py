@@ -80,7 +80,7 @@ class TestEdges:
 
     def test_edge_lookup(self, small_graph):
         edge = next(small_graph.edges("hasCreator"))
-        assert small_graph.edge(edge.eid) is edge
+        assert small_graph.edge(edge.eid) == edge
         with pytest.raises(EdgeNotFoundError):
             small_graph.edge(999)
 
