@@ -59,7 +59,7 @@ def _copy_value(value: Any) -> Any:
 class QueryMemo:
     """All memo records one query owns within one partition."""
 
-    __slots__ = ("_tables", "_op_count")
+    __slots__ = ("_tables", "_op_count", "__weakref__")
 
     def __init__(self) -> None:
         self._tables: Dict[str, Dict[Hashable, Any]] = {}
@@ -231,8 +231,12 @@ class MemoStore:
         return self._memos.get(query_id)
 
     def clear_query(self, query_id: int) -> None:
-        """Drop all memo records of a terminated query."""
-        self._memos.pop(query_id, None)
+        """Drop all memo records of a terminated query: the memo is
+        unlinked *and* emptied in place, so a stale holder (a context of
+        the dead attempt) cannot keep its tables alive."""
+        memo = self._memos.pop(query_id, None)
+        if memo is not None:
+            memo._tables.clear()
 
     def install(self, query_id: int, memo: QueryMemo) -> None:
         """Install a rebuilt memo for a query (checkpoint restore).

@@ -56,7 +56,8 @@ class StepContext:
     the shared-nothing discipline of §IV.
     """
 
-    __slots__ = ("store", "memo", "partitioner", "params", "pid")
+    __slots__ = ("store", "memo", "partitioner", "params", "pid",
+                 "__weakref__")
 
     def __init__(
         self,

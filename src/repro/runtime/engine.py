@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.machine import resolve_partition
+from repro.core.machine import PSTMMachine, resolve_partition
 from repro.core.memo import MemoStore
 from repro.core.progress import ProgressMode, ProgressTracker
 from repro.core.subquery import GatheredPartial
@@ -208,7 +208,11 @@ class AsyncPSTMEngine:
             config.progress_mode, self.delivery.stage_terminated
         )
         self.sessions: Dict[int, QuerySession] = {}
+        #: closed sessions by id: each keeps only its outcome
+        #: (:meth:`QuerySession.close`)
         self.completed: Dict[int, QuerySession] = {}
+        #: plan -> the step executor its sessions share
+        self._machines: Dict[PhysicalPlan, PSTMMachine] = {}
         #: attempt id -> home node, decided from the attempt's first seeds
         #: (:meth:`_route_seeds`) and dropped with the attempt
         self._homes: Dict[int, int] = {}
@@ -412,9 +416,7 @@ class AsyncPSTMEngine:
         elif adm.queue_full:
             session.lifecycle.to(QueryState.REJECTED, REASON_QUEUE_FULL)
             self.metrics.queries_rejected += 1
-            self.completed[session.query_id] = session
-            if session.on_done is not None:
-                session.on_done(session)
+            self._retire(session, held_slot=False)
         else:
             adm.enqueue(session, session.priority)
             adm.maybe_preempt()
@@ -447,18 +449,18 @@ class AsyncPSTMEngine:
         self._admission.withdraw(session)
         session.lifecycle.to(QueryState.REJECTED, REASON_ADMISSION_TIMEOUT)
         self.metrics.admission_timeouts += 1
-        self.completed[session.query_id] = session
-        if session.on_done is not None:
-            session.on_done(session)
+        self._retire(session, held_slot=False)
 
-    def _retire(self, session: QuerySession) -> None:
-        """Single exit point for sessions that held an execution slot:
-        record completion, release the admission slot (dispatching the next
-        waiter), and fire ``on_done``."""
+    def _retire(self, session: QuerySession, held_slot: bool = True) -> None:
+        """Single exit point of every terminal path: drop the checkpoints,
+        close the session (:meth:`QuerySession.close`), record completion,
+        release the admission slot when the session held one (dispatching
+        the next waiter), and fire ``on_done``."""
         if self.checkpoints is not None:
             self.checkpoints.drop(session.query_id)
+        session.close()
         self.completed[session.query_id] = session
-        if self._admission is not None:
+        if held_slot and self._admission is not None:
             self._admission.on_closed()
         if session.on_done is not None:
             session.on_done(session)
@@ -493,9 +495,7 @@ class AsyncPSTMEngine:
             session.qmetrics.cancel_reason = reason
             session.lifecycle.to(QueryState.REJECTED, f"cancelled:{reason}")
             self.metrics.queries_cancelled += 1
-            self.completed[session.query_id] = session
-            if session.on_done is not None:
-                session.on_done(session)
+            self._retire(session, held_slot=False)
             return True
         if self.sessions.get(session.query_id) is not session:
             return False

@@ -309,15 +309,22 @@ class QuerySession:
         self.plan = plan
         self.params = params
         self.on_done = on_done
-        self.machine = PSTMMachine(
-            plan,
-            engine.graph.partitioner,
-            barrier_route=0 if engine.config.centralized_agg else None,
-        )
+        # One stateless step executor per plan per engine, shared by its
+        # sessions (and so is its route table).
+        machine = engine._machines.get(plan)
+        if machine is None:
+            machine = engine._machines[plan] = PSTMMachine(
+                plan,
+                engine.graph.partitioner,
+                barrier_route=0 if engine.config.centralized_agg else None,
+            )
+        self.machine = machine
         self.rng = random.Random((engine.seed << 20) ^ query_id)
         self.cursor = StageCursor(plan, query_id)
         self.qmetrics = QueryMetrics(query_id, plan.name, submitted_at_us=0.0)
-        self._contexts: List[Optional[StepContext]] = [None] * engine.num_partitions
+        #: the running attempt's per-partition contexts; None once closed
+        self._contexts: Optional[List[Optional[StepContext]]] = (
+            [None] * engine.num_partitions)
         #: the current stage's barrier partials at the coordinator, pid ->
         #: (version, value, bytes): ridden in on weight reports (highest
         #: version kept) or gathered after the close (version 0)
@@ -427,7 +434,10 @@ class QuerySession:
     # -- execution state ---------------------------------------------------
 
     def context(self, pid: int) -> StepContext:
-        """The query's StepContext on one partition (lazy)."""
+        """The query's StepContext on one partition (lazy). A closed
+        session has none and raises."""
+        if self._contexts is None:
+            raise ExecutionError(f"query {self.query_id} is closed")
         ctx = self._contexts[pid]
         if ctx is None:
             runtime = self.engine.runtimes[pid]
@@ -448,6 +458,23 @@ class QuerySession:
             if trace is not None:
                 trace.emit(MEMO_ATTACH, self.query_id, pid)
         return ctx
+
+    def close(self) -> None:
+        """Release what only a running attempt needs (idempotent).
+
+        Drops the partition contexts (and with them the memo tables and
+        snapshot views they reference) and the RNG, and unpins the
+        snapshot timestamp. The outcome stays: results, ``qmetrics``,
+        ``lifecycle``, the per-operator counts, ``plan``, ``params`` and
+        ``snapshot_ts``.
+        """
+        if self._contexts is None:
+            return
+        self._contexts = None
+        self.rng = None
+        plane = getattr(self.engine, "txnplane", None)
+        if plane is not None and self.snapshot_ts is not None:
+            plane.unpin(self.snapshot_ts)
 
     @property
     def results(self) -> List[Any]:

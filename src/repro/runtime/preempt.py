@@ -212,17 +212,15 @@ def cancel_paused(
     An evicted query holds no slot, no memos, no queued traversers, and
     no open ledger — its entire existence is the stored snapshot plus its
     (possibly parked) admission-queue entry, so cancellation is withdraw
-    + drop + the PAUSED → CANCELLING → FAILED walk in one event.
+    + the PAUSED → CANCELLING → FAILED walk + the engine's one exit
+    (checkpoints dropped, session closed; the slot went at the pause).
     """
     adm = engine._admission
     if adm is not None:
         adm.withdraw(session)
-    engine.checkpoints.drop(session.query_id)
     session.qmetrics.cancelled = True
     session.qmetrics.cancel_reason = reason
     engine.metrics.queries_cancelled += 1
     session.lifecycle.to(QueryState.CANCELLING, reason)
     session.lifecycle.to(QueryState.FAILED, reason)
-    engine.completed[session.query_id] = session
-    if session.on_done is not None:
-        session.on_done(session)
+    engine._retire(session, held_slot=False)

@@ -302,8 +302,11 @@ class RunDrain:
     # -- drain epilogue ------------------------------------------------------
 
     def finish(self) -> float:
-        """Flush mirrors, commit metric tallies, return the CPU µs burned."""
+        """Flush mirrors, commit metric tallies, return the CPU µs burned.
+        The cached drain lets go of the last run's context and RNG, which
+        must not outlive their query."""
         self.sync_bufs()
+        self.session = self.ctx = self.getrandbits = None
         metrics = self.metrics
         metrics.steps_executed += self.steps
         metrics.edges_scanned += self.edges_scanned

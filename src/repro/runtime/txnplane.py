@@ -20,6 +20,8 @@ async runtime (paper §IV-C, the Fig 7 mixed workload):
   raw CSR store, so the run and scalar kernels both see the same
   version cut — commits after the pin stay invisible for the query's whole
   life, including crash-recovery retries (the pin survives the retry).
+  Closing the session unpins it; a view no live query pins, below every
+  node's cached LCT, is dropped (docs/TRANSACTIONS.md).
 * **Recovery composition** — when a worker crashes, the recovery manager
   calls :meth:`TxnPlane.replay_after_crash` *synchronously, before* the
   checkpoint plane's restore events run: the version scan
@@ -79,9 +81,12 @@ class TxnPlane:
         )
         self.lag_us = engine.config.lct_broadcast_lag_us
         self._nodes = list(range(engine.nodes))
-        # Snapshot stores are immutable-at-ts views; one per (pid, ts) is
-        # shared by every query pinned at that cut.
-        self._stores: Dict[Tuple[int, int], SnapshotStore] = {}
+        # Snapshot stores are immutable-at-ts views; one per (ts, pid) is
+        # shared by every query pinned at that cut, and dropped once no
+        # query can pin it again (:meth:`_evict_stale`).
+        self._stores: Dict[int, Dict[int, SnapshotStore]] = {}
+        #: live (not yet closed) queries per pinned timestamp
+        self._pins: Dict[int, int] = {}
         # Updates parked behind a torn commit: a crashed manager site
         # cannot commit, so later writers wait for the recovery scan.
         self._deferred: List[Tuple[UpdateFn, str, float, Optional[int]]] = []
@@ -104,24 +109,42 @@ class TxnPlane:
         """
         ts = self.txm.cached_lct(self.engine.home_node(session.query_id))
         session.snapshot_ts = ts
+        self._pins[ts] = self._pins.get(ts, 0) + 1
         self.engine.metrics.snapshot_pins += 1
         trace = self.engine.trace
         if trace is not None:
             trace.emit(SNAPSHOT_PIN, session.query_id, ts)
         return ts
 
+    def unpin(self, ts: int) -> None:
+        """Release a closed query's pin on ``ts`` (its one unpin)."""
+        left = self._pins.pop(ts) - 1
+        if left:
+            self._pins[ts] = left
+        else:
+            self._evict_stale()
+
+    def _evict_stale(self) -> None:
+        """Drop the views of every timestamp no live query pins that is
+        below every node's cached LCT. A pin reads some node's cached LCT
+        and caches only move forward, so no query can pin such a
+        timestamp again: an evicted view is never rebuilt."""
+        floor = min(self.txm.cached_lct(node) for node in self._nodes)
+        for ts in [ts for ts in self._stores
+                   if ts < floor and ts not in self._pins]:
+            del self._stores[ts]
+
     def store_for(self, pid: int, ts: int) -> SnapshotStore:
         """The partition's snapshot store at a pinned timestamp (cached)."""
-        key = (pid, ts)
-        store = self._stores.get(key)
+        views = self._stores.setdefault(ts, {})
+        store = views.get(pid)
         if store is None:
-            store = SnapshotStore(
+            store = views[pid] = SnapshotStore(
                 self.engine.runtimes[pid].store,
                 self.txm.partitions[pid],
                 ts,
                 self.engine.graph.partitioner,
             )
-            self._stores[key] = store
         return store
 
     def snapshot_graph(self, ts: int) -> SnapshotGraph:
@@ -229,11 +252,13 @@ class TxnPlane:
         if self.lag_us > 0:
             lct = self.txm.lct
             engine.clock.schedule_at(
-                engine.clock.now + self.lag_us,
-                lambda: self.txm.broadcast_lct(self._nodes, lct),
-            )
+                engine.clock.now + self.lag_us, lambda: self._broadcast(lct))
         else:
-            self.txm.broadcast_lct(self._nodes)
+            self._broadcast(None)
+
+    def _broadcast(self, lct: Optional[int]) -> None:
+        self.txm.broadcast_lct(self._nodes, lct)
+        self._evict_stale()
 
     def _on_abort(self, txn: "Transaction", reason: str) -> None:
         self.engine.metrics.txn_aborts += 1

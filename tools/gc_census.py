@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Graph-store bytes per edge and collector cost of the spine workloads.
+"""Graph-store bytes per edge, collector cost and retained query state of
+the spine workloads.
 
     python3 tools/gc_census.py                        # this checkout
     python3 tools/gc_census.py --root ../parent       # another checkout
     python3 tools/gc_census.py --seed 7 --workload ic_open
 
-Prints two markdown tables. *Bytes per edge*: what the set-up's graph
+Prints three markdown tables. *Bytes per edge*: what the set-up's graph
 leaves allocated after generation (raw) and what partitioning adds
 (``tracemalloc`` after a full collection, over the edge count), for the
 k-hop graph and for the SNB graph the four LDBC workloads share.
@@ -13,7 +14,11 @@ k-hop graph and for the SNB graph the four LDBC workloads share.
 ``benchmarks/spine/run.py`` times it (set-up, ``gc.collect()``, run),
 with ``gc.callbacks`` counting full (generation-2) and all collections
 and summing their seconds, plus the GC-tracked objects left after
-set-up. Each measurement runs in a fresh interpreter. ``--root`` measures
+set-up. *Retained*: per workload, one untraced run under ``tracemalloc``;
+the bytes still allocated after the run and a full collection, less
+those after set-up, over the finished sessions the engine holds, plus
+the snapshot views (``SnapshotStore``) still alive and how many were
+built. Each measurement runs in a fresh interpreter. ``--root`` measures
 that checkout's own ``src/`` through its own spine.
 """
 
@@ -91,6 +96,35 @@ def collector(name: str, seed: int) -> Dict[str, Any]:
     return {"wall": wall, "tracked": tracked, **counts}
 
 
+def retained(name: str, seed: int) -> Dict[str, Any]:
+    """Bytes one run leaves allocated per finished session, and the
+    snapshot views alive at its end and built during it."""
+    import workloads as wl
+    from spans import Recorder
+
+    from repro.txn.view import SnapshotStore
+
+    built = [0]
+    init = SnapshotStore.__init__
+
+    def counted(self: SnapshotStore, *args: Any) -> None:
+        built[0] += 1
+        init(self, *args)
+
+    SnapshotStore.__init__ = counted
+    tracemalloc.start()
+    p = wl.prepare(wl.WORKLOADS[name], seed, wl.FULL, Recorder())
+    gc.collect()
+    before = tracemalloc.get_traced_memory()[0]
+    wl.start(p)
+    p.engine.clock.run_until_idle()
+    gc.collect()
+    after = tracemalloc.get_traced_memory()[0]
+    views = sum(1 for o in gc.get_objects() if type(o) is SnapshotStore)
+    return {"sessions": len(p.engine.completed), "bytes": after - before,
+            "views": views, "built": built[0]}
+
+
 def count(n: int) -> str:
     """A count with spaced thousands, as docs/PERFORMANCE.md prints them."""
     return f"{n:,}".replace(",", " ")
@@ -107,7 +141,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.one:
         sys.path.insert(0, str(Path(args.root).resolve() / "benchmarks" / "spine"))
         kind, name = args.one
-        measure = footprint if kind == "bytes" else collector
+        measure = {"bytes": footprint, "gc": collector,
+                   "retained": retained}[kind]
         print(json.dumps(measure(name, args.seed)))
         return 0
 
@@ -132,6 +167,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         r = one("gc", name)
         print(f"| `{name}` | {r['wall']:.2f} | {r['full'][0]} | {r['full'][1]:.2f} "
               f"| {count(r['all'][0])} | {r['all'][1]:.2f} | {count(r['tracked'])} |")
+    print()
+    print("| workload | finished sessions | retained MB | retained KB/session "
+          "| views alive | views built |")
+    print("|---|---|---|---|---|---|")
+    for name in args.workload or WORKLOADS:
+        r = one("retained", name)
+        print(f"| `{name}` | {count(r['sessions'])} | {r['bytes'] / 2**20:.1f} "
+              f"| {r['bytes'] / 1024 / max(r['sessions'], 1):.1f} "
+              f"| {count(r['views'])} | {count(r['built'])} |")
     return 0
 
 
