@@ -1,11 +1,12 @@
-"""Migration bench: mined live migration vs static hash placement.
+"""Migration bench: mined live migration vs static placement.
 
 The headline experiment for the placement plane (docs/PARTITIONING.md).
 A Zipf-skewed khop/IC workload — most queries start from a few hot
 high-degree roots — runs in three waves on two otherwise identical
 engines:
 
-* **static** — the paper's hash placement ``H`` throughout;
+* **static** — the graph's static homes (degree-stratified, see
+  :func:`~repro.graph.placement.stratified_homes`) throughout;
 * **migrated** — a :class:`~repro.runtime.migrate.TrafficMiner` observes
   wave 1, a first mined batch is applied **live in the middle of
   wave 2** (queries admitted mid-migration must complete without
@@ -79,7 +80,7 @@ MINE_DOMINANCE = 1.5
 
 
 def build_graph() -> PartitionedGraph:
-    """The bench graph: a power-law graph hash-partitioned over the cluster."""
+    """The bench graph: a power-law graph partitioned over the cluster."""
     return PartitionedGraph.from_graph(
         powerlaw_graph(GRAPH_CFG, seed=GRAPH_SEED), NODES * WPN
     )
@@ -255,6 +256,11 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"moved={mig['vertices_migrated']} "
               f"forwarded={mig['traversers_forwarded']}  "
               f"audit={'ok' if mig['audit_ok'] else 'VIOLATED'}")
+        print("         max/mean after wave 3 (vertices, Σ(degree + 1)): "
+              + "  ".join(f"{label} {run['cut_after']['imbalance']:.2f}, "
+                          f"{run['cut_after']['load_imbalance']:.2f}"
+                          for label, run in (("static", static),
+                                             ("migrated", mig))))
 
     ref_rows = results[KERNELS[0]]["static"]["rows"]
     gates = {

@@ -668,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
     migrate = sub.add_parser(
         "migrate",
         help="migration bench: mined live vertex migration vs static "
-             "hash placement on a Zipf-skewed workload",
+             "placement on a Zipf-skewed workload",
     )
     migrate.add_argument("--quick", action="store_true",
                          help="CI variant: fewer queries per wave")

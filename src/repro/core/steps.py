@@ -621,8 +621,8 @@ class DedupOp(PhysicalOp):
         self.key_fn = key_fn or (lambda trav: trav.vertex)
         self.memo_label = memo_label
         if key_fn is None:
-            # The default routing key IS the vertex: key_partition(v) and
-            # the vertex partition function compute the same mix64 hash, so
+            # The default routing key IS the vertex: key_partition(v) of an
+            # int key is the vertex's owner under the placement, so
             # vertex-mode routing yields identical partition ids and lets
             # the batched path use the memoized vertex→pid cache.
             self.routing_mode = "vertex"

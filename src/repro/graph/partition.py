@@ -2,9 +2,10 @@
 
 The paper (§II-C) divides the vertex set across partitions with a hash
 function ``H: V → PartId``; each partition is owned by exactly one
-single-threaded worker (shared-nothing, §IV). Placement itself now lives
-in :mod:`repro.graph.placement` — the hash baseline plus a relocation
-table — and this module keeps the storage side. A partition stores:
+single-threaded worker (shared-nothing, §IV). Placement itself lives in
+:mod:`repro.graph.placement` — degree-stratified static homes plus a
+relocation table — and this module keeps the storage side. A partition
+stores:
 
 * its local vertices with labels and properties,
 * CSR adjacency per (direction, edge label) — *all* edges incident to a
@@ -29,7 +30,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import PartitionError, VertexNotFoundError
 from repro.graph.csr import CSRIndex
-from repro.graph.placement import Placement, mix64  # noqa: F401 - re-export
+from repro.graph.placement import Placement, stratified_homes
 from repro.graph.property_graph import (
     BOTH, IN, OUT, Edge, EdgeTable, PropertyGraph, boxed_bytes,
 )
@@ -43,12 +44,12 @@ EDGE_SHIP_BYTES = 24
 class HashPartitioner(Placement):
     """The paper's partition function ``H: V → {0, ..., n_parts - 1}``.
 
-    A :class:`~repro.graph.placement.Placement` with an (initially) empty
-    relocation table: the static-hash special case every graph is built
-    with. Assignments are memoized: routing consults the placement several
-    times per traverser, and a dict hit is ~5× cheaper than re-mixing.
-    Live migration layers relocations on top through the inherited
-    :meth:`~repro.graph.placement.Placement.relocate` API.
+    A :class:`~repro.graph.placement.Placement` with no home table: the
+    static hash everywhere, for unit tests and standalone stores.
+    :meth:`PartitionedGraph.from_graph` builds its placement with
+    degree-stratified homes instead. Assignments are memoized: routing
+    consults the placement several times per traverser, and a dict hit is
+    ~5× cheaper than re-mixing.
     """
 
 
@@ -296,7 +297,7 @@ class PartitionedGraph:
 
     def __init__(
         self,
-        partitioner: HashPartitioner,
+        partitioner: Placement,
         stores: List[PartitionStore],
         vertex_count: int,
         edge_count: int,
@@ -364,9 +365,8 @@ class PartitionedGraph:
     @property
     def nbytes(self) -> int:
         """Bytes partitioning adds to the graph it shares: every store's
-        vertex indexes and CSRs, and the placement memo."""
-        return sys.getsizeof(self.partitioner._cache) + sum(
-            store.nbytes for store in self.stores)
+        vertex indexes and CSRs, and the placement's home table and memo."""
+        return self.partitioner.nbytes + sum(store.nbytes for store in self.stores)
 
     def partition_sizes(self) -> List[int]:
         """Owned-vertex count per partition."""
@@ -379,13 +379,23 @@ class PartitionedGraph:
         edge table is counted once and is *cut* when source and
         destination live in different partitions — cut edges are exactly
         the edges whose traversers cross the network (Fig 11).
+        ``imbalance`` is max/mean owned vertices; ``load_imbalance`` is
+        max/mean of Σ(degree + 1) over each partition's vertices, the
+        quantity the static homes balance.
         """
         placement = self.partitioner
         table = self.stores[0]._edges
         total = len(table)
-        cut = sum(placement(s) != placement(d) for s, d in zip(table.src, table.dst))
         sizes = self.partition_sizes()
+        loads = sizes[:]
+        cut = 0
+        for s, d in zip(table.src, table.dst):
+            ps, pd = placement(s), placement(d)
+            loads[ps] += 1
+            loads[pd] += 1
+            cut += ps != pd
         mean = sum(sizes) / len(sizes) if sizes else 0.0
+        mean_weight = sum(loads) / len(loads) if loads else 0.0
         return {
             "total_edges": total,
             "cut_edges": cut,
@@ -394,6 +404,7 @@ class PartitionedGraph:
             "max_load": max(sizes) if sizes else 0,
             "mean_load": mean,
             "imbalance": (max(sizes) / mean) if mean else 0.0,
+            "load_imbalance": (max(loads) / mean_weight) if mean_weight else 0.0,
         }
 
     # -- live migration (storage half) ----------------------------------
@@ -447,27 +458,29 @@ class PartitionedGraph:
     def from_graph(cls, graph: PropertyGraph, num_partitions: int) -> "PartitionedGraph":
         """Shard ``graph`` into ``num_partitions`` partitions.
 
-        Every edge is materialized twice when it crosses partitions: in the
-        source partition's out-CSR and the destination partition's in-CSR.
+        Every vertex gets its degree-stratified static home
+        (:func:`~repro.graph.placement.stratified_homes`). Every edge is
+        materialized twice when it crosses partitions: in the source
+        partition's out-CSR and the destination partition's in-CSR.
         """
-        hp = HashPartitioner(num_partitions)
-        local_lists: List[List[int]] = [[] for _ in range(num_partitions)]
-        bound = 0
-        for vid in graph.vertices():
-            local_lists[hp(vid)].append(vid)
-            if vid >= bound:
-                bound = vid + 1
-        # Sizes the placement plane's dense bulk-lookup table.
-        hp.vertex_bound = bound
-        # Share vertex maps and edge table: stores read what they own or touch.
         table = graph._edges  # noqa: SLF001 - intentional internal share
+        vids = list(graph.vertices())
+        placement = Placement(
+            num_partitions,
+            stratified_homes(num_partitions, vids, table.src, table.dst))
+        local_lists: List[List[int]] = [[] for _ in range(num_partitions)]
+        for vid in vids:
+            local_lists[placement(vid)].append(vid)
+        # Sizes the placement plane's dense bulk-lookup table.
+        placement.vertex_bound = max(vids) + 1 if vids else 0
+        # Share vertex maps and edge table: stores read what they own or touch.
         built = _build_csrs(table, dict(enumerate(local_lists)), range(len(table)))
         stores = [
             PartitionStore(pid, vids, graph._vertex_labels,  # noqa: SLF001
                            graph._vertex_props, table, built[pid])  # noqa: SLF001
             for pid, vids in enumerate(local_lists)
         ]
-        return cls(hp, stores, graph.vertex_count, graph.edge_count,
+        return cls(placement, stores, graph.vertex_count, graph.edge_count,
                    graph.label_counts())
 
 

@@ -1,9 +1,14 @@
 """The placement plane: the single source of truth for vertex ownership.
 
 The paper (§II-C) fixes vertex placement to a static hash ``H: V → PartId``;
-this module generalizes it to a :class:`Placement` — the hash baseline plus
-an overridable **relocation table** — so that observed traversal patterns
-can move hot vertices between partitions at runtime (docs/PARTITIONING.md).
+this module generalizes it to a :class:`Placement` — a static home per
+vertex plus an overridable **relocation table** — so that observed
+traversal patterns can move hot vertices between partitions at runtime
+(docs/PARTITIONING.md). A partitioned graph's static homes come from
+:func:`stratified_homes`, which balances degree-weighted load across
+partitions; ids outside its table, and a ``Placement`` built without one,
+take the SplitMix64 hash.
+
 Every layer that needs a vertex's owner consults a ``Placement``:
 
 * delivery-plane routing and the kernels (via the memoized ``_cache`` dict
@@ -18,12 +23,16 @@ No call site outside this plane computes a partition from the raw hash —
 ``tools/check_layering.py`` enforces it.
 
 :class:`~repro.graph.partition.HashPartitioner` (the paper's ``H``) is the
-zero-relocation special case and remains the public constructor name.
+special case with no home table.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Mapping
+import sys
+from array import array
+from collections import Counter
+from heapq import heapreplace
+from typing import Dict, Hashable, Mapping, Optional, Sequence
 
 from repro.errors import PartitionError
 
@@ -32,12 +41,14 @@ try:  # pragma: no cover - exercised via the numpy-absent fallback tests
 except ImportError:  # pragma: no cover
     np = None  # type: ignore[assignment]
 
-__all__ = ["Placement", "home_node", "mix64", "stable_key_hash"]
+__all__ = ["Placement", "home_node", "mix64", "stable_key_hash",
+           "stratified_homes"]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
-#: dense relocation lookup tables above this vertex-id bound are not worth
-#: the memory; :meth:`Placement.bulk_lookup` falls back to the scalar path
+#: dense home and lookup tables above this vertex-id bound are not worth
+#: the memory: such a graph keeps the hash, and
+#: :meth:`Placement.bulk_lookup` falls back to the scalar path
 _MAX_TABLE_BOUND = 1 << 22
 
 
@@ -115,12 +126,60 @@ if np is not None:
         x = (x ^ (x >> _S27)) * _M3
         return x ^ (x >> _S31)
 
+    def _hash_np(vertices, n: int):
+        """The hash home ``H(v)`` of an int64 array of vertex ids."""
+        return (mix64_np(vertices.astype(np.uint64)) % np.uint64(n)).astype(np.int64)
+
+
+def stratified_homes(
+    num_partitions: int, vertices: Sequence[int], src: array, dst: array
+) -> Optional[array]:
+    """Degree-stratified static homes, as a table indexed by vertex id.
+
+    Every vertex weighs its total degree + 1, read off the edge table's
+    ``src`` / ``dst`` columns. Vertices are visited in order of
+    (−weight, ``mix64(v)``) and each goes to the partition with the least
+    weight so far, ties to the lowest pid: greedy longest-first
+    scheduling, so the heavy vertices spread first and the light ones
+    fill the gaps. The result depends only on the graph, never on the
+    process. Ids below the table's end that are not vertices keep their
+    hash home. Returns ``None`` (the hash everywhere) when a vertex id is
+    negative or beyond the dense-table bound.
+    """
+    if not vertices:
+        return None
+    bound = max(vertices) + 1
+    if min(vertices) < 0 or bound > _MAX_TABLE_BOUND:
+        return None
+    n = num_partitions
+    if np is not None:
+        ids = np.array(vertices, dtype=np.int64)
+        degree = np.bincount(np.frombuffer(src, np.int64), minlength=bound)
+        degree += np.bincount(np.frombuffer(dst, np.int64), minlength=bound)
+        weights = degree[ids] + 1
+        order = np.lexsort((mix64_np(ids.astype(np.uint64)), -weights))
+        ids, weights = ids[order].tolist(), weights[order].tolist()
+        table = array("q", _hash_np(np.arange(bound, dtype=np.int64), n).tobytes())
+    else:
+        degree = Counter(src)
+        degree.update(dst)
+        ids = sorted(vertices, key=lambda v: (-degree[v], mix64(v)))
+        weights = [degree[v] + 1 for v in ids]
+        table = array("q", [mix64(v) % n for v in range(bound)])
+    loads = [(0, pid) for pid in range(n)]  # a heap: least load, then pid
+    for vid, weight in zip(ids, weights):
+        load, pid = loads[0]
+        table[vid] = pid
+        heapreplace(loads, (load + weight, pid))
+    return table
+
 
 class Placement:
-    """Vertex → partition: the hash baseline plus a relocation table.
+    """Vertex → partition: static homes plus a relocation table.
 
     ``placement(v)`` is the current owner: the relocation override when
-    one exists, else the static hash home ``H(v)``. Assignments are
+    one exists, else the static home — ``homes[v]`` for ids inside the
+    home table, the hash ``H(v)`` outside it or without one. Assignments are
     memoized in ``_cache`` — routing consults the placement several times
     per traverser, and the run kernel reads the dict directly —
     so :meth:`relocate` **writes through** the cache: the dict object's
@@ -128,16 +187,20 @@ class Placement:
     drains correct the instant the table flips.
     """
 
-    def __init__(self, num_partitions: int) -> None:
+    def __init__(self, num_partitions: int,
+                 homes: Optional[array] = None) -> None:
         if num_partitions < 1:
             raise PartitionError(f"need at least 1 partition, got {num_partitions}")
         self._n = num_partitions
         self._cache: Dict[int, int] = {}
         self._relocated: Dict[int, int] = {}
+        #: static home per vertex id below its length (see
+        #: :func:`stratified_homes`); ``None`` = the hash everywhere
+        self._homes = homes
         #: bumped on every effective :meth:`relocate` (observability)
         self.version = 0
         #: exclusive upper bound on vertex ids (set by the graph builder);
-        #: sizes the dense numpy lookup table under relocation
+        #: sizes the dense numpy lookup table when there is no home table
         self.vertex_bound = 0
         self._np_table = None
 
@@ -150,16 +213,30 @@ class Placement:
         if pid is None:
             pid = self._relocated.get(vid)
             if pid is None:
-                pid = mix64(vid) % self._n
+                pid = self.home(vid)
             self._cache[vid] = pid
         return pid
 
     def home(self, vid: int) -> int:
-        """The static hash home ``H(v)``, ignoring relocations."""
+        """The static home, ignoring relocations: the home table's entry,
+        or the hash ``H(v)`` for an id outside it."""
+        homes = self._homes
+        if homes is not None and 0 <= vid < len(homes):
+            return homes[vid]
         return mix64(vid) % self._n
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the home table, the placement memo and a bulk
+        lookup table built with relocations (a view of the homes adds
+        none)."""
+        table = self._np_table
+        return sys.getsizeof(self._cache) + (
+            0 if self._homes is None else sys.getsizeof(self._homes)) + (
+            table.nbytes if table is not None and table.flags.owndata else 0)
+
     def is_relocated(self, vid: int) -> bool:
-        """True when the vertex lives away from its hash home."""
+        """True when the vertex lives away from its static home."""
         return vid in self._relocated
 
     def relocations(self) -> Dict[int, int]:
@@ -170,7 +247,7 @@ class Placement:
         """Apply placement overrides; returns the moves that took effect.
 
         No-op moves (vertex already owned by the target) are dropped; a
-        move back to the hash home clears the override instead of storing
+        move back to the static home clears the override instead of storing
         it. The memo cache is written through so hot-path readers see the
         flip atomically, and the numpy table is invalidated.
 
@@ -189,7 +266,7 @@ class Placement:
             if self(vid) != pid:
                 changed[vid] = pid
         for vid, pid in changed.items():
-            if pid == mix64(vid) % self._n:
+            if pid == self.home(vid):
                 self._relocated.pop(vid, None)
             else:
                 self._relocated[vid] = pid
@@ -221,34 +298,45 @@ class Placement:
     def bulk_lookup(self, vertices):
         """Owners for an int64 numpy array of vertex ids, or ``None``.
 
-        Without relocations this is the pure vectorized hash (bit-equal
-        to the scalar path). With relocations a dense pid table sized by
-        ``vertex_bound`` is built once and gathered from; when the table
-        is not buildable (no numpy, unknown bound, bound too large, or an
-        out-of-range override) the caller must fall back to its scalar
-        reference path.
+        With neither a home table nor relocations this is the pure
+        vectorized hash (bit-equal to the scalar path). Otherwise it
+        gathers from a dense pid table — a zero-copy view of the homes, or,
+        with relocations, a copy of the homes (or the hash up to
+        ``vertex_bound``) with the overrides written in, built once — and
+        ids outside it take the hash, as the scalar path does. When the
+        table is not buildable (no numpy, unknown bound, bound too large,
+        or an override outside the table) the caller must fall back to
+        its scalar reference path.
         """
         if np is None:
             return None
-        if not self._relocated:
-            mixed = mix64_np(vertices.astype(np.uint64))
-            return (mixed % np.uint64(self._n)).astype(np.int64)
+        if self._homes is None and not self._relocated:
+            return _hash_np(vertices, self._n)
         table = self._np_table
         if table is None:
             table = self._build_table()
             if table is None:
                 return None
             self._np_table = table
-        return table[vertices]
+        inside = (vertices >= 0) & (vertices < len(table))
+        if inside.all():
+            return table[vertices]
+        pids = _hash_np(vertices, self._n)
+        pids[inside] = table[vertices[inside]]
+        return pids
 
     def _build_table(self):
-        bound = self.vertex_bound
-        if bound <= 0 or bound > _MAX_TABLE_BOUND:
+        if self._homes is not None:
+            table = np.frombuffer(self._homes, dtype=np.int64)
+            if not self._relocated:
+                return table
+            table = table.copy()
+        elif 0 < self.vertex_bound <= _MAX_TABLE_BOUND:
+            table = _hash_np(np.arange(self.vertex_bound, dtype=np.int64), self._n)
+        else:
             return None
-        if any(not 0 <= vid < bound for vid in self._relocated):
+        if any(not 0 <= vid < len(table) for vid in self._relocated):
             return None
-        ids = np.arange(bound, dtype=np.uint64)
-        table = (mix64_np(ids) % np.uint64(self._n)).astype(np.int64)
         for vid, pid in self._relocated.items():
             table[vid] = pid
         return table

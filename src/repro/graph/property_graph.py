@@ -8,7 +8,7 @@ matching the labelled property graphs used by LDBC SNB and Gremlin.
 :class:`PropertyGraph` is the construction-time, single-address-space
 representation. Distributed engines do not execute against it directly; they
 use :class:`repro.graph.partition.PartitionedGraph`, which shards it by a
-vertex hash function and builds per-partition CSR indexes.
+placement function and builds per-partition CSR indexes.
 
 Edges live in one columnar :class:`EdgeTable` (no Python object per edge)
 that the partition stores share; an :class:`Edge` is built on read.

@@ -170,7 +170,9 @@ def run_mixed_workload(
         # actually observe the snapshot-isolation contract.
         txm = plane.txm
     else:
-        txm = TransactionManager(graph.num_partitions)
+        # The graph's placement, so each delta lands with its vertex.
+        txm = TransactionManager(graph.num_partitions,
+                                 partitioner=graph.partitioner)
     if isinstance(engine, BSPEngine):
         return _run_bsp(engine, schedule, txm, config)
     return _run_async(engine, schedule, txm, config)

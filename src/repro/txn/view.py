@@ -336,8 +336,11 @@ def snapshot_view(
     the transaction manager"), so a node that missed the latest broadcast
     serves a slightly stale — but consistent — snapshot.
     """
-    if txm.partitioner.num_partitions != base.num_partitions:
+    if txm.partitioner is not base.partitioner:
+        # Delta rows are found where the manager's placement put them: a
+        # placement of its own (even a hash of the same width) disagrees
+        # with the graph's static homes and relocations.
         raise PartitionError(
-            "transaction manager and base graph must be partitioned alike"
+            "transaction manager must route by the base graph's placement"
         )
     return SnapshotGraph(base, txm.partitions, txm.cached_lct(node))

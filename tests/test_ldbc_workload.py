@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.ldbc import schema as S
+from repro.ldbc import workload
 from repro.ldbc.generator import SNB_TINY, generate_snb
 from repro.ldbc.queries.updates import UP_QUERIES, UpdateContext
 from repro.ldbc.workload import (
@@ -147,3 +148,38 @@ class TestMixedRuns:
         assert result.avg_ms("IC1") == 2.0
         assert result.p99_ms("IS2") == 0.5
         assert result.labels() == ["IC1", "IS2"]
+
+    def test_deltas_land_on_the_graphs_owner_after_relocation(
+            self, dataset, monkeypatch):
+        """Without a transaction plane run_mixed_workload's own manager routes
+        writes by the graph's placement, not a private hash: on a
+        relocated graph every committed delta sits in its vertex's
+        partition."""
+        graph = dataset.partitioned(NODES * WPN)
+        placement = graph.partitioner
+        moved = {p: (placement(p) + 1) % graph.num_partitions
+                 for p in dataset.persons[::2]}
+        graph.move_vertices(moved)
+        managers = []
+
+        class Recording(TransactionManager):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                managers.append(self)
+
+        monkeypatch.setattr(workload, "TransactionManager", Recording)
+        config = WorkloadConfig(tcr=1.0, duration_s=0.1, ic_rate=0.0,
+                                is_rate=0.0, up_rate=400.0, include_ic=(),
+                                include_is=(), seed=3)
+        run_mixed_workload(AsyncPSTMEngine(graph, NODES, WPN), dataset, config)
+        (txm,) = managers
+        assert txm.commits > 0
+        owners = {}
+        for state in txm.partitions:
+            for vid, _direction, _label in state.tel._logs:
+                owners.setdefault(vid, set()).add(state.pid)
+            for vid, _key in state.props._versions:
+                owners.setdefault(vid, set()).add(state.pid)
+        assert any(vid in moved for vid in owners)
+        for vid, pids in owners.items():
+            assert pids == {placement(vid)}, vid

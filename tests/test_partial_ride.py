@@ -213,7 +213,9 @@ class TestNothingToRideOn:
         """The example hypothesis found for the prototype
         (``test_kernels_bit_identical(seed=3, query_index=3, start=0,
         fuse=True)``): the ledger closes while a partition holds a count
-        partial it never flushed weight for, so the stage must gather."""
+        partial it never flushed weight for, so the stage must gather.
+        Start 0 showed it under hash placement only; start 2 shows it
+        under the graph's degree-stratified homes and under hash homes."""
         # that suite's graph 3 and query 3, rebuilt here
         graph = make_graph(3, n=40, degree=3, partitions=4)
         plan = (Traversal("q3").v_param("s").khop("e", k=2).count()
@@ -225,7 +227,7 @@ class TestNothingToRideOn:
             engine = AsyncPSTMEngine(graph, 2, 2, config=EngineConfig(
                 kernel=kernel, trace=True))
             closes = watch_closes(engine)
-            result = engine.run(plan, {"s": 0})
+            result = engine.run(plan, {"s": 2})
             rows[kernel] = (result.rows, result.latency_us)
             assert closes == []  # nothing rode
             assert engine.metrics.message_count(MsgKind.PARTIAL) > 0

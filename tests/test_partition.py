@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from repro.errors import PartitionError, VertexNotFoundError
 from repro.graph.builder import GraphBuilder
-from repro.graph.partition import HashPartitioner, PartitionedGraph, mix64
+from repro.graph.partition import HashPartitioner, PartitionedGraph
+from repro.graph.placement import mix64
 from repro.graph.property_graph import BOTH, IN, OUT
 
 

@@ -13,23 +13,36 @@ Pinned here (see docs/PARTITIONING.md):
    cache (same dict object the workers hoisted), version-bumped,
    no-op-dropping, and range-checked;
 4. **vectorized equivalence** — ``bulk_lookup`` agrees with the scalar
-   path bit for bit, with and without relocations.
+   path bit for bit, with and without relocations, for ids inside and
+   outside the home table;
+5. **stratified homes** — ``PartitionedGraph.from_graph`` places each
+   vertex by the degree-stratified rule, which depends only on the graph
+   and balances Σ(degree + 1) across partitions.
 """
 
 import os
+import random
 import subprocess
 import sys
+from array import array
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
+from repro.datasets.synthetic import PowerLawConfig, powerlaw_graph
 from repro.errors import PartitionError, VertexNotFoundError
-from repro.graph.partition import HashPartitioner
+from repro.graph import placement as placement_module
+from repro.graph.builder import GraphBuilder
+from repro.graph.partition import HashPartitioner, PartitionedGraph
 from repro.graph.placement import (
     Placement,
     mix64,
     stable_key_hash,
+    stratified_homes,
 )
 from repro.runtime.vector import HAVE_NUMPY
 from tests.conftest import random_graph
@@ -50,10 +63,19 @@ KEY_SNIPPET = (
 )
 
 
-def run_with_hashseed(seed: int) -> str:
+HOMES_SNIPPET = (
+    "from repro.datasets.synthetic import PowerLawConfig, powerlaw_graph\n"
+    "from repro.graph.partition import PartitionedGraph\n"
+    "g = powerlaw_graph(PowerLawConfig('h', 600, 8.0, gamma=2.45), seed=3)\n"
+    "p = PartitionedGraph.from_graph(g, 8).partitioner\n"
+    "print([p(v) for v in range(600)])\n"
+)
+
+
+def run_with_hashseed(seed: int, snippet: str = KEY_SNIPPET) -> str:
     env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=SRC_ROOT)
     out = subprocess.run(
-        [sys.executable, "-c", KEY_SNIPPET],
+        [sys.executable, "-c", snippet],
         capture_output=True, text=True, env=env, check=True,
     )
     return out.stdout.strip()
@@ -179,3 +201,180 @@ class TestBulkLookup:
         if bulk is None:  # dense-table path declined: scalar fallback is fine
             pytest.skip("placement declined to build a dense table")
         assert list(bulk) == [p(int(v)) for v in vids]
+
+    def test_ids_outside_the_table_take_the_hash(self):
+        import numpy as np
+
+        p = Placement(8)
+        p.vertex_bound = 100
+        p.relocate({5: (p.home(5) + 1) % 8})
+        vids = np.array([5, 99, 100, 1_007_663, -4], dtype=np.int64)
+        assert list(p.bulk_lookup(vids)) == [p(int(v)) for v in vids]
+
+
+def _placements(draw_homes: bool):
+    """A placement over a random home table (or none), with or without
+    overrides inside it."""
+    return st.builds(
+        _build_placement,
+        st.integers(1, 8),
+        st.integers(1, 200),
+        st.booleans() if draw_homes else st.just(False),
+        st.integers(0, 2 ** 32),
+        st.integers(0, 20),
+    )
+
+
+def _build_placement(n, bound, with_homes, seed, n_moves):
+    rng = random.Random(seed)
+    homes = array("q", [rng.randrange(n) for _ in range(bound)]) if with_homes else None
+    p = Placement(n, homes)
+    p.vertex_bound = bound
+    p.relocate({rng.randrange(bound): rng.randrange(n) for _ in range(n_moves)})
+    return p
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
+class TestBulkLookupBounds:
+    @settings(max_examples=60, deadline=None)
+    @given(p=_placements(draw_homes=True),
+           ids=st.lists(st.one_of(st.integers(-50, 450),
+                                  st.integers(1_007_663, 1_100_000)),
+                        min_size=1, max_size=40))
+    def test_matches_scalar_inside_and_outside_the_table(self, p, ids):
+        import numpy as np
+
+        bulk = p.bulk_lookup(np.array(ids, dtype=np.int64))
+        assert bulk is not None
+        assert bulk.tolist() == [p(v) for v in ids]
+
+    def test_homes_are_gathered_in_place_until_a_relocation(self):
+        import numpy as np
+
+        p = random_graph(n=80, partitions=4, seed=3).partitioner
+        before = p.nbytes
+        p.bulk_lookup(np.arange(80, dtype=np.int64))
+        assert np.shares_memory(p._np_table, np.frombuffer(p._homes, np.int64))
+        assert p.nbytes == before
+        p.relocate({7: (p.home(7) + 1) % 4})
+        bulk = p.bulk_lookup(np.arange(80, dtype=np.int64))
+        assert bulk.tolist() == [p(v) for v in range(80)]
+        assert p.nbytes == before + p._np_table.nbytes
+
+
+def reference_homes(graph, n):
+    """The placement rule written out plainly: weight = degree + 1, visit
+    by (-weight, mix64(v)), each to the least-loaded partition, ties to
+    the lowest pid."""
+    weight = {v: graph.degree(v, "both") + 1 for v in graph.vertices()}
+    loads = [0] * n
+    homes = {}
+    for v in sorted(weight, key=lambda v: (-weight[v], mix64(v))):
+        pid = min(range(n), key=lambda p: (loads[p], p))
+        homes[v] = pid
+        loads[pid] += weight[v]
+    return homes
+
+
+#: the spine's k-hop graph shape (benchmarks/spine/workloads.py), smaller
+SPINE_SHAPE = PowerLawConfig("spine-shape", 2_500, 12.0, gamma=2.45)
+
+
+class TestStratifiedHomes:
+    @pytest.mark.parametrize("seed, n", [(4, 5), (5, 3), (6, 8)])
+    def test_rule_matches_the_plain_reference(self, seed, n):
+        raw = powerlaw_graph(PowerLawConfig("ref", 300, 6.0, gamma=2.2), seed=seed)
+        placement = PartitionedGraph.from_graph(raw, n).partitioner
+        expected = reference_homes(raw, n)
+        assert {v: placement(v) for v in raw.vertices()} == expected
+
+    def test_hand_worked_example(self):
+        """Weights 6 (vertex 5), 3, 3 (0, 2), 2 (1), 1, 1 (3, 4): the hub
+        takes partition 0, the two weight-3 vertices fill partition 1 to
+        6, vertex 1 breaks the 6-6 tie to partition 0, and the two light
+        vertices top partition 1 up to 8. Weighing by degree alone, or by
+        degree + 2, homes vertices 1, 3 and 4 differently."""
+        b = GraphBuilder("v")
+        for v in range(6):
+            b.vertex(v, "v")
+        for src, dst in [(5, 0), (1, 5), (5, 2), (0, 5), (2, 5)]:
+            b.edge(src, dst, "e")
+        placement = PartitionedGraph.from_graph(b.build(), 2).partitioner
+        assert [placement(v) for v in range(6)] == [1, 0, 1, 1, 1, 0]
+
+    def test_load_imbalance_counts_degree_plus_one(self):
+        b = GraphBuilder("v")
+        for v in range(3):
+            b.vertex(v, "v")
+        b.edge(0, 1, "e")
+        graph = PartitionedGraph.from_graph(b.build(), 2)
+        graph.move_vertices({0: 0, 1: 0, 2: 1})
+        # loads 2 + 2 and 1: max 4 over mean 2.5
+        assert graph.cut_stats()["load_imbalance"] == pytest.approx(1.6)
+
+    def test_numpy_and_stdlib_paths_agree(self):
+        raw = powerlaw_graph(PowerLawConfig("np", 400, 6.0, gamma=2.2), seed=9)
+        table = raw._edges
+        args = (7, list(raw.vertices()), table.src, table.dst)
+        with mock.patch.object(placement_module, "np", None):
+            stdlib = stratified_homes(*args)
+        assert stratified_homes(*args) == stdlib
+
+    def test_stable_across_pythonhashseed(self):
+        results = {seed: run_with_hashseed(seed, HOMES_SNIPPET) for seed in (0, 1, 2)}
+        assert len(set(results.values())) == 1
+
+    def test_depends_only_on_the_graph(self):
+        """Vertex and edge insertion order do not move a home."""
+        rng = random.Random(2)
+        edges = [(rng.randrange(200), rng.randrange(200)) for _ in range(900)]
+
+        def build(vertex_order, edge_order):
+            b = GraphBuilder("v")
+            for v in vertex_order:
+                b.vertex(v, "v")
+            for src, dst in edge_order:
+                b.edge(src, dst, "e")
+            return PartitionedGraph.from_graph(b.build(), 6).partitioner
+
+        forward = build(range(200), edges)
+        shuffled_vertices = list(range(200))
+        rng.shuffle(shuffled_vertices)
+        shuffled_edges = edges[:]
+        rng.shuffle(shuffled_edges)
+        backward = build(shuffled_vertices, shuffled_edges)
+        assert [forward(v) for v in range(200)] == [backward(v) for v in range(200)]
+
+    def test_balances_degree_weighted_load_on_the_spine_shape(self):
+        raw = powerlaw_graph(SPINE_SHAPE, seed=13)
+        stats = PartitionedGraph.from_graph(raw, 16).cut_stats()
+        assert stats["load_imbalance"] <= 1.01
+        hashed, hash_home = [0] * 16, HashPartitioner(16)
+        for v in raw.vertices():
+            hashed[hash_home(v)] += raw.degree(v, "both") + 1
+        assert max(hashed) / (sum(hashed) / 16) > 1.05  # the hash does not
+
+    def test_relocation_back_to_the_static_home_clears_the_override(self):
+        graph = random_graph(n=80, partitions=4, seed=3)
+        placement = graph.partitioner
+        vid = next(v for v in range(80)
+                   if placement.home(v) != HashPartitioner(4).home(v))
+        home = placement.home(vid)
+        graph.move_vertices({vid: (home + 1) % 4})
+        assert placement.is_relocated(vid)
+        graph.move_vertices({vid: home})
+        assert not placement.is_relocated(vid)
+        assert placement.relocations() == {}
+        assert placement(vid) == home == graph.partition_of(vid)
+
+    def test_ids_outside_the_table_hash(self):
+        graph = random_graph(n=40, partitions=4, seed=1)
+        placement = graph.partitioner
+        for vid in (40, 1_007_663, -3):
+            assert placement(vid) == HashPartitioner(4)(vid)
+
+    def test_nbytes_counts_the_home_table(self):
+        graph = random_graph(n=40, partitions=4, seed=1)
+        bare = Placement(4)
+        assert graph.partitioner.nbytes > bare.nbytes
+        assert graph.partitioner.nbytes >= sys.getsizeof(graph.partitioner._homes)

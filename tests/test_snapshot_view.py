@@ -26,8 +26,8 @@ def base():
 
 
 @pytest.fixture
-def txm():
-    return TransactionManager(PARTS)
+def txm(base):
+    return TransactionManager(PARTS, partitioner=base.partitioner)
 
 
 def commit_edge(txm, src, dst, label="knows", eid=1000, **props):
@@ -132,6 +132,12 @@ class TestSnapshotStore:
         txm = TransactionManager(PARTS + 1)
         with pytest.raises(PartitionError):
             snapshot_view(base, txm)
+
+    def test_placement_of_its_own_rejected(self, base):
+        """A hash of the same width still disagrees with the graph's
+        static homes, so the view would miss deltas."""
+        with pytest.raises(PartitionError):
+            snapshot_view(base, TransactionManager(PARTS))
 
 
 class TestQueriesOverSnapshots:

@@ -325,9 +325,11 @@ class TestEngineContracts:
         assert engine.trace.by_kind(MSG_SEND)
 
     def test_doctored_fold_in_a_real_trace_is_rejected(self):
+        # eight concurrent queries: enough NIC contention for a fold under
+        # degree-stratified and hash homes alike (four folded under hash only)
         graph = make_graph(10)
         engine, _sessions = run_batch(
-            graph, khop3_count(graph), [{"s": v} for v in range(4)],
+            graph, khop3_count(graph), [{"s": v} for v in range(8)],
             EngineConfig(trace=True))
         events = [e.as_dict() for e in engine.trace.events]
         folds = [e for e in events if e["kind"] == NODE_COALESCE]

@@ -187,10 +187,12 @@ class TestCrashAccounting:
     def test_crash_loss_events_balance_the_books(self, kernel):
         graph = make_graph(4)
         plan = khop3_count(graph)
+        # 60 us: worker 1 holds traversers then under hash and under
+        # degree-stratified homes alike (at 40 us it is idle under the latter)
         config = EngineConfig(
             trace=True, kernel=kernel,
             fault_plan=FaultPlan(seed=2, worker_faults=(
-                WorkerFault(wid=1, at_us=40.0, kind="crash", down_us=500.0),)),
+                WorkerFault(wid=1, at_us=60.0, kind="crash", down_us=500.0),)),
             watchdog_timeout_us=20_000.0)
         engine = AsyncPSTMEngine(graph, FAULT_NODES, FAULT_WPN, config=config)
         sessions = [engine.submit(plan, {"s": v}) for v in range(6)]
