@@ -199,10 +199,10 @@ class PhysicalOp:
     #: True for source ops seeded once per partition by the engine.
     is_source: bool = False
     #: True when executing this op can change its stage's barrier partial
-    #: on the executing partition (the barrier itself and the sinks fused
-    #: into it). The write finishes the traverser's weight there, so a
-    #: weight report from that partition always follows it — the report
-    #: the partial rides to the coordinator on.
+    #: on the executing partition (the barrier itself). The write
+    #: finishes the traverser's weight there, so a weight report from that
+    #: partition always follows it — the report the partial rides to the
+    #: coordinator on.
     writes_partial: bool = False
     #: True for an op that changes the barrier partial but may forward the
     #: traverser's whole weight: no report is bound to follow the write, so
@@ -1259,8 +1259,9 @@ class CollectAgg(AggregateOp):
         self.limit = limit
         #: declared by the query (``order_by(..., unique=True)``): the
         #: order key is a total order over result rows, so :meth:`combine`
-        #: is arrival- and partition-order independent. Gates the fusion
-        #: pass's distributed top-N pushdown.
+        #: is arrival- and partition-order independent. Gates the
+        #: partial's below-cutoff heap skip in :meth:`absorb` and
+        #: :meth:`apply_batch`.
         self.unique_order = unique_order
 
     def _bounded(self) -> bool:

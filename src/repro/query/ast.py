@@ -233,5 +233,5 @@ class OrderLimitStep(LogicalStep):
     #: the query author's declaration that the combined sort key is a
     #: total order over result rows (no ties) — e.g. it ends with a
     #: unique id tiebreaker, as every LDBC interactive query's does.
-    #: Gates the distributed top-N pushdown in the fusion pass.
+    #: Gates ``CollectAgg``'s below-cutoff heap skip.
     unique: bool = False

@@ -44,8 +44,8 @@ def compile_traversal(
     """Apply strategies and lower ``traversal`` for execution on ``graph``.
 
     ``fuse=True`` additionally runs the plan-level operator fusion pass
-    (:func:`repro.query.fusion.fuse_plan`), collapsing chains like
-    expand→filter→count into single fused ops. A fused plan returns the
+    (:func:`repro.query.fusion.fuse_plan`), which inlines each k-hop
+    loop's exit chain into its branch op. A fused plan returns the
     same result rows; its simulated timings differ (fewer materialized
     traversers), which is why fusion is opt-in rather than a default
     strategy.
@@ -55,7 +55,7 @@ def compile_traversal(
     if fuse:
         from repro.query.fusion import fuse_plan
 
-        plan = fuse_plan(plan, getattr(graph, "num_partitions", None))
+        plan = fuse_plan(plan)
     return plan
 
 

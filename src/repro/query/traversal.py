@@ -275,10 +275,9 @@ class Traversal:
         ``unique=True`` declares that the combined sort key is a total
         order over the result rows — no two rows ever compare equal
         (typically because the last part is a unique id tiebreaker).
-        The declaration lets the optimizer push the top-N bound below
-        the exchange (partition-local partial top-N); a false
-        declaration can change which of several tied rows survive the
-        limit cutoff.
+        The declaration lets each partition's bounded top-N partial skip
+        the heap for rows below its cutoff; a false declaration can
+        change which of several tied rows survive the limit cutoff.
         """
         if self._order is None:
             self._order = ast.OrderLimitStep(list(parts), unique=unique)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Protocol, Set
 
-from repro.core.fused import FusedChain, FusedMinDistCount
+from repro.core.fused import FusedMinDistCount
 from repro.core.progress import ProgressMode
 from repro.core.steps import DedupOp, ExpandOp
 from repro.core.weight import GROUP_MODULUS
@@ -41,7 +41,6 @@ from repro.runtime.trace import ABSENT, EXEC
 from repro.runtime.vector import (
     HAVE_NUMPY,
     MIN_VECTOR_RUN,
-    _chain_run,
     _dedup_run,
     _expand_run,
     _fused_branch_count_run,
@@ -254,25 +253,20 @@ class RunKernel:
         # trace events need the reference loop's per-element structure.
         fast_ok = HAVE_NUMPY and d.slim_ok
         while (run := pop_run()) is not None:
-            if fast_ok:
+            # The NumPy paths need MIN_VECTOR_RUN elements to amortize
+            # their array setup.
+            if fast_ok and len(run) >= MIN_VECTOR_RUN:
                 op = d.ops[d.run_op_idx]
                 top = type(op)
-                # The chain path is pure-Python specialization (no array
-                # setup), so it pays off at any run length; the NumPy
-                # paths need MIN_VECTOR_RUN elements to amortize.
-                if top is FusedChain:
-                    if _chain_run(d, op, run):
+                if top is ExpandOp:
+                    if _expand_run(d, op, run):
                         continue
-                elif len(run) >= MIN_VECTOR_RUN:
-                    if top is ExpandOp:
-                        if _expand_run(d, op, run):
-                            continue
-                    elif top is FusedMinDistCount:
-                        if _fused_branch_count_run(d, op, run):
-                            continue
-                    elif top is DedupOp:
-                        if _dedup_run(d, op, run):
-                            continue
+                elif top is FusedMinDistCount:
+                    if _fused_branch_count_run(d, op, run):
+                        continue
+                elif top is DedupOp:
+                    if _dedup_run(d, op, run):
+                        continue
             execute_batch(run)
         return d.finish()
 

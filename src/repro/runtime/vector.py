@@ -26,9 +26,6 @@ place of the per-element inner loops — for the reference batched body:
   (:class:`~repro.core.fused.FusedMinDistCount`): memo-pruned distance
   updates with the count partial absorbed in bulk and only loop
   continuations materialized.
-* **Fused chain runs** (:func:`_chain_run`) — a pure-Python
-  specialization (the run's single routing decision hoisted out of the
-  per-child loop), so it pays off at any run length.
 
 Each fast path returns False — before consuming the RNG or mutating
 anything — when a run falls outside its proven shape, and the kernel then
@@ -59,7 +56,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core.fused import FusedChain, FusedMinDistCount
+from repro.core.fused import FusedMinDistCount
 from repro.core.steps import DedupOp, ExpandOp
 from repro.core.traverser import Traverser
 from repro.graph.placement import Placement
@@ -357,203 +354,6 @@ def _dedup_run(d: RunDrain, op: DedupOp, run: List[Traverser]) -> bool:
         op_spawned = d.op_spawned
         op_spawned[op_idx] = op_spawned.get(op_idx, 0) + local_count
         d.qmetrics.traversers_spawned += local_count
-    return True
-
-
-def _chain_run(d: RunDrain, op: FusedChain, run: List[Traverser]) -> bool:
-    """Specialized drain for :class:`FusedChain` runs.
-
-    A chain emits at most one child per traverser, always targeting the
-    single static ``next_idx`` — so the run's routing decision can be
-    hoisted out of the per-child loop entirely. Two shapes qualify:
-
-    * the successor is vertex/free-routed: every child lands on this
-      partition (the chain op itself was routed here by the same rule),
-      so survivors are bulk-appended to the local queue with one
-      stage-count bump;
-    * the successor is a barrier (``fixed`` routing): every child goes to
-      the one barrier partition — the buffer slot, destination node, and
-      payload-size cache lookups are hoisted, while serialize cost and
-      threshold-flush instants replay the reference path exactly.
-
-    The chain's Python link walk (``apply_batch``) still runs — it is
-    the semantics — but everything around it collapses.
-    """
-    next_idx = op.next_idx
-    c_stage, c_mode, _child_op = d.route_info[next_idx]
-    rmode = op.routing_mode
-    if c_mode == "fixed":
-        pid = d.barrier_route
-        local = pid == d.self_pid
-    elif c_mode == "vertex" or c_mode == "free":
-        if c_mode != rmode:
-            # Vertex- and free-routing agree only for real (non-negative)
-            # vertex ids; synthetic ids hash differently per mode.
-            vs = np.fromiter(
-                (t.vertex for t in run), np.int64, count=len(run)
-            )
-            if int(vs.min()) < 0:
-                return False
-        local = True
-        pid = d.self_pid
-    else:
-        return False
-    n = len(run)
-    outcome = op.apply_batch(d.ctx, run)
-    spec_rows = outcome.children
-    costs = outcome.costs
-    # Cost pricing: chain cost tuples are shared by identity (full-walk
-    # vs. per-drop prefixes), so the identity cache replays exact floats.
-    cpu_scale = d.cpu_scale
-    step_base_us = d.step_base_us
-    edge_us = d.edge_us
-    memo_op_us = d.memo_op_us
-    prop_us = d.prop_us
-    query_id = d.run_qid
-    stage = d.run_stage
-    modulus = d.modulus
-    cpu = d.cpu
-    prev_tuple = None
-    prev_cost_us = 0.0
-    prev_edges = 0
-    prev_memo_ops = 0
-    edges_scanned = 0
-    memo_ops_total = 0
-    fin_total = 0
-    fin_count = 0
-    spawned = 0
-    if local:
-        queue_append = d.queue.append
-        for trav, specs, ct in zip(run, spec_rows, costs):
-            if ct is prev_tuple:
-                cost_us = prev_cost_us
-                edges = prev_edges
-                memo_ops = prev_memo_ops
-            else:
-                base, edges, memo_ops, props = ct
-                cost_us = cpu_scale * (
-                    base * step_base_us
-                    + edges * edge_us
-                    + memo_ops * memo_op_us
-                    + props * prop_us
-                )
-                prev_tuple = ct
-                prev_cost_us = cost_us
-                prev_edges = edges
-                prev_memo_ops = memo_ops
-            cpu += cost_us
-            edges_scanned += edges
-            memo_ops_total += memo_ops
-            if specs:
-                vertex, _c_idx, payload, loops = specs[0]
-                queue_append(
-                    Traverser(
-                        query_id, vertex, next_idx, payload,
-                        trav.weight % modulus, c_stage, loops,
-                    )
-                )
-                spawned += 1
-            else:
-                weight = trav.weight
-                if weight:
-                    fin_total += weight
-                    fin_count += 1
-        if spawned:
-            key = (query_id, c_stage)
-            stage_counts = d.stage_counts
-            stage_counts[key] = stage_counts.get(key, 0) + spawned
-    else:
-        serialize_us = d.serialize_us
-        t = d.t
-        track_inflight = d.track_inflight
-        note_outbound = d.note_outbound
-        trav_buffers = d.trav_buffers
-        buffer_bytes = d.buffer_bytes
-        flush_threshold = d.flush_threshold
-        flush = d.flush
-        size_cache = d.size_cache
-        size_cache_get = size_cache.get
-        last_payload = d.last_payload
-        last_size = d.last_size
-        local_bufs = d.local_bufs
-        local_bytes = d.local_bytes
-        dst_node = pid // d.ppn
-        for trav, specs, ct in zip(run, spec_rows, costs):
-            if ct is prev_tuple:
-                cost_us = prev_cost_us
-                edges = prev_edges
-                memo_ops = prev_memo_ops
-            else:
-                base, edges, memo_ops, props = ct
-                cost_us = cpu_scale * (
-                    base * step_base_us
-                    + edges * edge_us
-                    + memo_ops * memo_op_us
-                    + props * prop_us
-                )
-                prev_tuple = ct
-                prev_cost_us = cost_us
-                prev_edges = edges
-                prev_memo_ops = memo_ops
-            cpu += cost_us
-            edges_scanned += edges
-            memo_ops_total += memo_ops
-            if specs:
-                vertex, _c_idx, payload, loops = specs[0]
-                child = Traverser(
-                    query_id, vertex, next_idx, payload,
-                    trav.weight % modulus, c_stage, loops,
-                )
-                cpu += serialize_us
-                if track_inflight:
-                    note_outbound(query_id)
-                buf = local_bufs[dst_node]
-                if buf is None:
-                    buf = trav_buffers.get(dst_node)
-                    if buf is None:
-                        buf = trav_buffers[dst_node] = []
-                    local_bufs[dst_node] = buf
-                    local_bytes[dst_node] = buffer_bytes.get(dst_node, 0)
-                if payload is last_payload:
-                    size = last_size
-                else:
-                    last_payload = payload
-                    pk = id(payload)
-                    size = size_cache_get(pk)
-                    if size is None:
-                        size = child.estimated_size_bytes()
-                        size_cache[pk] = size
-                    last_size = size
-                buf.append((pid, child, size))
-                nbytes = local_bytes[dst_node] + size
-                local_bytes[dst_node] = nbytes
-                if nbytes >= flush_threshold:
-                    buffer_bytes[dst_node] = nbytes
-                    local_bufs[dst_node] = None
-                    cpu += flush(dst_node, t + cpu)
-                spawned += 1
-            else:
-                weight = trav.weight
-                if weight:
-                    fin_total += weight
-                    fin_count += 1
-        d.last_payload = last_payload
-        d.last_size = last_size
-    if fin_count:
-        d.worker._accum(query_id, stage).absorb_many(fin_total, fin_count)
-    d.cpu = cpu
-    d.steps += n
-    d.edges_scanned += edges_scanned
-    d.memo_ops_total += memo_ops_total
-    d.qmetrics.steps_executed += n
-    op_idx = d.run_op_idx
-    op_steps = d.op_steps
-    op_steps[op_idx] = op_steps.get(op_idx, 0) + n
-    if spawned:
-        d.spawned_total += spawned
-        op_spawned = d.op_spawned
-        op_spawned[op_idx] = op_spawned.get(op_idx, 0) + spawned
-        d.qmetrics.traversers_spawned += spawned
     return True
 
 

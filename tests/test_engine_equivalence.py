@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.fused import FusedCollectSink, FusedGroupCountSink
+from repro.core.fused import FusedMinDistChain, FusedMinDistCount
+from repro.core.steps import MinDistBranchOp
 from repro.graph.builder import GraphBuilder
 from repro.graph.partition import PartitionedGraph
 from repro.query.exprs import X
@@ -23,6 +24,9 @@ from repro.runtime.engine import AsyncPSTMEngine, EngineConfig
 from repro.runtime.faults import FaultPlan
 from repro.runtime.reference import LocalExecutor
 from repro.core.progress import ProgressMode
+from tests.conftest import make_graph as conftest_graph
+from tests.test_fuzz_queries import _build_chain
+from tests.test_fuzz_queries import make_graph as fuzz_graph
 
 CLUSTER = ClusterConfig(nodes=2, workers_per_node=2)
 P = CLUSTER.num_partitions
@@ -186,27 +190,21 @@ def test_kernels_bit_identical_under_faults(numpy_masked, fault_seed, fuse):
         assert _run_kernel(graph, plan, 11, "run", fault) == reference
 
 
-# -- aggregation pushdown (fusion rule 5) --------------------------------------
+# -- CollectAgg's declared-total-order heap skip ------------------------------
 
 
 def _topn_query(unique: bool) -> Traversal:
     # dedup() makes the vertex binding unique per row, so (w desc, v asc)
-    # really is a total order and the unique declaration is truthful.
+    # really is a total order and the unique declaration is truthful. Two
+    # hops typically reach a dozen or more rows, so partition-local
+    # partials outgrow the limit and the heap skip runs.
     return (
-        Traversal("topn").v_param("s").out("e").dedup()
+        Traversal("topn").v_param("s").both("e").both("e").dedup()
         .values("w", "weight").as_("v").select("v", "w")
         .order_by((X.binding("w"), "desc"), (X.binding("v"), "asc"),
                   unique=unique)
-        .limit(4)
+        .limit(3)
     )
-
-
-def test_collect_pushdown_gated_on_unique_declaration():
-    graph = make_graph(321)
-    gated = _topn_query(True).compile(graph, fuse=True)
-    assert any(type(op) is FusedCollectSink for op in gated.ops)
-    plain = _topn_query(False).compile(graph, fuse=True)
-    assert not any(type(op) is FusedCollectSink for op in plain.ops)
 
 
 @given(
@@ -215,30 +213,74 @@ def test_collect_pushdown_gated_on_unique_declaration():
 )
 @settings(max_examples=20, deadline=None)
 def test_collect_pushdown_rows_exact(seed, start):
-    """The distributed top-N pushdown returns exactly the unfused rows —
-    order included — whenever the declared total order is truthful."""
+    """The bounded partition-local top-N partial: with the sort key
+    declared a total order (``unique=True``), ``CollectAgg`` skips the
+    heap for rows below the cutoff, and must still return exactly the
+    rows, in order, of the undeclared plan — on both kernels."""
     graph = make_graph(seed)
-    unfused = _topn_query(True).compile(graph)
-    fused = _topn_query(True).compile(graph, fuse=True)
-    rows_u, _ = _run_kernel(graph, unfused, start, "run")
-    rows_f, _ = _run_kernel(graph, fused, start, "run")
-    assert rows_f == rows_u
+    plain = _topn_query(False).compile(graph)
+    declared = _topn_query(True).compile(graph)
+    for kernel in ("run", "scalar"):
+        rows_plain, _ = _run_kernel(graph, plain, start, kernel)
+        rows_declared, _ = _run_kernel(graph, declared, start, kernel)
+        assert rows_declared == rows_plain
+
+
+# -- the fusion pass's shape ---------------------------------------------------
+
+
+def _fig1_khop() -> Traversal:
+    return (
+        Traversal("fig1").v_param("s").khop("e", k=3)
+        .filter_(X.vertex().neq(X.param("s")))
+        .values("w", "weight").as_("v").select("v", "w")
+        .order_by((X.binding("w"), "desc"), (X.binding("v"), "asc"))
+        .limit(10)
+    )
+
+
+def _count_khop() -> Traversal:
+    return Traversal("khop_count").v_param("s").khop("e", k=3).count()
+
+
+@pytest.mark.parametrize("builder, fused_type", [
+    (_fig1_khop, FusedMinDistChain), (_count_khop, FusedMinDistCount),
+], ids=["khop-top10", "khop-count"])
+def test_fusion_rewrites_only_the_khop_branch(builder, fused_type):
+    """The k-hop shapes fusion is measured on: the fused plan differs
+    from its unfused lowering at exactly one index, the loop's branch,
+    which holds the one fused op; every other op is the unfused one."""
+    graph = conftest_graph(5)
+    unfused = [(type(op), op.name) for op in builder().compile(graph).ops]
+    fused = [
+        (type(op), op.name)
+        for op in builder().compile(graph, fuse=True).ops
+    ]
+    assert len(fused) == len(unfused)
+    changed = [i for i, (a, b) in enumerate(zip(unfused, fused)) if a != b]
+    assert len(changed) == 1
+    (i,) = changed
+    assert unfused[i][0] is MinDistBranchOp
+    assert fused[i][0] is fused_type
 
 
 @given(
-    seed=st.integers(min_value=0, max_value=2_000),
-    start=st.integers(min_value=0, max_value=39),
+    seed=st.integers(min_value=0, max_value=50),
+    steps=st.lists(st.integers(min_value=0, max_value=63),
+                   min_size=1, max_size=4),
+    terminal=st.integers(min_value=0, max_value=4),
 )
-@settings(max_examples=20, deadline=None)
-def test_group_count_pushdown_rows_exact(seed, start):
-    graph = make_graph(seed)
-    q = lambda: (Traversal("gc").v_param("s").out("e").both("e")
-                 .filter_(X.prop("weight").gt(10)).group_count(limit=6))
-    fused = q().compile(graph, fuse=True)
-    assert any(type(op) is FusedGroupCountSink for op in fused.ops)
-    rows_u, _ = _run_kernel(graph, q().compile(graph), start, "run")
-    rows_f, _ = _run_kernel(graph, fused, start, "run")
-    assert rows_f == rows_u
+@settings(max_examples=40, deadline=None)
+def test_fusion_emits_only_the_khop_fused_ops(seed, steps, terminal):
+    """Over the fuzz grammar's chains, fusion introduces no op type
+    beyond the unfused plan's own and the two k-hop fused ops."""
+    graph = fuzz_graph(seed)
+    t = _build_chain(steps, terminal)
+    unfused_types = {type(op) for op in t.compile(graph).ops}
+    fused_types = {type(op) for op in t.compile(graph, fuse=True).ops}
+    assert fused_types <= unfused_types | {
+        FusedMinDistChain, FusedMinDistCount,
+    }
 
 
 @given(seed=st.integers(min_value=0, max_value=1000))

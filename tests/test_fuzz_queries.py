@@ -70,7 +70,7 @@ def apply_terminal(t: Traversal, code: int) -> Traversal:
     if choice == 3:
         # Ordered + limited collect with a truthfully-declared total
         # order (dedup makes the vertex binding unique per row) — the
-        # shape that arms the fusion pass's top-N pushdown.
+        # shape that arms CollectAgg's below-cutoff heap skip.
         return (t.dedup().values("w", "weight").as_("v").select("v", "w")
                 .order_by((X.binding("w"), "desc"), (X.binding("v"), "asc"),
                           unique=True)

@@ -11,7 +11,7 @@ body runs. One crafted run is drained directly so its width is exact.
 
 import pytest
 
-from repro.core.fused import FusedChain
+from repro.core.fused import FusedMinDistCount
 from repro.core.progress import ProgressMode
 from repro.core.steps import ExpandOp
 from repro.core.traverser import Traverser
@@ -22,9 +22,7 @@ from repro.runtime.engine import AsyncPSTMEngine, EngineConfig
 from repro.runtime.vector import HAVE_NUMPY, MIN_VECTOR_RUN
 from tests.conftest import make_graph
 
-FAST_PATHS = (
-    "_expand_run", "_dedup_run", "_chain_run", "_fused_branch_count_run",
-)
+FAST_PATHS = ("_expand_run", "_dedup_run", "_fused_branch_count_run")
 
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
 
@@ -44,17 +42,31 @@ def entered(monkeypatch):
     return calls
 
 
-def drain_one_run(op_type, width, *, fuse=False, workers=1, **cfg):
-    """Drain exactly one ``width``-wide run of ``op_type`` traversers on a
-    one-partition engine; the drain budget equals the width, so the run's
-    children stay queued."""
-    graph = make_graph(3, n=60, degree=4, partitions=1)
-    plan = (
+#: per op type, the query whose first op of that type a crafted run targets
+QUERIES = {
+    ExpandOp: lambda: (
         Traversal("q").v_param("s").out("e")
         .filter_(X.prop("weight").gt(5)).values("w", "weight")
         .out("e").dedup().count()
-    ).compile(graph, fuse=fuse)
+    ),
+    FusedMinDistCount: lambda: (
+        Traversal("q").v_param("s").khop("e", k=3).count()
+    ),
+}
+
+
+def drain_one_run(op_type, width, *, fuse=False, workers=1, **cfg):
+    """Drain exactly one ``width``-wide run of ``op_type`` traversers on a
+    one-partition engine; the drain budget equals the width, so the run's
+    children stay queued. Each traverser carries distance 1 when the op
+    reads one (a k-hop branch at its first hop)."""
+    graph = make_graph(3, n=60, degree=4, partitions=1)
+    plan = QUERIES[op_type]().compile(graph, fuse=fuse)
     op = next(op for op in plan.ops if type(op) is op_type)
+    payload = [None] * plan.payload_width
+    if op.dist_slot is not None:
+        payload[op.dist_slot] = 1
+    payload = tuple(payload)
     engine = AsyncPSTMEngine(
         graph, 1, workers, config=EngineConfig(batch_size=width, **cfg)
     )
@@ -62,8 +74,7 @@ def drain_one_run(op_type, width, *, fuse=False, workers=1, **cfg):
     runtime = engine.runtimes[0]
     assert not runtime.queue
     runtime.queue.extend(
-        Traverser(session.query_id, v, op.idx, (None,) * plan.payload_width,
-                  1 + v, op.stage)
+        Traverser(session.query_id, v, op.idx, payload, 1 + v, op.stage)
         for v in range(width)
     )
     runtime.stage_counts[(session.query_id, op.stage)] = width
@@ -82,13 +93,16 @@ class TestWidthAndShape:
         drain_one_run(ExpandOp, MIN_VECTOR_RUN)
         assert entered == [("_expand_run", MIN_VECTOR_RUN)]
 
-    @pytest.mark.parametrize("width", [1, MIN_VECTOR_RUN - 1, MIN_VECTOR_RUN])
-    def test_fused_chain_takes_chain_path_at_any_width(self, entered, width):
-        drain_one_run(FusedChain, width, fuse=True)
-        assert entered == [("_chain_run", width)]
+    def test_fused_count_below_min_width_takes_reference_body(self, entered):
+        drain_one_run(FusedMinDistCount, MIN_VECTOR_RUN - 1, fuse=True)
+        assert entered == []
+
+    def test_fused_count_at_min_width_takes_array_path(self, entered):
+        drain_one_run(FusedMinDistCount, MIN_VECTOR_RUN, fuse=True)
+        assert entered == [("_fused_branch_count_run", MIN_VECTOR_RUN)]
 
     @pytest.mark.parametrize("op_type, fuse", [
-        (ExpandOp, False), (FusedChain, True),
+        (ExpandOp, False), (FusedMinDistCount, True),
     ])
     @pytest.mark.parametrize("cfg", [
         dict(trace=True),
@@ -108,5 +122,5 @@ class TestWidthAndShape:
 def test_no_fast_path_without_numpy(entered, numpy_masked):
     with numpy_masked():
         drain_one_run(ExpandOp, 4 * MIN_VECTOR_RUN)
-        drain_one_run(FusedChain, 4 * MIN_VECTOR_RUN, fuse=True)
+        drain_one_run(FusedMinDistCount, 4 * MIN_VECTOR_RUN, fuse=True)
     assert entered == []

@@ -21,9 +21,9 @@ Two classes of violation fail the build:
   is not a runtime dependency.
 * a module outgrowing its budget: ``engine.py`` and ``worker.py`` must
   each stay under 900 lines, and the kernel stack (``kernels.py``,
-  ``runs.py``, ``vector.py``) under the ``MAX_LINES`` budgets below. The
-  layered decomposition exists to keep the god-module from reassembling
-  itself.
+  ``runs.py``, ``vector.py``) and the fused operators (``core/fused.py``)
+  under the ``MAX_LINES`` budgets below. The layered decomposition exists
+  to keep the god-module from reassembling itself.
 * the observation leaf growing dependencies: ``trace.py`` may import
   nothing from the runtime package at runtime except ``simclock`` — in
   particular never ``engine`` or ``delivery``. Hooks hand the recorder
@@ -77,18 +77,23 @@ LAYERS = [
 ]
 RANK = {name: i for i, name in enumerate(LAYERS)}
 
-#: maximum line count per module (the anti-god-module gate).
-#: ``kernels.py`` is budgeted so it stays two kernels and a dispatch —
-#: run-partitioning machinery belongs in ``runs.py`` and array fast paths
-#: in ``vector.py`` — and those two are budgeted at their size when the
-#: batch/vector tiers were folded into the one run kernel, so the one
-#: drain cannot quietly regrow a tier.
+#: maximum line count per module, relative to ``src/repro`` (the
+#: anti-god-module gate). ``kernels.py`` is budgeted so it stays two
+#: kernels and a dispatch — run-partitioning machinery belongs in
+#: ``runs.py`` and array fast paths in ``vector.py``. ``runs.py`` is
+#: budgeted at its size when the batch/vector tiers were folded into the
+#: one run kernel, so the one drain cannot quietly regrow a tier.
+#: ``vector.py`` and ``core/fused.py`` are budgeted near their size with
+#: fusion's one k-hop rule: every fused op or fast path is a second
+#: definition of the ops it replaces, so adding one has to raise a budget
+#: in review.
 MAX_LINES = {
-    "engine.py": 900,
-    "worker.py": 900,
-    "kernels.py": 300,
-    "runs.py": 800,
-    "vector.py": 700,
+    "runtime/engine.py": 900,
+    "runtime/worker.py": 900,
+    "runtime/kernels.py": 300,
+    "runtime/runs.py": 800,
+    "runtime/vector.py": 475,
+    "core/fused.py": 365,
 }
 
 #: observation leaves: stricter than the layering rank — these modules may
@@ -218,7 +223,7 @@ def main() -> int:
                 )
 
     for filename, budget in MAX_LINES.items():
-        path = RUNTIME / filename
+        path = SRC / filename
         lines = sum(1 for _ in path.open())
         if lines >= budget:
             errors.append(
