@@ -136,8 +136,7 @@ def main() -> None:
               "neighborhood")
 
     # -- transactional updates alongside reads ------------------------------
-    txm = TransactionManager(num_partitions=cluster.num_partitions,
-                             partitioner=partitioned.partitioner)
+    txm = TransactionManager(partitioned.partitioner)
     txn = txm.begin()
     txm.add_edge(txn, flagged, mule, "pays", eid=10_000_001,
                  properties={"amount": 1500})

@@ -287,20 +287,6 @@ def cmd_preempt(args: argparse.Namespace) -> int:
     return preempt.main(forwarded)
 
 
-def cmd_migrate(args: argparse.Namespace) -> int:
-    """Run the migration bench (mined live migration vs static hash)."""
-    from repro.bench import migration
-
-    forwarded: List[str] = []
-    if args.quick:
-        forwarded.append("--quick")
-    if args.check:
-        forwarded.append("--check")
-    if args.out:
-        forwarded.extend(["--out", args.out])
-    return migration.main(forwarded)
-
-
 def cmd_mixed(args: argparse.Namespace) -> int:
     """Run the mixed bench (IC reads under concurrent SNB updates)."""
     from repro.bench import mixed
@@ -665,20 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
     preempt.add_argument("--out", default=None,
                          help="write a JSON report here")
     preempt.set_defaults(fn=cmd_preempt)
-    migrate = sub.add_parser(
-        "migrate",
-        help="migration bench: mined live vertex migration vs static "
-             "placement on a Zipf-skewed workload",
-    )
-    migrate.add_argument("--quick", action="store_true",
-                         help="CI variant: fewer queries per wave")
-    migrate.add_argument("--check", action="store_true",
-                         help="exit nonzero unless migration cuts wave-3 "
-                              "traverser messages by >= 25%% with identical "
-                              "rows and clean audits on both kernels")
-    migrate.add_argument("--out", default=None,
-                         help="write a JSON report here")
-    migrate.set_defaults(fn=cmd_migrate)
     mixed = sub.add_parser(
         "mixed",
         help="mixed bench: IC read latency under concurrent LDBC SNB "

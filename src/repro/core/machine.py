@@ -18,7 +18,7 @@ from repro.core.steps import OpCost, PhysicalOp, StepContext
 from repro.core.traverser import Traverser
 from repro.core.weight import split_weight
 from repro.errors import ExecutionError
-from repro.graph.partition import HashPartitioner
+from repro.graph.placement import Placement
 from repro.query.plan import PhysicalPlan
 
 
@@ -38,7 +38,7 @@ class ExecResult:
 
 
 def resolve_partition(
-    trav: Traverser, partitioner: HashPartitioner, routed: Optional[int]
+    trav: Traverser, partitioner: Placement, routed: Optional[int]
 ) -> int:
     """The partition a traverser should execute on.
 
@@ -66,7 +66,7 @@ class PSTMMachine:
     def __init__(
         self,
         plan: PhysicalPlan,
-        partitioner: HashPartitioner,
+        partitioner: Placement,
         barrier_route: Optional[int] = None,
     ) -> None:
         self.plan = plan

@@ -44,7 +44,8 @@ from typing import (
 from repro.core.memo import QueryMemo
 from repro.core.traverser import Traverser
 from repro.errors import CompilationError, ExecutionError
-from repro.graph.partition import HashPartitioner, PartitionStore
+from repro.graph.partition import PartitionStore
+from repro.graph.placement import Placement
 from repro.graph.property_graph import BOTH, IN, OUT
 
 
@@ -63,7 +64,7 @@ class StepContext:
         self,
         store: PartitionStore,
         memo: QueryMemo,
-        partitioner: HashPartitioner,
+        partitioner: Placement,
         params: Dict[str, Any],
     ) -> None:
         self.store = store
@@ -221,7 +222,7 @@ class PhysicalOp:
         self.next_idx: int = -1  # default successor, assigned by the compiler
         self.stage: int = 0  # stage this op belongs to
 
-    def routing(self, partitioner: HashPartitioner, trav: Traverser) -> Optional[int]:
+    def routing(self, partitioner: Placement, trav: Traverser) -> Optional[int]:
         """Partition where ``trav`` must run this op (``h_ψ``), or None."""
         return None
 
@@ -260,7 +261,7 @@ class VertexRoutedOp(PhysicalOp):
 
     routing_mode = "vertex"
 
-    def routing(self, partitioner: HashPartitioner, trav: Traverser) -> Optional[int]:
+    def routing(self, partitioner: Placement, trav: Traverser) -> Optional[int]:
         return partitioner(trav.vertex)
 
 
@@ -300,7 +301,7 @@ class FixedVertexSource(SourceOp):
             raise ExecutionError(f"missing start-vertex parameter {self.vertex_param!r}")
         return value
 
-    def routing(self, partitioner: HashPartitioner, trav: Traverser) -> Optional[int]:
+    def routing(self, partitioner: Placement, trav: Traverser) -> Optional[int]:
         # Seed traversers carry the start vertex already; run where it lives.
         return partitioner(trav.vertex) if trav.vertex >= 0 else None
 
@@ -534,7 +535,7 @@ class FilterOp(VertexRoutedOp):
         self.needs_vertex = needs_vertex
         self.routing_mode = "vertex" if needs_vertex else "free"
 
-    def routing(self, partitioner: HashPartitioner, trav: Traverser) -> Optional[int]:
+    def routing(self, partitioner: Placement, trav: Traverser) -> Optional[int]:
         if not self.needs_vertex:
             return None
         return partitioner(trav.vertex)
@@ -573,7 +574,7 @@ class ProjectOp(VertexRoutedOp):
         self.needs_vertex = needs_vertex
         self.routing_mode = "vertex" if needs_vertex else "free"
 
-    def routing(self, partitioner: HashPartitioner, trav: Traverser) -> Optional[int]:
+    def routing(self, partitioner: Placement, trav: Traverser) -> Optional[int]:
         if not self.needs_vertex:
             return None
         return partitioner(trav.vertex)
@@ -627,7 +628,7 @@ class DedupOp(PhysicalOp):
             # the batched path use the memoized vertex→pid cache.
             self.routing_mode = "vertex"
 
-    def routing(self, partitioner: HashPartitioner, trav: Traverser) -> Optional[int]:
+    def routing(self, partitioner: Placement, trav: Traverser) -> Optional[int]:
         return partitioner.key_partition(self.key_fn(trav))
 
     def apply(self, ctx: StepContext, trav: Traverser) -> StepOutcome:
@@ -805,7 +806,7 @@ class JoinOp(PhysicalOp):
         self.key_fn = key_fn
         self.merge_fn = merge_fn
 
-    def routing(self, partitioner: HashPartitioner, trav: Traverser) -> Optional[int]:
+    def routing(self, partitioner: Placement, trav: Traverser) -> Optional[int]:
         return partitioner.key_partition(self.key_fn(trav))
 
     def apply(self, ctx: StepContext, trav: Traverser) -> StepOutcome:

@@ -3,9 +3,8 @@
 The paper (§II-C) divides the vertex set across partitions with a hash
 function ``H: V → PartId``; each partition is owned by exactly one
 single-threaded worker (shared-nothing, §IV). Placement itself lives in
-:mod:`repro.graph.placement` — degree-stratified static homes plus a
-relocation table — and this module keeps the storage side. A partition
-stores:
+:mod:`repro.graph.placement` — degree-stratified static homes — and this
+module keeps the storage side. A partition stores:
 
 * its local vertices with labels and properties,
 * CSR adjacency per (direction, edge label) — *all* edges incident to a
@@ -17,8 +16,7 @@ stores:
 Cut edges appear in the out-CSR of the source's partition and the in-CSR of
 the destination's partition; traversers, not edges, cross partitions. CSRs
 are counting-sorted from the graph's :class:`~repro.graph.property_graph.EdgeTable`,
-which the stores share for edge records; :meth:`PartitionedGraph.move_vertices`
-re-sorts them in lockstep with the placement flip (docs/PARTITIONING.md).
+which the stores share for edge records.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from __future__ import annotations
 import sys
 from array import array
 from itertools import accumulate
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import PartitionError, VertexNotFoundError
 from repro.graph.csr import CSRIndex
@@ -34,11 +32,6 @@ from repro.graph.placement import Placement, stratified_homes
 from repro.graph.property_graph import (
     BOTH, IN, OUT, Edge, EdgeTable, PropertyGraph, boxed_bytes,
 )
-
-#: modelled wire cost of shipping one vertex row / one CSR edge entry
-#: during migration (labels + props headers; target gid + edge id)
-VERTEX_SHIP_BYTES = 64
-EDGE_SHIP_BYTES = 24
 
 
 class HashPartitioner(Placement):
@@ -244,32 +237,6 @@ class PartitionStore:
             total += sys.getsizeof(index) + sum(map(sys.getsizeof, index.values()))
         return total
 
-    # -- migration ------------------------------------------------------
-
-    def _reshard(
-        self, local_vertices: List[int], csrs: Dict[Tuple[str, str], CSRIndex]
-    ) -> None:
-        """Replace this partition's contents in place (live migration).
-
-        Mutates the existing containers instead of rebinding them:
-        kernels, step contexts, and drains hold references to these dicts
-        across events, and in-place mutation makes the flip visible to
-        all of them at one simulated instant. Built property indexes are
-        rebuilt over the new resident set.
-        """
-        self._local_vertices[:] = local_vertices
-        self._local_index.clear()
-        self._local_index.update(
-            {vid: i for i, vid in enumerate(local_vertices)}
-        )
-        self._csr.clear()
-        self._csr.update(csrs)
-        self._label_index.clear()
-        for vid in local_vertices:
-            self._label_index.setdefault(self._vertex_labels[vid], []).append(vid)
-        for vertex_label, key in list(self._prop_index):
-            self.build_property_index(vertex_label, key)
-
     # -- internal -------------------------------------------------------
 
     def _local_of(self, vid: int) -> int:
@@ -407,53 +374,6 @@ class PartitionedGraph:
             "load_imbalance": (max(loads) / mean_weight) if mean_weight else 0.0,
         }
 
-    # -- live migration (storage half) ----------------------------------
-
-    def move_vertices(
-        self, moves: Mapping[int, int]
-    ) -> Tuple[Dict[int, int], int]:
-        """Relocate vertices: flip the placement AND move the stored rows.
-
-        The storage half of live migration: applies the placement
-        relocation (write-through, so routing flips atomically), then
-        reshards every affected store in place — local vertex lists, CSR
-        adjacency (rebuilt on both sides from the edge table; cut edges
-        appear in both partitions per the class invariant), and built
-        indexes. Returns ``(applied_moves, modelled_ship_bytes)``; no-op
-        moves are dropped. Runtime state (memos, queued traversers,
-        checkpoints) is the :class:`~repro.runtime.migrate.Migrator`'s
-        job — callers that only need a static repartition can use this
-        directly.
-        """
-        placement = self.partitioner
-        old_pid: Dict[int, int] = {}
-        for vid in moves:
-            if vid not in self._vertex_labels:
-                raise VertexNotFoundError(vid)
-            old_pid[vid] = placement(vid)
-        applied = placement.relocate(moves)
-        if not applied:
-            return {}, 0
-        ship_bytes = 0
-        for vid in applied:
-            degree = self.stores[old_pid[vid]].degree(vid, BOTH)
-            ship_bytes += VERTEX_SHIP_BYTES + degree * EDGE_SHIP_BYTES
-        affected = {old_pid[v] for v in applied} | set(applied.values())
-        # Survivors keep their dense order (CSR locality is preserved for
-        # untouched vertices); arrivals are appended in vid order.
-        residents: Dict[int, List[int]] = {}
-        for pid in sorted(affected):
-            store = self.stores[pid]
-            residents[pid] = [v for v in store._local_vertices if placement(v) == pid]
-            residents[pid] += sorted(v for v, p in applied.items()
-                                     if p == pid and v not in store._local_index)
-        # Slices in eid order: from_graph's insertion order for auto eids.
-        table = self.stores[0]._edges
-        rows = sorted(range(len(table)), key=table.eid.__getitem__)
-        for pid, csrs in _build_csrs(table, residents, rows).items():
-            self.stores[pid]._reshard(residents[pid], csrs)
-        return applied, ship_bytes
-
     @classmethod
     def from_graph(cls, graph: PropertyGraph, num_partitions: int) -> "PartitionedGraph":
         """Shard ``graph`` into ``num_partitions`` partitions.
@@ -471,10 +391,8 @@ class PartitionedGraph:
         local_lists: List[List[int]] = [[] for _ in range(num_partitions)]
         for vid in vids:
             local_lists[placement(vid)].append(vid)
-        # Sizes the placement plane's dense bulk-lookup table.
-        placement.vertex_bound = max(vids) + 1 if vids else 0
         # Share vertex maps and edge table: stores read what they own or touch.
-        built = _build_csrs(table, dict(enumerate(local_lists)), range(len(table)))
+        built = _build_csrs(table, local_lists)
         stores = [
             PartitionStore(pid, vids, graph._vertex_labels,  # noqa: SLF001
                            graph._vertex_props, table, built[pid])  # noqa: SLF001
@@ -485,36 +403,36 @@ class PartitionedGraph:
 
 
 def _build_csrs(
-    table: EdgeTable, residents: Dict[int, List[int]], rows: Iterable[int]
-) -> Dict[int, Dict[Tuple[str, str], CSRIndex]]:
-    """Counting-sort edge-table rows into per-partition CSR indexes.
+    table: EdgeTable, residents: List[List[int]]
+) -> List[Dict[Tuple[str, str], CSRIndex]]:
+    """Counting-sort the edge table into per-partition CSR indexes.
 
-    ``residents`` maps each partition to build to its vertices in dense
-    local order; rows with no endpoint among them are skipped. Each
-    source's slice lists its edges in ``rows`` order, and each partition's
-    indexes come out-labels first, then in-labels, each by first appearance.
+    ``residents`` lists each partition's vertices in dense local order and
+    covers every edge endpoint. Each source's slice lists its edges in
+    table order, and each partition's indexes come out-labels first, then
+    in-labels, each by first appearance.
     """
     n_labels = len(table.labels)
     # vid -> (pid * n_labels, local index); a row's group adds its label code
     home = {
         vid: (pid * n_labels, i)
-        for pid, vids in residents.items() for i, vid in enumerate(vids)
+        for pid, vids in enumerate(residents) for i, vid in enumerate(vids)
     }
-    built: Dict[int, Dict[Tuple[str, str], CSRIndex]] = {p: {} for p in residents}
+    built: List[Dict[Tuple[str, str], CSRIndex]] = [{} for _ in residents]
+    rows = range(len(table))
     codes, eids = table.codes, table.eid
     for direction, ends, others in ((OUT, table.src, table.dst),
                                     (IN, table.dst, table.src)):
         # Pass 1: counts[i + 2] = the group's edges at local source i.
         slots: Dict[int, Any] = {}
         for r in rows:
-            h = home.get(ends[r])
-            if h is not None:
-                g = h[0] + codes[r]
-                counts = slots.get(g)
-                if counts is None:
-                    n = len(residents[g // n_labels])
-                    counts = slots[g] = array("q", bytes(8 * (n + 2)))
-                counts[h[1] + 2] += 1
+            h = home[ends[r]]
+            g = h[0] + codes[r]
+            counts = slots.get(g)
+            if counts is None:
+                n = len(residents[g // n_labels])
+                counts = slots[g] = array("q", bytes(8 * (n + 2)))
+            counts[h[1] + 2] += 1
         # Prefix sums leave source i's slice start in bounds[i + 1]; pass 2
         # places each edge there and bumps it, so bounds[:-1] ends up as
         # the CSR offsets.
@@ -523,14 +441,13 @@ def _build_csrs(
             slots[g] = (bounds, array("q", bytes(8 * bounds[-1])),
                         array("q", bytes(8 * bounds[-1])))
         for r in rows:
-            h = home.get(ends[r])
-            if h is not None:
-                bounds, targets, ids = slots[h[0] + codes[r]]
-                i = h[1] + 1
-                pos = bounds[i]
-                bounds[i] = pos + 1
-                targets[pos] = others[r]
-                ids[pos] = eids[r]
+            h = home[ends[r]]
+            bounds, targets, ids = slots[h[0] + codes[r]]
+            i = h[1] + 1
+            pos = bounds[i]
+            bounds[i] = pos + 1
+            targets[pos] = others[r]
+            ids[pos] = eids[r]
         for g, (bounds, targets, ids) in slots.items():
             label = table.labels[g % n_labels]
             built[g // n_labels][(direction, label)] = CSRIndex(

@@ -1,10 +1,9 @@
 """The placement plane: the single source of truth for vertex ownership.
 
-The paper (§II-C) fixes vertex placement to a static hash ``H: V → PartId``;
-this module generalizes it to a :class:`Placement` — a static home per
-vertex plus an overridable **relocation table** — so that observed
-traversal patterns can move hot vertices between partitions at runtime
-(docs/PARTITIONING.md). A partitioned graph's static homes come from
+The paper (§II-C) fixes vertex placement to a static function
+``H: V → PartId``; this module keeps it static but generalizes the hash to
+a :class:`Placement` — a home per vertex, fixed for the whole run
+(docs/PARTITIONING.md). A partitioned graph's homes come from
 :func:`stratified_homes`, which balances degree-weighted load across
 partitions; ids outside its table, and a ``Placement`` built without one,
 take the SplitMix64 hash.
@@ -15,7 +14,7 @@ Every layer that needs a vertex's owner consults a ``Placement``:
   the hot paths read directly),
 * memo/key partitioning (:meth:`Placement.key_partition`),
 * checkpoint snapshot ownership and the CSR store layer
-  (:meth:`~repro.graph.partition.PartitionedGraph.move_vertices`),
+  (:meth:`~repro.graph.partition.PartitionedGraph.from_graph`),
 * the vector fast paths' bulk owner computation
   (:meth:`Placement.bulk_lookup`).
 
@@ -32,7 +31,7 @@ import sys
 from array import array
 from collections import Counter
 from heapq import heapreplace
-from typing import Dict, Hashable, Mapping, Optional, Sequence
+from typing import Dict, Hashable, Optional, Sequence
 
 from repro.errors import PartitionError
 
@@ -46,9 +45,8 @@ __all__ = ["Placement", "home_node", "mix64", "stable_key_hash",
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
-#: dense home and lookup tables above this vertex-id bound are not worth
-#: the memory: such a graph keeps the hash, and
-#: :meth:`Placement.bulk_lookup` falls back to the scalar path
+#: a dense home table above this vertex-id bound is not worth the memory:
+#: such a graph keeps the hash
 _MAX_TABLE_BOUND = 1 << 22
 
 
@@ -85,8 +83,8 @@ def stable_key_hash(key: Hashable) -> int:
     Python's ``hash`` of str/bytes is randomized per process
     (PYTHONHASHSEED), so routing a group key through it lands on a
     different partition each run — harmless for results (gather merges
-    all partitions) but fatal for reproducible traces and relocated memo
-    ownership. FNV-1a over a canonical encoding is stable everywhere;
+    all partitions) but fatal for reproducible traces and memo ownership
+    across processes. FNV-1a over a canonical encoding is stable everywhere;
     tuples combine element hashes order-sensitively.
     """
     if isinstance(key, int):
@@ -175,16 +173,12 @@ def stratified_homes(
 
 
 class Placement:
-    """Vertex → partition: static homes plus a relocation table.
+    """Vertex → partition: a static home per vertex.
 
-    ``placement(v)`` is the current owner: the relocation override when
-    one exists, else the static home — ``homes[v]`` for ids inside the
-    home table, the hash ``H(v)`` outside it or without one. Assignments are
-    memoized in ``_cache`` — routing consults the placement several times
-    per traverser, and the run kernel reads the dict directly —
-    so :meth:`relocate` **writes through** the cache: the dict object's
-    identity never changes, which keeps references hoisted by in-flight
-    drains correct the instant the table flips.
+    ``placement(v)`` is ``homes[v]`` for ids inside the home table, the
+    hash ``H(v)`` outside it or without one. Assignments are memoized in
+    ``_cache`` — routing consults the placement several times per
+    traverser, and the run kernel reads the dict directly.
     """
 
     def __init__(self, num_partitions: int,
@@ -193,15 +187,10 @@ class Placement:
             raise PartitionError(f"need at least 1 partition, got {num_partitions}")
         self._n = num_partitions
         self._cache: Dict[int, int] = {}
-        self._relocated: Dict[int, int] = {}
         #: static home per vertex id below its length (see
         #: :func:`stratified_homes`); ``None`` = the hash everywhere
         self._homes = homes
-        #: bumped on every effective :meth:`relocate` (observability)
-        self.version = 0
-        #: exclusive upper bound on vertex ids (set by the graph builder);
-        #: sizes the dense numpy lookup table when there is no home table
-        self.vertex_bound = 0
+        #: a zero-copy numpy view of ``_homes``, made on first bulk lookup
         self._np_table = None
 
     @property
@@ -211,70 +200,20 @@ class Placement:
     def __call__(self, vid: int) -> int:
         pid = self._cache.get(vid)
         if pid is None:
-            pid = self._relocated.get(vid)
-            if pid is None:
-                pid = self.home(vid)
+            homes = self._homes
+            if homes is not None and 0 <= vid < len(homes):
+                pid = homes[vid]
+            else:
+                pid = mix64(vid) % self._n
             self._cache[vid] = pid
         return pid
 
-    def home(self, vid: int) -> int:
-        """The static home, ignoring relocations: the home table's entry,
-        or the hash ``H(v)`` for an id outside it."""
-        homes = self._homes
-        if homes is not None and 0 <= vid < len(homes):
-            return homes[vid]
-        return mix64(vid) % self._n
-
     @property
     def nbytes(self) -> int:
-        """Bytes held by the home table, the placement memo and a bulk
-        lookup table built with relocations (a view of the homes adds
-        none)."""
-        table = self._np_table
+        """Bytes held by the home table and the placement memo (the bulk
+        lookup's view of the homes adds none)."""
         return sys.getsizeof(self._cache) + (
-            0 if self._homes is None else sys.getsizeof(self._homes)) + (
-            table.nbytes if table is not None and table.flags.owndata else 0)
-
-    def is_relocated(self, vid: int) -> bool:
-        """True when the vertex lives away from its static home."""
-        return vid in self._relocated
-
-    def relocations(self) -> Dict[int, int]:
-        """A copy of the relocation table (vid → pid overrides)."""
-        return dict(self._relocated)
-
-    def relocate(self, moves: Mapping[int, int]) -> Dict[int, int]:
-        """Apply placement overrides; returns the moves that took effect.
-
-        No-op moves (vertex already owned by the target) are dropped; a
-        move back to the static home clears the override instead of storing
-        it. The memo cache is written through so hot-path readers see the
-        flip atomically, and the numpy table is invalidated.
-
-        This only flips the *lookup* — callers that need the stored rows,
-        memos, and in-flight traversers to follow must go through
-        :meth:`~repro.graph.partition.PartitionedGraph.move_vertices` /
-        :class:`~repro.runtime.migrate.Migrator`.
-        """
-        changed: Dict[int, int] = {}
-        for vid, pid in moves.items():
-            if not 0 <= pid < self._n:
-                raise PartitionError(
-                    f"relocation target {pid} out of range for "
-                    f"{self._n} partitions"
-                )
-            if self(vid) != pid:
-                changed[vid] = pid
-        for vid, pid in changed.items():
-            if pid == self.home(vid):
-                self._relocated.pop(vid, None)
-            else:
-                self._relocated[vid] = pid
-            self._cache[vid] = pid
-        if changed:
-            self.version += 1
-            self._np_table = None
-        return changed
+            0 if self._homes is None else sys.getsizeof(self._homes))
 
     def key_partition(self, key: Hashable) -> int:
         """Partition for an arbitrary hashable routing key (used by
@@ -282,10 +221,10 @@ class Placement:
         and join keys).
 
         Integer keys are vertex ids by convention (dedup keys, vertex
-        group keys), so they follow relocations — memo records and later
-        probes must agree on one owner. Strings, bytes, and tuples hash
-        through :func:`stable_key_hash` so the owner is identical across
-        processes regardless of PYTHONHASHSEED.
+        group keys), so they follow vertex placement — memo records and
+        the traversers that probe them land on one owner. Strings, bytes,
+        and tuples hash through :func:`stable_key_hash` so the owner is
+        identical across processes regardless of PYTHONHASHSEED.
         """
         if isinstance(key, int):
             return self(key)
@@ -296,47 +235,21 @@ class Placement:
     # -- bulk lookup (vector fast paths) -------------------------------
 
     def bulk_lookup(self, vertices):
-        """Owners for an int64 numpy array of vertex ids, or ``None``.
+        """Owners for an int64 numpy array of vertex ids (NumPy only).
 
-        With neither a home table nor relocations this is the pure
-        vectorized hash (bit-equal to the scalar path). Otherwise it
-        gathers from a dense pid table — a zero-copy view of the homes, or,
-        with relocations, a copy of the homes (or the hash up to
-        ``vertex_bound``) with the overrides written in, built once — and
-        ids outside it take the hash, as the scalar path does. When the
-        table is not buildable (no numpy, unknown bound, bound too large,
-        or an override outside the table) the caller must fall back to
-        its scalar reference path.
+        Without a home table this is the pure vectorized hash (bit-equal
+        to the scalar path). With one it gathers from a zero-copy view of
+        the homes, and ids outside it take the hash, as the scalar path
+        does.
         """
-        if np is None:
-            return None
-        if self._homes is None and not self._relocated:
+        if self._homes is None:
             return _hash_np(vertices, self._n)
         table = self._np_table
         if table is None:
-            table = self._build_table()
-            if table is None:
-                return None
-            self._np_table = table
+            table = self._np_table = np.frombuffer(self._homes, dtype=np.int64)
         inside = (vertices >= 0) & (vertices < len(table))
         if inside.all():
             return table[vertices]
         pids = _hash_np(vertices, self._n)
         pids[inside] = table[vertices[inside]]
         return pids
-
-    def _build_table(self):
-        if self._homes is not None:
-            table = np.frombuffer(self._homes, dtype=np.int64)
-            if not self._relocated:
-                return table
-            table = table.copy()
-        elif 0 < self.vertex_bound <= _MAX_TABLE_BOUND:
-            table = _hash_np(np.arange(self.vertex_bound, dtype=np.int64), self._n)
-        else:
-            return None
-        if any(not 0 <= vid < len(table) for vid in self._relocated):
-            return None
-        for vid, pid in self._relocated.items():
-            table[vid] = pid
-        return table

@@ -186,25 +186,6 @@ class TELStore:
         """Recovery scan over every log (paper §IV-C restart procedure)."""
         return sum(log.trim_after(lct) for log in self._logs.values())
 
-    def extract_vertex(self, vid: int) -> Dict[Tuple[int, str, str], EdgeLog]:
-        """Remove and return one vertex's logs (placement relocation:
-        delta rows follow their vertex to the new owning partition)."""
-        moved = {k: log for k, log in self._logs.items() if k[0] == vid}
-        for key in moved:
-            del self._logs[key]
-        return moved
-
-    def install_logs(self, logs: Dict[Tuple[int, str, str], EdgeLog]) -> None:
-        """Install logs extracted from another partition's store, merging
-        version records into any log already present for a key."""
-        for key, log in logs.items():
-            existing = self._logs.get(key)
-            if existing is None:
-                self._logs[key] = log
-            else:
-                for version in log._versions:
-                    existing.append(version)
-
     def version_count(self) -> int:
         """Total version records across all logs."""
         return sum(len(log) for log in self._logs.values())

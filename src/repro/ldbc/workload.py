@@ -171,8 +171,7 @@ def run_mixed_workload(
         txm = plane.txm
     else:
         # The graph's placement, so each delta lands with its vertex.
-        txm = TransactionManager(graph.num_partitions,
-                                 partitioner=graph.partitioner)
+        txm = TransactionManager(graph.partitioner)
     if isinstance(engine, BSPEngine):
         return _run_bsp(engine, schedule, txm, config)
     return _run_async(engine, schedule, txm, config)

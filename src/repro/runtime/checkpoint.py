@@ -203,35 +203,6 @@ class CheckpointPlane:
         if last is not None:
             self._last_ts[new_query_id] = last
 
-    def reshard(self, moved: Dict[int, int]) -> int:
-        """Re-home stored memo shards after a placement flip.
-
-        A stored checkpoint's ``memos`` dict is keyed by the partition
-        that owned each shard *when the snapshot was taken*. Restore
-        installs each shard back into its keyed partition, so after a
-        live migration the integer memo keys that follow vertex placement
-        (dedup members, vertex group keys, Distance records) would land
-        on a partition that no longer owns them — later probes, routed by
-        the *new* placement, would miss them and e.g. re-admit a
-        deduplicated vertex. Moving the records between shards at flip
-        time keeps every stored boundary restorable. Non-integer keys
-        route by the stable key hash, which placement flips never change,
-        so they stay put. Returns the number of records moved.
-        """
-        migrated = 0
-        for chain in self._by_query.values():
-            for ckpt in chain:
-                for old_pid, shard in list(ckpt.memos.items()):
-                    for label, tbl in shard.items():
-                        hit = [k for k in tbl
-                               if type(k) is int and moved.get(k, old_pid) != old_pid]
-                        for key in hit:
-                            new_pid = moved[key]
-                            dest = ckpt.memos.setdefault(new_pid, {})
-                            dest.setdefault(label, {})[key] = tbl.pop(key)
-                            migrated += 1
-        return migrated
-
     def drop(self, query_id: int) -> None:
         """Discard a retired query's checkpoints (single engine exit)."""
         self._by_query.pop(query_id, None)

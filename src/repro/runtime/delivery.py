@@ -73,12 +73,6 @@ class DeliveryPlane:
         # bookkeeping entirely.
         self.inflight: Dict[int, int] = {}
         self.track_inflight = config.progress_mode is ProgressMode.NAIVE_CENTRAL
-        #: armed by the live migrator after the first placement flip:
-        #: arrivals routed under the old placement (tier-1 buffered or in
-        #: flight at flip time) are re-checked here and forwarded one extra
-        #: hop to their new owner. Stays False — one attribute read per
-        #: delivery — on unmigrated runs, which therefore stay bit-identical.
-        self.forwarding = False
 
     # -- in-flight accounting (naive progress mode) --------------------------
 
@@ -122,10 +116,6 @@ class DeliveryPlane:
                 travs = self.filter_cancelled(travs, msg.dst_pid)
                 if not travs:
                     return
-            if self.forwarding:
-                travs = self.forward_strays(travs, msg.dst_pid)
-                if not travs:
-                    return
             if self.gates is not None:
                 runtime.enqueue_remote(travs, engine.clock.now)
             else:
@@ -136,10 +126,6 @@ class DeliveryPlane:
             travs = list(msg.payload)
             if self.cancelling:
                 travs = self.filter_cancelled(travs, msg.dst_pid, gated=False)
-                if not travs:
-                    return
-            if self.forwarding:
-                travs = self.forward_strays(travs, msg.dst_pid, gated=False)
                 if not travs:
                     return
             # Seeds bypass the credit gate: the coordinator must always be
@@ -155,12 +141,6 @@ class DeliveryPlane:
                 # drops nothing — the query yields at the coordinator when
                 # the stage ledger closes, and this arrival just models
                 # the control-plane fan-out cost (like CANCEL's).
-                pass
-            elif tag == "migrate":
-                # Live migration state shipment (docs/PARTITIONING.md): the
-                # actual store/memo moves happened atomically at the flip
-                # event; this arrival models the CSR-row + memo bytes
-                # crossing the wire to the new owner.
                 pass
             else:  # pragma: no cover - no other control verbs exist
                 raise ExecutionError(f"unexpected control message {tag!r}")
@@ -192,41 +172,6 @@ class DeliveryPlane:
             self.gates[pid].release(n_dropped)
         for (query_id, stage), (weight, count) in dropped.items():
             self.reclaim(query_id, stage, weight, count)
-        return kept
-
-    def forward_strays(
-        self, travs: List[Traverser], pid: int, gated: Optional[bool] = None
-    ) -> List[Traverser]:
-        """Re-route arrivals whose owner changed while they were in flight.
-
-        Armed only after a live migration has flipped the placement
-        (:attr:`forwarding`). A traverser routed before the flip can
-        arrive at the *old* owner of its target — a partition that no
-        longer holds the vertex's CSR rows or memo records — so it takes
-        one extra hop to the new owner instead of executing against the
-        wrong store. Its progression weight stays active (forwarding is
-        invisible to the stage ledger: nothing is reclaimed); gated
-        arrivals release this inbox's credits and re-acquire at the new
-        home through the forward's gate submit.
-        """
-        from repro.runtime.migrate import forward_batch, retarget_pid
-
-        engine = self.engine
-        kept: List[Traverser] = []
-        strays: Dict[int, List[Traverser]] = {}
-        for t in travs:
-            target = retarget_pid(engine, t, pid)
-            if target == pid:
-                kept.append(t)
-            else:
-                strays.setdefault(target, []).append(t)
-        if not strays:
-            return kept
-        n = len(travs) - len(kept)
-        if (self.gates is not None) if gated is None else gated:
-            self.gates[pid].release(n)
-        engine.metrics.traversers_forwarded += n
-        forward_batch(engine, engine.node_of(pid), strays, engine.clock.now)
         return kept
 
     def tracker_handle(self, msg: Message) -> None:

@@ -75,12 +75,6 @@ class RunMetrics:
     preemptions: int = 0  # queries paused and evicted at a stage boundary
     resumes: int = 0  # paused queries re-admitted and resumed
     pause_wait_us: float = 0.0  # total simulated time queries spent paused
-    # Live-migration counters (all stay 0 unless a Migrator flips the
-    # placement; see docs/PARTITIONING.md).
-    migrations: int = 0  # placement flips applied by the live migrator
-    vertices_migrated: int = 0  # vertices relocated across all flips
-    migration_bytes: int = 0  # modeled CSR-row + memo bytes shipped
-    traversers_forwarded: int = 0  # stale-owner traversers re-routed post-flip
     # Overload-protection counters (all stay 0 without admission control,
     # budgets, or backpressure configured; see docs/OVERLOAD.md).
     queries_rejected: int = 0  # shed at submission (admission queue full)

@@ -83,7 +83,6 @@ CREDIT_ACQUIRE = "credit_acquire"
 CREDIT_RELEASE = "credit_release"
 CREDIT_STALL = "credit_stall"
 WORKER_FAULT = "worker_fault"
-MIGRATE = "migrate"
 SNAPSHOT_PIN = "snapshot_pin"
 TXN_BEGIN = "txn_begin"
 TXN_COMMIT = "txn_commit"
@@ -133,7 +132,6 @@ KIND_FIELDS: Dict[str, Tuple[str, ...]] = {
     CREDIT_RELEASE: ("pid", "n"),
     CREDIT_STALL: ("pid", "n", "waiting"),
     WORKER_FAULT: ("wid", "fault", "down_us"),
-    MIGRATE: ("vertices", "pairs", "bytes", "swept", "memo_records", "version"),
     SNAPSHOT_PIN: ("ts",),  # the node-cached LCT at admission
     TXN_BEGIN: ("txn", "read_ts"),
     TXN_COMMIT: ("txn", "commit_ts", "ops"),
@@ -607,7 +605,6 @@ class AuditReport:
     stages_opened: int = 0
     stages_closed: int = 0      # closed with the terminal invariants asserted
     stages_dropped: int = 0     # torn down without a closed ledger (crash paths)
-    migrations: int = 0         # placement flips replayed (ledger re-checked)
     txn_commits: int = 0        # writer commits replayed (ledger re-checked)
     version_replays: int = 0    # crash-recovery version scans replayed
 
@@ -874,15 +871,6 @@ class WeightLedgerAuditor:
                     # double-book the drop.
                     if st is not None:
                         rep.stages_dropped += 1
-
-            elif kind == MIGRATE:
-                # A placement flip is ledger-neutral: swept traversers are
-                # re-routed (unreported reclaims), never dropped, so every
-                # open ledger must still conserve the root weight across
-                # the flip — re-assert all of them at the migration point.
-                rep.migrations += 1
-                for key, st in stages.items():
-                    check(i, key, st)
 
             elif kind == SNAPSHOT_PIN:
                 ts = data["ts"]

@@ -30,8 +30,7 @@ async runtime (paper §IV-C, the Fig 7 mixed workload):
   re-apply. Traversals therefore never resume over a delta the recovery
   scan has not certified.
 * **Placement** — the plane's manager shares the **graph's** placement
-  (not a private hash), and :meth:`TxnPlane.reshard` makes delta rows
-  follow live migration's vertex relocations (the PR9 dormant-code rot).
+  (not a private hash), so delta rows live where their base rows do.
 
 This module sits between ``checkpoint`` and ``lifecycle`` in the runtime
 layering (``tools/check_layering.py``); it is also the only runtime module
@@ -59,11 +58,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.engine import AsyncPSTMEngine
     from repro.txn.transaction import Transaction
 
-__all__ = ["TxnPlane", "VERSION_BYTES"]
-
-#: modeled wire size of one shipped TEL/property version record
-#: (neighbor + eid + two timestamps + header), for migration cost
-VERSION_BYTES = 48
+__all__ = ["TxnPlane"]
 
 #: an update's body: receives the manager, begins/commits its own txns
 UpdateFn = Callable[[TransactionManager], Any]
@@ -74,11 +69,8 @@ class TxnPlane:
 
     def __init__(self, engine: "AsyncPSTMEngine") -> None:
         self.engine = engine
-        # Share the graph's placement so base and delta always agree on
-        # ownership — including after live migration relocates vertices.
-        self.txm = TransactionManager(
-            engine.graph.num_partitions, partitioner=engine.graph.partitioner
-        )
+        # Share the graph's placement so base and delta agree on ownership.
+        self.txm = TransactionManager(engine.graph.partitioner)
         self.lag_us = engine.config.lct_broadcast_lag_us
         self._nodes = list(range(engine.nodes))
         # Snapshot stores are immutable-at-ts views; one per (ts, pid) is
@@ -292,19 +284,3 @@ class TxnPlane:
         for apply_fn, label, service_us, home_vid in deferred:
             self._apply_update(apply_fn, label, service_us, home_vid)
         return report
-
-    # -- placement relocation ----------------------------------------------
-
-    def reshard(self, applied: Dict[int, int]) -> int:
-        """Make delta rows follow a live-migration placement flip.
-
-        Returns the number of version records moved (the migrator adds
-        their modeled bytes to the shipping cost). Cached snapshot stores
-        and session contexts are dropped — ownership answers changed, so
-        views rebuild lazily against the relocated delta.
-        """
-        moved = self.txm.reshard(applied)
-        self._stores.clear()
-        for session in self.engine.sessions.values():
-            session._contexts = [None] * len(self.engine.runtimes)
-        return moved

@@ -12,12 +12,12 @@ place of the per-element inner loops — for the reference batched body:
   ``np.arange`` arithmetic, step costs are priced as one float64 array
   expression, partition owners come from the placement plane's bulk
   lookup (:meth:`~repro.graph.placement.Placement.bulk_lookup` — the
-  vectorized SplitMix64, or a dense table once vertices have been
-  relocated), and the run's weight splits are drawn as **one** ``getrandbits(64·m)``
-  call decomposed little-endian — exactly the words the scalar path's
-  ``m`` sequential ``getrandbits(64)`` calls would consume — with the
-  per-parent remainders recovered from a ``uint64`` cumulative sum
-  (wraparound *is* the Z\\ :sub:`2^64` group operation).
+  vectorized SplitMix64, or a gather from the home table), and the run's
+  weight splits are drawn as **one** ``getrandbits(64·m)`` call decomposed
+  little-endian — exactly the words the scalar path's ``m`` sequential
+  ``getrandbits(64)`` calls would consume — with the per-parent remainders
+  recovered from a ``uint64`` cumulative sum (wraparound *is* the
+  Z\\ :sub:`2^64` group operation).
 * **Dedup runs** (:func:`_dedup_run`) — first-wins dedup against the
   partition memo with ``np.unique`` pre-collapsing duplicate keys inside
   the run, so the memo dict is touched once per distinct key.
@@ -133,12 +133,7 @@ def _expand_run(d: RunDrain, op: ExpandOp, run: List[Traverser]) -> bool:
                 # "free"; CSR targets are real gids, so this never fires
                 # in practice — bail to the reference loop if it does.
                 return False
-            pids = partitioner.bulk_lookup(child_v)
-            if pids is None:
-                # The placement cannot answer in bulk (relocations with
-                # no dense table): take the exact reference loop.
-                return False
-            pid_l = pids.tolist()
+            pid_l = partitioner.bulk_lookup(child_v).tolist()
         # Weight splits, scalar-exact: parents with deg >= 2 consume
         # deg - 1 sequential 64-bit draws; the last child takes the
         # remainder in Z_{2^64}. One getrandbits(64*m) consumes exactly

@@ -219,10 +219,6 @@ class Worker:
         self._buffer_bytes: Dict[int, int] = {}
         # weight coalescing accumulators per (query, stage)
         self._accums: Dict[Tuple[int, int], WeightAccumulator] = {}
-        #: live-traffic observation hook for the placement miner
-        #: (repro.runtime.migrate.TrafficMiner); None — one attribute read
-        #: per flush — unless a miner is attached.
-        self.miner = None
 
     # -- scheduling --------------------------------------------------------
 
@@ -477,8 +473,6 @@ class Worker:
         pairs = self._trav_buffers.get(dst_node) or []
         if not msgs and not pairs:
             return 0.0
-        if pairs and self.miner is not None:
-            self.miner.note_pairs(self.runtime.pid, pairs)
         if msgs:
             self._buffers[dst_node] = []
         gates = self.engine.delivery.gates

@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import TransactionAborted, TransactionError
-from repro.graph.partition import HashPartitioner
 from repro.graph.placement import Placement
 from repro.txn.mv2pl import LockMode, LockTable
 from repro.txn.transaction import (
@@ -30,30 +29,18 @@ from repro.txn.transaction import (
 class TransactionManager:
     """Centralized timestamp authority + MV2PL coordinator.
 
-    ``partitioner`` routes each write to its owning delta partition. By
-    default the manager builds its own :class:`HashPartitioner`; the
-    runtime's transaction plane instead passes the **graph's** placement so
-    delta rows and base rows always agree on ownership — including after
-    live migration relocates vertices (pair :meth:`reshard` with
-    ``Placement.relocate``).
+    ``placement`` routes each write to its owning delta partition, and its
+    partition count sizes the delta. The runtime's transaction plane passes
+    the **graph's** placement, so delta rows and base rows agree on
+    ownership; a standalone manager takes a
+    :class:`~repro.graph.partition.HashPartitioner`.
     """
 
-    def __init__(
-        self,
-        num_partitions: int,
-        partitioner: Optional[Placement] = None,
-    ) -> None:
-        if num_partitions < 1:
-            raise TransactionError("need at least one partition")
-        if partitioner is None:
-            partitioner = HashPartitioner(num_partitions)
-        elif partitioner.num_partitions != num_partitions:
-            raise TransactionError(
-                f"partitioner covers {partitioner.num_partitions} "
-                f"partitions, manager asked for {num_partitions}"
-            )
-        self.partitioner = partitioner
-        self.partitions = [TxnPartitionState(p) for p in range(num_partitions)]
+    def __init__(self, placement: Placement) -> None:
+        self.partitioner = placement
+        self.partitions = [
+            TxnPartitionState(p) for p in range(placement.num_partitions)
+        ]
         self.locks = LockTable()
         self._next_txn_id = 0
         self._next_commit_ts = 1
@@ -270,32 +257,3 @@ class TransactionManager:
         txn.require_active()
         pid = self.partitioner(vid)
         return self.partitions[pid].props.read(vid, key, txn.read_ts, default)
-
-    # -- placement relocation -------------------------------------------------
-
-    def reshard(self, moves: Dict[int, int]) -> int:
-        """Relocate delta rows after a placement change.
-
-        When the manager shares the graph's placement, a
-        ``Placement.relocate`` flip makes :attr:`partitioner` route a
-        moved vertex to its new partition — but its committed TEL logs
-        and property chains still sit in the old one, so snapshot reads
-        against the new owner would silently miss them (the dormant-code
-        rot PR10 fixes). Call this with the same ``{vid: dst}`` map the
-        placement flip applied. Returns the version records moved.
-        """
-        moved = 0
-        for vid, dst in moves.items():
-            target = self.partitions[dst]
-            for state in self.partitions:
-                if state.pid == dst:
-                    continue
-                logs = state.tel.extract_vertex(vid)
-                if logs:
-                    moved += sum(len(log) for log in logs.values())
-                    target.tel.install_logs(logs)
-                chains = state.props.extract_vertex(vid)
-                if chains:
-                    moved += sum(len(c) for c in chains.values())
-                    target.props.install_chains(chains)
-        return moved

@@ -70,29 +70,6 @@ class VersionedProps:
         """Total property versions stored."""
         return sum(len(chain) for chain in self._versions.values())
 
-    def extract_vertex(
-        self, vid: int
-    ) -> Dict[Tuple[int, str], List[Tuple[int, Any]]]:
-        """Remove and return one vertex's property chains (placement
-        relocation: delta rows follow their vertex to the new owner)."""
-        moved = {k: c for k, c in self._versions.items() if k[0] == vid}
-        for key in moved:
-            del self._versions[key]
-        return moved
-
-    def install_chains(
-        self, chains: Dict[Tuple[int, str], List[Tuple[int, Any]]]
-    ) -> None:
-        """Install chains extracted from another partition's store,
-        re-sorting by commit timestamp when a chain must merge."""
-        for key, chain in chains.items():
-            existing = self._versions.get(key)
-            if existing is None:
-                self._versions[key] = chain
-            else:
-                existing.extend(chain)
-                existing.sort(key=lambda pair: pair[0])
-
 
 @dataclass
 class TxnPartitionState:

@@ -339,7 +339,7 @@ def snapshot_view(
     if txm.partitioner is not base.partitioner:
         # Delta rows are found where the manager's placement put them: a
         # placement of its own (even a hash of the same width) disagrees
-        # with the graph's static homes and relocations.
+        # with the graph's static homes.
         raise PartitionError(
             "transaction manager must route by the base graph's placement"
         )

@@ -8,12 +8,11 @@ read is checked against a scan of the generated edge list, in order:
   ``neighbors``/``degree`` in all three directions, ``edge_count`` and
   ``set_edge_property``;
 * each partition: the CSR targets and eids per local source (insertion
-  order after ``from_graph``, eid order in a store ``move_vertices``
-  rebuilt), the ``_csr`` key order (out-labels by first appearance, then
+  order), the ``_csr`` key order (out-labels by first appearance, then
   in-labels), ``edge_record`` present exactly where the source or
   destination is local, and ``edge_property`` for every held edge;
 
-then again after a random ``move_vertices``. The footprint tests hold
+then again after a ``set_edge_property``. The footprint tests hold
 ``nbytes`` to ``tracemalloc`` and guard bytes and GC-tracked objects per
 edge.
 """
@@ -130,18 +129,16 @@ def check_graph(graph, oracle, vids):
                 assert graph.degree(v, direction, label) == len(expected)
 
 
-def check_partitions(pg, oracle, rebuilt=()):
-    """Stores in ``rebuilt`` list their slices in eid order, the rest in
-    insertion order."""
+def check_partitions(pg, oracle):
+    """Every store lists its slices in insertion order."""
     placement = pg.partitioner
     missing = max((r[0] for r in oracle), default=-1) + 1
     for store in pg.stores:
         pid = store.pid
         assert set(store.local_vertices()) == {
             v for v in pg._vertex_labels if placement(v) == pid}
-        order = sorted(oracle) if pid in rebuilt else oracle
-        outs = [r for r in order if placement(r[1]) == pid]
-        ins = [r for r in order if placement(r[2]) == pid]
+        outs = [r for r in oracle if placement(r[1]) == pid]
+        ins = [r for r in oracle if placement(r[2]) == pid]
         keys = [(OUT, r[3]) for r in outs] + [(IN, r[3]) for r in ins]
         assert list(store._csr) == list(dict.fromkeys(keys))
         for direction, label in store._csr:
@@ -150,7 +147,7 @@ def check_partitions(pg, oracle, rebuilt=()):
             assert csr.num_sources == store.vertex_count
             for i, v in enumerate(store.local_vertices()):
                 assert csr.edges(i) == [
-                    (r[other], r[0]) for r in order if r[3] == label and r[end] == v]
+                    (r[other], r[0]) for r in oracle if r[3] == label and r[end] == v]
         for row in oracle:
             held = pid in (placement(row[1]), placement(row[2]))
             assert store.edge_record(row[0]) == (Edge(*row) if held else None)
@@ -179,14 +176,6 @@ def test_store_matches_oracle(spec, data):
         assert before.properties == props  # edges read earlier are values
         check_graph(graph, oracle, vids)
         check_partitions(pg, oracle)
-
-    moves = data.draw(st.dictionaries(st.sampled_from(vids), st.integers(0, PARTS - 1),
-                                      min_size=1)) if vids else {}
-    old = {v: pg.partition_of(v) for v in moves}
-    applied, _ship = pg.move_vertices(moves)
-    rebuilt = {old[v] for v in applied} | set(applied.values())
-    check_graph(graph, oracle, vids)
-    check_partitions(pg, oracle, rebuilt)
 
 
 # -- footprint ---------------------------------------------------------------

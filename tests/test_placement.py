@@ -1,4 +1,4 @@
-"""The placement plane: hashing, relocation, and key routing contracts.
+"""The placement plane: hashing, static homes, and key routing contracts.
 
 Pinned here (see docs/PARTITIONING.md):
 
@@ -8,14 +8,10 @@ Pinned here (see docs/PARTITIONING.md):
 2. **strict ownership lookup** — ``PartitionedGraph.partition_of``
    raises :class:`VertexNotFoundError` for ids outside the graph
    instead of silently hashing them to a valid partition;
-3. **relocation semantics** — ``Placement.relocate`` is the single
-   atomic switch of live migration: write-through into the hot-path
-   cache (same dict object the workers hoisted), version-bumped,
-   no-op-dropping, and range-checked;
-4. **vectorized equivalence** — ``bulk_lookup`` agrees with the scalar
-   path bit for bit, with and without relocations, for ids inside and
-   outside the home table;
-5. **stratified homes** — ``PartitionedGraph.from_graph`` places each
+3. **vectorized equivalence** — ``bulk_lookup`` agrees with the scalar
+   path bit for bit, with and without a home table, for ids inside and
+   outside it;
+4. **stratified homes** — ``PartitionedGraph.from_graph`` places each
    vertex by the degree-stratified rule, which depends only on the graph
    and balances Σ(degree + 1) across partitions.
 """
@@ -89,11 +85,12 @@ class TestKeyPartitionDeterminism:
         assert len(set(results.values())) == 1, results
 
     def test_int_keys_follow_vertex_placement(self):
-        p = Placement(8)
-        for key in (0, 5, 17, 1023):
+        graph = random_graph(n=80, partitions=4, seed=3)
+        p = graph.partitioner
+        inside = [v for v in range(80) if p(v) != HashPartitioner(4)(v)]
+        assert inside  # the stratified homes differ from the hash somewhere
+        for key in inside + [0, 79, 80, 1023, 1_007_663, -3]:
             assert p.key_partition(key) == p(key)
-        p.relocate({17: 3})
-        assert p.key_partition(17) == 3
 
     def test_stable_key_hash_distinguishes_tuple_order(self):
         assert stable_key_hash(("a", "b")) != stable_key_hash(("b", "a"))
@@ -131,44 +128,7 @@ class TestStrictPartitionOf:
             assert 0 <= graph.partition_of(vid) < 4
 
 
-class TestRelocation:
-    def test_relocate_overrides_hash_home(self):
-        p = Placement(4)
-        vid = 11
-        home = p.home(vid)
-        target = (home + 1) % 4
-        changed = p.relocate({vid: target})
-        assert changed == {vid: target}
-        assert p(vid) == target
-        assert p.home(vid) == home          # the hash home is immutable
-        assert p.is_relocated(vid)
-        assert p.relocations() == {vid: target}
-
-    def test_noop_moves_are_dropped_and_version_tracks_changes(self):
-        p = Placement(4)
-        v0 = p.version
-        assert p.relocate({3: p(3)}) == {}  # already there
-        assert p.version == v0              # nothing changed, no bump
-        assert p.relocate({3: (p(3) + 1) % 4})
-        assert p.version == v0 + 1
-
-    def test_relocate_range_checked(self):
-        p = Placement(4)
-        with pytest.raises(PartitionError):
-            p.relocate({1: 4})
-        with pytest.raises(PartitionError):
-            p.relocate({1: -1})
-
-    def test_write_through_keeps_hoisted_cache_current(self):
-        """The run drain hoists ``partitioner._cache`` (runs.py); a
-        relocation must land in that same dict object."""
-        p = Placement(4)
-        cache = p._cache
-        _ = p(21)                            # memoize the hash home
-        p.relocate({21: (p.home(21) + 2) % 4})
-        assert p._cache is cache             # identity stable across flips
-        assert cache[21] == p(21)
-
+class TestPlacement:
     def test_hash_partitioner_is_a_placement(self):
         hp = HashPartitioner(4)
         assert isinstance(hp, Placement)
@@ -181,63 +141,50 @@ class TestRelocation:
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
 class TestBulkLookup:
-    def test_matches_scalar_without_relocations(self):
+    def test_matches_scalar_without_homes(self):
         import numpy as np
 
         p = Placement(8)
         vids = np.arange(0, 5000, dtype=np.int64)
-        bulk = p.bulk_lookup(vids)
-        assert bulk is not None
-        assert list(bulk) == [p(int(v)) for v in vids]
+        assert p.bulk_lookup(vids).tolist() == [p(int(v)) for v in vids]
 
-    def test_matches_scalar_with_relocations(self):
+    def test_matches_scalar_with_homes(self):
         import numpy as np
 
-        p = Placement(8)
-        p.vertex_bound = 5000
-        p.relocate({v: (p.home(v) + 3) % 8 for v in range(0, 5000, 7)})
-        vids = np.arange(0, 5000, dtype=np.int64)
-        bulk = p.bulk_lookup(vids)
-        if bulk is None:  # dense-table path declined: scalar fallback is fine
-            pytest.skip("placement declined to build a dense table")
-        assert list(bulk) == [p(int(v)) for v in vids]
+        p = random_graph(n=80, partitions=4, seed=3).partitioner
+        vids = np.arange(0, 80, dtype=np.int64)
+        assert p.bulk_lookup(vids).tolist() == [p(int(v)) for v in vids]
 
     def test_ids_outside_the_table_take_the_hash(self):
         import numpy as np
 
-        p = Placement(8)
-        p.vertex_bound = 100
-        p.relocate({5: (p.home(5) + 1) % 8})
+        p = Placement(8, array("q", [3] * 100))
         vids = np.array([5, 99, 100, 1_007_663, -4], dtype=np.int64)
-        assert list(p.bulk_lookup(vids)) == [p(int(v)) for v in vids]
+        assert p.bulk_lookup(vids).tolist() == [3, 3] + [
+            HashPartitioner(8)(int(v)) for v in vids[2:]]
 
 
-def _placements(draw_homes: bool):
-    """A placement over a random home table (or none), with or without
-    overrides inside it."""
+def _placements():
+    """A placement over a random home table, or with none."""
     return st.builds(
         _build_placement,
         st.integers(1, 8),
         st.integers(1, 200),
-        st.booleans() if draw_homes else st.just(False),
+        st.booleans(),
         st.integers(0, 2 ** 32),
-        st.integers(0, 20),
     )
 
 
-def _build_placement(n, bound, with_homes, seed, n_moves):
+def _build_placement(n, bound, with_homes, seed):
     rng = random.Random(seed)
     homes = array("q", [rng.randrange(n) for _ in range(bound)]) if with_homes else None
-    p = Placement(n, homes)
-    p.vertex_bound = bound
-    p.relocate({rng.randrange(bound): rng.randrange(n) for _ in range(n_moves)})
-    return p
+    return Placement(n, homes)
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
 class TestBulkLookupBounds:
     @settings(max_examples=60, deadline=None)
-    @given(p=_placements(draw_homes=True),
+    @given(p=_placements(),
            ids=st.lists(st.one_of(st.integers(-50, 450),
                                   st.integers(1_007_663, 1_100_000)),
                         min_size=1, max_size=40))
@@ -245,10 +192,9 @@ class TestBulkLookupBounds:
         import numpy as np
 
         bulk = p.bulk_lookup(np.array(ids, dtype=np.int64))
-        assert bulk is not None
         assert bulk.tolist() == [p(v) for v in ids]
 
-    def test_homes_are_gathered_in_place_until_a_relocation(self):
+    def test_homes_are_gathered_in_place(self):
         import numpy as np
 
         p = random_graph(n=80, partitions=4, seed=3).partitioner
@@ -256,10 +202,6 @@ class TestBulkLookupBounds:
         p.bulk_lookup(np.arange(80, dtype=np.int64))
         assert np.shares_memory(p._np_table, np.frombuffer(p._homes, np.int64))
         assert p.nbytes == before
-        p.relocate({7: (p.home(7) + 1) % 4})
-        bulk = p.bulk_lookup(np.arange(80, dtype=np.int64))
-        assert bulk.tolist() == [p(v) for v in range(80)]
-        assert p.nbytes == before + p._np_table.nbytes
 
 
 def reference_homes(graph, n):
@@ -307,8 +249,13 @@ class TestStratifiedHomes:
         for v in range(3):
             b.vertex(v, "v")
         b.edge(0, 1, "e")
-        graph = PartitionedGraph.from_graph(b.build(), 2)
-        graph.move_vertices({0: 0, 1: 0, 2: 1})
+        stratified = PartitionedGraph.from_graph(b.build(), 2)
+        # {0, 1} on partition 0 and {2} on 1; the stratified stores hold
+        # two vertices and one too, so the sizes agree with the homes
+        graph = PartitionedGraph(
+            Placement(2, array("q", [0, 0, 1])), stratified.stores,
+            stratified.vertex_count, stratified.edge_count,
+            stratified.label_counts)
         # loads 2 + 2 and 1: max 4 over mean 2.5
         assert graph.cut_stats()["load_imbalance"] == pytest.approx(1.6)
 
@@ -353,19 +300,6 @@ class TestStratifiedHomes:
         for v in raw.vertices():
             hashed[hash_home(v)] += raw.degree(v, "both") + 1
         assert max(hashed) / (sum(hashed) / 16) > 1.05  # the hash does not
-
-    def test_relocation_back_to_the_static_home_clears_the_override(self):
-        graph = random_graph(n=80, partitions=4, seed=3)
-        placement = graph.partitioner
-        vid = next(v for v in range(80)
-                   if placement.home(v) != HashPartitioner(4).home(v))
-        home = placement.home(vid)
-        graph.move_vertices({vid: (home + 1) % 4})
-        assert placement.is_relocated(vid)
-        graph.move_vertices({vid: home})
-        assert not placement.is_relocated(vid)
-        assert placement.relocations() == {}
-        assert placement(vid) == home == graph.partition_of(vid)
 
     def test_ids_outside_the_table_hash(self):
         graph = random_graph(n=40, partitions=4, seed=1)

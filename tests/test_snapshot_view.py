@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import PartitionError
 from repro.graph.builder import GraphBuilder
-from repro.graph.partition import PartitionedGraph
+from repro.graph.partition import HashPartitioner, PartitionedGraph
 from repro.query.exprs import X
 from repro.query.traversal import Traversal
 from repro.runtime.engine import AsyncPSTMEngine
@@ -27,7 +27,7 @@ def base():
 
 @pytest.fixture
 def txm(base):
-    return TransactionManager(PARTS, partitioner=base.partitioner)
+    return TransactionManager(base.partitioner)
 
 
 def commit_edge(txm, src, dst, label="knows", eid=1000, **props):
@@ -129,7 +129,7 @@ class TestSnapshotStore:
         assert view.store_of(0).degree(0, "both") == 2  # no in-edges at 0
 
     def test_partition_mismatch_rejected(self, base):
-        txm = TransactionManager(PARTS + 1)
+        txm = TransactionManager(HashPartitioner(PARTS + 1))
         with pytest.raises(PartitionError):
             snapshot_view(base, txm)
 
@@ -137,7 +137,7 @@ class TestSnapshotStore:
         """A hash of the same width still disagrees with the graph's
         static homes, so the view would miss deltas."""
         with pytest.raises(PartitionError):
-            snapshot_view(base, TransactionManager(PARTS))
+            snapshot_view(base, TransactionManager(HashPartitioner(PARTS)))
 
 
 class TestQueriesOverSnapshots:
@@ -215,79 +215,3 @@ class TestQueriesOverSnapshots:
         txm.broadcast_lct(list(range(PARTS)))
         view = snapshot_view(base, txm, node=0)
         assert view.vertex_count == base.vertex_count + 1
-
-
-class TestRelocatedVertices:
-    """SnapshotStore under PR9 placement relocation (the dormant-code
-    rot PR10 repairs): when the manager shares the graph's placement,
-    a live-migration flip must carry the delta rows to the new owner —
-    ``TransactionManager.reshard`` — or snapshot reads at the new home
-    silently lose committed versions."""
-
-    def shared(self, base):
-        """A manager sharing the *graph's* placement (the plane's setup)."""
-        return TransactionManager(PARTS, partitioner=base.partitioner)
-
-    def test_view_rows_survive_relocation(self, base):
-        txm = self.shared(base)
-        commit_edge(txm, 0, 5, eid=1000)
-        commit_edge(txm, 0, 6, eid=1001)
-        before = snapshot_view(base, txm, node=0)
-        rows_before = sorted(before.store_of(0).neighbors(0, "out", "knows"))
-        old_home = base.partitioner(0)
-        applied, _bytes = base.move_vertices(
-            {0: (old_home + 1) % PARTS, 5: (base.partitioner(5) + 1) % PARTS}
-        )
-        moved = txm.reshard(applied)
-        assert moved > 0  # delta rows actually followed the flip
-        after = snapshot_view(base, txm, node=0)
-        store = after.store_of(0)
-        assert store.owns(0)
-        assert sorted(store.neighbors(0, "out", "knows")) == rows_before
-        assert 0 in after.store_of(5).neighbors(5, "in", "knows")
-
-    def test_unresharded_delta_is_lost_at_new_owner(self, base):
-        """The failure mode reshard exists to prevent: flip the placement
-        without moving the delta and the new owner misses the committed
-        edge (documented here as a tripwire, not an endorsement)."""
-        txm = self.shared(base)
-        commit_edge(txm, 0, 5, eid=1000)
-        base.move_vertices({0: (base.partitioner(0) + 1) % PARTS})
-        view = snapshot_view(base, txm, node=0)
-        assert view.store_of(0).neighbors(0, "out", "knows") == [1]
-
-    def test_delta_created_vertex_relocates(self, base):
-        txm = self.shared(base)
-        new_vid = 100
-        txn = txm.begin()
-        txm.set_property(txn, new_vid, LABEL_PROP, "person")
-        txm.set_property(txn, new_vid, "weight", 77)
-        txm.add_edge(txn, 0, new_vid, "knows", 2000)
-        txm.commit(txn)
-        txm.broadcast_lct(list(range(PARTS)))
-        # A delta-only vertex has no base row to ship: relocate it purely
-        # in the placement + delta planes.
-        old_home = base.partitioner(new_vid)
-        applied = base.partitioner.relocate({new_vid: (old_home + 1) % PARTS})
-        assert txm.reshard(applied) > 0
-        view = snapshot_view(base, txm, node=0)
-        store = view.store_of(new_vid)
-        assert store.owns(new_vid)
-        assert store.vertex_label(new_vid) == "person"
-        assert store.get_vertex_property(new_vid, "weight") == 77
-        assert new_vid in store.local_vertices("person")
-
-    def test_old_snapshot_stays_correct_after_relocation(self, base):
-        """A store pinned before the flip keeps answering with the same
-        version cut afterwards — relocation moves rows, not history."""
-        txm = self.shared(base)
-        commit_edge(txm, 0, 5, eid=1000)
-        pinned = snapshot_view(base, txm, node=0)
-        commit_edge(txm, 0, 6, eid=1001)  # after the pin: invisible
-        applied, _bytes = base.move_vertices(
-            {0: (base.partitioner(0) + 1) % PARTS}
-        )
-        txm.reshard(applied)
-        assert sorted(pinned.store_of(0).neighbors(0, "out", "knows")) == [1, 5]
-        fresh = snapshot_view(base, txm, node=0)
-        assert sorted(fresh.store_of(0).neighbors(0, "out", "knows")) == [1, 5, 6]

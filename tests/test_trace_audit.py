@@ -17,12 +17,6 @@ schedule, so the interleavings include crash-while-pausing,
 cancel-while-paused, and double preempt/resume — the preemption splice
 (docs/RECOVERY.md) must keep the ledger closed exactly like cancellation
 and crash-restore do.
-
-Half the seeds also flip the vertex placement mid-schedule (a live
-migration of a random vertex batch, docs/PARTITIONING.md): the MIGRATE
-trace event makes the auditor re-assert Theorem 1 over every open stage
-at the instant of the flip, so a migration that leaked or double-counted
-swept traversers fails here even if the rows come out right.
 """
 
 from __future__ import annotations
@@ -36,7 +30,6 @@ from repro.query.traversal import Traversal
 from repro.runtime.engine import AsyncPSTMEngine, EngineConfig
 from repro.runtime.faults import FaultPlan, WorkerFault
 from repro.runtime.lifecycle import QueryState
-from repro.runtime.migrate import Migrator
 from repro.runtime.trace import CRASH_LOSS, WeightLedgerAuditor
 from tests.conftest import (
     FAULT_NODES,
@@ -124,14 +117,6 @@ def fuzz_run(seed: int, kernel: str, queries: int = 10):
         else:  # allowed to finish
             session = engine.submit(plan, {"s": rng.randrange(200)}, at=at)
         sessions.append(session)
-    if rng.random() < 0.5:  # half the seeds migrate mid-schedule
-        migrator = Migrator(engine)
-        placement = graph.partitioner
-        moves = {}
-        for vid in rng.sample(range(200), rng.randrange(5, 30)):
-            moves[vid] = (placement(vid) + rng.randrange(1, 4)) % 4
-        engine.clock.schedule_at(rng.uniform(20.0, 300.0),
-                                 lambda: migrator.migrate(moves))
     engine.clock.run_until_idle()
     # A scheduled resume that fired before its pause landed (or a pause
     # delayed past it by a crash) leaves the query evicted at idle; drain

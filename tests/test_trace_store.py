@@ -7,8 +7,8 @@ Four contracts:
 * **schema** — every emit site hands its values in the declared order
   (the sites are positional, so a swapped pair would land in the wrong
   field silently): across the fault / overload / checkpoint / preempt /
-  migrate / transaction scenarios, on both kernels, every declared kind is
-  emitted and every field holds a value of its declared domain;
+  transaction scenarios, on both kernels, every declared kind is emitted
+  and every field holds a value of its declared domain;
 * **round trip** — whatever is emitted reads back with its exact type and
   value, wherever the chunk boundaries fall, through every access path;
 * **export equivalence** — a JSONL dump streamed back through the auditor
@@ -112,7 +112,7 @@ KIND_DOMAINS = {LIFECYCLE: {"src": _text, "dst": _text}}
 
 def _scenarios(kernel):
     """Traced engines that between them fire every plane."""
-    for seed in (100, 104):  # faults, cancels, preempts, checkpoints; 104 flips
+    for seed in (100, 104):  # faults, cancels, preempts, checkpoints
         yield fuzz.fuzz_run(seed, kernel)
     graph = make_graph(4)
     # worker crash: destroyed weight, retry under a fresh id

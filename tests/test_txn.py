@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import TransactionAborted, TransactionError
+from repro.graph.partition import HashPartitioner
 from repro.txn.manager import TransactionManager
 from repro.txn.mv2pl import LockMode, LockTable
 from repro.txn.recovery import recover
@@ -89,7 +90,7 @@ class TestVersionedProps:
 
 class TestTransactionManager:
     def test_commit_advances_lct(self):
-        txm = TransactionManager(4)
+        txm = TransactionManager(HashPartitioner(4))
         txn = txm.begin()
         txm.set_property(txn, 1, "name", "x")
         ts = txm.commit(txn)
@@ -100,7 +101,7 @@ class TestTransactionManager:
     def test_readonly_sees_snapshot_at_cached_lct(self):
         """Paper: a read-only query fetches the LCT from any worker node
         without consulting the transaction manager."""
-        txm = TransactionManager(4)
+        txm = TransactionManager(HashPartitioner(4))
         txn = txm.begin()
         txm.set_property(txn, 1, "name", "new")
         txm.commit(txn)
@@ -112,7 +113,7 @@ class TestTransactionManager:
         assert txm.get_property(r1, 1, "name") is None  # stale cached LCT
 
     def test_edge_insert_visible_after_commit(self):
-        txm = TransactionManager(4)
+        txm = TransactionManager(HashPartitioner(4))
         txn = txm.begin()
         txm.add_edge(txn, 1, 2, "knows", eid=0)
         # uncommitted: a snapshot at current LCT sees nothing
@@ -124,7 +125,7 @@ class TestTransactionManager:
         assert txm.neighbors(reader2, 1, "out", "knows") == [2]
 
     def test_cross_partition_edge_in_both_tels(self):
-        txm = TransactionManager(4)
+        txm = TransactionManager(HashPartitioner(4))
         txn = txm.begin()
         txm.add_edge(txn, 1, 2, "e", eid=0)
         txm.commit(txn)
@@ -134,7 +135,7 @@ class TestTransactionManager:
         assert txm.partitions[dp].tel.neighbors(2, "in", "e", txm.lct) == [1]
 
     def test_delete_edge_tombstones(self):
-        txm = TransactionManager(2)
+        txm = TransactionManager(HashPartitioner(2))
         t1 = txm.begin()
         txm.add_edge(t1, 1, 2, "e", eid=0)
         ts1 = txm.commit(t1)
@@ -149,7 +150,7 @@ class TestTransactionManager:
         assert txm.neighbors(old, 1, "out", "e") == [2]
 
     def test_conflicting_writers_abort_no_wait(self):
-        txm = TransactionManager(2)
+        txm = TransactionManager(HashPartitioner(2))
         t1 = txm.begin()
         t2 = txm.begin()
         txm.set_property(t1, 1, "name", "a")
@@ -161,7 +162,7 @@ class TestTransactionManager:
         txm.commit(t1)
 
     def test_abort_releases_locks(self):
-        txm = TransactionManager(2)
+        txm = TransactionManager(HashPartitioner(2))
         t1 = txm.begin()
         txm.set_property(t1, 1, "name", "a")
         txm.abort(t1)
@@ -170,27 +171,27 @@ class TestTransactionManager:
         txm.commit(t2)
 
     def test_readonly_cannot_write(self):
-        txm = TransactionManager(2)
+        txm = TransactionManager(HashPartitioner(2))
         txm.broadcast_lct([0])
         r = txm.begin_readonly(0)
         with pytest.raises(TransactionError):
             txm.set_property(r, 1, "x", 1)
 
     def test_committed_txn_rejects_operations(self):
-        txm = TransactionManager(2)
+        txm = TransactionManager(HashPartitioner(2))
         t = txm.begin()
         txm.commit(t)
         with pytest.raises(TransactionError):
             txm.set_property(t, 1, "x", 1)
 
     def test_readonly_commit_is_trivial(self):
-        txm = TransactionManager(2)
+        txm = TransactionManager(HashPartitioner(2))
         r = txm.begin_readonly(0)
         assert txm.commit(r) == r.read_ts
         assert txm.commits == 0  # no timestamp consumed
 
     def test_aborted_writes_never_apply(self):
-        txm = TransactionManager(2)
+        txm = TransactionManager(HashPartitioner(2))
         t = txm.begin()
         txm.set_property(t, 1, "name", "ghost")
         txm.abort(t)
@@ -202,7 +203,7 @@ class TestRecovery:
     def test_recovery_truncates_to_lct(self):
         """Paper: on restart, remove all versions with timestamps larger
         than LCT."""
-        txm = TransactionManager(4)
+        txm = TransactionManager(HashPartitioner(4))
         t1 = txm.begin()
         txm.add_edge(t1, 1, 2, "e", eid=0)
         txm.set_property(t1, 1, "name", "committed")
@@ -222,7 +223,7 @@ class TestRecovery:
         assert txm.neighbors(reader, 3, "out", "e") == []
 
     def test_recovery_rolls_back_uncommitted_deletes(self):
-        txm = TransactionManager(2)
+        txm = TransactionManager(HashPartitioner(2))
         t1 = txm.begin()
         txm.add_edge(t1, 1, 2, "e", eid=0)
         txm.commit(t1)
@@ -237,7 +238,7 @@ class TestRecovery:
         assert txm.neighbors(reader, 1, "out", "e") == [2]
 
     def test_recovery_is_idempotent(self):
-        txm = TransactionManager(2)
+        txm = TransactionManager(HashPartitioner(2))
         t1 = txm.begin()
         txm.add_edge(t1, 1, 2, "e", eid=0)
         txm.commit(t1)

@@ -8,7 +8,7 @@ everything:
    and must produce rows bit-identical to a *solo*
    :class:`~repro.runtime.reference.LocalExecutor` run against the
    snapshot view at that pin — whatever the kernel and whatever
-   fate (crash, cancel, preempt, live migration) hits the run midway.
+   fate (crash, cancel, preempt) hits the run midway.
    Hypothesis drives seeded interleavings of the update stream, the IC
    read wave, and the fate instant.
 2. **Snapshot monotonicity** — a read pinned at timestamp T sees exactly
@@ -42,7 +42,6 @@ from repro.graph.partition import PartitionedGraph
 from repro.query.traversal import Traversal
 from repro.runtime.engine import AsyncPSTMEngine, EngineConfig
 from repro.runtime.faults import CRASH, FaultPlan, WorkerFault
-from repro.runtime.migrate import Migrator
 from repro.runtime.reference import LocalExecutor
 from repro.runtime.trace import TXN_COMMIT, WeightLedgerAuditor
 from tests.conftest import KERNELS
@@ -53,8 +52,8 @@ ENGINE_SEED = 3
 
 
 #: fates a seeded interleaving can suffer midway (PR5's fuzz grammar
-#: grown with a writer terminal and the PR7–PR9 disruption planes)
-FATES = ("none", "crash", "cancel", "preempt", "migrate")
+#: grown with a writer terminal and the PR7–PR8 disruption planes)
+FATES = ("none", "crash", "cancel", "preempt")
 
 SRC_ROOT = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -89,9 +88,8 @@ def home_vertex(params: Dict[str, Any]) -> Optional[int]:
 def run_interleaving(dataset, kernel: str, seed: int, fate: str):
     """One seeded interleaving of IC reads × SNB updates × one fate.
 
-    Builds a fresh partitioned graph per run (live migration mutates the
-    stores), so the same (seed, fate) replays bit-identically on both
-    kernels. Returns ``(sessions, engine, plane)`` where sessions
+    Builds a fresh partitioned graph and engine per run, so the same
+    (seed, fate) replays bit-identically on both kernels. Returns ``(sessions, engine, plane)`` where sessions
     are ``(session, plan, params)`` triples.
     """
     rng = random.Random(seed)
@@ -154,15 +152,6 @@ def run_interleaving(dataset, kernel: str, seed: int, fate: str):
             lambda: engine.preempt(victim, "fuzz"),
         )
         engine.clock.schedule_at(2500.0, lambda: engine.resume(victim))
-    elif fate == "migrate":
-        moves = {}
-        for vid in rng.sample(dataset.persons, 12):
-            home = graph.partitioner(vid)
-            moves[vid] = (home + rng.randrange(1, PARTS)) % PARTS
-        migrator = Migrator(engine)
-        engine.clock.schedule_at(
-            rng.uniform(150.0, 700.0), lambda: migrator.migrate(moves)
-        )
 
     engine.clock.run_until_idle()
     return sessions, engine, plane

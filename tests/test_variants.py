@@ -185,6 +185,10 @@ def ablation_run(config, gap_us, nodes=2):
     counters = engine.metrics_snapshot()
     # absent at the commit the digests were taken from; asserted separately
     counters.pop("progress_reports_coalesced")
+    # live-migration counters, present (and 0 on every run here) at that
+    # commit and deleted with the migration plane
+    counters.update(migrations=0, vertices_migrated=0, migration_bytes=0,
+                    traversers_forwarded=0)
     body = {
         "rows": [s.results for s in sessions],
         "latencies": [repr(s.qmetrics.latency_us) for s in sessions],

@@ -3,8 +3,8 @@
 
 Sibling of ``tools/check_docs_links.py``: where that tool resolves file
 references, this one resolves **symbol** references. The docs' prose
-leans on backticked dotted names — ``Placement.relocate``,
-``CheckpointPlane.reshard``, ``AsyncPSTMEngine.submit`` — and a rename
+leans on backticked dotted names — ``Placement.bulk_lookup``,
+``CheckpointPlane.rekey``, ``AsyncPSTMEngine.submit`` — and a rename
 on the code side silently strands them: the docs keep reading fine while
 describing an API that no longer exists.
 
@@ -16,10 +16,11 @@ assignment, or an annotated attribute — including inside string literals
 is rejected by requiring a definition-shaped line). ``Class.CONSTANT``
 references (an all-caps member — class constants and enum values like
 ``QueryState.PAUSED``) are held to the same standard. Module-qualified
-forms (``repro.runtime.migrate.Migrator``) check only their final
-``Class.member`` pair; fully-lowercase dotted names (``engine.submit``,
-``clock.now`` — instance shorthand whose receiver is prose context) and
-tool invocations (``python -m repro``) are out of scope.
+forms (``repro.runtime.checkpoint.CheckpointPlane.latest``) check only
+their final ``Class.member`` pair; fully-lowercase dotted names
+(``engine.submit``, ``clock.now`` — instance shorthand whose receiver is
+prose context) and tool invocations (``python -m repro``) are out of
+scope.
 
 The trace taxonomy is held to the same standard: the event table in
 docs/OBSERVABILITY.md (one row per kind, its ``fields`` column listing the

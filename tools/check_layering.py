@@ -6,8 +6,8 @@ import only modules *strictly below* it:
 
     simclock < config < metrics < trace < checkpoint < txnplane
              < lifecycle < costmodel < faults < network < overload
-             < preempt < migrate < runs < vector < kernels < worker
-             < delivery < engine
+             < preempt < runs < vector < kernels < worker < delivery
+             < engine
 
 Everything above ``engine`` (bsp, hybrid, variants, reference, cluster,
 the package __init__) composes freely and is not constrained here.
@@ -34,7 +34,7 @@ Two classes of violation fail the build:
   vertex ownership (docs/PARTITIONING.md), so ``mix64`` and
   ``% num_partitions``-style placement arithmetic may appear nowhere else
   in the package — a module that owned its own copy would silently
-  disagree with the relocation table after a live migration.
+  disagree with the graph's static homes.
 * raw TEL / transaction-store access outside the transaction plane:
   ``repro.txn`` and ``repro.graph.tel`` may be imported only by the txn
   package itself, the runtime's ``txnplane`` module, and the LDBC update
@@ -67,7 +67,6 @@ LAYERS = [
     "network",
     "overload",
     "preempt",
-    "migrate",
     "runs",
     "vector",
     "kernels",
