@@ -31,7 +31,7 @@ class CSRIndex:
     ``(target_global_id, edge_id)`` pairs in two parallel flat arrays.
     """
 
-    __slots__ = ("_offsets", "_targets", "_edge_ids", "_np_views")
+    __slots__ = ("_offsets", "_targets", "_edge_ids")
 
     def __init__(
         self,
@@ -46,7 +46,6 @@ class CSRIndex:
         self._offsets = array("q", offsets)
         self._targets = array("q", targets)
         self._edge_ids = array("q", edge_ids)
-        self._np_views = None
 
     @classmethod
     def from_adjacency(
@@ -82,7 +81,7 @@ class CSRIndex:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held: the object and its three arrays (not NumPy views)."""
+        """Bytes held: the object and its three arrays."""
         return sys.getsizeof(self) + sum(map(sys.getsizeof, (
             self._offsets, self._targets, self._edge_ids)))
 
@@ -98,24 +97,6 @@ class CSRIndex:
         neighbor list.
         """
         return self._offsets, self._targets
-
-    def np_arrays(self):
-        """Zero-copy NumPy int64 views of ``(offsets, targets)``.
-
-        Built lazily with ``np.frombuffer`` over the ``array('q')`` storage
-        — no copy, read-only — and cached for the index's lifetime (the
-        index is immutable). Requires NumPy; callers gate on availability
-        (the vector fast paths never ask without it).
-        """
-        views = self._np_views
-        if views is None:
-            import numpy as np
-
-            views = self._np_views = (
-                np.frombuffer(self._offsets, dtype=np.int64),
-                np.frombuffer(self._targets, dtype=np.int64),
-            )
-        return views
 
     def slice_bounds(self, local_src: int) -> Tuple[int, int]:
         """The ``[lo, hi)`` range of ``local_src``'s edges in the arrays."""

@@ -413,26 +413,34 @@ def _build_csrs(
     in-labels, each by first appearance.
     """
     n_labels = len(table.labels)
-    # vid -> (pid * n_labels, local index); a row's group adds its label code
-    home = {
-        vid: (pid * n_labels, i)
-        for pid, vids in enumerate(residents) for i, vid in enumerate(vids)
-    }
+    # vid -> pid * n_labels (a row's group adds its label code) and vid ->
+    # local index: lists indexed by vertex id, or dicts when ids are sparse
+    count = sum(map(len, residents))
+    occupied = [vids for vids in residents if vids]
+    lo = min(map(min, occupied), default=0)
+    hi = max(map(max, occupied), default=-1)
+    if lo >= 0 and hi < 2 * count:
+        group, local = [0] * (hi + 1), [0] * (hi + 1)
+    else:
+        group, local = {}, {}
+    for pid, vids in enumerate(residents):
+        base = pid * n_labels
+        for i, vid in enumerate(vids):
+            group[vid] = base
+            local[vid] = i
     built: List[Dict[Tuple[str, str], CSRIndex]] = [{} for _ in residents]
-    rows = range(len(table))
     codes, eids = table.codes, table.eid
     for direction, ends, others in ((OUT, table.src, table.dst),
                                     (IN, table.dst, table.src)):
         # Pass 1: counts[i + 2] = the group's edges at local source i.
         slots: Dict[int, Any] = {}
-        for r in rows:
-            h = home[ends[r]]
-            g = h[0] + codes[r]
+        for end, code in zip(ends, codes):
+            g = group[end] + code
             counts = slots.get(g)
             if counts is None:
                 n = len(residents[g // n_labels])
                 counts = slots[g] = array("q", bytes(8 * (n + 2)))
-            counts[h[1] + 2] += 1
+            counts[local[end] + 2] += 1
         # Prefix sums leave source i's slice start in bounds[i + 1]; pass 2
         # places each edge there and bumps it, so bounds[:-1] ends up as
         # the CSR offsets.
@@ -440,14 +448,13 @@ def _build_csrs(
             bounds = array("q", accumulate(counts))
             slots[g] = (bounds, array("q", bytes(8 * bounds[-1])),
                         array("q", bytes(8 * bounds[-1])))
-        for r in rows:
-            h = home[ends[r]]
-            bounds, targets, ids = slots[h[0] + codes[r]]
-            i = h[1] + 1
+        for end, code, other, eid in zip(ends, codes, others, eids):
+            bounds, targets, ids = slots[group[end] + code]
+            i = local[end] + 1
             pos = bounds[i]
             bounds[i] = pos + 1
-            targets[pos] = others[r]
-            ids[pos] = eids[r]
+            targets[pos] = other
+            ids[pos] = eid
         for g, (bounds, targets, ids) in slots.items():
             label = table.labels[g % n_labels]
             built[g // n_labels][(direction, label)] = CSRIndex(

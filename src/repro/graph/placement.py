@@ -14,9 +14,7 @@ Every layer that needs a vertex's owner consults a ``Placement``:
   the hot paths read directly),
 * memo/key partitioning (:meth:`Placement.key_partition`),
 * checkpoint snapshot ownership and the CSR store layer
-  (:meth:`~repro.graph.partition.PartitionedGraph.from_graph`),
-* the vector fast paths' bulk owner computation
-  (:meth:`Placement.bulk_lookup`).
+  (:meth:`~repro.graph.partition.PartitionedGraph.from_graph`).
 
 No call site outside this plane computes a partition from the raw hash —
 ``tools/check_layering.py`` enforces it.
@@ -34,11 +32,6 @@ from heapq import heapreplace
 from typing import Dict, Hashable, Optional, Sequence
 
 from repro.errors import PartitionError
-
-try:  # pragma: no cover - exercised via the numpy-absent fallback tests
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
 
 __all__ = ["Placement", "home_node", "mix64", "stable_key_hash",
            "stratified_homes"]
@@ -106,29 +99,6 @@ def stable_key_hash(key: Hashable) -> int:
     return h
 
 
-if np is not None:
-    _U64 = np.uint64
-    _M1 = np.uint64(0x9E3779B97F4A7C15)
-    _M2 = np.uint64(0xBF58476D1CE4E5B9)
-    _M3 = np.uint64(0x94D049BB133111EB)
-    _S30 = np.uint64(30)
-    _S27 = np.uint64(27)
-    _S31 = np.uint64(31)
-
-    def mix64_np(x):
-        """Vectorized SplitMix64 finalizer, bit-equal to :func:`mix64`
-        (uint64 wraparound matches the scalar path's
-        ``& 0xFFFFFFFFFFFFFFFF`` masking)."""
-        x = x + _M1
-        x = (x ^ (x >> _S30)) * _M2
-        x = (x ^ (x >> _S27)) * _M3
-        return x ^ (x >> _S31)
-
-    def _hash_np(vertices, n: int):
-        """The hash home ``H(v)`` of an int64 array of vertex ids."""
-        return (mix64_np(vertices.astype(np.uint64)) % np.uint64(n)).astype(np.int64)
-
-
 def stratified_homes(
     num_partitions: int, vertices: Sequence[int], src: array, dst: array
 ) -> Optional[array]:
@@ -150,25 +120,21 @@ def stratified_homes(
     if min(vertices) < 0 or bound > _MAX_TABLE_BOUND:
         return None
     n = num_partitions
-    if np is not None:
-        ids = np.array(vertices, dtype=np.int64)
-        degree = np.bincount(np.frombuffer(src, np.int64), minlength=bound)
-        degree += np.bincount(np.frombuffer(dst, np.int64), minlength=bound)
-        weights = degree[ids] + 1
-        order = np.lexsort((mix64_np(ids.astype(np.uint64)), -weights))
-        ids, weights = ids[order].tolist(), weights[order].tolist()
-        table = array("q", _hash_np(np.arange(bound, dtype=np.int64), n).tobytes())
-    else:
-        degree = Counter(src)
-        degree.update(dst)
-        ids = sorted(vertices, key=lambda v: (-degree[v], mix64(v)))
-        weights = [degree[v] + 1 for v in ids]
-        table = array("q", [mix64(v) % n for v in range(bound)])
-    loads = [(0, pid) for pid in range(n)]  # a heap: least load, then pid
-    for vid, weight in zip(ids, weights):
-        load, pid = loads[0]
-        table[vid] = pid
-        heapreplace(loads, (load + weight, pid))
+    degree = Counter(src)
+    degree.update(dst)
+    # Sorting by the hash, then stably by degree, visits vertices by
+    # (−weight, mix64(v)) without a key tuple per vertex.
+    ids = sorted(vertices, key=mix64)
+    ids.sort(key=degree.__getitem__, reverse=True)
+    table = array("q", bytes(8 * bound))
+    for v in set(range(bound)).difference(vertices):
+        table[v] = mix64(v) % n
+    # A heap of load * n + pid: least load first, ties to the lowest pid.
+    loads = list(range(n))
+    for vid in ids:
+        key = loads[0]
+        table[vid] = key % n
+        heapreplace(loads, key + (degree[vid] + 1) * n)
     return table
 
 
@@ -190,8 +156,6 @@ class Placement:
         #: static home per vertex id below its length (see
         #: :func:`stratified_homes`); ``None`` = the hash everywhere
         self._homes = homes
-        #: a zero-copy numpy view of ``_homes``, made on first bulk lookup
-        self._np_table = None
 
     @property
     def num_partitions(self) -> int:
@@ -210,8 +174,7 @@ class Placement:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the home table and the placement memo (the bulk
-        lookup's view of the homes adds none)."""
+        """Bytes held by the home table and the placement memo."""
         return sys.getsizeof(self._cache) + (
             0 if self._homes is None else sys.getsizeof(self._homes))
 
@@ -231,25 +194,3 @@ class Placement:
         if isinstance(key, (str, bytes, tuple)):
             return mix64(stable_key_hash(key)) % self._n
         return mix64(hash(key) & _MASK64) % self._n
-
-    # -- bulk lookup (vector fast paths) -------------------------------
-
-    def bulk_lookup(self, vertices):
-        """Owners for an int64 numpy array of vertex ids (NumPy only).
-
-        Without a home table this is the pure vectorized hash (bit-equal
-        to the scalar path). With one it gathers from a zero-copy view of
-        the homes, and ids outside it take the hash, as the scalar path
-        does.
-        """
-        if self._homes is None:
-            return _hash_np(vertices, self._n)
-        table = self._np_table
-        if table is None:
-            table = self._np_table = np.frombuffer(self._homes, dtype=np.int64)
-        inside = (vertices >= 0) & (vertices < len(table))
-        if inside.all():
-            return table[vertices]
-        pids = _hash_np(vertices, self._n)
-        pids[inside] = table[vertices[inside]]
-        return pids

@@ -54,8 +54,7 @@ class EngineConfig:
     #: compute scaling (hand-optimized single-node plugins use < 1)
     cpu_scale: float = 1.0
     #: execution kernel, one of :data:`KERNEL_NAMES`: "run" is the
-    #: production drain (homogeneous runs, NumPy-accelerated per run when
-    #: NumPy is importable and the run's shape and width qualify);
+    #: production drain (homogeneous runs, one batched call each);
     #: "scalar" is the reference one-traverser-at-a-time loop, kept for
     #: verification and debugging. Simulated output is bit-for-bit
     #: identical either way (the equivalence suites assert it), so the

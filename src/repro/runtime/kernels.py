@@ -10,9 +10,10 @@ exactly that part is a strategy object:
 * :class:`RunKernel` — the production drain (``EngineConfig.kernel="run"``,
   the default). Pops contiguous runs sharing ``(query_id, op_idx)`` and
   executes each through :meth:`RunDrain.execute_batch
-  <repro.runtime.runs.RunDrain.execute_batch>` or, when NumPy imported
-  and the run's operator type and width qualify, through one of
-  :mod:`repro.runtime.vector`'s array programs. The choice is made per
+  <repro.runtime.runs.RunDrain.execute_batch>`, or, for a fused k-hop
+  count run under the drain's ``slim_ok`` gate, through the one
+  specialized body :meth:`RunDrain.fused_count_run
+  <repro.runtime.runs.RunDrain.fused_count_run>`. The choice is made per
   run from what the code can observe, never from configuration.
 * :class:`ScalarKernel` — the reference loop: one traverser per kernel
   call, costs priced through :meth:`CostModel.op_cost_us`, one progress
@@ -31,20 +32,12 @@ from typing import TYPE_CHECKING, Optional, Protocol, Set
 
 from repro.core.fused import FusedMinDistCount
 from repro.core.progress import ProgressMode
-from repro.core.steps import DedupOp, ExpandOp
 from repro.core.weight import GROUP_MODULUS
 from repro.runtime.config import KERNEL_NAMES
 from repro.runtime.metrics import MsgKind
 from repro.runtime.network import TRACKER_DST, Message
 from repro.runtime.runs import PROGRESS_MSG_BYTES, get_drain
 from repro.runtime.trace import ABSENT, EXEC
-from repro.runtime.vector import (
-    HAVE_NUMPY,
-    MIN_VECTOR_RUN,
-    _dedup_run,
-    _expand_run,
-    _fused_branch_count_run,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.engine import EngineConfig
@@ -232,41 +225,30 @@ class RunKernel:
     sequence, making simulated time bit-for-bit identical. The wall-clock
     win comes from amortizing dispatch: one kernel call, one
     session/context lookup, and one metrics update per run instead of per
-    traverser. The run machinery lives in
-    :class:`~repro.runtime.runs.RunDrain`; the array programs substituted
-    for its reference body on qualifying runs live in
-    :mod:`repro.runtime.vector`. A NumPy-less install runs this same
-    kernel with the accelerations never selected.
+    traverser. The run machinery, including the fused k-hop count's
+    specialized body, lives in :class:`~repro.runtime.runs.RunDrain`.
     """
 
     def drain(
         self, worker: "Worker", t: float, touched: Optional[Set[int]]
     ) -> float:
         """Pop and execute up to ``batch_size`` traversers as runs,
-        dispatching each run to a vector fast path when its shape
-        qualifies."""
+        taking the fused count body for qualifying runs of any width."""
         d = get_drain(worker, t, touched)
         execute_batch = d.execute_batch
         pop_run = d.pop_run
-        # The fast paths only model "children + cost + finished weight":
-        # shared-state penalties, per-execution progress messages, and
-        # trace events need the reference loop's per-element structure.
-        fast_ok = HAVE_NUMPY and d.slim_ok
+        # The fused count body only models "children + cost + finished
+        # weight": shared-state penalties, per-execution progress messages,
+        # and trace events need the reference body's per-element structure.
+        slim_ok = d.slim_ok
+        fused_count_run = d.fused_count_run
         while (run := pop_run()) is not None:
-            # The NumPy paths need MIN_VECTOR_RUN elements to amortize
-            # their array setup.
-            if fast_ok and len(run) >= MIN_VECTOR_RUN:
-                op = d.ops[d.run_op_idx]
-                top = type(op)
-                if top is ExpandOp:
-                    if _expand_run(d, op, run):
-                        continue
-                elif top is FusedMinDistCount:
-                    if _fused_branch_count_run(d, op, run):
-                        continue
-                elif top is DedupOp:
-                    if _dedup_run(d, op, run):
-                        continue
+            if (
+                slim_ok
+                and type(op := d.ops[d.run_op_idx]) is FusedMinDistCount
+                and fused_count_run(op, run)
+            ):
+                continue
             execute_batch(run)
         return d.finish()
 

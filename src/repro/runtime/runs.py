@@ -14,9 +14,9 @@ draws, the same buffer-flush instants, the same progress reports.
   the cancelled-query weight-reclaim path;
 * :meth:`execute_batch` — the reference batched execution of one run
   (kernel call + weight split + routing + buffering + progress). The
-  kernel takes it for every run shape :mod:`repro.runtime.vector` does not
-  accelerate, which is what makes per-run fast-path dispatch safe: every
-  path produces the same simulated trajectory.
+  kernel takes it for every run but fused k-hop count runs under
+  ``slim_ok``, which take :meth:`fused_count_run` — a specialized body
+  that produces the same simulated trajectory.
 
 ``PROGRESS_MSG_BYTES`` lives here (the bottom of the kernel stack) and is
 re-exported by :mod:`repro.runtime.kernels` for compatibility.
@@ -35,6 +35,7 @@ from repro.runtime.network import TRACKER_DST, Message
 from repro.runtime.trace import ABSENT, EXEC
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.fused import FusedMinDistCount
     from repro.runtime.worker import Worker
 
 __all__ = ["PROGRESS_MSG_BYTES", "RunDrain", "get_drain"]
@@ -83,8 +84,8 @@ class RunDrain:
         "track_inflight", "note_outbound", "trav_buffers", "buffer_bytes",
         "flush_threshold", "flush", "size_cache", "last_payload",
         "last_size", "local_bufs", "local_bytes",
-        # fast-path gate (no shared-state penalty, coalesced progress,
-        # tracing off)
+        # specialized-body gate (no shared-state penalty, coalesced
+        # progress, tracing off)
         "slim_ok",
         # metric tallies
         "steps", "edges_scanned", "memo_ops_total", "spawned_total",
@@ -181,8 +182,8 @@ class RunDrain:
         else:
             self.per_access = 0.0
         # Sink runs (no children at all) take a slim pricing loop, and the
-        # kernel may pick an array fast path, when no per-traverser side
-        # channel (penalty, trace, eager progress) needs the full body.
+        # fused k-hop count its specialized body, when no per-traverser
+        # side channel (penalty, trace, eager progress) needs the full body.
         self.slim_ok = (
             not self.shared
             and self.coalesced
@@ -774,3 +775,101 @@ class RunDrain:
         self.cpu = cpu
         self.edges_scanned += edges_scanned
         self.memo_ops_total += memo_ops_total
+
+    def fused_count_run(self, op: "FusedMinDistCount", run: List[Traverser]) -> bool:
+        """The fused k-hop hot loop under the ``slim_ok`` gate: memo-pruned
+        distance updates, the count partial absorbed once per run, and only
+        loop continuations materialized. Children are always local (the
+        loop target is the vertex-routed Expand that sent us here).
+
+        Returns False, before mutating anything, when the loop target is
+        not vertex-routed; the kernel then takes :meth:`execute_batch`.
+        """
+        c_stage, c_mode, _child_op = self.route_info[op.loop_idx]
+        if c_mode != "vertex":
+            return False
+        memo = self.ctx.memo
+        tbl = memo.table(op.memo_label)
+        tbl_get = tbl.get
+        dist_slot = op.dist_slot
+        max_dist = op.max_dist
+        loop_idx = op.loop_idx
+        # The two cost points of the fused op, priced with the scalar
+        # expression: pruned (1,0,1,0) and admitted (2,0,2,0).
+        cost_pruned = self.cpu_scale * (
+            1 * self.step_base_us
+            + 0 * self.edge_us
+            + 1 * self.memo_op_us
+            + 0 * self.prop_us
+        )
+        cost_admit = self.cpu_scale * (
+            2 * self.step_base_us
+            + 0 * self.edge_us
+            + 2 * self.memo_op_us
+            + 0 * self.prop_us
+        )
+        count_first = op.count_first
+        query_id = self.run_qid
+        modulus = self.modulus
+        cpu = self.cpu
+        queue_append = self.queue.append
+        n = len(run)
+        counted = 0
+        memo_ops = 0
+        fin_total = 0
+        fin_count = 0
+        local_count = 0
+        for trav in run:
+            vertex = trav.vertex
+            dist = trav.payload[dist_slot]
+            old = tbl_get(vertex)
+            if old is not None and dist >= old:
+                cpu += cost_pruned
+                memo_ops += 1
+                weight = trav.weight
+                if weight:
+                    fin_total += weight
+                    fin_count += 1
+                continue
+            tbl[vertex] = dist
+            if old is None or not count_first:
+                counted += 1
+            memo_ops += 2
+            cpu += cost_admit
+            if dist < max_dist:
+                queue_append(
+                    Traverser(
+                        query_id, vertex, loop_idx, trav.payload,
+                        trav.weight % modulus, c_stage, trav.loops,
+                    )
+                )
+                local_count += 1
+            else:
+                weight = trav.weight
+                if weight:
+                    fin_total += weight
+                    fin_count += 1
+        if counted:
+            atbl = memo.table(op.agg_label)
+            atbl["partial"] = atbl.get("partial", 0) + counted
+        if local_count:
+            key = (query_id, c_stage)
+            stage_counts = self.stage_counts
+            stage_counts[key] = stage_counts.get(key, 0) + local_count
+        if fin_count:
+            self.worker._accum(query_id, self.run_stage).absorb_many(
+                fin_total, fin_count
+            )
+        self.cpu = cpu
+        self.steps += n
+        self.memo_ops_total += memo_ops
+        self.qmetrics.steps_executed += n
+        op_idx = self.run_op_idx
+        op_steps = self.op_steps
+        op_steps[op_idx] = op_steps.get(op_idx, 0) + n
+        if local_count:
+            self.spawned_total += local_count
+            op_spawned = self.op_spawned
+            op_spawned[op_idx] = op_spawned.get(op_idx, 0) + local_count
+            self.qmetrics.traversers_spawned += local_count
+        return True

@@ -69,8 +69,8 @@ class SnapshotStore:
         if not delta.tel._logs and not delta.props._versions:  # noqa: SLF001
             # Pristine delta: nothing has ever committed into this
             # partition's overlay, so the base CSR *is* the snapshot —
-            # forward the NumPy fast-path surface so the run kernel
-            # keeps its array programs (the 0%-update curve). Any later
+            # forward the raw CSR surface so batched Expand keeps its
+            # direct array reads (the 0%-update curve). Any later
             # commit lands at a timestamp above this view's read_ts and
             # would be invisible here anyway, so the forwarding stays
             # correct for the view's whole lifetime.

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import random
 from typing import Any, Dict, List, Optional
-from unittest import mock
 
 import pytest
 
@@ -121,21 +120,6 @@ def run_batch(graph, plan, param_list, config=None, nodes=FAULT_NODES,
     sessions = [engine.submit(plan, p) for p in param_list]
     engine.clock.run_until_idle()
     return engine, sessions
-
-
-@pytest.fixture(scope="session")
-def numpy_masked():
-    """Context-manager factory: inside ``with numpy_masked():`` the run
-    kernel's per-run dispatch sees NumPy as not importable, so *every* run
-    — wide ones included — takes the reference batched body.
-
-    The operator-level equivalence and fuzz suites use it as a third,
-    test-only leg next to ``KERNELS``; without it a NumPy-installed CI leg
-    would compare wide Expand/Dedup/fused runs with the oracle only
-    through the array fast paths. Session-scoped (it holds no state) so
-    hypothesis tests can request it.
-    """
-    return lambda: mock.patch.object(kernels, "HAVE_NUMPY", False)
 
 
 @pytest.fixture(scope="session")

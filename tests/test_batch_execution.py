@@ -5,8 +5,7 @@ be *observationally identical* to the scalar reference loop: same result
 rows, bit-for-bit identical simulated latency (the float cost accounting
 replays the scalar expression order exactly), the same RNG draw sequence
 for weight splits, and the same engine metric counters. These tests drive
-both kernels — the run kernel with its NumPy fast paths available and
-with NumPy masked — over the fuzz-query grammar and compare everything.
+both kernels over the fuzz-query grammar and compare everything.
 """
 
 import random
@@ -52,18 +51,10 @@ def _run_path(graph, plan, params_list, kernel, **config_kwargs):
     return outputs, _metrics_key(engine)
 
 
-def _assert_run_matches_scalar(
-    numpy_masked, graph, plan, params_list, **config_kwargs
-):
-    """Rows AND float latency AND metric counters, exactly, on both of
-    the run kernel's dispatch legs."""
+def _assert_run_matches_scalar(graph, plan, params_list, **config_kwargs):
+    """Rows AND float latency AND metric counters, exactly."""
     scalar = _run_path(graph, plan, params_list, "scalar", **config_kwargs)
     assert _run_path(graph, plan, params_list, "run", **config_kwargs) == scalar
-    with numpy_masked():
-        assert (
-            _run_path(graph, plan, params_list, "run", **config_kwargs)
-            == scalar
-        )
 
 
 # -- full-engine equivalence over the fuzz grammar ---------------------------
@@ -79,7 +70,7 @@ def _assert_run_matches_scalar(
 )
 @settings(max_examples=40, deadline=None)
 def test_fuzzed_chains_bitwise_identical(
-    numpy_masked, graph_seed, steps, terminal, start
+    graph_seed, steps, terminal, start
 ):
     """Rows, exact latency, and metric counters match on random chains."""
     graph = make_graph(graph_seed)
@@ -88,10 +79,10 @@ def test_fuzzed_chains_bitwise_identical(
         t = apply_step(t, code)
     t = apply_terminal(t, terminal)
     plan = t.compile(graph)
-    _assert_run_matches_scalar(numpy_masked, graph, plan, [{"s": start}])
+    _assert_run_matches_scalar(graph, plan, [{"s": start}])
 
 
-def test_multi_query_session_identical(numpy_masked):
+def test_multi_query_session_identical():
     """Back-to-back queries on one engine: per-query RNGs, stage counts,
     and weight accumulators must replay identically across paths."""
     graph = make_graph(7)
@@ -102,23 +93,21 @@ def test_multi_query_session_identical(numpy_masked):
         .count()
     ).compile(graph)
     params_list = [{"s": s} for s in range(8)]
-    _assert_run_matches_scalar(numpy_masked, graph, plan, params_list)
+    _assert_run_matches_scalar(graph, plan, params_list)
 
 
 @pytest.mark.parametrize("mode", list(ProgressMode))
-def test_equivalent_under_every_progress_mode(numpy_masked, mode):
+def test_equivalent_under_every_progress_mode(mode):
     """The naive-delta and uncoalesced-weight report paths also match."""
     graph = make_graph(3)
     plan = (
         Traversal("q").v_param("s").out("e").out("e").dedup().count()
     ).compile(graph)
     params = [{"s": 5}, {"s": 11}]
-    _assert_run_matches_scalar(
-        numpy_masked, graph, plan, params, progress_mode=mode
-    )
+    _assert_run_matches_scalar(graph, plan, params, progress_mode=mode)
 
 
-def test_equivalent_with_shared_state_penalty(numpy_masked):
+def test_equivalent_with_shared_state_penalty():
     """With non-partitioned state several workers share one runtime, which
     prices every access with the shared-state penalty — the run kernel
     must replay that float path exactly."""
@@ -138,9 +127,7 @@ def test_equivalent_with_shared_state_penalty(numpy_masked):
         Traversal("q").v_param("s").khop("e", k=2).count()
     ).compile(graph)
     params = [{"s": 1}, {"s": 2}]
-    _assert_run_matches_scalar(
-        numpy_masked, graph, plan, params, partitioned_state=False
-    )
+    _assert_run_matches_scalar(graph, plan, params, partitioned_state=False)
 
 
 def test_absorb_many_matches_sequential_absorbs():

@@ -123,8 +123,7 @@ def test_every_query_under_every_progress_mode(mode, query_index):
 # -- kernels and fused plans ---------------------------------------------------
 #
 # The second equivalence axis: on the SAME compiled plan, the run kernel
-# — with its NumPy fast paths available and with NumPy masked — must
-# reproduce not just the scalar oracle's rows but the exact simulated
+# must reproduce not just the scalar oracle's rows but the exact simulated
 # latency — bit for bit, float for float. A fused plan is a DIFFERENT
 # plan, so it only owes the same result rows as its unfused source (its
 # simulated timings differ by design — that is the win).
@@ -146,16 +145,14 @@ def _run_kernel(graph, plan, start, kernel, fault_plan=None):
     fuse=st.booleans(),
 )
 @settings(max_examples=25, deadline=None)
-def test_kernels_bit_identical(numpy_masked, seed, query_index, start, fuse):
-    """scalar == run (NumPy present and masked) on rows AND exact
+def test_kernels_bit_identical(seed, query_index, start, fuse):
+    """scalar == run on rows AND exact
     simulated latency, on both the unfused and the fused lowering of
     every fixed-shape query."""
     graph = make_graph(seed)
     plan = QUERY_BUILDERS[query_index]().compile(graph, fuse=fuse)
     reference = _run_kernel(graph, plan, start, "scalar")
     assert _run_kernel(graph, plan, start, "run") == reference
-    with numpy_masked():
-        assert _run_kernel(graph, plan, start, "run") == reference
 
 
 @given(
@@ -176,7 +173,7 @@ def test_fused_plan_rows_match_unfused(seed, query_index, start):
 
 @pytest.mark.parametrize("fault_seed", [1, 7, 23])
 @pytest.mark.parametrize("fuse", [False, True])
-def test_kernels_bit_identical_under_faults(numpy_masked, fault_seed, fuse):
+def test_kernels_bit_identical_under_faults(fault_seed, fuse):
     """A seeded fault plan (drops, dups, delays) arms the ack/retransmit
     layer; the kernels must still agree bit for bit."""
     graph = make_graph(99)
@@ -186,8 +183,6 @@ def test_kernels_bit_identical_under_faults(numpy_masked, fault_seed, fuse):
     )
     reference = _run_kernel(graph, plan, 11, "scalar", fault)
     assert _run_kernel(graph, plan, 11, "run", fault) == reference
-    with numpy_masked():
-        assert _run_kernel(graph, plan, 11, "run", fault) == reference
 
 
 # -- CollectAgg's declared-total-order heap skip ------------------------------

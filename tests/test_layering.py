@@ -1,15 +1,40 @@
 """The runtime layering contract, enforced in tier-1 (and again in CI).
 
 ``tools/check_layering.py`` is the single source of truth for the layer
-order and the module size budgets; this test just runs it so a layering
-regression fails the ordinary test suite, not only the CI job.
+order, the module size budgets and the stdlib-only import rule; this test
+just runs it so a layering regression fails the ordinary test suite, not
+only the CI job. The no-NumPy test checks the same promise at run time.
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+
+#: builds a partitioned graph and runs a fused k-hop count and an
+#: expand/dedup query through the public API, then reports whether any
+#: module of the run pulled NumPy in
+NO_NUMPY_SNIPPET = """
+import sys
+import repro
+from repro import ClusterConfig, GraphBuilder, Traversal, make_graphdance
+b = GraphBuilder("v")
+for v in range(200):
+    b.vertex(v, "v", weight=v % 7)
+for v in range(200):
+    for k in (1, 3, 17):
+        b.edge(v, (v * k + 11) % 200, "e")
+cluster = ClusterConfig(nodes=2, workers_per_node=2)
+graph = cluster.partition(b.build())
+engine = make_graphdance(graph, cluster)
+khop = Traversal("k").v_param("s").khop("e", k=3).count().compile(graph, fuse=True)
+wide = Traversal("w").v_param("s").out("e").out("e").dedup().count().compile(graph)
+rows = [engine.run(plan, {"s": 5}).rows for plan in (khop, wide)]
+assert all(rows), rows
+print("numpy" in sys.modules)
+"""
 
 
 def test_runtime_layering_and_size_budgets():
@@ -35,3 +60,15 @@ def test_worker_does_not_import_engine_at_runtime():
     targets = {mod for _lineno, mod in runtime_imports(worker)}
     assert "engine" not in targets
     assert "delivery" not in targets
+
+
+def test_running_an_engine_never_imports_numpy():
+    """The package declares no runtime dependencies; an installed NumPy
+    must stay unimported (it alone would add ~13 MB of peak RSS)."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_SNIPPET],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -8,30 +8,25 @@ Pinned here (see docs/PARTITIONING.md):
 2. **strict ownership lookup** — ``PartitionedGraph.partition_of``
    raises :class:`VertexNotFoundError` for ids outside the graph
    instead of silently hashing them to a valid partition;
-3. **vectorized equivalence** — ``bulk_lookup`` agrees with the scalar
-   path bit for bit, with and without a home table, for ids inside and
-   outside it;
-4. **stratified homes** — ``PartitionedGraph.from_graph`` places each
+3. **stratified homes** — ``PartitionedGraph.from_graph`` places each
    vertex by the degree-stratified rule, which depends only on the graph
-   and balances Σ(degree + 1) across partitions.
+   and balances Σ(degree + 1) across partitions; the home tables of the
+   two spine graphs and of a graph with id holes are frozen by digest.
 """
 
+import hashlib
 import os
 import random
 import subprocess
 import sys
 from array import array
 from pathlib import Path
-from unittest import mock
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import repro
 from repro.datasets.synthetic import PowerLawConfig, powerlaw_graph
 from repro.errors import PartitionError, VertexNotFoundError
-from repro.graph import placement as placement_module
 from repro.graph.builder import GraphBuilder
 from repro.graph.partition import HashPartitioner, PartitionedGraph
 from repro.graph.placement import (
@@ -40,7 +35,7 @@ from repro.graph.placement import (
     stable_key_hash,
     stratified_homes,
 )
-from repro.runtime.vector import HAVE_NUMPY
+from repro.ldbc import SNB_SF300_SIM, generate_snb
 from tests.conftest import random_graph
 
 SRC_ROOT = str(Path(repro.__file__).resolve().parents[1])
@@ -107,8 +102,7 @@ class TestKeyPartitionDeterminism:
         assert stable_key_hash(b"alice") == stable_key_hash("alice")
 
     def test_mix64_matches_reference_values(self):
-        # SplitMix64 probes (the paper's H); vector.py and the numpy
-        # table path must keep agreeing with these
+        # SplitMix64 probes (the paper's H)
         assert mix64(0) == 16294208416658607535
         assert mix64(1) == 10451216379200822465
         assert 0 <= mix64(2 ** 64 - 1) < (1 << 64)
@@ -139,71 +133,6 @@ class TestPlacement:
             Placement(0)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
-class TestBulkLookup:
-    def test_matches_scalar_without_homes(self):
-        import numpy as np
-
-        p = Placement(8)
-        vids = np.arange(0, 5000, dtype=np.int64)
-        assert p.bulk_lookup(vids).tolist() == [p(int(v)) for v in vids]
-
-    def test_matches_scalar_with_homes(self):
-        import numpy as np
-
-        p = random_graph(n=80, partitions=4, seed=3).partitioner
-        vids = np.arange(0, 80, dtype=np.int64)
-        assert p.bulk_lookup(vids).tolist() == [p(int(v)) for v in vids]
-
-    def test_ids_outside_the_table_take_the_hash(self):
-        import numpy as np
-
-        p = Placement(8, array("q", [3] * 100))
-        vids = np.array([5, 99, 100, 1_007_663, -4], dtype=np.int64)
-        assert p.bulk_lookup(vids).tolist() == [3, 3] + [
-            HashPartitioner(8)(int(v)) for v in vids[2:]]
-
-
-def _placements():
-    """A placement over a random home table, or with none."""
-    return st.builds(
-        _build_placement,
-        st.integers(1, 8),
-        st.integers(1, 200),
-        st.booleans(),
-        st.integers(0, 2 ** 32),
-    )
-
-
-def _build_placement(n, bound, with_homes, seed):
-    rng = random.Random(seed)
-    homes = array("q", [rng.randrange(n) for _ in range(bound)]) if with_homes else None
-    return Placement(n, homes)
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
-class TestBulkLookupBounds:
-    @settings(max_examples=60, deadline=None)
-    @given(p=_placements(),
-           ids=st.lists(st.one_of(st.integers(-50, 450),
-                                  st.integers(1_007_663, 1_100_000)),
-                        min_size=1, max_size=40))
-    def test_matches_scalar_inside_and_outside_the_table(self, p, ids):
-        import numpy as np
-
-        bulk = p.bulk_lookup(np.array(ids, dtype=np.int64))
-        assert bulk.tolist() == [p(v) for v in ids]
-
-    def test_homes_are_gathered_in_place(self):
-        import numpy as np
-
-        p = random_graph(n=80, partitions=4, seed=3).partitioner
-        before = p.nbytes
-        p.bulk_lookup(np.arange(80, dtype=np.int64))
-        assert np.shares_memory(p._np_table, np.frombuffer(p._homes, np.int64))
-        assert p.nbytes == before
-
-
 def reference_homes(graph, n):
     """The placement rule written out plainly: weight = degree + 1, visit
     by (-weight, mix64(v)), each to the least-loaded partition, ties to
@@ -220,6 +149,28 @@ def reference_homes(graph, n):
 
 #: the spine's k-hop graph shape (benchmarks/spine/workloads.py), smaller
 SPINE_SHAPE = PowerLawConfig("spine-shape", 2_500, 12.0, gamma=2.45)
+
+
+def holes_graph():
+    """700 vertices scattered over ids below 2 000, so the home table has
+    id holes the hash fills."""
+    rng = random.Random(11)
+    vids = sorted(rng.sample(range(2_000), 700))
+    b = GraphBuilder("v")
+    for v in vids:
+        b.vertex(v, "v")
+    for _ in range(3_000):
+        b.edge(rng.choice(vids), rng.choice(vids), "e")
+    return b.build()
+
+
+#: the spine's two graphs at full size, and one with id holes
+FROZEN_GRAPHS = {
+    "snb": lambda: generate_snb(SNB_SF300_SIM).graph,
+    "khop": lambda: powerlaw_graph(
+        PowerLawConfig("spine-pl", 10_000, 12.0, gamma=2.45), seed=13),
+    "holes": holes_graph,
+}
 
 
 class TestStratifiedHomes:
@@ -259,13 +210,19 @@ class TestStratifiedHomes:
         # loads 2 + 2 and 1: max 4 over mean 2.5
         assert graph.cut_stats()["load_imbalance"] == pytest.approx(1.6)
 
-    def test_numpy_and_stdlib_paths_agree(self):
-        raw = powerlaw_graph(PowerLawConfig("np", 400, 6.0, gamma=2.2), seed=9)
+    @pytest.mark.parametrize("graph, n, digest", [
+        ("snb", 16, "9ddd47ee49f72accdfd76c25d6396d823ea2d03311d24bdca16cf651cc677fe7"),
+        ("khop", 16, "cabe9145bd903265d6d9206b80110ea7a41ca5d48cd9852a7c203ccb8e8f5e92"),
+        ("holes", 7, "a98bafd6abc9b524cc21c08ae7b498c12b201267269fe94bac81c97be2a4b33b"),
+    ], ids=["snb", "khop", "holes"])
+    def test_home_tables_are_frozen(self, graph, n, digest):
+        """SHA-256 of the home table, frozen when the rule had a second
+        (array) implementation: any rewrite must place every vertex, and
+        hash every id hole below the table's end, exactly as before."""
+        raw = FROZEN_GRAPHS[graph]()
         table = raw._edges
-        args = (7, list(raw.vertices()), table.src, table.dst)
-        with mock.patch.object(placement_module, "np", None):
-            stdlib = stratified_homes(*args)
-        assert stratified_homes(*args) == stdlib
+        homes = stratified_homes(n, list(raw.vertices()), table.src, table.dst)
+        assert hashlib.sha256(homes.tobytes()).hexdigest() == digest
 
     def test_stable_across_pythonhashseed(self):
         results = {seed: run_with_hashseed(seed, HOMES_SNIPPET) for seed in (0, 1, 2)}

@@ -1,54 +1,57 @@
-"""Run-kernel dispatch: which runs take which execution path.
+"""Run-kernel dispatch: which runs take which execution body.
 
-The equivalence suites prove every path produces the same simulated bits;
-nothing there would notice the *selection* drifting (a fast path that is
-never chosen is still "equivalent"). These tests pin the selection rule of
-:class:`~repro.runtime.kernels.RunKernel`: an array fast path is entered
-only when NumPy imported, the drain's ``slim_ok`` gate holds, and the
-run's operator type and width qualify — otherwise the reference batched
-body runs. One crafted run is drained directly so its width is exact.
+The equivalence suites prove every body produces the same simulated bits;
+nothing there would notice the *selection* drifting (a specialized body
+that is never chosen is still "equivalent"). These tests pin the selection
+rule of :class:`~repro.runtime.kernels.RunKernel`: a fused k-hop count run
+takes :meth:`RunDrain.fused_count_run` at every width whenever the drain's
+``slim_ok`` gate holds, and every other run — Expand and Dedup included —
+takes :meth:`RunDrain.execute_batch`. One crafted run is drained directly
+so its width is exact.
 """
 
 import pytest
 
 from repro.core.fused import FusedMinDistCount
 from repro.core.progress import ProgressMode
-from repro.core.steps import ExpandOp
+from repro.core.steps import DedupOp, ExpandOp
 from repro.core.traverser import Traverser
 from repro.query.exprs import X
 from repro.query.traversal import Traversal
-from repro.runtime import kernels
 from repro.runtime.engine import AsyncPSTMEngine, EngineConfig
-from repro.runtime.vector import HAVE_NUMPY, MIN_VECTOR_RUN
+from repro.runtime.runs import RunDrain
 from tests.conftest import make_graph
 
-FAST_PATHS = ("_expand_run", "_dedup_run", "_fused_branch_count_run")
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
+BODIES = ("execute_batch", "fused_count_run")
 
 
 @pytest.fixture
 def entered(monkeypatch):
-    """``(fast path name, run width)`` per fast-path entry, in order."""
+    """``(body name, run width)`` per run-body entry, in order."""
     calls = []
-    for name in FAST_PATHS:
-        real = getattr(kernels, name)
+    for name in BODIES:
+        real = getattr(RunDrain, name)
 
-        def spy(d, op, run, _real=real, _name=name):
-            calls.append((_name, len(run)))
-            return _real(d, op, run)
+        def spy(d, *args, _real=real, _name=name):
+            calls.append((_name, len(args[-1])))
+            return _real(d, *args)
 
-        monkeypatch.setattr(kernels, name, spy)
+        monkeypatch.setattr(RunDrain, name, spy)
     return calls
+
+
+def _expand_dedup_query():
+    return (
+        Traversal("q").v_param("s").out("e")
+        .filter_(X.prop("weight").gt(5)).values("w", "weight")
+        .out("e").dedup().count()
+    )
 
 
 #: per op type, the query whose first op of that type a crafted run targets
 QUERIES = {
-    ExpandOp: lambda: (
-        Traversal("q").v_param("s").out("e")
-        .filter_(X.prop("weight").gt(5)).values("w", "weight")
-        .out("e").dedup().count()
-    ),
+    ExpandOp: _expand_dedup_query,
+    DedupOp: _expand_dedup_query,
     FusedMinDistCount: lambda: (
         Traversal("q").v_param("s").khop("e", k=3).count()
     ),
@@ -64,7 +67,7 @@ def drain_one_run(op_type, width, *, fuse=False, workers=1, **cfg):
     plan = QUERIES[op_type]().compile(graph, fuse=fuse)
     op = next(op for op in plan.ops if type(op) is op_type)
     payload = [None] * plan.payload_width
-    if op.dist_slot is not None:
+    if getattr(op, "dist_slot", None) is not None:
         payload[op.dist_slot] = 1
     payload = tuple(payload)
     engine = AsyncPSTMEngine(
@@ -83,23 +86,17 @@ def drain_one_run(op_type, width, *, fuse=False, workers=1, **cfg):
     assert engine.metrics.steps_executed == width
 
 
-@needs_numpy
 class TestWidthAndShape:
-    def test_expand_run_below_min_width_takes_reference_body(self, entered):
-        drain_one_run(ExpandOp, MIN_VECTOR_RUN - 1)
-        assert entered == []
+    @pytest.mark.parametrize("width", [1, 7, 8, 32])
+    def test_fused_count_takes_its_body_at_every_width(self, entered, width):
+        drain_one_run(FusedMinDistCount, width, fuse=True)
+        assert entered == [("fused_count_run", width)]
 
-    def test_expand_run_at_min_width_takes_array_path(self, entered):
-        drain_one_run(ExpandOp, MIN_VECTOR_RUN)
-        assert entered == [("_expand_run", MIN_VECTOR_RUN)]
-
-    def test_fused_count_below_min_width_takes_reference_body(self, entered):
-        drain_one_run(FusedMinDistCount, MIN_VECTOR_RUN - 1, fuse=True)
-        assert entered == []
-
-    def test_fused_count_at_min_width_takes_array_path(self, entered):
-        drain_one_run(FusedMinDistCount, MIN_VECTOR_RUN, fuse=True)
-        assert entered == [("_fused_branch_count_run", MIN_VECTOR_RUN)]
+    @pytest.mark.parametrize("width", [1, 7, 8, 32])
+    @pytest.mark.parametrize("op_type", [ExpandOp, DedupOp])
+    def test_expand_and_dedup_take_execute_batch(self, entered, op_type, width):
+        drain_one_run(op_type, width)
+        assert entered == [("execute_batch", width)]
 
     @pytest.mark.parametrize("op_type, fuse", [
         (ExpandOp, False), (FusedMinDistCount, True),
@@ -115,12 +112,5 @@ class TestWidthAndShape:
     ):
         """Trace events, shared-state penalties and per-execution progress
         reports need the reference body's per-element structure."""
-        drain_one_run(op_type, 4 * MIN_VECTOR_RUN, fuse=fuse, **cfg)
-        assert entered == []
-
-
-def test_no_fast_path_without_numpy(entered, numpy_masked):
-    with numpy_masked():
-        drain_one_run(ExpandOp, 4 * MIN_VECTOR_RUN)
-        drain_one_run(FusedMinDistCount, 4 * MIN_VECTOR_RUN, fuse=True)
-    assert entered == []
+        drain_one_run(op_type, 32, fuse=fuse, **cfg)
+        assert entered == [("execute_batch", 32)]

@@ -3,7 +3,7 @@
 
 Sibling of ``tools/check_docs_links.py``: where that tool resolves file
 references, this one resolves **symbol** references. The docs' prose
-leans on backticked dotted names — ``Placement.bulk_lookup``,
+leans on backticked dotted names — ``Placement.key_partition``,
 ``CheckpointPlane.rekey``, ``AsyncPSTMEngine.submit`` — and a rename
 on the code side silently strands them: the docs keep reading fine while
 describing an API that no longer exists.

@@ -6,8 +6,7 @@ import only modules *strictly below* it:
 
     simclock < config < metrics < trace < checkpoint < txnplane
              < lifecycle < costmodel < faults < network < overload
-             < preempt < runs < vector < kernels < worker < delivery
-             < engine
+             < preempt < runs < kernels < worker < delivery < engine
 
 Everything above ``engine`` (bsp, hybrid, variants, reference, cluster,
 the package __init__) composes freely and is not constrained here.
@@ -21,9 +20,9 @@ Two classes of violation fail the build:
   is not a runtime dependency.
 * a module outgrowing its budget: ``engine.py`` and ``worker.py`` must
   each stay under 900 lines, and the kernel stack (``kernels.py``,
-  ``runs.py``, ``vector.py``) and the fused operators (``core/fused.py``)
-  under the ``MAX_LINES`` budgets below. The layered decomposition exists
-  to keep the god-module from reassembling itself.
+  ``runs.py``) and the fused operators (``core/fused.py``) under the
+  ``MAX_LINES`` budgets below. The layered decomposition exists to keep
+  the god-module from reassembling itself.
 * the observation leaf growing dependencies: ``trace.py`` may import
   nothing from the runtime package at runtime except ``simclock`` — in
   particular never ``engine`` or ``delivery``. Hooks hand the recorder
@@ -41,6 +40,11 @@ Two classes of violation fail the build:
   drivers (docs/TRANSACTIONS.md). Every other layer reads versioned data
   through the plane's snapshot views — a module holding its own TEL
   handle could read uncommitted versions past a query's pinned snapshot.
+* any import of a module outside the standard library, the package
+  itself and the checkout's ``benchmarks``, anywhere under ``src/`` —
+  guarded ``try: import`` and ``TYPE_CHECKING`` imports included.
+  ``pyproject.toml`` declares ``dependencies = []``, and an optional
+  accelerator is a second implementation of what it accelerates.
 
 Stdlib only (ast); no third-party dependency. Exit 0 = clean.
 """
@@ -68,7 +72,6 @@ LAYERS = [
     "overload",
     "preempt",
     "runs",
-    "vector",
     "kernels",
     "worker",
     "delivery",
@@ -79,19 +82,17 @@ RANK = {name: i for i, name in enumerate(LAYERS)}
 #: maximum line count per module, relative to ``src/repro`` (the
 #: anti-god-module gate). ``kernels.py`` is budgeted so it stays two
 #: kernels and a dispatch — run-partitioning machinery belongs in
-#: ``runs.py`` and array fast paths in ``vector.py``. ``runs.py`` is
-#: budgeted at its size when the batch/vector tiers were folded into the
-#: one run kernel, so the one drain cannot quietly regrow a tier.
-#: ``vector.py`` and ``core/fused.py`` are budgeted near their size with
-#: fusion's one k-hop rule: every fused op or fast path is a second
-#: definition of the ops it replaces, so adding one has to raise a budget
-#: in review.
+#: ``runs.py``. ``runs.py`` is budgeted at its size when the batch/vector
+#: tiers were folded into the one run kernel, plus the fused k-hop count's
+#: specialized body, so the one drain cannot quietly regrow a tier.
+#: ``core/fused.py`` is budgeted near its size with fusion's one k-hop
+#: rule: every fused op or specialized body is a second definition of the
+#: ops it replaces, so adding one has to raise a budget in review.
 MAX_LINES = {
     "runtime/engine.py": 900,
     "runtime/worker.py": 900,
     "runtime/kernels.py": 300,
-    "runtime/runs.py": 800,
-    "runtime/vector.py": 475,
+    "runtime/runs.py": 893,
     "core/fused.py": 365,
 }
 
@@ -153,6 +154,28 @@ def raw_tel_violations(errors) -> None:
                     f"the transaction plane — read versioned data through "
                     f"repro.runtime.txnplane's snapshot views"
                 )
+
+
+def third_party_violations(errors) -> None:
+    """Flag imports of anything but the standard library and the source
+    checkout's own packages (the CLI registers ``benchmarks``' ablations
+    when it is present)."""
+    allowed = set(sys.stdlib_module_names) | {"repro", "benchmarks"}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] not in allowed:
+                    errors.append(
+                        f"{path}:{node.lineno}: imports {name!r}, which is "
+                        f"not in the standard library — the package "
+                        f"declares no runtime dependencies"
+                    )
 
 
 def _is_type_checking(test: ast.expr) -> bool:
@@ -233,6 +256,7 @@ def main() -> int:
 
     raw_hash_violations(errors)
     raw_tel_violations(errors)
+    third_party_violations(errors)
 
     if errors:
         print("\n".join(errors))
@@ -242,7 +266,8 @@ def main() -> int:
     print(f"layering OK ({checked}); "
           + "; ".join(f"{f} under {n} lines" for f, n in MAX_LINES.items())
           + "; no raw-hash placement outside the placement plane"
-          + "; no raw TEL access outside the transaction plane")
+          + "; no raw TEL access outside the transaction plane"
+          + "; no import outside the standard library")
     return 0
 
 
