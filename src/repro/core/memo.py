@@ -27,11 +27,6 @@ from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Tupl
 
 from repro.errors import MemoError
 
-#: modelled bytes per memo record (key + value + dict-slot overhead)
-BYTES_PER_RECORD = 48
-#: modelled extra bytes per element of a list-valued record (join builds)
-BYTES_PER_LIST_ELEMENT = 16
-
 #: a snapshot of one query's memo shard: label -> {key: value} with every
 #: mutable container value copied (see :meth:`QueryMemo.snapshot`)
 MemoSnapshot = Dict[str, Dict[Hashable, Any]]
@@ -184,23 +179,6 @@ class QueryMemo:
         """Total records across all labels."""
         return sum(len(tbl) for tbl in self._tables.values())
 
-    def approx_bytes(self) -> int:
-        """Modelled memory footprint of this query's records.
-
-        A fixed cost per record plus a per-element cost for list-valued
-        records (join build sides), so the memo-byte budget sees the
-        hash-table growth that actually threatens partition memory. An
-        estimate, not ``sys.getsizeof`` — the budget enforces an order of
-        magnitude, not an allocator-exact figure.
-        """
-        total = 0
-        for tbl in self._tables.values():
-            total += BYTES_PER_RECORD * len(tbl)
-            for value in tbl.values():
-                if type(value) is list:
-                    total += BYTES_PER_LIST_ELEMENT * len(value)
-        return total
-
     @property
     def op_count(self) -> int:
         """Number of memo operations performed (for cost accounting)."""
@@ -250,11 +228,6 @@ class MemoStore:
     def active_queries(self) -> List[int]:
         """Ids of queries holding memo records here."""
         return list(self._memos)
-
-    def bytes_of(self, query_id: int) -> int:
-        """Modelled memo bytes one query holds here (0 when absent)."""
-        memo = self._memos.get(query_id)
-        return 0 if memo is None else memo.approx_bytes()
 
     def invalidate_all(self) -> List[int]:
         """Drop *every* query's records, returning the affected query ids.

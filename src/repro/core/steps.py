@@ -195,16 +195,14 @@ KeyFn = Callable[[Traverser], Hashable]
 class PhysicalOp:
     """Base class of all physical operators."""
 
-    #: True for aggregation barriers (stage boundaries).
+    #: True for aggregation barriers (stage boundaries) — the only ops
+    #: that write their stage's barrier partial on the executing
+    #: partition. The write finishes the traverser's weight there, so a
+    #: weight report from that partition always follows it — the report
+    #: the partial rides to the coordinator on.
     is_barrier: bool = False
     #: True for source ops seeded once per partition by the engine.
     is_source: bool = False
-    #: True when executing this op can change its stage's barrier partial
-    #: on the executing partition (the barrier itself). The write
-    #: finishes the traverser's weight there, so a weight report from that
-    #: partition always follows it — the report the partial rides to the
-    #: coordinator on.
-    writes_partial: bool = False
     #: True for an op that changes the barrier partial but may forward the
     #: traverser's whole weight: no report is bound to follow the write, so
     #: its stage's partials are gathered when the ledger closes instead
@@ -874,7 +872,6 @@ class AggregateOp(PhysicalOp):
     """
 
     is_barrier = True
-    writes_partial = True
 
     #: memo label prefix for partials
     MEMO = "__agg__"
@@ -1063,103 +1060,6 @@ class MinAgg(AggregateOp):
         return [combined]
 
 
-class TopKAgg(AggregateOp):
-    """``order().limit(k)`` with bounded partition-local heaps.
-
-    Each partition keeps only its local top-``k`` rows (a size-``k`` heap),
-    so the gather ships at most ``k`` rows per partition — the distributed
-    result aggregation the paper contrasts with centralized collection.
-
-    ``sort_key`` maps a traverser to a sortable key; ``ascending`` orders the
-    final output. The row shipped is ``row_fn(trav)`` (defaults to the
-    payload).
-    """
-
-    def __init__(
-        self,
-        k: int,
-        sort_key: KeyFn,
-        row_fn: Optional[Callable[[Traverser], Any]] = None,
-        ascending: bool = True,
-    ) -> None:
-        super().__init__(f"TopK({k})")
-        if k < 1:
-            raise CompilationError(f"top-k requires k >= 1, got {k}")
-        self.k = k
-        self.sort_key = sort_key
-        self.row_fn = row_fn or (lambda trav: trav.payload)
-        self.ascending = ascending
-
-    def absorb(self, ctx: StepContext, trav: Traverser) -> None:
-        """Fold one traverser into the partition-local partial."""
-        label = self.memo_label()
-        partial = ctx.memo.get(label, "partial")
-        if partial is None:
-            partial = {"n": 0, "heap": []}
-            ctx.memo.put(label, "partial", partial)
-        partial["n"] += 1
-        heap = partial["heap"]
-        # Deterministic tiebreak so equal sort keys never compare rows.
-        entry = (self.sort_key(trav), partial["n"], self.row_fn(trav))
-        # Keep the k smallest (ascending) or k largest (descending) using a
-        # bounded heap; Python's heapq is a min-heap, so invert for smallest.
-        if self.ascending:
-            heapq.heappush(heap, _neg_entry3(entry))
-        else:
-            heapq.heappush(heap, entry)
-        if len(heap) > self.k:
-            heapq.heappop(heap)
-
-    def apply_batch(self, ctx: StepContext, travs: Sequence[Traverser]) -> BatchOutcome:
-        n = len(travs)
-        memo = ctx.memo
-        label = self.memo_label()
-        partial = memo.get(label, "partial")
-        if partial is None:
-            partial = {"n": 0, "heap": []}
-            memo.put(label, "partial", partial)
-        heap = partial["heap"]
-        count = partial["n"]
-        sort_key = self.sort_key
-        row_fn = self.row_fn
-        ascending = self.ascending
-        k = self.k
-        push = heapq.heappush
-        pop = heapq.heappop
-        # Tied sort keys resolve by the heap's internal list order, so the
-        # push/pop sequence must match absorb() exactly (no heappushpop).
-        for trav in travs:
-            count += 1
-            entry = (sort_key(trav), count, row_fn(trav))
-            push(heap, _neg_entry3(entry) if ascending else entry)
-            if len(heap) > k:
-                pop(heap)
-        partial["n"] = count
-        return BatchOutcome([_NO_CHILDREN] * n, [(1, 0, 1, 0)] * n)
-
-    def combine(self, partials: List[Any]) -> List[Tuple[Any, Any]]:
-        """Merge partition partials into the global aggregate."""
-        entries: List[Tuple[Any, Any]] = []
-        for p in partials:
-            if not p:
-                continue
-            for entry in p["heap"]:
-                key = entry[0].key if isinstance(entry[0], _NegKey) else entry[0]
-                entries.append((key, entry[2]))
-        entries.sort(key=lambda e: e[0], reverse=not self.ascending)
-        return entries[: self.k]
-
-    def finalize(self, combined: List[Tuple[Any, Any]]) -> List[Any]:
-        return [row for _key, row in combined]
-
-    def reseed(self, combined: List[Tuple[Any, Any]]) -> List[Tuple[int, Tuple[Any, ...]]]:
-        seeds = []
-        for _key, row in combined:
-            payload = row if isinstance(row, tuple) else (row,)
-            seeds.append((-1, payload))
-        return seeds
-
-
 class _NegKey:
     """Wrapper inverting comparison order (for bounded max-heaps)."""
 
@@ -1241,8 +1141,8 @@ class CollectAgg(AggregateOp):
 
     The default end-of-plan barrier: the compiler appends one when a query
     does not end in an explicit aggregation. Partition-local partials are
-    row lists (bounded at ``limit`` when an order key is given, via the same
-    bounded-heap trick as :class:`TopKAgg`).
+    row lists (bounded at ``limit`` when an order key is given, via a
+    size-``limit`` heap).
     """
 
     def __init__(
@@ -1374,7 +1274,3 @@ class CollectAgg(AggregateOp):
 
 def _neg_entry3(entry: Tuple[Any, Any, Any]) -> Tuple[Any, Any, Any]:
     return (_NegKey(entry[0]), entry[1], entry[2])
-
-
-def _unneg_entry3(entry: Tuple[Any, Any, Any]) -> Tuple[Any, Any, Any]:
-    return (entry[0].key, entry[1], entry[2])

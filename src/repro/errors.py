@@ -109,7 +109,7 @@ class OverloadError(ExecutionError):
     """Base class for admission-control and resource-protection errors.
 
     Raised by the overload-protection layer (docs/OVERLOAD.md) when a query
-    is shed, expires before dispatch, or trips a resource budget — the
+    is shed, expires before dispatch, or is cancelled — the
     engine degrades gracefully by failing *this* query fast instead of
     letting it degrade every tenant.
     """
@@ -141,23 +141,6 @@ class AdmissionTimeoutError(OverloadError):
         )
         self.query_id = query_id
         self.waited_us = waited_us
-
-
-class ResourceBudgetExceededError(OverloadError):
-    """A running query exceeded a per-query resource budget.
-
-    Tripped by the traverser-count or memo-byte budget of
-    :class:`~repro.runtime.engine.EngineConfig`; the query is cancelled
-    cooperatively and its state reclaimed on every partition.
-    """
-
-    def __init__(self, query_id: object, budget: str, detail: str) -> None:
-        super().__init__(
-            f"query {query_id!r} exceeded its {budget} budget ({detail})"
-        )
-        self.query_id = query_id
-        self.budget = budget
-        self.detail = detail
 
 
 class QueryCancelledError(OverloadError):

@@ -87,7 +87,7 @@ class PhysicalPlan:
                 )
         self._partial_writers = [
             tuple(op.idx for op in self.ops
-                  if op.stage == stage.index and op.writes_partial)
+                  if op.stage == stage.index and op.is_barrier)
             for stage in self.stages
         ]
         self._partials_ride = [

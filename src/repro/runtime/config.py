@@ -93,18 +93,9 @@ class EngineConfig:
     #: a waiter still undispatched after this long fails with
     #: AdmissionTimeoutError (None → waiters never expire)
     admission_timeout_us: Optional[float] = None
-    #: per-query spawn budget: a query spawning more traversers than this
-    #: is cancelled with ResourceBudgetExceededError (None → unbounded)
-    max_traversers_per_query: Optional[int] = None
-    #: per-query memo budget across all partitions, in modelled bytes
-    #: (None → unbounded)
-    max_memo_bytes_per_query: Optional[int] = None
     #: per-partition bound on in-flight + inboxed remote traversers; arms
     #: credit-based sender throttling (None → unbounded, classic path)
     inbox_capacity: Optional[int] = None
-    #: budget-cancelled queries whose final stage already holds partials
-    #: return those partial rows (flagged partial) instead of raising
-    allow_partial_results: bool = False
     #: arm the voluntary-preemption policy (docs/RECOVERY.md): when a
     #: higher-priority waiter is parked and no slot is free, the admission
     #: controller preempts the lowest-priority resident query — it yields
@@ -157,8 +148,7 @@ class EngineConfig:
             raise ConfigurationError(
                 f"cpu_scale must be > 0, got {self.cpu_scale}"
             )
-        for name in ("max_concurrent_queries", "max_traversers_per_query",
-                     "max_memo_bytes_per_query", "inbox_capacity"):
+        for name in ("max_concurrent_queries", "inbox_capacity"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {value}")

@@ -22,8 +22,8 @@ message *after* the wire and *before* a worker executes it:
   suppression (:meth:`note_outbound` / :meth:`query_quiescent`).
 
 The engine composes a DeliveryPlane and delegates to it; workers reach it
-as ``engine.delivery``. It deliberately knows nothing about admission,
-budgets, or the query lifecycle — those stay above it in the engine.
+as ``engine.delivery``. It deliberately knows nothing about admission
+or the query lifecycle — those stay above it in the engine.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ its own module and the engine wires them together and owns the public API:
 
 * **query lifecycle** (:mod:`repro.runtime.lifecycle`) — every submission
   walks one validated state machine (QUEUED → ... → DONE/FAILED/
-  REJECTED/PARTIAL); the engine performs the transitions at submission,
+  REJECTED); the engine performs the transitions at submission,
   admission, dispatch, cancellation, and completion;
 * **execution** (:mod:`repro.runtime.worker` + :mod:`repro.runtime.kernels`)
   — one single-threaded worker per partition (shared-nothing; the
@@ -45,7 +45,6 @@ from repro.errors import (
     QueryCancelledError,
     QueryRejectedError,
     QueryTimeoutError,
-    ResourceBudgetExceededError,
     RetryBudgetExceededError,
 )
 from repro.graph import placement
@@ -68,14 +67,13 @@ from repro.runtime.lifecycle import (
     QueryResult,
     QuerySession,
     QueryState,
-    salvage_partial,
     stage0_seeds,
     start_attempt,
 )
 from repro.runtime.metrics import LatencyRecorder, MsgKind, RunMetrics
 from repro.runtime.network import Message, Network
 from repro.runtime.checkpoint import CheckpointPlane
-from repro.runtime.overload import MEMO_CHECK_INTERVAL, AdmissionController
+from repro.runtime.overload import AdmissionController
 from repro.runtime.preempt import (cancel_paused, pause_at_boundary,
                                    request_preempt, resume_session, try_resume)
 from repro.runtime.simclock import SimClock
@@ -90,7 +88,6 @@ __all__ = [
     "IO_SYNC",
     "IO_TLC",
     "IO_TLC_NLC",
-    "MEMO_CHECK_INTERVAL",
     "QueryProfile",
     "QueryResult",
     "QuerySession",
@@ -225,10 +222,6 @@ class AsyncPSTMEngine:
             )
             if config.max_concurrent_queries is not None
             else None
-        )
-        self._budgets_armed = (
-            config.max_traversers_per_query is not None
-            or config.max_memo_bytes_per_query is not None
         )
         if config.fault_plan is not None:
             for wf in config.fault_plan.worker_faults:
@@ -517,7 +510,7 @@ class AsyncPSTMEngine:
         return try_resume(self, session)
 
     def _begin_cancel(self, session: QuerySession, reason: str) -> None:
-        """Start tearing down a running query (timeout / budget / caller).
+        """Start tearing down a running query (timeout / caller).
 
         In weighted progress modes with outstanding stage weight this is
         **cooperative**: the session leaves ``sessions`` immediately (new
@@ -539,13 +532,6 @@ class AsyncPSTMEngine:
         session.qmetrics.cancel_reason = reason
         self.metrics.queries_cancelled += 1
         self.sessions.pop(query_id, None)
-        if (
-            reason.startswith("budget")
-            and self.config.allow_partial_results
-            and not session.cursor.finished
-            and session.plan.is_final_stage(session.cursor.current)
-        ):
-            salvage_partial(self, session)
         now = self.clock.now
         stage = session.cursor.current if not session.cursor.finished else -1
         ledger = self.progress.ledger(query_id, stage)
@@ -555,10 +541,7 @@ class AsyncPSTMEngine:
             and not ledger.terminated
         )
         if not cooperative:
-            session.lifecycle.to(
-                QueryState.PARTIAL if session._salvaged else QueryState.FAILED,
-                reason,
-            )
+            session.lifecycle.to(QueryState.FAILED, reason)
             self.delivery.evict(session, stage, "teardown")
             self._retire(session)
             return
@@ -597,10 +580,7 @@ class AsyncPSTMEngine:
             # stage >= 0: the ledger closed by reclamation; -1: crash-forced.
             self.trace.emit(STAGE_CLOSE, query_id, stage,
                             "cancelled" if stage >= 0 else "cancel_forced")
-        session.lifecycle.to(
-            QueryState.PARTIAL if session._salvaged else QueryState.FAILED,
-            session.qmetrics.cancel_reason,
-        )
+        session.lifecycle.to(QueryState.FAILED, session.qmetrics.cancel_reason)
         self.delivery.evict(session, stage, "teardown")
         self._retire(session)
 
@@ -750,9 +730,7 @@ class AsyncPSTMEngine:
         Outcome precedence mirrors the submission lifecycle: shed before
         dispatch (``QueryRejectedError``), expired waiting
         (``AdmissionTimeoutError``), deadline abort (``QueryTimeoutError``),
-        budget trip (partial :class:`QueryResult` when salvaged, else
-        ``ResourceBudgetExceededError``), caller cancel
-        (``QueryCancelledError``), retry exhaustion
+        caller cancel (``QueryCancelledError``), retry exhaustion
         (``RetryBudgetExceededError``). The returned result carries the
         session's terminal lifecycle state.
         """
@@ -771,16 +749,6 @@ class AsyncPSTMEngine:
                 else (session.time_limit_us or 0)
             )
             raise QueryTimeoutError(session.query_id, limit / 1e3)
-        if session.budget_exceeded:
-            if session.partial_result:
-                return QueryResult(
-                    session.results,
-                    session.qmetrics.latency_us,
-                    session.qmetrics,
-                    state=session.lifecycle.state,
-                )
-            budget, detail = session.budget_error or ("resource", "exceeded")
-            raise ResourceBudgetExceededError(session.query_id, budget, detail)
         if session.cancelled:
             raise QueryCancelledError(
                 session.query_id, session.cancel_reason or "cancelled"

@@ -2,7 +2,7 @@
 
 A :class:`~repro.runtime.worker.Worker` runs one unified drain loop
 (`Worker._run`): prologue (inbox drain + credit release), **kernel**, and
-epilogue (budget sweep, idle weight flush, slowdown, reschedule-or-flush).
+epilogue (idle weight flush, slowdown, reschedule-or-flush).
 Only the kernel — how queued traversers are popped, executed, priced, and
 their children routed — differs between production and its reference, so
 exactly that part is a strategy object:
@@ -28,7 +28,7 @@ live once, in ``Worker._run`` and the delivery plane, not per kernel.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Protocol, Set
+from typing import TYPE_CHECKING, Protocol
 
 from repro.core.fused import FusedMinDistCount
 from repro.core.progress import ProgressMode
@@ -64,15 +64,8 @@ class ExecutionKernel(Protocol):
     queues — the property the scalar/run equivalence suites assert.
     """
 
-    def drain(
-        self, worker: "Worker", t: float, touched: Optional[Set[int]]
-    ) -> float:
-        """Execute up to one batch of queued traversers; return CPU µs.
-
-        ``touched`` is the budget sweep's query-id set (None when budgets
-        are disarmed); kernels add the query ids they execute so the
-        worker's epilogue can check budgets once per run.
-        """
+    def drain(self, worker: "Worker", t: float) -> float:
+        """Execute up to one batch of queued traversers; return CPU µs."""
         ...
 
 
@@ -83,9 +76,7 @@ class ScalarKernel:
     can assert the run kernel reproduces it bit for bit.
     """
 
-    def drain(
-        self, worker: "Worker", t: float, touched: Optional[Set[int]]
-    ) -> float:
+    def drain(self, worker: "Worker", t: float) -> float:
         """Pop and execute up to ``batch_size`` traversers one at a time."""
         engine = worker.engine
         runtime = worker.runtime
@@ -96,7 +87,6 @@ class ScalarKernel:
         metrics = engine.metrics
         trace = engine.trace
         sharers = len(runtime.workers)
-        budgets_armed = touched is not None
         cpu = 0.0
 
         for _ in range(config.batch_size):
@@ -116,11 +106,9 @@ class ScalarKernel:
                         trav.query_id, trav.stage, trav.weight, 1
                     )
                 continue
-            if budgets_armed:
-                touched.add(trav.query_id)
             ctx = session.context(runtime.pid)
             result = session.machine.execute(ctx, trav, session.rng)
-            if session.plan.ops[trav.op_idx].writes_partial:
+            if session.plan.ops[trav.op_idx].is_barrier:
                 key = (trav.query_id, trav.stage)
                 versions = runtime.partial_versions
                 versions[key] = versions.get(key, 0) + 1
@@ -229,12 +217,10 @@ class RunKernel:
     specialized body, lives in :class:`~repro.runtime.runs.RunDrain`.
     """
 
-    def drain(
-        self, worker: "Worker", t: float, touched: Optional[Set[int]]
-    ) -> float:
+    def drain(self, worker: "Worker", t: float) -> float:
         """Pop and execute up to ``batch_size`` traversers as runs,
         taking the fused count body for qualifying runs of any width."""
-        d = get_drain(worker, t, touched)
+        d = get_drain(worker, t)
         execute_batch = d.execute_batch
         pop_run = d.pop_run
         # The fused count body only models "children + cost + finished

@@ -20,11 +20,11 @@ state machine::
                         |       \\
           cooperative   |        \\  non-cooperative cancel /
           cancel        v         \\ retry budget exhausted
-                  +------------+   +-----> FAILED or PARTIAL
+                  +------------+   +-----> FAILED
                   | CANCELLING |
                   +------------+
                         |  reclaimed weight closed the ledger
-                        +-----> FAILED or PARTIAL
+                        +-----> FAILED
 
 Voluntary preemption (docs/RECOVERY.md) adds a pause loop on the left::
 
@@ -50,8 +50,8 @@ survive as derived, read-only properties.
 
 This module also hosts the session/result types that travel the state
 machine: :class:`QuerySession` (runtime state of one in-flight query),
-:class:`QueryResult` (outcome, with ``partial``/``rejected`` derived from
-the terminal state) and :class:`QueryProfile` (EXPLAIN ANALYZE output),
+:class:`QueryResult` (outcome, with ``rejected`` derived from the
+terminal state) and :class:`QueryProfile` (EXPLAIN ANALYZE output),
 plus :func:`start_attempt`, the one place an attempt of a query opens.
 """
 
@@ -64,7 +64,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.machine import PSTMMachine
 from repro.core.steps import FixedVertexSource, StepContext
-from repro.core.subquery import StageCursor, gather_partials
+from repro.core.subquery import StageCursor
 from repro.core.traverser import Traverser, make_root
 from repro.core.weight import ROOT_WEIGHT, split_weight
 from repro.errors import ExecutionError, LifecycleError
@@ -94,12 +94,10 @@ class QueryState(Enum):
     CANCELLING = "cancelling"
     #: terminal: completed with exact results
     DONE = "done"
-    #: terminal: timed out / cancelled / budget-tripped / retries exhausted
+    #: terminal: timed out / cancelled / retries exhausted
     FAILED = "failed"
     #: terminal: never dispatched (shed, admission expiry, withdrawn)
     REJECTED = "rejected"
-    #: terminal: budget cancellation salvaged exact final-stage partials
-    PARTIAL = "partial"
     #: a preempt request is outstanding; the query yields at its next
     #: certified stage boundary (docs/RECOVERY.md)
     PAUSING = "pausing"
@@ -114,7 +112,7 @@ class QueryState(Enum):
 
 
 TERMINAL_STATES = frozenset(
-    {QueryState.DONE, QueryState.FAILED, QueryState.REJECTED, QueryState.PARTIAL}
+    {QueryState.DONE, QueryState.FAILED, QueryState.REJECTED}
 )
 
 #: The exhaustive legal-transition table. Anything not listed here raises
@@ -130,9 +128,7 @@ LEGAL_TRANSITIONS = frozenset(
         (QueryState.RUNNING, QueryState.CANCELLING),
         (QueryState.RUNNING, QueryState.DONE),
         (QueryState.RUNNING, QueryState.FAILED),
-        (QueryState.RUNNING, QueryState.PARTIAL),
         (QueryState.CANCELLING, QueryState.FAILED),
-        (QueryState.CANCELLING, QueryState.PARTIAL),
         # -- voluntary preemption (docs/RECOVERY.md) --
         (QueryState.RUNNING, QueryState.PAUSING),
         # forced boundary snapshot taken, cluster state evicted
@@ -153,7 +149,7 @@ LEGAL_TRANSITIONS = frozenset(
 )
 
 # Well-known terminal reasons (free-form strings elsewhere, e.g.
-# "budget:traversers" or "cancel:caller").
+# "timeout" or "cancel:caller").
 REASON_QUEUE_FULL = "queue_full"
 REASON_ADMISSION_TIMEOUT = "admission_timeout"
 REASON_RETRY_BUDGET = "retry_budget"
@@ -210,10 +206,9 @@ class QueryLifecycle:
 class QueryResult:
     """Outcome of one query run.
 
-    ``state`` is the session's terminal lifecycle state; ``partial`` and
-    ``rejected`` are derived from it, so the contradictory flag
-    combinations the old independent booleans allowed (e.g. a result both
-    partial and rejected) are unrepresentable.
+    ``state`` is the session's terminal lifecycle state; ``rejected`` is
+    derived from it rather than stored beside it, so the two cannot
+    disagree.
     """
 
     rows: List[Any]
@@ -221,14 +216,6 @@ class QueryResult:
     metrics: QueryMetrics
     #: terminal lifecycle state the result was resolved from
     state: QueryState = QueryState.DONE
-
-    @property
-    def partial(self) -> bool:
-        """True when a budget cancellation salvaged final-stage partials.
-
-        The rows are an exact subset of the full answer (docs/OVERLOAD.md).
-        """
-        return self.state is QueryState.PARTIAL
 
     @property
     def rejected(self) -> bool:
@@ -345,15 +332,9 @@ class QuerySession:
         self.time_limit_us: Optional[float] = None
         #: simulated submission instant (before any admission wait)
         self.arrival_us = 0.0
-        #: (budget, detail) of the resource budget that tripped, if any
-        self.budget_error: Optional[Tuple[str, str]] = None
-        #: set when a budget cancellation salvaged final-stage partials
-        self._salvaged = False
         #: simulated instant the session was evicted to PAUSED (None while
         #: not paused); drives the ``pause_wait_us`` counters on resume
         self.paused_at_us: Optional[float] = None
-        #: sampling phase for the memo-byte budget check
-        self._memo_check_tick = 0
         #: per-operator execution counts (op index → traversers executed),
         #: the EXPLAIN ANALYZE data behind :meth:`AsyncPSTMEngine.profile`
         self.op_steps: Dict[int, int] = {}
@@ -400,23 +381,13 @@ class QuerySession:
 
     @property
     def cancelled(self) -> bool:
-        """True when a cancellation was begun (timeout / budget / caller)."""
+        """True when a cancellation was begun (timeout / caller)."""
         return self.qmetrics.cancelled
 
     @property
     def cancel_reason(self) -> Optional[str]:
         """Why the cancellation was begun, if one was."""
         return self.qmetrics.cancel_reason
-
-    @property
-    def budget_exceeded(self) -> bool:
-        """True when a resource budget tripped the cancellation."""
-        return self.budget_error is not None
-
-    @property
-    def partial_result(self) -> bool:
-        """True when a budget cancellation salvaged final-stage partials."""
-        return self._salvaged
 
     @property
     def paused(self) -> bool:
@@ -482,24 +453,6 @@ class QuerySession:
         if self.cursor.results is None:
             raise ExecutionError(f"query {self.query_id} has not finished")
         return self.cursor.results
-
-
-def salvage_partial(engine: "AsyncPSTMEngine", session: QuerySession) -> None:
-    """Best-effort partial result for a budget-cancelled final stage.
-
-    The final stage's barrier partials that already exist in partition
-    memos are gathered synchronously (no messages — the query is being
-    torn down, modelling its latency is pointless) and finalized into
-    rows flagged ``partial``. Degraded-mode answer, exact subset.
-    """
-    gathered = gather_partials(
-        session.plan, session.cursor.current, session.query_id,
-        engine.memo_stores)
-    session.cursor.complete_stage(gathered, session.rng)
-    if session.cursor.finished:
-        session._salvaged = True
-        session.qmetrics.completed_at_us = engine.clock.now
-        session.qmetrics.result_rows = len(session.cursor.results or [])
 
 
 def stage0_seeds(

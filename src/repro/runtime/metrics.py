@@ -76,11 +76,10 @@ class RunMetrics:
     resumes: int = 0  # paused queries re-admitted and resumed
     pause_wait_us: float = 0.0  # total simulated time queries spent paused
     # Overload-protection counters (all stay 0 without admission control,
-    # budgets, or backpressure configured; see docs/OVERLOAD.md).
+    # backpressure, deadlines or caller cancels; see docs/OVERLOAD.md).
     queries_rejected: int = 0  # shed at submission (admission queue full)
     admission_timeouts: int = 0  # expired while waiting for admission
-    queries_cancelled: int = 0  # cancellations begun (timeout/budget/caller)
-    budget_cancels: int = 0  # cancellations tripped by a resource budget
+    queries_cancelled: int = 0  # cancellations begun (timeout/caller)
     traversers_reclaimed: int = 0  # queued/buffered/in-flight traversers purged
     weight_reclaim_reports: int = 0  # reclaimed-weight reports to the tracker
     credit_stalls: int = 0  # sends deferred by an exhausted credit gate
@@ -156,7 +155,7 @@ class QueryMetrics:
     completed_at_us: Optional[float] = None
     steps_executed: int = 0
     result_rows: int = 0
-    #: traversers this query spawned (drives the traverser-count budget)
+    #: traversers this query spawned
     traversers_spawned: int = 0
     # Fault-recovery accounting (all stay 0 without a FaultPlan).
     retries: int = 0  # watchdog-triggered re-executions of this query
@@ -173,9 +172,8 @@ class QueryMetrics:
     faults_injected: int = 0  # injected faults that hit this query's packets
     # Overload-protection accounting (see docs/OVERLOAD.md).
     cancelled: bool = False  # a cancellation was begun for this query
-    cancel_reason: Optional[str] = None  # "timeout" / "budget:..." / "caller"
+    cancel_reason: Optional[str] = None  # "timeout" / "caller"
     traversers_reclaimed: int = 0  # this query's purged traversers
-    peak_memo_bytes: int = 0  # largest observed cluster-wide memo footprint
 
     @property
     def latency_us(self) -> float:

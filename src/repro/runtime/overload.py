@@ -34,68 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.lifecycle import QuerySession
     from repro.runtime.trace import TraceRecorder
 
-#: memo-byte budgets are checked every Nth worker run per query: the memo
-#: walk is O(records), so sampling keeps enforcement off the hot path while
-#: still bounding the overshoot to a few runs' worth of growth.
-MEMO_CHECK_INTERVAL = 16
-
-
-def check_budgets_of(engine: "AsyncPSTMEngine", query_ids: set) -> None:
-    """Budget sweep over the queries a worker run just touched.
-
-    Budget enforcement is overload protection (docs/OVERLOAD.md): workers
-    call in here after each drain, and a tripped budget funnels into the
-    engine's cancellation path. The functions take the engine as an
-    argument — this layer sits below the engine and may not import it.
-    """
-    for query_id in query_ids:
-        session = engine.sessions.get(query_id)
-        if session is not None and session.query_id == query_id:
-            check_budgets(engine, session)
-
-
-def check_budgets(engine: "AsyncPSTMEngine", session: "QuerySession") -> None:
-    """Check one session against the armed resource budgets."""
-    cfg = engine.config
-    limit = cfg.max_traversers_per_query
-    if limit is not None and session.qmetrics.traversers_spawned > limit:
-        trip_budget(
-            engine,
-            session,
-            "traversers",
-            f"spawned {session.qmetrics.traversers_spawned} traversers "
-            f"(budget {limit})",
-        )
-        return
-    limit = cfg.max_memo_bytes_per_query
-    if limit is None:
-        return
-    # O(records) walk — sample every MEMO_CHECK_INTERVAL-th run.
-    session._memo_check_tick = (session._memo_check_tick + 1) % MEMO_CHECK_INTERVAL
-    if session._memo_check_tick != 0:
-        return
-    total = sum(
-        runtime.memo_store.bytes_of(session.query_id)
-        for runtime in engine.runtimes
-    )
-    if total > session.qmetrics.peak_memo_bytes:
-        session.qmetrics.peak_memo_bytes = total
-    if total > limit:
-        trip_budget(
-            engine, session, "memo_bytes",
-            f"memos hold ~{total} bytes (budget {limit})",
-        )
-
-
-def trip_budget(
-    engine: "AsyncPSTMEngine", session: "QuerySession", budget: str, detail: str
-) -> None:
-    """A budget fired: record it and begin the cooperative cancellation."""
-    session.budget_error = (budget, detail)
-    engine.metrics.budget_cancels += 1
-    engine._begin_cancel(session, f"budget:{budget}")
-
-
 class AdmissionController:
     """Bounded concurrent-query admission with priorities and deadlines.
 

@@ -24,7 +24,7 @@ re-exported by :mod:`repro.runtime.kernels` for compatibility.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Set
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.progress import ProgressMode
 from repro.core.traverser import Traverser
@@ -44,9 +44,7 @@ __all__ = ["PROGRESS_MSG_BYTES", "RunDrain", "get_drain"]
 PROGRESS_MSG_BYTES = 16
 
 
-def get_drain(
-    worker: "Worker", t: float, touched: Optional[Set[int]]
-) -> "RunDrain":
+def get_drain(worker: "Worker", t: float) -> "RunDrain":
     """The worker's cached :class:`RunDrain`, reset for a new drain.
 
     Construction hoists ~40 engine/worker constants that never change for
@@ -56,10 +54,10 @@ def get_drain(
     """
     d = getattr(worker, "_run_drain", None)
     if d is None:
-        d = RunDrain(worker, t, touched)
+        d = RunDrain(worker, t)
         worker._run_drain = d
     else:
-        d.reset(t, touched)
+        d.reset(t)
     return d
 
 
@@ -68,7 +66,7 @@ class RunDrain:
 
     __slots__ = (
         # drain-wide
-        "worker", "t", "touched", "budgets_armed", "budget", "cpu",
+        "worker", "t", "budget", "cpu",
         "engine", "runtime", "queue", "stage_counts", "dec_stage_count",
         "sessions", "delivery", "trace", "metrics",
         # cost constants
@@ -98,9 +96,7 @@ class RunDrain:
         "run_qid", "run_op_idx", "run_stage",
     )
 
-    def __init__(
-        self, worker: "Worker", t: float, touched: Optional[Set[int]]
-    ) -> None:
+    def __init__(self, worker: "Worker", t: float) -> None:
         engine = worker.engine
         runtime = worker.runtime
         cm = engine.cost
@@ -151,14 +147,12 @@ class RunDrain:
         self.local_bufs: List = [None] * self.num_nodes
         self.local_bytes = [0] * self.num_nodes
 
-        self.reset(t, touched)
+        self.reset(t)
 
-    def reset(self, t: float, touched: Optional[Set[int]]) -> None:
+    def reset(self, t: float) -> None:
         """Prepare the cached instance for a new drain invocation."""
         engine = self.engine
         self.t = t
-        self.touched = touched
-        self.budgets_armed = touched is not None
         self.budget = engine.config.batch_size
         self.cpu = 0.0
         self.trace = trace = engine.trace
@@ -234,8 +228,6 @@ class RunDrain:
         self.cur_qid = query_id
         session = self.sessions.get(query_id)
         self.session = session
-        if self.budgets_armed:
-            self.touched.add(query_id)
         if session is not None:
             machine = session.machine
             self.machine = machine
@@ -332,7 +324,7 @@ class RunDrain:
         ops = self.ops
         op = ops[op_idx]
         outcome = op.apply_batch(self.ctx, run)
-        if op.writes_partial:
+        if op.is_barrier:
             versions = self.runtime.partial_versions
             key = (query_id, stage)
             versions[key] = versions.get(key, 0) + n_run

@@ -12,8 +12,8 @@ message buffers flushed at the size threshold or when the worker idles, with
 finished-weight coalescing piggybacked on flushes (paper §IV-A(a), §IV-B).
 
 The drain loop itself is layered: ``Worker._run`` owns the parts every
-execution strategy shares — inbox drain with credit release, the budget
-sweep, idle weight flushes, slowdown, and rescheduling — and delegates the
+execution strategy shares — inbox drain with credit release, idle weight
+flushes, slowdown, and rescheduling — and delegates the
 execution middle to a pluggable :class:`~repro.runtime.kernels.ExecutionKernel`
 (the production run kernel vs the scalar reference), so fault hooks,
 backpressure, and reclaim paths exist exactly once.
@@ -31,7 +31,6 @@ from repro.graph.partition import PartitionStore
 from repro.runtime.kernels import PROGRESS_MSG_BYTES, kernel_for
 from repro.runtime.metrics import MsgKind
 from repro.runtime.network import TRACKER_DST, Message
-from repro.runtime.overload import check_budgets_of
 from repro.runtime.trace import (ACCUM_RECLAIM, CRASH_LOSS, PARTIAL_SHIP,
                                  WEIGHT_FLUSH)
 
@@ -370,11 +369,11 @@ class Worker:
         """One scheduled drain: prologue, kernel middle, epilogue.
 
         Everything execution-strategy-independent lives here — crash-race
-        drop, inbox drain with exactly-once credit release, the budget
-        sweep over touched queries, the idle coalesced-weight flush, the
-        straggler slowdown, and the reschedule-or-flush-all decision. The
-        strategy-specific middle (pop/execute/route/buffer) is delegated to
-        :attr:`kernel`, so both kernels share one copy of every hook.
+        drop, inbox drain with exactly-once credit release, the idle
+        coalesced-weight flush, the straggler slowdown, and the
+        reschedule-or-flush-all decision. The strategy-specific middle
+        (pop/execute/route/buffer) is delegated to :attr:`kernel`, so both
+        kernels share one copy of every hook.
         """
         if not self.alive:
             # A run scheduled before the fault fired; drop it. recover()
@@ -398,13 +397,7 @@ class Worker:
             if gates is not None:
                 gates[runtime.pid].release(moved)
 
-        budgets_armed = engine._budgets_armed
-        touched = set() if budgets_armed else None
-
-        cpu = self.kernel.drain(self, t, touched)
-
-        if budgets_armed and touched:
-            check_budgets_of(engine, touched)
+        cpu = self.kernel.drain(self, t)
 
         # End of batch: flush coalesced weights of stages with no local work
         # left (the paper's "flush before the thread sleeps" rule, refined to

@@ -21,7 +21,6 @@ import pytest
 from repro.errors import (
     LifecycleError,
     QueryTimeoutError,
-    ResourceBudgetExceededError,
     RetryBudgetExceededError,
 )
 from repro.query.traversal import Traversal
@@ -135,17 +134,15 @@ class TestQueryResultDerivedFlags:
         return QueryResult([], 1.0, QueryMetrics(1, "q", 0.0), state=state)
 
     def test_flags_derive_from_terminal_state(self):
-        assert self._result(QueryState.PARTIAL).partial
         assert self._result(QueryState.REJECTED).rejected
-        done = self._result(QueryState.DONE)
-        assert not done.partial and not done.rejected
+        assert not self._result(QueryState.DONE).rejected
 
     def test_contradictory_combinations_unrepresentable(self):
-        # One state, several views: partial and rejected can never both
-        # hold, which the old independent booleans could not guarantee.
+        # One state, one view: ``rejected`` holds for exactly the REJECTED
+        # state, so a result can never be both rejected and anything else.
         for state in ALL_STATES:
             r = self._result(state)
-            assert not (r.partial and r.rejected)
+            assert r.rejected == (state is QueryState.REJECTED)
 
 
 # -- property-style audit: no run takes an illegal edge ---------------------
@@ -237,22 +234,6 @@ class TestRunAudits:
         assert states[QueryState.DONE] > 0
         assert states[QueryState.REJECTED] > 0
         assert len(states) >= 3
-
-    def test_budget_partial_salvage(self, graph):
-        config = EngineConfig(
-            max_traversers_per_query=150, allow_partial_results=True)
-        engine = AsyncPSTMEngine(graph, NODES, WPN, config=config)
-        result = engine.run(khop_plan(graph), {"s": 3})
-        audit(engine)
-        assert result.partial
-        assert result.state is QueryState.PARTIAL
-
-    def test_budget_failure(self, graph):
-        config = EngineConfig(max_traversers_per_query=150)
-        engine = AsyncPSTMEngine(graph, NODES, WPN, config=config)
-        with pytest.raises(ResourceBudgetExceededError):
-            engine.run(khop_plan(graph), {"s": 3})
-        audit(engine)
 
     def test_fault_soak_recoverable_crash(self, graph):
         config = EngineConfig(

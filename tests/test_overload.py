@@ -1,6 +1,5 @@
-"""Tests for overload protection: admission control, cooperative
-cancellation with weight reclamation, and per-query resource budgets
-(docs/OVERLOAD.md)."""
+"""Tests for overload protection: admission control and cooperative
+cancellation with weight reclamation (docs/OVERLOAD.md)."""
 
 import random
 
@@ -12,7 +11,6 @@ from repro.errors import (
     QueryCancelledError,
     QueryRejectedError,
     QueryTimeoutError,
-    ResourceBudgetExceededError,
 )
 from repro.core.progress import ProgressMode
 from repro.query.exprs import X
@@ -64,8 +62,7 @@ class TestConfigValidation:
         EngineConfig()  # no error
 
     @pytest.mark.parametrize("field", [
-        "max_concurrent_queries", "max_traversers_per_query",
-        "max_memo_bytes_per_query", "inbox_capacity",
+        "max_concurrent_queries", "inbox_capacity",
     ])
     def test_optional_limits_require_at_least_one(self, field):
         with pytest.raises(ConfigurationError):
@@ -257,57 +254,6 @@ class TestAdmissionControl:
         waiter = engine.submit(plan, {"s": 7}, time_limit_us=1e9)
         engine.clock.run_until_idle()
         assert waiter.qmetrics.done and not waiter.timed_out
-
-
-class TestResourceBudgets:
-    def test_traverser_budget_trips(self, graph):
-        config = EngineConfig(max_traversers_per_query=200)
-        engine = AsyncPSTMEngine(graph, NODES, WPN, config=config)
-        with pytest.raises(ResourceBudgetExceededError) as exc:
-            engine.run(khop_plan(graph), {"s": 3})
-        assert exc.value.budget == "traversers"
-        assert engine.metrics.budget_cancels == 1
-        assert_no_residue(engine)
-
-    def test_memo_budget_trips(self, graph):
-        config = EngineConfig(max_memo_bytes_per_query=1_000)
-        engine = AsyncPSTMEngine(graph, NODES, WPN, config=config)
-        with pytest.raises(ResourceBudgetExceededError) as exc:
-            engine.run(khop_plan(graph), {"s": 3})
-        assert exc.value.budget == "memo_bytes"
-        assert_no_residue(engine)
-
-    def test_generous_budgets_do_not_interfere(self, graph):
-        config = EngineConfig(
-            max_traversers_per_query=10**9, max_memo_bytes_per_query=10**12
-        )
-        engine = AsyncPSTMEngine(graph, NODES, WPN, config=config)
-        plan = count_plan(graph)
-        rows = engine.run(plan, {"s": 3}).rows
-        baseline = AsyncPSTMEngine(graph, NODES, WPN).run(plan, {"s": 3}).rows
-        assert rows == baseline
-        assert engine.metrics.budget_cancels == 0
-
-    def test_partial_results_when_allowed(self, graph):
-        """A budget trip in the final stage with partial results enabled
-        salvages the rows already gathered instead of raising."""
-        plan = count_plan(graph)  # single-stage: its stage is final
-        full = AsyncPSTMEngine(graph, NODES, WPN).run(plan, {"s": 3})
-        config = EngineConfig(
-            max_traversers_per_query=150, allow_partial_results=True
-        )
-        engine = AsyncPSTMEngine(graph, NODES, WPN, config=config)
-        result = engine.run(plan, {"s": 3})
-        assert result.partial
-        assert result.rows  # a count, computed from what had arrived
-        assert result.rows[0] <= full.rows[0]
-        assert_no_residue(engine)
-
-    def test_budget_error_raised_when_partials_disallowed(self, graph):
-        config = EngineConfig(max_traversers_per_query=150)
-        engine = AsyncPSTMEngine(graph, NODES, WPN, config=config)
-        with pytest.raises(ResourceBudgetExceededError):
-            engine.run(count_plan(graph), {"s": 3})
 
 
 class TestAdmissionSlotAccounting:

@@ -82,7 +82,7 @@ def drain_one_run(op_type, width, *, fuse=False, workers=1, **cfg):
     )
     runtime.stage_counts[(session.query_id, op.stage)] = width
     worker = runtime.workers[0]
-    worker.kernel.drain(worker, 0.0, None)
+    worker.kernel.drain(worker, 0.0)
     assert engine.metrics.steps_executed == width
 
 

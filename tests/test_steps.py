@@ -21,10 +21,10 @@ from repro.core.steps import (
     ProjectOp,
     ScanSource,
     SumAgg,
-    TopKAgg,
 )
 from repro.core.traverser import Traverser
 from repro.errors import CompilationError, ExecutionError
+from repro.query.traversal import Traversal
 from tests.conftest import ContextFactory, build_diamond
 
 
@@ -361,30 +361,34 @@ class TestAggregations:
         assert MaxAgg(0).combine([]) is None
         assert MinAgg(0).combine([]) is None
 
+    # Top-k is ``order().limit(k)``, which lowers to an ordered, limited
+    # CollectAgg whose partition partials are bounded k-heaps.
+
     def test_topk_ascending(self, diamond, diamond_ctx):
-        op = TopKAgg(2, sort_key=lambda t: t.payload[0],
-                     row_fn=lambda t: t.vertex)
+        op = CollectAgg(row_fn=lambda t: (t.vertex, t.payload[0]),
+                        order_key=lambda row: row[1], limit=2)
         op.idx = 30
         for v, w in [(0, 50), (1, 10), (2, 20), (3, 30)]:
             op.apply(diamond_ctx.ctx_of_vertex(v), trav(v, payload=(w,)))
         combined = op.combine(self.gather(op, diamond_ctx))
-        assert op.finalize(combined) == [1, 2]
+        assert [row[0] for row in op.finalize(combined)] == [1, 2]
 
     def test_topk_descending(self, diamond, diamond_ctx):
-        op = TopKAgg(2, sort_key=lambda t: t.payload[0],
-                     row_fn=lambda t: t.vertex, ascending=False)
+        op = CollectAgg(row_fn=lambda t: (t.vertex, t.payload[0]),
+                        order_key=lambda row: row[1], ascending=False,
+                        limit=2)
         op.idx = 31
         for v, w in [(0, 50), (1, 10), (2, 20), (3, 30)]:
             op.apply(diamond_ctx.ctx_of_vertex(v), trav(v, payload=(w,)))
         combined = op.combine(self.gather(op, diamond_ctx))
-        assert op.finalize(combined) == [0, 3]
+        assert [row[0] for row in op.finalize(combined)] == [0, 3]
 
     def test_topk_requires_positive_k(self):
         with pytest.raises(CompilationError):
-            TopKAgg(0, sort_key=lambda t: 0)
+            Traversal("topk").v_param("s").limit(0)
 
     def test_topk_partials_are_bounded(self, diamond, diamond_ctx):
-        op = TopKAgg(3, sort_key=lambda t: t.payload[0])
+        op = CollectAgg(order_key=lambda row: row[0], limit=3)
         op.idx = 32
         ctx = diamond_ctx.ctx(0)
         for i in range(100):

@@ -1,8 +1,8 @@
 """Trace-audited invariant fuzzing: the Theorem-1 weight ledger, re-derived
 from the event stream by :class:`WeightLedgerAuditor`, must hold with zero
 violations under randomized interleavings of packet faults, worker crashes,
-caller cancellations, voluntary preemptions, time limits and resource
-budgets — on both kernels (docs/OBSERVABILITY.md).
+caller cancellations, voluntary preemptions and time limits — on both
+kernels (docs/OBSERVABILITY.md).
 
 Unlike test_faults / test_overload, which assert on *results* and residue,
 these tests assert on the *ledger at every traced event*: the auditor
@@ -25,7 +25,7 @@ import random
 
 import pytest
 
-from repro.errors import ResourceBudgetExceededError
+from repro.errors import QueryCancelledError
 from repro.query.traversal import Traversal
 from repro.runtime.engine import AsyncPSTMEngine, EngineConfig
 from repro.runtime.faults import FaultPlan, WorkerFault
@@ -55,7 +55,7 @@ def staged_plan(graph):
 
 
 def fuzz_run(seed: int, kernel: str, queries: int = 10):
-    """One randomized fault+cancel+preempt+budget interleaving, traced.
+    """One randomized fault+cancel+preempt+deadline interleaving, traced.
 
     The fault plan, the cancel/pause schedule and the per-query deadlines
     are all drawn from ``seed``, so a reported failure replays exactly.
@@ -195,15 +195,23 @@ class TestCrashAccounting:
 
 class TestBudgetsAndLimits:
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_budget_cancel_reclaims_every_unit(self, kernel):
+    def test_caller_cancel_reclaims_every_unit(self, kernel):
+        """A caller cancel landing mid-stage (the query finishes at ~94 us
+        uncancelled) takes the cooperative path: every queued, buffered
+        and in-flight unit is reclaimed and the ledger closes clean."""
         graph = make_graph(6)
-        config = EngineConfig(trace=True, kernel=kernel,
-                              max_traversers_per_query=150)
+        config = EngineConfig(trace=True, kernel=kernel)
         engine = AsyncPSTMEngine(graph, FAULT_NODES, FAULT_WPN, config=config)
-        with pytest.raises(ResourceBudgetExceededError):
-            engine.run(khop3_count(graph), {"s": 3})
-        assert engine.metrics.budget_cancels == 1
-        assert_audit_ok(engine, seed="budget")
+        session = engine.submit(khop3_count(graph), {"s": 3})
+        engine.clock.schedule_at(40.0, lambda: engine.cancel(session, "caller"))
+        engine.clock.run_until_idle()
+        with pytest.raises(QueryCancelledError):
+            engine.result_of(session)
+        transitions = engine.metrics.lifecycle_transitions
+        assert transitions["running->cancelling"] == 1
+        assert transitions["cancelling->failed"] == 1
+        assert engine.metrics.traversers_reclaimed > 0
+        assert_audit_ok(engine, seed="cancel")
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_deadline_abort_leaves_no_ledger_residue(self, kernel):

@@ -80,19 +80,20 @@ LAYERS = [
 RANK = {name: i for i, name in enumerate(LAYERS)}
 
 #: maximum line count per module, relative to ``src/repro`` (the
-#: anti-god-module gate). ``kernels.py`` is budgeted so it stays two
-#: kernels and a dispatch — run-partitioning machinery belongs in
-#: ``runs.py``. ``runs.py`` is budgeted at its size when the batch/vector
-#: tiers were folded into the one run kernel, plus the fused k-hop count's
-#: specialized body, so the one drain cannot quietly regrow a tier.
-#: ``core/fused.py`` is budgeted near its size with fusion's one k-hop
-#: rule: every fused op or specialized body is a second definition of the
-#: ops it replaces, so adding one has to raise a budget in review.
+#: anti-god-module gate). ``engine.py``, ``kernels.py`` and ``runs.py``
+#: are budgeted at their size once the per-query resource-budget plane
+#: left the drain path, plus at most ten lines, so that plumbing (or a
+#: second drain tier) cannot quietly grow back: ``kernels.py`` stays two
+#: kernels and a dispatch, and run-partitioning machinery belongs in
+#: ``runs.py``. ``core/fused.py`` is budgeted near its size with fusion's
+#: one k-hop rule: every fused op or specialized body is a second
+#: definition of the ops it replaces, so adding one has to raise a budget
+#: in review.
 MAX_LINES = {
-    "runtime/engine.py": 900,
+    "runtime/engine.py": 844,
     "runtime/worker.py": 900,
-    "runtime/kernels.py": 300,
-    "runtime/runs.py": 893,
+    "runtime/kernels.py": 260,
+    "runtime/runs.py": 875,
     "core/fused.py": 365,
 }
 
