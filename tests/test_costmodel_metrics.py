@@ -147,7 +147,8 @@ class TestLatencyRecorder:
 class TestDocumentedConstants:
     """docs/SIMULATION.md's "The constants" section is held to the cost
     model's defaults, and docs/OBSERVABILITY.md's "The store" to the trace
-    store's ``CHUNK_EVENTS``, by ``tools/check_docs_symbols.py``."""
+    store's ``CHUNK_EVENTS`` and ``CODEC_LEVEL``, by
+    ``tools/check_docs_symbols.py``."""
 
     @pytest.fixture
     def tool(self):
@@ -195,3 +196,21 @@ class TestDocumentedConstants:
         doc.write_text("## The store\nsealed every so often\n")
         (error,) = tool.chunk_events_errors()
         assert "documents no `CHUNK_EVENTS=`" in error
+
+    def test_the_store_doc_matches_the_codec_level(self, tool):
+        assert tool.codec_level_errors() == []
+
+    def test_a_stale_or_missing_codec_level_is_caught(
+            self, tool, tmp_path, monkeypatch):
+        doc = tmp_path / "OBSERVABILITY.md"
+        monkeypatch.setattr(tool, "STORE_DOC", doc)
+        monkeypatch.setattr(tool, "ROOT", tmp_path)
+        doc.write_text(
+            "## The store\ncompressed at `CODEC_LEVEL=9`\n"
+            "## Event taxonomy\n`CODEC_LEVEL=1`\n"
+        )
+        (error,) = tool.codec_level_errors()
+        assert "CODEC_LEVEL=9" in error and "zlib level 1" in error
+        doc.write_text("## The store\n`CHUNK_EVENTS=4096`, compressed\n")
+        (error,) = tool.codec_level_errors()
+        assert "documents no `CODEC_LEVEL=`" in error

@@ -31,9 +31,9 @@ So are the calibration constants: every backticked ``name=value`` in
 docs/SIMULATION.md's "The constants" section must name a field of
 ``CostModel`` or ``HardwareProfile`` whose default equals the value, so a
 deleted or re-tuned constant fails here instead of reading fine. The
-trace store's sealing period likewise: docs/OBSERVABILITY.md's "The store"
-section must document ``CHUNK_EVENTS=<value>`` as
-``repro.runtime.trace.CHUNK_EVENTS`` has it.
+trace store's sealing period and codec level likewise: docs/OBSERVABILITY.md's
+"The store" section must document ``CHUNK_EVENTS=<value>`` and
+``CODEC_LEVEL=<value>`` as ``repro.runtime.trace`` has them.
 
 Stdlib only (like ``tools/check_layering.py``). Exit 0 = no stale refs.
 """
@@ -178,29 +178,46 @@ STORE_DOC = ROOT / "docs" / "OBSERVABILITY.md"
 STORE_HEADING = "## The store"
 
 
-def chunk_events_errors() -> list:
-    """The store section's documented ``CHUNK_EVENTS=`` values that differ
-    from ``repro.runtime.trace.CHUNK_EVENTS``, or its lack of one."""
-    sys.path.insert(0, str(SRC))
-    from repro.runtime.trace import CHUNK_EVENTS
-
+def store_constant_errors(name: str, value: int, meaning: str) -> list:
+    """The store section's documented ``name=`` values that differ from
+    ``value`` (what the code does with it is ``meaning``), or its lack of
+    one."""
     where = STORE_DOC.relative_to(ROOT)
     section = doc_section(STORE_DOC, STORE_HEADING)
     if section is None:
         return [f"{where}: no `{STORE_HEADING}` section"]
-    documented = [value for name, value in TICKED_DEFAULT.findall(section)
-                  if name == "CHUNK_EVENTS"]
+    documented = [v for n, v in TICKED_DEFAULT.findall(section) if n == name]
     if not documented:
-        return [f"{where}: `{STORE_HEADING}` documents no `CHUNK_EVENTS=`"]
-    return [f"{where}: `CHUNK_EVENTS={value}` — the code seals every "
-            f"{CHUNK_EVENTS} events"
-            for value in documented if value != str(CHUNK_EVENTS)]
+        return [f"{where}: `{STORE_HEADING}` documents no `{name}=`"]
+    return [f"{where}: `{name}={v}` — {meaning}"
+            for v in documented if v != str(value)]
+
+
+def chunk_events_errors() -> list:
+    """The store doc against ``repro.runtime.trace.CHUNK_EVENTS``."""
+    sys.path.insert(0, str(SRC))
+    from repro.runtime.trace import CHUNK_EVENTS
+
+    return store_constant_errors(
+        "CHUNK_EVENTS", CHUNK_EVENTS,
+        f"the code seals every {CHUNK_EVENTS} events")
+
+
+def codec_level_errors() -> list:
+    """The store doc against ``repro.runtime.trace.CODEC_LEVEL``."""
+    sys.path.insert(0, str(SRC))
+    from repro.runtime.trace import CODEC_LEVEL
+
+    return store_constant_errors(
+        "CODEC_LEVEL", CODEC_LEVEL,
+        f"the code compresses sealed chunks at zlib level {CODEC_LEVEL}")
 
 
 def main() -> int:
     files = [ROOT / "README.md"] + sorted((ROOT / "docs").glob("*.md"))
     index = class_files()
-    errors = taxonomy_errors() + constants_errors() + chunk_events_errors()
+    errors = (taxonomy_errors() + constants_errors() + chunk_events_errors()
+              + codec_level_errors())
     checked = 0
     for path in files:
         for lineno, line in enumerate(path.read_text().splitlines(), 1):
