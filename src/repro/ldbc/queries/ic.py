@@ -470,17 +470,41 @@ def params_ic12(dataset: SNBDataset, rng: random.Random) -> Dict[str, Any]:
 
 # ---------------------------------------------------------------------------
 # IC13 — shortest path length between two persons over `knows`
-# (min over the distance memo; [None] ⇒ unreachable within 6 hops ⇒ -1)
+# ([None] ⇒ unreachable within 6 hops ⇒ -1), as a meet-in-the-middle join
+# (paper Fig 3's join-centric plan): two 3-hop searches, one from each end,
+# instead of one 6-hop flood from person1.
+#
+# Exact: a shortest path of length L ≤ 6 passes through the vertex min(L, 3)
+# hops from person1, which lies at most 3 hops before person2, so the
+# minimum of d1 + d2 over meeting vertices is the shortest distance, and
+# no meeting vertex gives a sum above 6. person1 == person2 meets at
+# distance 0 + 0.
+# The backward side follows `knows` *into* person2 (direction "in"), so a
+# path is only counted along its edges' direction; SNB happens to store
+# `knows` both ways, but the plan does not rely on it.
+# Both sides emit every improvement, not the first distance reached: an
+# async search can reach a vertex first by a longer path, and the join
+# must see the shortest d1 and d2 for the min to be exact.
 # ---------------------------------------------------------------------------
 
 
 def build_ic13() -> Traversal:
     """Build the IC13 traversal."""
-    return (
-        Traversal("IC13")
+    fwd = (
+        Traversal("IC13.fromP1")
         .v_param("person1")
-        .khop(S.KNOWS, k=6, dist_binding="dist", emit="improving")
-        .filter_(X.vertex().eq(X.param("person2")))
+        .khop(S.KNOWS, k=3, dist_binding="d1", emit="improving")
+        .as_("mid1")
+    )
+    bwd = (
+        Traversal("IC13.toP2")
+        .v_param("person2")
+        .khop(S.KNOWS, k=3, direction="in", dist_binding="d2", emit="improving")
+        .as_("mid2")
+    )
+    return (
+        Traversal.join("IC13", fwd, "mid1", bwd, "mid2")
+        .project(dist=X.binding("d1").add(X.binding("d2")))
         .min_("dist")
     )
 
@@ -499,6 +523,11 @@ def params_ic13(dataset: SNBDataset, rng: random.Random) -> Dict[str, Any]:
 # minimum combined meeting distance over a bidirectional 2-hop join — both
 # endpoints expand simultaneously and meet in the middle, paper Fig 3's
 # join-centric plan applied to path search)
+#
+# Both sides expand `out`, so the side from person2 walks paths *away from*
+# it. That equals walking `knows` into person2 only because the generator
+# adds every `knows` edge in both directions (generator.py, the friend
+# loop); tests/test_ldbc_generator.py fails if it stops doing so.
 # ---------------------------------------------------------------------------
 
 

@@ -182,3 +182,35 @@ class TestBenchTrajectory:
         assert out.count("(+0.0%)") == len(full["end_to_end"])
         assert "**" not in out and " !" not in out and " ?" not in out
         assert "`sim_digest` equal" in out
+
+
+class TestPlanCensus:
+    """``tools/plan_census.py``: one untraced LDBC spine pass, its kernel
+    steps by plan and by operator of the heaviest plan."""
+
+    def test_smoke_pass_accounts_for_every_step(self):
+        import re
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parent.parent
+        out = subprocess.run(
+            [sys.executable, str(root / "tools" / "plan_census.py"),
+             "--smoke", "--workload", "ic_open", "--seed", "1"],
+            capture_output=True, text=True, check=True).stdout
+        header, plans, caption, ops = out.strip().split("\n\n")
+        total = int(re.search(r"([\d ]+) kernel steps", header)
+                    .group(1).replace(" ", ""))
+        rows = [line.split(" | ") for line in plans.splitlines()[2:]]
+        names = [r[0].lstrip("| ") for r in rows]
+        # all 21 LDBC read plans ran, heaviest first
+        assert len(names) == 21 and "IC13" in names and "IS1" in names
+        steps = [int(r[2].replace(" ", "")) for r in rows]
+        assert steps == sorted(steps, reverse=True)
+        assert sum(steps) == total
+        assert caption.startswith(f"Operators of {names[0]}, ")
+        op_rows = [line.split(" | ") for line in ops.splitlines()[2:]]
+        assert [int(r[0].lstrip("| ")) for r in op_rows] == list(
+            range(len(op_rows)))
+        assert sum(int(r[2].replace(" ", "")) for r in op_rows) == steps[0]

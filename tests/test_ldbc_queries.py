@@ -6,15 +6,23 @@ semantic spot checks against the generated data.
 """
 
 import random
+from collections import deque
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.graph.builder import GraphBuilder
+from repro.graph.partition import PartitionedGraph
 from repro.ldbc import schema as S
-from repro.ldbc.generator import SNB_TINY, generate_snb
-from repro.ldbc.queries.ic import IC_QUERIES
+from repro.ldbc.generator import SNB_SF300_SIM, SNB_TINY, generate_snb
+from repro.ldbc.queries.ic import IC_QUERIES, build_ic13
 from repro.ldbc.queries.short import IS_QUERIES
+from repro.query.exprs import X
+from repro.query.traversal import Traversal
 from repro.runtime.bsp import BSPEngine
-from repro.runtime.engine import AsyncPSTMEngine
+from repro.runtime.engine import AsyncPSTMEngine, EngineConfig
+from repro.runtime.faults import FaultPlan
 from repro.runtime.reference import LocalExecutor
 
 NODES, WPN = 2, 2
@@ -68,6 +76,21 @@ def test_is_engines_agree(dataset, graph, number):
     assert async_rows == expected, qdef.name
 
 
+def knows_distance(g, src, dst, cap=6):
+    """BFS length of the shortest directed `knows` path, None beyond cap."""
+    seen = {src: 0}
+    q = deque([src])
+    while q:
+        v = q.popleft()
+        if seen[v] >= cap:
+            continue
+        for u in g.out_neighbors(v, S.KNOWS):
+            if u not in seen:
+                seen[u] = seen[v] + 1
+                q.append(u)
+    return seen.get(dst)
+
+
 class TestICSemantics:
     def run(self, dataset, graph, executor, number, **params):
         qdef = IC_QUERIES[number]
@@ -116,30 +139,12 @@ class TestICSemantics:
             assert person in g.out_neighbors(message, S.HAS_CREATOR)
 
     def test_ic13_matches_bfs_distance(self, dataset, graph, executor):
-        g = dataset.graph
-        from collections import deque
-
-        def bfs(src, dst, cap=6):
-            seen = {src: 0}
-            q = deque([src])
-            while q:
-                v = q.popleft()
-                if seen[v] >= cap:
-                    continue
-                for u in g.out_neighbors(v, S.KNOWS):
-                    if u not in seen:
-                        seen[u] = seen[v] + 1
-                        if u == dst:
-                            return seen[u]
-                        q.append(u)
-            return seen.get(dst)
-
         rng = random.Random(5)
         for _ in range(5):
             p1, p2 = rng.sample(dataset.persons, 2)
             rows = self.run(dataset, graph, executor, 13,
                             person1=p1, person2=p2)
-            expected = bfs(p1, p2)
+            expected = knows_distance(dataset.graph, p1, p2)
             got = rows[0]
             if expected is None:
                 assert got is None  # unreachable within 6 hops
@@ -224,3 +229,123 @@ class TestISSemantics:
         for reply, _date, author, _name in rows:
             assert post in g.out_neighbors(reply, S.REPLY_OF)
             assert author in g.out_neighbors(reply, S.HAS_CREATOR)
+
+
+# -- IC13's meet-in-the-middle join against the forward flood ------------------
+#
+# SNB stores every `knows` edge both ways, so no LDBC workload can tell a
+# backward side that follows out-edges from one that follows in-edges.
+# These graphs are directed: one-way `knows` edges among a few persons, plus
+# a chain hung off one of them so distances 5, 6 and 7 (unreachable) occur.
+
+CHAIN = 8
+
+
+def forward_ic13() -> Traversal:
+    """IC13 as one 6-hop flood from person1: the oracle plan."""
+    return (
+        Traversal("IC13.forward")
+        .v_param("person1")
+        .khop(S.KNOWS, k=6, dist_binding="dist", emit="improving")
+        .filter_(X.vertex().eq(X.param("person2")))
+        .min_("dist")
+    )
+
+
+@st.composite
+def directed_knows(draw):
+    n = draw(st.integers(min_value=2, max_value=16))
+    edges = draw(st.sets(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        .filter(lambda e: e[0] != e[1]),
+        max_size=3 * n,
+    ))
+    hook = draw(st.integers(0, n - 1))
+    total = n + CHAIN
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, total - 1), st.integers(0, total - 1)),
+        min_size=1, max_size=4,
+    ))
+    # the chain's own distances: 5, 6, 7 (beyond 6), backwards, and zero
+    c = n
+    pairs += [(c, c + 5), (c, c + 6), (c, c + 7), (c + 5, c), (c + 3, c + 3)]
+    return n, sorted(edges), hook, pairs
+
+
+def _check_ic13_on_directed_graph(case):
+    n, edges, hook, pairs = case
+    b = GraphBuilder(S.PERSON)
+    for v in range(n + CHAIN):
+        b.vertex(v, S.PERSON)
+    for src, dst in edges:
+        b.edge(src, dst, S.KNOWS)
+    b.edge(hook, n, S.KNOWS)
+    for v in range(n, n + CHAIN - 1):
+        b.edge(v, v + 1, S.KNOWS)
+    raw = b.build()
+    graph = PartitionedGraph.from_graph(raw, NODES * WPN)
+    oracle = forward_ic13().compile(graph)
+    join = build_ic13().compile(graph)
+    local = LocalExecutor(graph)
+    engines = {
+        "run": AsyncPSTMEngine(graph, NODES, WPN),
+        "scalar": AsyncPSTMEngine(graph, NODES, WPN,
+                                  config=EngineConfig(kernel="scalar")),
+        "bsp": BSPEngine(graph, NODES, WPN),
+        # held-back packets reorder arrivals: a side's first distance to a
+        # vertex can then be longer than its shortest
+        "delayed": AsyncPSTMEngine(graph, NODES, WPN, config=EngineConfig(
+            fault_plan=FaultPlan(seed=n, delay_rate=0.3, delay_us=50.0))),
+    }
+    for p1, p2 in pairs:
+        params = {"person1": p1, "person2": p2}
+        expected = [knows_distance(raw, p1, p2)]
+        assert local.run(oracle, params) == expected, (p1, p2)
+        assert local.run(join, params) == expected, (p1, p2)
+        for name, engine in engines.items():
+            assert engine.run(join, params).rows == expected, (name, p1, p2)
+
+
+#: Under held-back packets, a join whose sides emit only the first distance
+#: reached answers 3 for (6, 10) here, not 2.
+FIRST_ARRIVAL_IS_LONGER = (
+    12,
+    [(0, 3), (0, 6), (0, 7), (0, 8), (1, 6), (1, 9), (2, 1), (2, 9), (2, 11),
+     (3, 10), (4, 0), (4, 2), (4, 9), (4, 10), (5, 2), (6, 1), (6, 5), (6, 8),
+     (7, 0), (7, 1), (7, 6), (7, 9), (8, 1), (8, 5), (8, 7), (8, 9), (8, 10),
+     (9, 1), (9, 3), (9, 5), (9, 10), (11, 3)],
+    9,
+    [(6, 10)],
+)
+
+
+@given(case=directed_knows())
+@example(case=FIRST_ARRIVAL_IS_LONGER)
+@settings(max_examples=60, deadline=None)
+def test_ic13_join_matches_forward_plan_on_directed_graphs(case):
+    _check_ic13_on_directed_graph(case)
+
+
+@pytest.mark.slow
+@given(case=directed_knows())
+@settings(max_examples=300, deadline=None)
+def test_ic13_join_matches_forward_plan_on_directed_graphs_soak(case):
+    _check_ic13_on_directed_graph(case)
+
+
+def test_ic13_join_runs_in_at_most_half_the_forward_plans_steps():
+    """The gain as a count, not a clock: kernel steps repeat exactly."""
+    dataset = generate_snb(SNB_SF300_SIM)
+    graph = dataset.partitioned(16)
+    join, forward = build_ic13().compile(graph), forward_ic13().compile(graph)
+    rng = random.Random(13)
+    steps = {"join": 0, "forward": 0}
+    for _ in range(3):
+        params = IC_QUERIES[13].make_params(dataset, rng)
+        runs = {}
+        for name, plan in (("join", join), ("forward", forward)):
+            profile = AsyncPSTMEngine(graph, 4, 4).profile(plan, params)
+            runs[name] = profile.rows
+            steps[name] += profile.metrics.steps_executed
+        assert runs["join"] == runs["forward"], params
+    assert steps["join"] <= 0.5 * steps["forward"], steps
