@@ -61,6 +61,12 @@ class PSTMMachine:
     ``barrier_route`` forces all aggregation traversers to one partition —
     the centralized result aggregation of GAIA-like engines the paper
     contrasts with PSTM's partition-local partials (§V-B).
+
+    ``stay_local`` is the superstep schedule's routing rule: a child whose
+    op names no partition (a ``"free"`` op) stays on the partition that
+    made it, instead of moving to its vertex's owner. (The one
+    ``"custom"`` route that can return None is a fixed-vertex source's,
+    and sources are seeded, never spawned.)
     """
 
     def __init__(
@@ -68,18 +74,24 @@ class PSTMMachine:
         plan: PhysicalPlan,
         partitioner: Placement,
         barrier_route: Optional[int] = None,
+        stay_local: bool = False,
     ) -> None:
         self.plan = plan
         self.partitioner = partitioner
         self.barrier_route = barrier_route
+        self.stay_local = stay_local
         self._route_info: Optional[List[Tuple[int, str, PhysicalOp]]] = None
 
     def route_info(self) -> List[Tuple[int, str, PhysicalOp]]:
         """Per-op ``(stage, routing mode, op)`` table, indexed by op_idx.
 
-        The plan is immutable after compilation and ``barrier_route`` is
-        fixed at construction, so this is computed once and shared by every
-        run drain that executes this plan.
+        Modes are the ops' own (``"vertex"``, ``"free"``, ``"custom"``),
+        ``"fixed"`` for barrier ops under ``barrier_route``, and
+        ``"local"`` for free ops under ``stay_local``. The plan is
+        immutable after compilation and the policy is fixed at
+        construction, so this is computed once and shared by every run
+        drain that executes this plan. (:meth:`route` places seeds, which
+        have no making partition, and ignores ``stay_local``.)
         """
         info = self._route_info
         if info is None:
@@ -87,6 +99,8 @@ class PSTMMachine:
             for op in self.plan.ops:
                 if op.is_barrier and self.barrier_route is not None:
                     mode = "fixed"
+                elif self.stay_local and op.routing_mode == "free":
+                    mode = "local"
                 else:
                     mode = op.routing_mode
                 info.append((op.stage, mode, op))

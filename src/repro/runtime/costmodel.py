@@ -104,8 +104,12 @@ class CostModel:
     #: BSP per-superstep global barrier cost (8-node barrier + straggler
     #: detection tail)
     bsp_barrier_us: float = 150.0
-    #: BSP batch-amortization: supersteps process traversers in bulk with
-    #: no per-traverser progress tracking, discounting per-step dispatch
+    #: BSP's compute scale: the BSP engine runs with ``cpu_scale *
+    #: bsp_step_discount``, so the discount multiplies every compute term
+    #: (dispatch, edges, memo ops, properties) and the per-child
+    #: serialization, not dispatch alone. It stands for bulk processing of
+    #: a superstep's frontier and is fitted, not derived from what the
+    #: schedule skips
     bsp_step_discount: float = 0.82
     #: scale factor on compute (e.g. hand-optimized C++ plugins < 1.0)
     cpu_scale: float = 1.0

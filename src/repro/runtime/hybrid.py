@@ -141,7 +141,7 @@ class HybridEngine:
             cluster.workers_per_node,
             hardware=cluster.hardware,
             cost_model=cost_model,
-            name="hybrid/bsp",
+            config=EngineConfig(name="hybrid/bsp"),
         )
         self.decisions: List[HybridDecision] = []
 

@@ -24,6 +24,9 @@ Both implement :class:`ExecutionKernel` and are stateless — all mutable
 state lives on the worker and the engine's layers — so module singletons
 are shared by every worker. Fault hooks, backpressure, and reclaim paths
 live once, in ``Worker._run`` and the delivery plane, not per kernel.
+The BSP baseline (:mod:`repro.runtime.bsp`) calls :data:`RUN_KERNEL`
+itself, once per partition per superstep, with an unbounded budget and
+flush threshold: one kernel serves both schedules.
 """
 
 from __future__ import annotations

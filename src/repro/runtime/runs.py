@@ -468,6 +468,8 @@ class RunDrain:
                             pid = min(-vertex - 1, num_partitions - 1)
                     elif c_mode == "fixed":
                         pid = barrier_route
+                    elif c_mode == "local":
+                        pid = self_pid
                     else:
                         # Inlined resolve_partition.
                         routed = child_op.routing(partitioner, child)
@@ -569,6 +571,8 @@ class RunDrain:
                                 pid = min(-vertex - 1, num_partitions - 1)
                         elif c_mode == "fixed":
                             pid = barrier_route
+                        elif c_mode == "local":
+                            pid = self_pid
                         else:
                             # Inlined resolve_partition.
                             routed = child_op.routing(partitioner, child)

@@ -77,7 +77,7 @@ def make_bsp(
         cluster.workers_per_node,
         hardware=cluster.hardware,
         cost_model=cost_model,
-        name="tigergraph-like(bsp)",
+        config=EngineConfig(name="tigergraph-like(bsp)"),
     )
 
 

@@ -72,3 +72,32 @@ def test_running_an_engine_never_imports_numpy():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_scalar_apply_rule_tells_operators_from_other_apply_calls():
+    """The single-path rule flags an operator's scalar ``apply`` (by its
+    receiver or its step-context argument) and leaves the update and
+    strategy ``apply`` methods alone."""
+    import ast
+
+    sys.path.insert(0, str(REPO / "tools"))
+    try:
+        from check_layering import scalar_apply_calls
+    finally:
+        sys.path.pop(0)
+    flagged = [
+        "outcome = op.apply(ctx, trav)",
+        "session.plan.ops[trav.op_idx].apply(ctx, trav)",
+        "self.exit_op.apply(c, t)",
+        "runner.apply(session.context(pid), trav)",
+        "thing.apply(ctx, trav)",
+    ]
+    ignored = [
+        "udef.apply(txm, arrival.params)",
+        "steps = strategy.apply(steps, graph)",
+        "apply(ctx, trav)",
+    ]
+    for source in flagged:
+        assert list(scalar_apply_calls(ast.parse(source))) == [1], source
+    for source in ignored:
+        assert list(scalar_apply_calls(ast.parse(source))) == [], source

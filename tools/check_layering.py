@@ -45,6 +45,12 @@ Two classes of violation fail the build:
   guarded ``try: import`` and ``TYPE_CHECKING`` imports included.
   ``pyproject.toml`` declares ``dependencies = []``, and an optional
   accelerator is a second implementation of what it accelerates.
+* a call of an operator's scalar ``apply`` outside ``core/``: every
+  engine executes operators through the run kernel's ``apply_batch`` or
+  ``PSTMMachine.execute`` (the scalar oracle), so one execution path
+  exists. A call counts as an operator's when its receiver is named
+  ``op``, ``*_op`` or indexes ``ops``, or its first argument is the step
+  context (``ctx``, or a ``.context(...)`` call).
 
 Stdlib only (ast); no third-party dependency. Exit 0 = clean.
 """
@@ -80,7 +86,9 @@ LAYERS = [
 RANK = {name: i for i, name in enumerate(LAYERS)}
 
 #: maximum line count per module, relative to ``src/repro`` (the
-#: anti-god-module gate). ``engine.py``, ``kernels.py`` and ``runs.py``
+#: anti-god-module gate). ``bsp.py`` is budgeted at its size as a superstep
+#: schedule over the async engine's machinery, so a second engine cannot
+#: grow back there. ``engine.py``, ``kernels.py`` and ``runs.py``
 #: are budgeted at their size once the per-query resource-budget plane
 #: left the drain path, plus at most ten lines, so that plumbing (or a
 #: second drain tier) cannot quietly grow back: ``kernels.py`` stays two
@@ -90,6 +98,7 @@ RANK = {name: i for i, name in enumerate(LAYERS)}
 #: definition of the ops it replaces, so adding one has to raise a budget
 #: in review.
 MAX_LINES = {
+    "runtime/bsp.py": 181,
     "runtime/engine.py": 844,
     "runtime/worker.py": 900,
     "runtime/kernels.py": 260,
@@ -179,6 +188,44 @@ def third_party_violations(errors) -> None:
                     )
 
 
+def scalar_apply_calls(tree: ast.AST):
+    """Yield the line of every call of an operator's scalar ``apply`` in
+    ``tree`` (see the module docstring for what counts as one)."""
+    def names_op(node: ast.expr) -> bool:
+        if isinstance(node, ast.Subscript):
+            return names_op(node.value) or (
+                isinstance(node.value, (ast.Name, ast.Attribute))
+                and (getattr(node.value, "id", None) or node.value.attr) == "ops")
+        name = getattr(node, "id", None) or getattr(node, "attr", "")
+        return name == "op" or name.endswith("_op")
+
+    def is_context(node: ast.expr) -> bool:
+        if isinstance(node, ast.Call):
+            return getattr(node.func, "attr", None) == "context"
+        name = getattr(node, "id", None) or getattr(node, "attr", "")
+        return name == "ctx" or name.endswith("_ctx")
+
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "apply"
+                and (names_op(node.func.value)
+                     or (node.args and is_context(node.args[0])))):
+            yield node.lineno
+
+
+def scalar_apply_violations(errors) -> None:
+    """Flag operator ``apply`` calls outside ``core/``."""
+    for path in sorted(SRC.rglob("*.py")):
+        if path.relative_to(SRC).as_posix().startswith("core/"):
+            continue
+        for lineno in scalar_apply_calls(ast.parse(path.read_text(), filename=str(path))):
+            errors.append(
+                f"{path}:{lineno}: calls an operator's scalar apply outside "
+                f"core/ — execute through the run kernel or "
+                f"PSTMMachine.execute, the one execution path"
+            )
+
+
 def _is_type_checking(test: ast.expr) -> bool:
     return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
         isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
@@ -258,6 +305,7 @@ def main() -> int:
     raw_hash_violations(errors)
     raw_tel_violations(errors)
     third_party_violations(errors)
+    scalar_apply_violations(errors)
 
     if errors:
         print("\n".join(errors))
@@ -268,7 +316,8 @@ def main() -> int:
           + "; ".join(f"{f} under {n} lines" for f, n in MAX_LINES.items())
           + "; no raw-hash placement outside the placement plane"
           + "; no raw TEL access outside the transaction plane"
-          + "; no import outside the standard library")
+          + "; no import outside the standard library"
+          + "; no scalar operator apply outside core/")
     return 0
 
 
