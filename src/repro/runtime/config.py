@@ -51,8 +51,6 @@ class EngineConfig:
     per_query_instantiation: bool = False
     #: route all aggregation traversers to partition 0 (GAIA)
     centralized_agg: bool = False
-    #: compute scaling (hand-optimized single-node plugins use < 1)
-    cpu_scale: float = 1.0
     #: execution kernel, one of :data:`KERNEL_NAMES`: "run" is the
     #: production drain (homogeneous runs, one batched call each);
     #: "scalar" is the reference one-traverser-at-a-time loop, kept for
@@ -143,10 +141,6 @@ class EngineConfig:
             raise ConfigurationError(
                 f"flush_threshold_bytes must be >= 1, "
                 f"got {self.flush_threshold_bytes}"
-            )
-        if self.cpu_scale <= 0:
-            raise ConfigurationError(
-                f"cpu_scale must be > 0, got {self.cpu_scale}"
             )
         for name in ("max_concurrent_queries", "inbox_capacity"):
             value = getattr(self, name)

@@ -176,8 +176,8 @@ class SingleNodeEngine:
             nodes=1,
             workers_per_node=cluster.workers_per_node,
             hardware=cluster.hardware,
-            cost_model=base,
-            config=EngineConfig(name="graphscope-like", cpu_scale=scale),
+            cost_model=base.scaled_cpu(base.cpu_scale * scale),
+            config=EngineConfig(name="graphscope-like"),
             seed=seed,
         )
 

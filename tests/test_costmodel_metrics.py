@@ -49,6 +49,13 @@ class TestCostModel:
         cm = CostModel().scaled_cpu(2.0)
         assert cm.op_cost_us(OpCost()) == pytest.approx(2 * 0.15)
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0])
+    def test_degenerate_cpu_scale_rejected(self, scale):
+        with pytest.raises(ConfigurationError, match="cpu_scale"):
+            CostModel(cpu_scale=scale)
+        with pytest.raises(ConfigurationError, match="cpu_scale"):
+            CostModel().scaled_cpu(scale)
+
     def test_tx_time_includes_packet_overhead(self):
         cm = CostModel()
         zero = cm.tx_time_us(0)
