@@ -103,6 +103,10 @@ class FusedMinDistCount(VertexRoutedOp):
         self.exit_idx = branch.exit_idx  # kept for plan validation/dumps
         self.stage = branch.stage
 
+    def successors(self) -> Tuple[int, ...]:
+        """Only the loop continuation: exits are absorbed in place."""
+        return (self.loop_idx,)
+
     def apply(self, ctx: StepContext, trav: Traverser) -> StepOutcome:
         """Execute this op for one traverser (operator contract)."""
         out = StepOutcome()
@@ -228,6 +232,10 @@ class FusedMinDistChain(VertexRoutedOp):
         self.stage = branch.stage
         self.next_idx = chain[-1].next_idx
         self._links, self._prefix = _compile_links(chain)
+
+    def successors(self) -> Tuple[int, ...]:
+        """The chain successor and the loop continuation."""
+        return (self.next_idx, self.loop_idx)
 
     def apply(self, ctx: StepContext, trav: Traverser) -> StepOutcome:
         """Execute this op for one traverser (operator contract)."""

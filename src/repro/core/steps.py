@@ -224,6 +224,10 @@ class PhysicalOp:
         """Partition where ``trav`` must run this op (``h_ψ``), or None."""
         return None
 
+    def successors(self) -> Tuple[int, ...]:
+        """The op indexes this op's children may target."""
+        return (self.next_idx,)
+
     def apply(self, ctx: StepContext, trav: Traverser) -> StepOutcome:
         """Execute this op for one traverser (operator contract)."""
         raise NotImplementedError
@@ -523,8 +527,12 @@ class GotoOp(PhysicalOp):
 class FilterOp(VertexRoutedOp):
     """Keep traversers satisfying a predicate (Gremlin ``has`` / ``where``).
 
-    ``needs_vertex=False`` marks predicates that only read the payload and
-    parameters; those can run anywhere, avoiding a routing hop.
+    ``needs_vertex=False`` marks predicates that only read the payload,
+    vertex id, loop counter and parameters. Such a filter is location-free
+    (``routing_mode == "free"``): the machine runs it inside the step that
+    emits its input (:class:`~repro.core.machine.InlineLinks`) — a failed
+    predicate drops the child before the weight split — so it costs one
+    property read there and no dispatch or routing hop of its own.
     """
 
     def __init__(self, predicate: Predicate, name: str, needs_vertex: bool = True) -> None:
@@ -559,7 +567,14 @@ class FilterOp(VertexRoutedOp):
 
 
 class ProjectOp(VertexRoutedOp):
-    """Evaluate expressions into payload slots (Gremlin ``values``/``as``)."""
+    """Evaluate expressions into payload slots (Gremlin ``values``/``as``).
+
+    With ``needs_vertex=False`` (every ``as_`` label, and projections of
+    bindings, parameters or the vertex id) the op is location-free and
+    runs inside the step that emits its input
+    (:class:`~repro.core.machine.InlineLinks`), priced at one property
+    read per assignment and no dispatch.
+    """
 
     def __init__(
         self,
@@ -685,6 +700,10 @@ class MinDistBranchOp(VertexRoutedOp):
         self.loop_idx: int = -1  # assigned by the compiler
         self.exit_idx: int = -1  # assigned by the compiler
 
+    def successors(self) -> Tuple[int, ...]:
+        """The op indexes this op's children may target."""
+        return (self.exit_idx, self.loop_idx)
+
     def apply(self, ctx: StepContext, trav: Traverser) -> StepOutcome:
         """Execute this op for one traverser (operator contract)."""
         out = StepOutcome()
@@ -733,6 +752,10 @@ class ForkOp(PhysicalOp):
     def __init__(self, name: str = "union") -> None:
         super().__init__(f"Fork({name})")
         self.targets: List[int] = []  # assigned by the compiler
+
+    def successors(self) -> Tuple[int, ...]:
+        """The op indexes this op's children may target."""
+        return tuple(self.targets)
 
     def apply(self, ctx: StepContext, trav: Traverser) -> StepOutcome:
         """Execute this op for one traverser (operator contract)."""
@@ -882,6 +905,10 @@ class AggregateOp(PhysicalOp):
     def memo_label(self) -> str:
         """The memo label this barrier's partials live under."""
         return f"{self.MEMO}{self.idx}"
+
+    def successors(self) -> Tuple[int, ...]:
+        """None: a barrier finishes every traverser it absorbs."""
+        return ()
 
     def apply(self, ctx: StepContext, trav: Traverser) -> StepOutcome:
         """Execute this op for one traverser (operator contract)."""

@@ -1,8 +1,13 @@
 """Small expression combinators for filters and projections.
 
 Expressions evaluate against ``(StepContext, Traverser)`` pairs. Each
-:class:`X` node records whether it reads vertex data (``needs_vertex``) so
-the compiler can route vertex-free predicates anywhere (saving a hop).
+:class:`X` node records whether it reads vertex data (``needs_vertex``).
+A vertex-free expression reads only the traverser's payload, vertex id and
+loop counter and the query parameters, so the Filter or Project the
+compiler lowers it into is location-free: the machine runs it inside the
+step that emits its input, with no routing hop or dispatch of its own
+(:class:`repro.core.machine.InlineLinks`). ``X.wrap(fn,
+needs_vertex=False)`` promises the same of ``fn``.
 
 Usage::
 

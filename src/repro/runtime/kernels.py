@@ -110,7 +110,9 @@ class ScalarKernel:
                     )
                 continue
             ctx = session.context(runtime.pid)
-            result = session.machine.execute(ctx, trav, session.rng)
+            result = session.machine.execute(
+                ctx, trav, session.rng, session.op_steps, session.op_inlined
+            )
             if session.plan.ops[trav.op_idx].is_barrier:
                 key = (trav.query_id, trav.stage)
                 versions = runtime.partial_versions

@@ -246,10 +246,16 @@ class QueryProfile:
     op_spawned: Dict[int, int]
     metrics: QueryMetrics
     rows: List[Any]
+    #: the part of ``op_steps`` that ran inside the emitting step
+    op_inlined: Dict[int, int]
 
     def steps_of(self, op_idx: int) -> int:
         """Traversers that executed the operator at ``op_idx``."""
         return self.op_steps.get(op_idx, 0)
+
+    def dispatched_of(self, op_idx: int) -> int:
+        """Executions of ``op_idx`` that were dispatched kernel steps."""
+        return self.op_steps.get(op_idx, 0) - self.op_inlined.get(op_idx, 0)
 
     def spawned_of(self, op_idx: int) -> int:
         """Children produced by the operator at ``op_idx``."""
@@ -267,10 +273,12 @@ class QueryProfile:
         for op in self.plan.ops:
             executed = self.op_steps.get(op.idx, 0)
             spawned = self.op_spawned.get(op.idx, 0)
+            inlined = self.op_inlined.get(op.idx, 0)
             marker = "*" if op.is_barrier else " "
             lines.append(
                 f"  [{op.idx:>2}]{marker} {op.name:<32} "
                 f"executed={executed:<8d} spawned={spawned}"
+                + (f" inlined={inlined}" if inlined else "")
             )
         return "\n".join(lines)
 
@@ -340,6 +348,9 @@ class QuerySession:
         self.op_steps: Dict[int, int] = {}
         #: per-operator spawn counts (op index → children produced)
         self.op_spawned: Dict[int, int] = {}
+        #: the part of ``op_steps`` that ran inside the emitting step
+        #: (location-free links, :class:`~repro.core.machine.InlineLinks`)
+        self.op_inlined: Dict[int, int] = {}
         #: snapshot timestamp pinned at admission by the transaction plane
         #: (docs/TRANSACTIONS.md); None when the plane is disarmed. Set
         #: once and deliberately never reset by crash recovery or

@@ -13,7 +13,7 @@ draws, the same buffer-flush instants, the same progress reports.
 * :meth:`pop_run` — run partitioning against the drain budget, including
   the cancelled-query weight-reclaim path;
 * :meth:`execute_batch` — the reference batched execution of one run
-  (kernel call + weight split + routing + buffering + progress). The
+  (kernel call + inlined links + split + routing + buffering + progress). The
   kernel takes it for every run but fused k-hop count runs under
   ``slim_ok``, which take :meth:`fused_count_run` — a specialized body
   that produces the same simulated trajectory.
@@ -88,7 +88,7 @@ class RunDrain:
         # metric tallies
         "steps", "edges_scanned", "memo_ops_total", "spawned_total",
         # per-query hoists
-        "cur_qid", "session", "machine", "ctx", "getrandbits", "ops",
+        "cur_qid", "session", "machine", "ctx", "getrandbits", "ops", "inline",
         "num_ops", "route_info", "partitioner", "pcache_get",
         "num_partitions", "barrier_route", "op_steps", "op_spawned",
         "qmetrics",
@@ -236,6 +236,7 @@ class RunDrain:
             self.ops = machine.plan.ops
             self.num_ops = len(machine.plan.ops)
             self.route_info = machine.route_info()
+            self.inline = machine.inline_links()
             partitioner = machine.partitioner
             self.partitioner = partitioner
             pcache = getattr(partitioner, "_cache", None)
@@ -328,8 +329,10 @@ class RunDrain:
             versions = self.runtime.partial_versions
             key = (query_id, stage)
             versions[key] = versions.get(key, 0) + n_run
-        spec_rows = outcome.children
-        costs = outcome.costs
+        spec_rows, costs = outcome.children, outcome.costs
+        if self.inline.emits[op_idx]:  # location-free links run right here
+            spec_rows, costs = self.inline.run(
+                self.ctx, spec_rows, costs, self.op_steps, self.session.op_inlined)
         self.steps += n_run
         self.qmetrics.steps_executed += n_run
         op_steps = self.op_steps

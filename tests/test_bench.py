@@ -186,7 +186,8 @@ class TestBenchTrajectory:
 
 class TestPlanCensus:
     """``tools/plan_census.py``: one untraced LDBC spine pass, its kernel
-    steps by plan and by operator of the heaviest plan."""
+    steps and operator executions by plan and by operator of the
+    heaviest plan."""
 
     def test_smoke_pass_accounts_for_every_step(self):
         import re
@@ -207,10 +208,21 @@ class TestPlanCensus:
         # all 21 LDBC read plans ran, heaviest first
         assert len(names) == 21 and "IC13" in names and "IS1" in names
         steps = [int(r[2].replace(" ", "")) for r in rows]
+        executions = [int(r[3].replace(" ", "")) for r in rows]
         assert steps == sorted(steps, reverse=True)
         assert sum(steps) == total
+        # inlined links are executions without a dispatched step
+        assert all(e >= s for e, s in zip(executions, steps))
+        assert sum(executions) > total
         assert caption.startswith(f"Operators of {names[0]}, ")
         op_rows = [line.split(" | ") for line in ops.splitlines()[2:]]
         assert [int(r[0].lstrip("| ")) for r in op_rows] == list(
             range(len(op_rows)))
-        assert sum(int(r[2].replace(" ", "")) for r in op_rows) == steps[0]
+        op_steps = [int(r[2].replace(" ", "")) for r in op_rows]
+        dispatched = [int(r[3].replace(" ", "")) for r in op_rows]
+        assert sum(dispatched) == steps[0]
+        assert sum(op_steps) == executions[0]
+        inlined = [r for r in op_rows if r[1].endswith(" inlined")]
+        assert inlined and all(
+            int(r[3].replace(" ", "")) < int(r[2].replace(" ", ""))
+            for r in inlined)

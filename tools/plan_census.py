@@ -8,12 +8,18 @@
 Sets the workload up and runs it once, untraced, as
 ``benchmarks/spine/run.py`` does, then prints two markdown tables from
 the finished sessions. *Per plan*: its queries, the kernel steps they
-executed (``qmetrics.steps_executed``), their share of the run's and
-their mean per query, and the simulated latency P50 and max
-(``qmetrics.latency_us``, nearest rank). *Per operator* of the plan with
-the most steps: the traversers that executed it (``op_steps``) and the
-children it spawned (``op_spawned``), summed over that plan's queries.
-``--root`` measures that checkout's own ``src/`` through its own spine.
+dispatched (``qmetrics.steps_executed``) and the operator executions
+those steps performed (dispatched steps plus the location-free links
+run inside them), the steps' share of the run's and their mean per
+query, and the simulated latency P50 and max (``qmetrics.latency_us``,
+nearest rank). *Per operator* of the plan with the most steps: the
+traversers that executed it (``op_steps``), how many of those were
+dispatched steps rather than inlined links (``op_steps - op_inlined``;
+an op that ran inline is marked ``inlined``), and the children it
+spawned (``op_spawned``), summed over that plan's queries — so a
+filter's selectivity stays visible after it stops being a step.
+``--root`` measures that checkout's own ``src/`` through its own spine
+(a checkout without inlined links reports every execution as dispatched).
 """
 
 from __future__ import annotations
@@ -38,14 +44,14 @@ def census(sessions: List[Any]) -> Dict[str, Dict[str, Any]]:
             continue
         c = plans.setdefault(s.plan.name, {
             "plan": s.plan, "queries": 0, "steps": 0, "latencies": [],
-            "op_steps": defaultdict(int), "op_spawned": defaultdict(int)})
+            "op_steps": defaultdict(int), "op_spawned": defaultdict(int),
+            "op_inlined": defaultdict(int)})
         c["queries"] += 1
         c["steps"] += s.qmetrics.steps_executed
         c["latencies"].append(s.qmetrics.latency_us)
-        for idx, n in s.op_steps.items():
-            c["op_steps"][idx] += n
-        for idx, n in s.op_spawned.items():
-            c["op_spawned"][idx] += n
+        for key in ("op_steps", "op_spawned", "op_inlined"):
+            for idx, n in getattr(s, key, {}).items():
+                c[key][idx] += n
     return plans
 
 
@@ -77,13 +83,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"`{args.workload}`, seed {args.seed}: {count(total)} kernel steps "
           f"over {count(sum(c['queries'] for c in plans.values()))} queries")
     print()
-    print("| plan | queries | kernel steps | share | steps/query "
-          "| P50 µs | max µs |")
-    print("|---|---|---|---|---|---|---|")
+    print("| plan | queries | kernel steps | executions | share "
+          "| steps/query | P50 µs | max µs |")
+    print("|---|---|---|---|---|---|---|---|")
     ranked = sorted(plans.items(), key=lambda kv: (-kv[1]["steps"], kv[0]))
     for name, c in ranked:
         lat = sorted(c["latencies"])
+        executions = c["steps"] + sum(c["op_inlined"].values())
         print(f"| {name} | {c['queries']} | {count(c['steps'])} "
+              f"| {count(executions)} "
               f"| {c['steps'] / max(total, 1):.1%} "
               f"| {count(round(c['steps'] / c['queries']))} "
               f"| {metrics.percentile(lat, 50):.1f} | {lat[-1]:.1f} |")
@@ -91,10 +99,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     print()
     print(f"Operators of {name}, the plan with the most steps:")
     print()
-    print("| op | operator | op_steps | op_spawned |")
-    print("|---|---|---|---|")
+    print("| op | operator | op_steps | dispatched | op_spawned |")
+    print("|---|---|---|---|---|")
     for op in c["plan"].ops:
-        print(f"| {op.idx} | `{op.name}` | {count(c['op_steps'][op.idx])} "
+        inlined = c["op_inlined"][op.idx]
+        mark = " inlined" if inlined else ""
+        print(f"| {op.idx} | `{op.name}`{mark} "
+              f"| {count(c['op_steps'][op.idx])} "
+              f"| {count(c['op_steps'][op.idx] - inlined)} "
               f"| {count(c['op_spawned'][op.idx])} |")
     return 0
 
