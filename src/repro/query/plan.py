@@ -95,23 +95,15 @@ class PhysicalPlan:
                     for op in self.ops if op.stage == stage.index)
             for stage in self.stages
         ]
+        n = len(self.ops)
         for op in self.ops:
-            if not op.is_barrier and not (0 <= op.next_idx < len(self.ops)):
-                # Branch-only ops (Fork, MinDistBranch) may leave next_idx
-                # unset; they must have explicit targets instead.
-                if not self._has_branch_targets(op):
-                    raise CompilationError(
-                        f"op {op.idx} ({op.name}) has no successor"
-                    )
-
-    @staticmethod
-    def _has_branch_targets(op: PhysicalOp) -> bool:
-        targets = getattr(op, "targets", None)
-        if targets:
-            return True
-        loop_idx = getattr(op, "loop_idx", None)
-        exit_idx = getattr(op, "exit_idx", None)
-        return loop_idx is not None and loop_idx >= 0 and exit_idx is not None and exit_idx >= 0
+            # Branch-only ops (Fork, MinDistBranch) may leave next_idx
+            # unset; their successors are their explicit targets.
+            succ = op.successors()
+            if not op.is_barrier and not (succ and all(0 <= j < n for j in succ)):
+                raise CompilationError(
+                    f"op {op.idx} ({op.name}) has no successor"
+                )
 
     @property
     def num_stages(self) -> int:
