@@ -133,7 +133,7 @@ class CheckpointPlane:
         """Snapshot one stage boundary if the interval gate allows it.
 
         Called by the engine from ``_complete_stage`` after the next
-        stage's ledger is opened and its seeds are split, *before* they
+        stage's seeds are split, *before* its ledger opens and the seeds
         are dispatched — the certified quiescent instant. The caller has
         already applied the lifecycle fence (session RUNNING). Returns
         True when a checkpoint was stored.

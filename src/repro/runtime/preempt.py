@@ -124,20 +124,23 @@ def pause_at_boundary(
     engine: "AsyncPSTMEngine",
     session: "QuerySession",
     seeds: List["Traverser"],
+    snapshot: bool = True,
 ) -> None:
     """Snapshot and evict a PAUSING query at its certified boundary.
 
     Called by ``AsyncPSTMEngine._complete_stage`` after the boundary's
     seeds are split but *before* the next stage's ledger opens, so the
     evicted query leaves no open ledger behind. The snapshot is forced
-    past the interval gate — it is the only copy of the frontier. The
+    past the interval gate — it is the only copy of the frontier — unless
+    ``snapshot`` is False: the boundary's checkpoint is already stored. The
     eviction is restore's; at a certified boundary every purge is
     provably empty (Theorem 1), so its fenced reclaims guard only against
     late strays such as retransmitted packets.
     """
     query_id = session.query_id
     stage = session.cursor.current  # the stage the seeds open (resume point)
-    engine.checkpoints.maybe_snapshot(engine, session, seeds, force=True)
+    if snapshot:
+        engine.checkpoints.maybe_snapshot(engine, session, seeds, force=True)
     engine.delivery.evict(session, stage, "pause")
     session.lifecycle.to(QueryState.PAUSED, "preempt")
     session.paused_at_us = engine.clock.now
