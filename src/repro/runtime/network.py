@@ -16,12 +16,15 @@ wire latency. Message-kind counters feed Fig 11; packet counters feed
 Fig 12.
 
 Tier 2 is **work-conserving and causal**: one pump per source node hands
-the NIC a pack the instant it is free (the rule Linux's TCP autocorking
-uses: coalesce only while the device is still busy with the previous
-send), and a pack holds only flushes whose own instant has come. At low
-load a flush leaves when it was produced; under contention everything
-produced while the NIC was busy rides together, so packing grows with
-load instead of being bought with a timer (:meth:`Network._pump`).
+the NIC a pack the instant the NIC and the node's network thread are both
+free (the rule Linux's TCP autocorking uses: coalesce only while the
+previous send is still in progress), and a pack holds only flushes whose
+own instant has come. The network thread spends ``syscall_us`` on each
+pack's send — the syscall tier 1 alone makes per flush, on the flushing
+worker — so the next pack cannot start before it returns. At low load a
+flush leaves when it was produced; under contention everything produced
+while the previous send was in progress rides together, so packing grows
+with load instead of being bought with a timer (:meth:`Network._pump`).
 
 **Node-level weight coalescing.** Tier 2 is also the second tier of weight
 coalescing (§IV-A): when the progress mode coalesces, every finished-weight
@@ -169,7 +172,8 @@ class Network:
         metrics: run-wide counters to update.
         deliver: callback invoked for every arriving :class:`Message`.
         node_combining: enable tier-2 (NLC) packing of the same-destination
-            buffers flushed while the node's NIC was busy into one packet.
+            buffers flushed while the node's previous send was in progress
+            into one packet.
         coalesce_weights: the progress mode coalesces finished weight
             (tier 1, in the workers); with ``node_combining`` each pack
             then folds its same-``(query, stage)`` weight reports too.
@@ -208,11 +212,13 @@ class Network:
         # per-node NIC egress availability
         self._nic_free_at = [0.0] * num_nodes
         # NLC: per source node, the staged flushes ``(when, dst, messages,
-        # total)`` in staging order, and the instant its pump is armed for
+        # total)`` in staging order, the instant its pump is armed for, and
+        # the instant its network thread returns from the last pack's send
         self._staged: List[List[Tuple[float, int, List[Message], int]]] = [
             [] for _ in range(num_nodes)
         ]
         self._pump_at = [inf] * num_nodes
+        self._thread_free_at = [0.0] * num_nodes
         # -- reliability layer (armed only when a FaultPlan is configured) --
         self.faults = faults
         self.on_retransmit = on_retransmit
@@ -284,27 +290,31 @@ class Network:
         self._arm_pump(src, when)
 
     def _arm_pump(self, src: int, when: float) -> None:
-        """Arm ``src``'s pump for ``when`` or the instant its NIC frees,
-        whichever is later. An arm for an earlier instant supersedes a
-        later one."""
-        at = max(when, self._nic_free_at[src])
+        """Arm ``src``'s pump for ``when``, the instant its NIC frees or
+        the instant its network thread does, whichever is latest. An arm
+        for an earlier instant supersedes a later one."""
+        at = max(when, self._nic_free_at[src], self._thread_free_at[src])
         if at < self._pump_at[src]:
             self._pump_at[src] = at
             self.clock.schedule_at(at, lambda: self._pump(src, at))
 
     def _pump(self, src: int, at: float) -> None:
-        """One NIC hand-off: if ``src``'s NIC is free, the stream whose
-        oldest staged flush is earliest (ties: staging order) sends every
-        flush it holds with ``when <= now`` as one pack, weight reports
-        folded. Later-stamped flushes of a drain still in progress wait
-        for the next pack — nothing leaves the node before it was
-        produced — and the pump re-arms while anything is staged."""
+        """One NIC hand-off: if ``src``'s NIC and network thread are
+        free, the stream whose oldest staged flush is earliest (ties:
+        staging order) sends every flush it holds with ``when <= now`` as
+        one pack, weight reports folded, and the thread is busy with its
+        send for ``syscall_us``. Later-stamped flushes of a drain still in
+        progress wait for the next pack — nothing leaves the node before
+        it was produced — and the pump re-arms while anything is
+        staged."""
         if at != self._pump_at[src]:
             return  # superseded
         self._pump_at[src] = inf
         staged = self._staged[src]
         now = self.clock.now
-        if self._nic_free_at[src] <= now:
+        if self._nic_free_at[src] <= now and self._thread_free_at[src] <= now:
+            cost = self.cost
+            self._thread_free_at[src] = now + cost.syscall_us * cost.cpu_scale
             dst = min(staged, key=_WHEN)[1]
             messages: List[Message] = []
             total = 0

@@ -114,9 +114,31 @@ class TestRemoteDelivery:
 
 class TestNodeCombining:
     """Tier 2 is one NIC pump per source node: work-conserving (a pack
-    leaves the instant the NIC is free) and causal (a pack holds only
-    flushes whose own instant has come). The only "window" left is the
-    time the NIC spends on the previous send."""
+    leaves the instant the NIC and the node's network thread are free)
+    and causal (a pack holds only flushes whose own instant has come).
+    The only "window" left is the time the previous send takes: the
+    NIC's serialization or the network thread's send syscall, whichever
+    is longer."""
+
+    def test_network_thread_pays_one_send_syscall_per_pack(self):
+        """Small packs leave one ``syscall_us`` apart (the thread's send,
+        scaled with compute); a pack whose serialization takes longer
+        holds the next one for its own transmit time instead."""
+        for cm in (CostModel(), CostModel().scaled_cpu(2.0)):
+            clock = SimClock()
+            net = Network(clock, 2, cm, RunMetrics(),
+                          deliver=lambda m: None, node_combining=True)
+            packs, early = watch_packs(net)
+            thread = cm.syscall_us * cm.cpu_scale
+            big = int(4 * thread * cm.hardware.bytes_per_us)
+            tx_big = cm.tx_time_us(big)
+            for when, size in ((0.0, 16), (0.1, big), (thread + 0.1, 16),
+                               (thread + tx_big + 0.1, 16)):
+                net.send(0, 1, [msg(size=size)], when=when)
+            clock.run_until_idle()
+            assert [start for start, *_ in packs] == pytest.approx(
+                [0.0, thread, thread + tx_big, 2 * thread + tx_big])
+            assert not early
 
     def test_lone_flush_on_an_idle_nic_starts_at_its_own_instant(self):
         clock, metrics, delivered, net = make_network(node_combining=True)
@@ -138,7 +160,9 @@ class TestNodeCombining:
         net.send(0, 1, [msg()], when=tx / 4)
         net.send(0, 1, [msg()], when=tx / 2)
         clock.run_until_idle()
-        assert packs == [(0.0, 0, 1, [0.0]), (tx, 0, 1, [tx / 4, tx / 2])]
+        # the next pack waits for the NIC and the network thread's send
+        free = max(tx, CostModel().syscall_us)
+        assert packs == [(0.0, 0, 1, [0.0]), (free, 0, 1, [tx / 4, tx / 2])]
         assert not early
         assert metrics.packets_sent == 2
         assert len(delivered) == 3
@@ -195,15 +219,16 @@ class TestNodeCombining:
         packs, early = watch_packs(net)
         cm = CostModel()
         tx = cm.tx_time_us(16)
-        net.send(0, 1, [msg()], when=0.0)  # occupies the NIC until tx
+        net.send(0, 1, [msg()], when=0.0)  # occupies the NIC and thread
         net.send(0, 2, [msg()], when=0.5)
         net.send(0, 1, [msg()], when=0.25)
         net.send(0, 1, [msg()], when=0.75)
         clock.run_until_idle()
+        free = max(tx, cm.syscall_us)
         assert packs == [
             (0.0, 0, 1, [0.0]),
-            (tx, 0, 1, [0.25, 0.75]),
-            (tx + cm.tx_time_us(32), 0, 2, [0.5]),
+            (free, 0, 1, [0.25, 0.75]),
+            (free + max(cm.tx_time_us(32), cm.syscall_us), 0, 2, [0.5]),
         ]
         assert not early
 
