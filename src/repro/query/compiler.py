@@ -43,20 +43,12 @@ def compile_traversal(
 ) -> PhysicalPlan:
     """Apply strategies and lower ``traversal`` for execution on ``graph``.
 
-    ``fuse=True`` additionally runs the plan-level operator fusion pass
-    (:func:`repro.query.fusion.fuse_plan`), which inlines each k-hop
-    loop's exit chain into its branch op. A fused plan returns the
-    same result rows; its simulated timings differ (fewer materialized
-    traversers), which is why fusion is opt-in rather than a default
-    strategy.
+    ``fuse`` is accepted and ignored: a k-hop loop's exit chain needs no
+    plan rewrite, because the machine runs it inside the branch's step
+    (:class:`repro.core.machine.InlineLinks`) for every plan.
     """
     steps = apply_strategies(traversal.logical_steps(), graph)
-    plan = _Compiler(traversal.name).compile(steps)
-    if fuse:
-        from repro.query.fusion import fuse_plan
-
-        plan = fuse_plan(plan)
-    return plan
+    return _Compiler(traversal.name).compile(steps)
 
 
 class _Compiler:

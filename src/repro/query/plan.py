@@ -15,7 +15,7 @@ A :class:`PhysicalPlan` is the compiled form every engine executes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.core.steps import AggregateOp, PhysicalOp, SourceOp
 from repro.errors import CompilationError
@@ -85,16 +85,6 @@ class PhysicalPlan:
                     f"stage {stage.index} barrier op {barrier.name} is not an "
                     "aggregation"
                 )
-        self._partial_writers = [
-            tuple(op.idx for op in self.ops
-                  if op.stage == stage.index and op.is_barrier)
-            for stage in self.stages
-        ]
-        self._partials_ride = [
-            not any(op.forwards_weight_past_partial
-                    for op in self.ops if op.stage == stage.index)
-            for stage in self.stages
-        ]
         n = len(self.ops)
         for op in self.ops:
             # Branch-only ops (Fork, MinDistBranch) may leave next_idx
@@ -131,18 +121,6 @@ class PhysicalPlan:
         op = self.ops[self.stages[stage_index].barrier_idx]
         assert isinstance(op, AggregateOp)
         return op
-
-    def partial_writers(self, stage_index: int) -> Tuple[int, ...]:
-        """Indexes of the stage's ops that write its barrier partial."""
-        return self._partial_writers[stage_index]
-
-    def partials_ride(self, stage_index: int) -> bool:
-        """True when every write of the stage's barrier partial finishes
-        weight on the writing partition, so each partition's final partial
-        can ride its last weight report to the coordinator. One op that
-        forwards its weight past the write (``FusedMinDistCount``) makes
-        the stage gather its partials after the ledger closes instead."""
-        return self._partials_ride[stage_index]
 
     def is_final_stage(self, stage_index: int) -> bool:
         """True for the last (result-producing) stage."""

@@ -310,8 +310,8 @@ class Traversal:
     ) -> "PhysicalPlan":
         """Apply traversal strategies and lower to a physical plan.
 
-        ``fuse=True`` also runs the operator fusion pass — same result
-        rows, fewer materialized traversers (see docs/PERFORMANCE.md).
+        ``fuse`` is accepted and ignored (see
+        :func:`~repro.query.compiler.compile_traversal`).
         """
         from repro.query.compiler import compile_traversal
 

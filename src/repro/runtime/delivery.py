@@ -220,7 +220,7 @@ class DeliveryPlane:
             return
         cost = engine.cost
         if (engine.config.progress_mode.coalesced
-                and session.plan.partials_ride(stage)):
+                and session.machine.partials_ride(stage)):
             # Every partition's last absorb finished weight there, so its
             # last flush — which this close could not happen without —
             # shipped its final partial: nothing is left to gather.

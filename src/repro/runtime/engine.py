@@ -658,7 +658,7 @@ class AsyncPSTMEngine:
             rode = tuple((pid, p[0]) for pid, p in held if p[0])
             self.trace.emit(
                 STAGE_CLOSE, session.query_id, stage, "terminated",
-                *((rode, session.plan.partial_writers(stage)) if rode else ()))
+                *((rode, session.machine.partial_writers(stage)) if rode else ()))
         seeds = session.cursor.complete_stage(
             [GatheredPartial(pid, value, size)
              for pid, (_version, value, size) in held], session.rng)

@@ -10,11 +10,7 @@ exactly that part is a strategy object:
 * :class:`RunKernel` — the production drain (``EngineConfig.kernel="run"``,
   the default). Pops contiguous runs sharing ``(query_id, op_idx)`` and
   executes each through :meth:`RunDrain.execute_batch
-  <repro.runtime.runs.RunDrain.execute_batch>`, or, for a fused k-hop
-  count run under the drain's ``slim_ok`` gate, through the one
-  specialized body :meth:`RunDrain.fused_count_run
-  <repro.runtime.runs.RunDrain.fused_count_run>`. The choice is made per
-  run from what the code can observe, never from configuration.
+  <repro.runtime.runs.RunDrain.execute_batch>`.
 * :class:`ScalarKernel` — the reference loop: one traverser per kernel
   call, costs priced through :meth:`CostModel.op_cost_us`, one progress
   action per execution. Selected by ``EngineConfig.kernel="scalar"``;
@@ -33,7 +29,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Protocol
 
-from repro.core.fused import FusedMinDistCount
 from repro.core.progress import ProgressMode
 from repro.core.weight import GROUP_MODULUS
 from repro.runtime.config import KERNEL_NAMES
@@ -113,7 +108,7 @@ class ScalarKernel:
             result = session.machine.execute(
                 ctx, trav, session.rng, session.op_steps, session.op_inlined
             )
-            if session.plan.ops[trav.op_idx].is_barrier:
+            if session.machine.inline_links().writes[trav.op_idx]:
                 key = (trav.query_id, trav.stage)
                 versions = runtime.partial_versions
                 versions[key] = versions.get(key, 0) + 1
@@ -218,28 +213,16 @@ class RunKernel:
     sequence, making simulated time bit-for-bit identical. The wall-clock
     win comes from amortizing dispatch: one kernel call, one
     session/context lookup, and one metrics update per run instead of per
-    traverser. The run machinery, including the fused k-hop count's
-    specialized body, lives in :class:`~repro.runtime.runs.RunDrain`.
+    traverser. The run machinery lives in
+    :class:`~repro.runtime.runs.RunDrain`.
     """
 
     def drain(self, worker: "Worker", t: float) -> float:
-        """Pop and execute up to ``batch_size`` traversers as runs,
-        taking the fused count body for qualifying runs of any width."""
+        """Pop and execute up to ``batch_size`` traversers as runs."""
         d = get_drain(worker, t)
         execute_batch = d.execute_batch
         pop_run = d.pop_run
-        # The fused count body only models "children + cost + finished
-        # weight": shared-state penalties, per-execution progress messages,
-        # and trace events need the reference body's per-element structure.
-        slim_ok = d.slim_ok
-        fused_count_run = d.fused_count_run
         while (run := pop_run()) is not None:
-            if (
-                slim_ok
-                and type(op := d.ops[d.run_op_idx]) is FusedMinDistCount
-                and fused_count_run(op, run)
-            ):
-                continue
             execute_batch(run)
         return d.finish()
 

@@ -349,7 +349,7 @@ class QuerySession:
         #: per-operator spawn counts (op index → children produced)
         self.op_spawned: Dict[int, int] = {}
         #: the part of ``op_steps`` that ran inside the emitting step
-        #: (location-free links, :class:`~repro.core.machine.InlineLinks`)
+        #: (:class:`~repro.core.machine.InlineLinks`)
         self.op_inlined: Dict[int, int] = {}
         #: snapshot timestamp pinned at admission by the transaction plane
         #: (docs/TRANSACTIONS.md); None when the plane is disarmed. Set

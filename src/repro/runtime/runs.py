@@ -12,11 +12,9 @@ draws, the same buffer-flush instants, the same progress reports.
   mirrors, per-query session state refreshed when a run's query changes);
 * :meth:`pop_run` — run partitioning against the drain budget, including
   the cancelled-query weight-reclaim path;
-* :meth:`execute_batch` — the reference batched execution of one run
-  (kernel call + inlined links + split + routing + buffering + progress). The
-  kernel takes it for every run but fused k-hop count runs under
-  ``slim_ok``, which take :meth:`fused_count_run` — a specialized body
-  that produces the same simulated trajectory.
+* :meth:`execute_batch` — the batched execution of one run (kernel call
+  + inlined links + split + routing + buffering + progress), which the
+  kernel takes for every run.
 
 ``PROGRESS_MSG_BYTES`` lives here (the bottom of the kernel stack) and is
 re-exported by :mod:`repro.runtime.kernels` for compatibility.
@@ -35,7 +33,6 @@ from repro.runtime.network import TRACKER_DST, Message
 from repro.runtime.trace import ABSENT, EXEC
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.fused import FusedMinDistCount
     from repro.runtime.worker import Worker
 
 __all__ = ["PROGRESS_MSG_BYTES", "RunDrain", "get_drain"]
@@ -82,7 +79,7 @@ class RunDrain:
         "track_inflight", "note_outbound", "trav_buffers", "buffer_bytes",
         "flush_threshold", "flush", "size_cache", "last_payload",
         "last_size", "local_bufs", "local_bytes",
-        # specialized-body gate (no shared-state penalty, coalesced
+        # slim sink-run gate (no shared-state penalty, coalesced
         # progress, tracing off)
         "slim_ok",
         # metric tallies
@@ -175,9 +172,9 @@ class RunDrain:
             )
         else:
             self.per_access = 0.0
-        # Sink runs (no children at all) take a slim pricing loop, and the
-        # fused k-hop count its specialized body, when no per-traverser
-        # side channel (penalty, trace, eager progress) needs the full body.
+        # Sink runs (no children at all) take a slim pricing loop when no
+        # per-traverser side channel (penalty, trace, eager progress)
+        # needs the full body.
         self.slim_ok = (
             not self.shared
             and self.coalesced
@@ -325,14 +322,15 @@ class RunDrain:
         ops = self.ops
         op = ops[op_idx]
         outcome = op.apply_batch(self.ctx, run)
-        if op.is_barrier:
+        inline = self.inline
+        if inline.writes[op_idx]:
             versions = self.runtime.partial_versions
             key = (query_id, stage)
             versions[key] = versions.get(key, 0) + n_run
         spec_rows, costs = outcome.children, outcome.costs
-        if self.inline.emits[op_idx]:  # location-free links run right here
-            spec_rows, costs = self.inline.run(
-                self.ctx, spec_rows, costs, self.op_steps, self.session.op_inlined)
+        if inline.table[op_idx] is not None:  # links run right here
+            spec_rows, costs = inline.run(self.ctx, op_idx, spec_rows, costs,
+                                          self.op_steps, self.session.op_inlined)
         self.steps += n_run
         self.qmetrics.steps_executed += n_run
         op_steps = self.op_steps
@@ -695,7 +693,7 @@ class RunDrain:
         if fin_count:
             worker._accum(query_id, stage).absorb_many(fin_total, fin_count)
         if trace is not None:
-            # One EXEC event per fused run: per-traverser weights are not
+            # One EXEC event per batched run: per-traverser weights are not
             # materialized here (that is the point of batching), so the
             # event carries run totals; the auditor checks the
             # active-weight ledger, not per-traverser conservation. A
@@ -774,101 +772,3 @@ class RunDrain:
         self.cpu = cpu
         self.edges_scanned += edges_scanned
         self.memo_ops_total += memo_ops_total
-
-    def fused_count_run(self, op: "FusedMinDistCount", run: List[Traverser]) -> bool:
-        """The fused k-hop hot loop under the ``slim_ok`` gate: memo-pruned
-        distance updates, the count partial absorbed once per run, and only
-        loop continuations materialized. Children are always local (the
-        loop target is the vertex-routed Expand that sent us here).
-
-        Returns False, before mutating anything, when the loop target is
-        not vertex-routed; the kernel then takes :meth:`execute_batch`.
-        """
-        c_stage, c_mode, _child_op = self.route_info[op.loop_idx]
-        if c_mode != "vertex":
-            return False
-        memo = self.ctx.memo
-        tbl = memo.table(op.memo_label)
-        tbl_get = tbl.get
-        dist_slot = op.dist_slot
-        max_dist = op.max_dist
-        loop_idx = op.loop_idx
-        # The two cost points of the fused op, priced with the scalar
-        # expression: pruned (1,0,1,0) and admitted (2,0,2,0).
-        cost_pruned = self.cpu_scale * (
-            1 * self.step_base_us
-            + 0 * self.edge_us
-            + 1 * self.memo_op_us
-            + 0 * self.prop_us
-        )
-        cost_admit = self.cpu_scale * (
-            2 * self.step_base_us
-            + 0 * self.edge_us
-            + 2 * self.memo_op_us
-            + 0 * self.prop_us
-        )
-        count_first = op.count_first
-        query_id = self.run_qid
-        modulus = self.modulus
-        cpu = self.cpu
-        queue_append = self.queue.append
-        n = len(run)
-        counted = 0
-        memo_ops = 0
-        fin_total = 0
-        fin_count = 0
-        local_count = 0
-        for trav in run:
-            vertex = trav.vertex
-            dist = trav.payload[dist_slot]
-            old = tbl_get(vertex)
-            if old is not None and dist >= old:
-                cpu += cost_pruned
-                memo_ops += 1
-                weight = trav.weight
-                if weight:
-                    fin_total += weight
-                    fin_count += 1
-                continue
-            tbl[vertex] = dist
-            if old is None or not count_first:
-                counted += 1
-            memo_ops += 2
-            cpu += cost_admit
-            if dist < max_dist:
-                queue_append(
-                    Traverser(
-                        query_id, vertex, loop_idx, trav.payload,
-                        trav.weight % modulus, c_stage, trav.loops,
-                    )
-                )
-                local_count += 1
-            else:
-                weight = trav.weight
-                if weight:
-                    fin_total += weight
-                    fin_count += 1
-        if counted:
-            atbl = memo.table(op.agg_label)
-            atbl["partial"] = atbl.get("partial", 0) + counted
-        if local_count:
-            key = (query_id, c_stage)
-            stage_counts = self.stage_counts
-            stage_counts[key] = stage_counts.get(key, 0) + local_count
-        if fin_count:
-            self.worker._accum(query_id, self.run_stage).absorb_many(
-                fin_total, fin_count
-            )
-        self.cpu = cpu
-        self.steps += n
-        self.memo_ops_total += memo_ops
-        self.qmetrics.steps_executed += n
-        op_idx = self.run_op_idx
-        op_steps = self.op_steps
-        op_steps[op_idx] = op_steps.get(op_idx, 0) + n
-        if local_count:
-            self.spawned_total += local_count
-            op_spawned = self.op_spawned
-            op_spawned[op_idx] = op_spawned.get(op_idx, 0) + local_count
-            self.qmetrics.traversers_spawned += local_count
-        return True

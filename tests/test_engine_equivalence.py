@@ -12,8 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.fused import FusedMinDistChain, FusedMinDistCount
-from repro.core.steps import MinDistBranchOp
+import repro.core.machine as machine_mod
 from repro.graph.builder import GraphBuilder
 from repro.graph.partition import PartitionedGraph
 from repro.query.exprs import X
@@ -24,7 +23,7 @@ from repro.runtime.engine import AsyncPSTMEngine, EngineConfig
 from repro.runtime.faults import FaultPlan
 from repro.runtime.reference import LocalExecutor
 from repro.core.progress import ProgressMode
-from tests.conftest import make_graph as conftest_graph
+from tests.conftest import KERNELS
 from tests.test_fuzz_queries import _build_chain
 from tests.test_fuzz_queries import make_graph as fuzz_graph
 
@@ -120,13 +119,20 @@ def test_every_query_under_every_progress_mode(mode, query_index):
     assert normalized(got, query_index) == normalized(expected, query_index)
 
 
-# -- kernels and fused plans ---------------------------------------------------
+# -- kernels and inlined links -------------------------------------------------
 #
 # The second equivalence axis: on the SAME compiled plan, the run kernel
 # must reproduce not just the scalar oracle's rows but the exact simulated
-# latency — bit for bit, float for float. A fused plan is a DIFFERENT
-# plan, so it only owes the same result rows as its unfused source (its
-# simulated timings differ by design — that is the win).
+# latency — bit for bit, float for float. Running links inside the step
+# that emits their input (``repro.core.machine.InlineLinks``) fuses them
+# into that step; the reference with every link dispatched (``_link``
+# disabled) only owes the same result rows (its simulated timings differ
+# by design — that is the win).
+
+
+def without_inlining(mp):
+    """Force every machine built from now on to dispatch every link."""
+    mp.setattr(machine_mod, "_link", lambda *args: None)
 
 
 def _run_kernel(graph, plan, start, kernel, fault_plan=None):
@@ -142,17 +148,19 @@ def _run_kernel(graph, plan, start, kernel, fault_plan=None):
     seed=st.integers(min_value=0, max_value=10_000),
     query_index=st.integers(min_value=0, max_value=len(QUERY_BUILDERS) - 1),
     start=st.integers(min_value=0, max_value=39),
-    fuse=st.booleans(),
+    inline=st.booleans(),
 )
 @settings(max_examples=25, deadline=None)
-def test_kernels_bit_identical(seed, query_index, start, fuse):
-    """scalar == run on rows AND exact
-    simulated latency, on both the unfused and the fused lowering of
-    every fixed-shape query."""
+def test_kernels_bit_identical(seed, query_index, start, inline):
+    """scalar == run on rows AND exact simulated latency, with links
+    inlined and with every link dispatched, for every fixed-shape query."""
     graph = make_graph(seed)
-    plan = QUERY_BUILDERS[query_index]().compile(graph, fuse=fuse)
-    reference = _run_kernel(graph, plan, start, "scalar")
-    assert _run_kernel(graph, plan, start, "run") == reference
+    plan = QUERY_BUILDERS[query_index]().compile(graph)
+    with pytest.MonkeyPatch.context() as mp:
+        if not inline:
+            without_inlining(mp)
+        reference = _run_kernel(graph, plan, start, "scalar")
+        assert _run_kernel(graph, plan, start, "run") == reference
 
 
 @given(
@@ -162,22 +170,29 @@ def test_kernels_bit_identical(seed, query_index, start, fuse):
 )
 @settings(max_examples=25, deadline=None)
 def test_fused_plan_rows_match_unfused(seed, query_index, start):
+    """Rows with links fused into their emitting steps equal the rows of
+    the reference that dispatches every link, on both kernels."""
     graph = make_graph(seed)
-    builder = QUERY_BUILDERS[query_index]
-    unfused = builder().compile(graph)
-    fused = builder().compile(graph, fuse=True)
-    expected, _ = _run_kernel(graph, unfused, start, "run")
-    got, _ = _run_kernel(graph, fused, start, "run")
-    assert normalized(got, query_index) == normalized(expected, query_index)
+    plan = QUERY_BUILDERS[query_index]().compile(graph)
+    got = {k: _run_kernel(graph, plan, start, k)[0] for k in KERNELS}
+    with pytest.MonkeyPatch.context() as mp:
+        without_inlining(mp)
+        expected, _ = _run_kernel(graph, plan, start, "run")
+    for kernel in KERNELS:
+        assert (normalized(got[kernel], query_index)
+                == normalized(expected, query_index))
 
 
 @pytest.mark.parametrize("fault_seed", [1, 7, 23])
-@pytest.mark.parametrize("fuse", [False, True])
-def test_kernels_bit_identical_under_faults(fault_seed, fuse):
+@pytest.mark.parametrize("inline", [False, True])
+def test_kernels_bit_identical_under_faults(fault_seed, inline, monkeypatch):
     """A seeded fault plan (drops, dups, delays) arms the ack/retransmit
-    layer; the kernels must still agree bit for bit."""
+    layer; the kernels must still agree bit for bit, with links inlined
+    and with every link dispatched."""
+    if not inline:
+        without_inlining(monkeypatch)
     graph = make_graph(99)
-    plan = QUERY_BUILDERS[2]().compile(graph, fuse=fuse)
+    plan = QUERY_BUILDERS[2]().compile(graph)
     fault = FaultPlan(
         seed=fault_seed, drop_rate=0.15, dup_rate=0.1, delay_rate=0.1
     )
@@ -221,42 +236,7 @@ def test_collect_pushdown_rows_exact(seed, start):
         assert rows_declared == rows_plain
 
 
-# -- the fusion pass's shape ---------------------------------------------------
-
-
-def _fig1_khop() -> Traversal:
-    return (
-        Traversal("fig1").v_param("s").khop("e", k=3)
-        .filter_(X.vertex().neq(X.param("s")))
-        .values("w", "weight").as_("v").select("v", "w")
-        .order_by((X.binding("w"), "desc"), (X.binding("v"), "asc"))
-        .limit(10)
-    )
-
-
-def _count_khop() -> Traversal:
-    return Traversal("khop_count").v_param("s").khop("e", k=3).count()
-
-
-@pytest.mark.parametrize("builder, fused_type", [
-    (_fig1_khop, FusedMinDistChain), (_count_khop, FusedMinDistCount),
-], ids=["khop-top10", "khop-count"])
-def test_fusion_rewrites_only_the_khop_branch(builder, fused_type):
-    """The k-hop shapes fusion is measured on: the fused plan differs
-    from its unfused lowering at exactly one index, the loop's branch,
-    which holds the one fused op; every other op is the unfused one."""
-    graph = conftest_graph(5)
-    unfused = [(type(op), op.name) for op in builder().compile(graph).ops]
-    fused = [
-        (type(op), op.name)
-        for op in builder().compile(graph, fuse=True).ops
-    ]
-    assert len(fused) == len(unfused)
-    changed = [i for i, (a, b) in enumerate(zip(unfused, fused)) if a != b]
-    assert len(changed) == 1
-    (i,) = changed
-    assert unfused[i][0] is MinDistBranchOp
-    assert fused[i][0] is fused_type
+# -- the ignored ``fuse`` keyword ----------------------------------------------
 
 
 @given(
@@ -267,15 +247,14 @@ def test_fusion_rewrites_only_the_khop_branch(builder, fused_type):
 )
 @settings(max_examples=40, deadline=None)
 def test_fusion_emits_only_the_khop_fused_ops(seed, steps, terminal):
-    """Over the fuzz grammar's chains, fusion introduces no op type
-    beyond the unfused plan's own and the two k-hop fused ops."""
+    """Over the fuzz grammar's chains, ``compile(fuse=True)`` emits the
+    plan ``compile()`` emits, op for op: there is no fusion pass left to
+    rewrite a k-hop branch (or anything else)."""
     graph = fuzz_graph(seed)
     t = _build_chain(steps, terminal)
-    unfused_types = {type(op) for op in t.compile(graph).ops}
-    fused_types = {type(op) for op in t.compile(graph, fuse=True).ops}
-    assert fused_types <= unfused_types | {
-        FusedMinDistChain, FusedMinDistCount,
-    }
+    plain = [(type(op), op.name) for op in t.compile(graph).ops]
+    fused = [(type(op), op.name) for op in t.compile(graph, fuse=True).ops]
+    assert fused == plain
 
 
 @given(seed=st.integers(min_value=0, max_value=1000))

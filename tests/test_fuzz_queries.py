@@ -9,9 +9,11 @@ interactions (e.g. dedup after khop after union).
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.machine as machine_mod
 from repro.graph.builder import GraphBuilder
 from repro.graph.partition import PartitionedGraph
 from repro.query.exprs import X
@@ -100,7 +102,7 @@ def test_random_chains_agree_across_engines(graph_seed, steps, terminal, start):
     assert sorted(map(repr, got)) == sorted(map(repr, expected))
 
 
-# -- kernels and fused plans ---------------------------------------------------
+# -- kernels and inlined links -------------------------------------------------
 
 
 def _build_chain(steps, terminal):
@@ -130,17 +132,18 @@ def _run_kernel(graph, plan, start, kernel, fault_plan=None):
 def test_random_chains_kernels_and_fusion_agree(
     graph_seed, steps, terminal, start
 ):
-    """On each generated chain: the run kernel reproduces the scalar rows and exact simulated latency on both
-    lowerings, and the fused lowering's rows equal the unfused
-    lowering's."""
+    """On each generated chain: the run kernel reproduces the scalar rows
+    and exact simulated latency, with links fused into their emitting
+    steps and with every link dispatched (``_link`` disabled), and the
+    fused rows equal the dispatched reference's."""
     graph = make_graph(graph_seed)
-    t = _build_chain(steps, terminal)
-    unfused = t.compile(graph)
-    fused = t.compile(graph, fuse=True)
-    ref_u = _run_kernel(graph, unfused, start, "scalar")
-    ref_f = _run_kernel(graph, fused, start, "scalar")
-    assert _run_kernel(graph, unfused, start, "run") == ref_u
-    assert _run_kernel(graph, fused, start, "run") == ref_f
+    plan = _build_chain(steps, terminal).compile(graph)
+    ref_f = _run_kernel(graph, plan, start, "scalar")
+    assert _run_kernel(graph, plan, start, "run") == ref_f
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(machine_mod, "_link", lambda *args: None)
+        ref_u = _run_kernel(graph, plan, start, "scalar")
+        assert _run_kernel(graph, plan, start, "run") == ref_u
     assert sorted(map(repr, ref_f[0])) == sorted(map(repr, ref_u[0]))
 
 
@@ -159,7 +162,7 @@ def test_random_chains_kernels_agree_under_faults(
     """Same agreement with a seeded fault plan armed: drops, dups, and
     delays exercise the ack/retransmit layer identically per kernel."""
     graph = make_graph(graph_seed)
-    plan = _build_chain(steps, terminal).compile(graph, fuse=True)
+    plan = _build_chain(steps, terminal).compile(graph)
     fault = FaultPlan(
         seed=fault_seed, drop_rate=0.1, dup_rate=0.1, delay_rate=0.1
     )

@@ -13,7 +13,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 
-#: builds a partitioned graph and runs a fused k-hop count and an
+#: builds a partitioned graph and runs a k-hop count and an
 #: expand/dedup query through the public API, then reports whether any
 #: module of the run pulled NumPy in
 NO_NUMPY_SNIPPET = """
@@ -29,7 +29,7 @@ for v in range(200):
 cluster = ClusterConfig(nodes=2, workers_per_node=2)
 graph = cluster.partition(b.build())
 engine = make_graphdance(graph, cluster)
-khop = Traversal("k").v_param("s").khop("e", k=3).count().compile(graph, fuse=True)
+khop = Traversal("k").v_param("s").khop("e", k=3).count().compile(graph)
 wide = Traversal("w").v_param("s").out("e").out("e").dedup().count().compile(graph)
 rows = [engine.run(plan, {"s": 5}).rows for plan in (khop, wide)]
 assert all(rows), rows

@@ -10,9 +10,9 @@ coordinator already holds every final partial: no gather. Pinned here:
     and sizes (``watch_closes``; the shipped values are snapshotted at the
     flush, so a write after a partition's last ship cannot hide);
 (b) **reordering** — a stale ship arriving after a newer one is ignored;
-(c) **nothing to ride on** — a stage whose partial is written by an op
-    that forwards its weight (``FusedMinDistCount``) gathers, decided by
-    the operator's attribute and the plan's predicate;
+(c) **nothing to ride on** — a stage whose count an op absorbs inline
+    beside a child that carries its weight on (the k-hop branch) gathers,
+    decided by the machine's inline table;
 (d) **ship accounting** — one ship per changed partial per idle flush, the
     fold keeps every input's, splices leave nothing behind.
 """
@@ -22,8 +22,9 @@ import random
 
 import pytest
 
-from repro.core.fused import FusedMinDistCount
+from repro.core.machine import PSTMMachine
 from repro.core.progress import ProgressMode
+from repro.core.steps import FilterOp, MinDistBranchOp
 from repro.core.subquery import GatheredPartial, gather_partials
 from repro.query.exprs import X
 from repro.query.traversal import Traversal
@@ -62,7 +63,7 @@ def watch_closes(engine):
         session = engine.sessions.get(query_id)
         if (session is not None and session.cursor.current == stage
                 and engine.config.progress_mode.coalesced
-                and session.plan.partials_ride(stage)):
+                and session.machine.partials_ride(stage)):
             pulled = gather_partials(
                 session.plan, stage, query_id,
                 engine.memo_stores)
@@ -90,8 +91,9 @@ def graph():
 
 
 def khop_plans(graph):
-    """The k-hop count (fused: ``FusedMinDistCount`` writes the partial and
-    forwards its weight) and the k-hop top-10, fused and unfused."""
+    """The k-hop count (its branch absorbs the count inline and forwards
+    its weight) and the k-hop top-10, each compiled with and without the
+    ignored ``fuse`` keyword."""
     count = Traversal("c").v_param("s").khop("e", k=3).count()
     top = (Traversal("t").v_param("s").khop("e", k=3)
            .values("w", "weight").as_("v").select("v", "w")
@@ -117,8 +119,8 @@ class TestPullEquivalence:
                     for i in range(6) for j, plan in enumerate(plans)]
         engine.clock.run_until_idle()
         assert all(s.qmetrics.done for s in sessions)
-        # the fused count gathers; the other three plans' closes were checked
-        assert len(closes) == 18
+        # the counts gather; the two top-10 plans' closes were checked
+        assert len(closes) == 12
         assert all(n > 0 for _q, _s, n in closes)
         assert engine.metrics.message_count(MsgKind.PARTIAL) > 0
 
@@ -208,24 +210,36 @@ class TestReordering:
         assert WeightLedgerAuditor(engine.trace.events).audit().ok
 
 
+def absorbing_ops(machine):
+    """Types of the ops whose steps absorb their stage's count inline."""
+    writes = machine.inline_links().writes
+    return [type(op) for op in machine.plan.ops
+            if writes[op.idx] and not op.is_barrier]
+
+
 class TestNothingToRideOn:
     def test_fused_count_partition_never_flushes_weight(self):
-        """The example hypothesis found for the prototype
-        (``test_kernels_bit_identical(seed=3, query_index=3, start=0,
-        fuse=True)``): the ledger closes while a partition holds a count
-        partial it never flushed weight for, so the stage must gather.
-        Start 0 showed it under hash placement only; start 2 shows it
-        under the graph's degree-stratified homes and under hash homes."""
+        """The example hypothesis found for the prototype of partial
+        riding (``test_kernels_bit_identical(seed=3, query_index=3,
+        start=0)`` on the fused lowering): the ledger closes while a
+        partition holds a count partial it never flushed weight for, so
+        the stage must gather. Start 0 showed it under hash placement
+        only; start 2 shows it under the graph's degree-stratified homes
+        and under hash homes. The k-hop branch absorbs the count in its
+        own step, beside the loop child that carries its weight on."""
         # that suite's graph 3 and query 3, rebuilt here
         graph = make_graph(3, n=40, degree=3, partitions=4)
         plan = (Traversal("q3").v_param("s").khop("e", k=2).count()
-                .compile(graph, fuse=True))
-        assert any(type(op) is FusedMinDistCount for op in plan.ops)
-        assert not plan.partials_ride(0)
+                .compile(graph))
         rows = {}
         for kernel in KERNELS:
             engine = AsyncPSTMEngine(graph, 2, 2, config=EngineConfig(
                 kernel=kernel, trace=True))
+            machine = PSTMMachine(plan, graph.partitioner)
+            assert MinDistBranchOp in absorbing_ops(machine)
+            assert not machine.partials_ride(0)
+            absorbing = set(machine.partial_writers(0)) - {
+                op.idx for op in plan.ops if op.is_barrier}
             closes = watch_closes(engine)
             result = engine.run(plan, {"s": 2})
             rows[kernel] = (result.rows, result.latency_us)
@@ -235,29 +249,41 @@ class TestNothingToRideOn:
             flushed = {ev.data["wid"]
                        for ev in engine.trace.by_kind("weight_flush")}
             counted = {ev.data["pid"] for ev in engine.trace.by_kind("exec")
-                       if type(plan.ops[ev.data["op_idx"]]) is FusedMinDistCount}
+                       if ev.data["op_idx"] in absorbing}
             assert counted - flushed, (counted, flushed)
             assert not engine.trace.by_kind(PARTIAL_SHIP)
         assert rows["run"] == rows["scalar"]
 
     def test_the_decision_is_the_operators_and_the_plans(self, graph):
-        fused, unfused = (
-            Traversal("c").v_param("s").khop("e", k=3).count()
-            .compile(graph, fuse=fuse) for fuse in (True, False))
-        forwarding = [op for op in fused.ops if op.forwards_weight_past_partial]
-        assert [type(op) for op in forwarding] == [FusedMinDistCount]
-        assert not fused.partials_ride(0) and unfused.partials_ride(0)
-        # every mode but the default gathers whatever the plan says
+        """The stage gathers when an op absorbs the count beside a child
+        that carries the weight on; it rides when the absorbing op's only
+        child is the count, and when the count is dispatched."""
+        count = (Traversal("c").v_param("s").khop("e", k=3).count()
+                 .compile(graph))
+        # a vertex-routed filter whose only child the count absorbs
+        lone = (Traversal("f").v_param("s").out("e")
+                .filter_(X.prop("weight").gt(5)).count().compile(graph))
+        machine = PSTMMachine(count, graph.partitioner)
+        assert MinDistBranchOp in absorbing_ops(machine)
+        assert not machine.partials_ride(0)
+        machine = PSTMMachine(lone, graph.partitioner)
+        assert absorbing_ops(machine) == [FilterOp]
+        assert machine.partials_ride(0)
+        # a count routed to one partition is dispatched: nothing absorbs
+        machine = PSTMMachine(count, graph.partitioner, barrier_route=0)
+        assert absorbing_ops(machine) == []
+        assert machine.partials_ride(0)
+        # every mode but the default gathers whatever the machine says
         for mode in (ProgressMode.WEIGHTED_IMMEDIATE,
                      ProgressMode.NAIVE_CENTRAL):
             engine = AsyncPSTMEngine(graph, NODES, WPN,
                                      config=EngineConfig(progress_mode=mode))
-            engine.run(unfused, {"s": 3})
+            engine.run(lone, {"s": 3})
             assert engine.metrics.message_count(MsgKind.PARTIAL) > 0
         engine = AsyncPSTMEngine(graph, NODES, WPN)
-        engine.run(unfused, {"s": 3})
+        engine.run(lone, {"s": 3})
         assert engine.metrics.message_count(MsgKind.PARTIAL) == 0
-        engine.run(fused, {"s": 3})
+        engine.run(count, {"s": 3})
         assert engine.metrics.message_count(MsgKind.PARTIAL) > 0
 
 

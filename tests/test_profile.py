@@ -28,15 +28,18 @@ def khop_plan(graph, k=3):
 class TestProfile:
     def test_counts_sum_to_total_steps(self, graph):
         """``op_steps`` counts executions; the ones that ran inside their
-        emitting step (location-free links) are no kernel steps."""
+        emitting step (inlined links) are no kernel steps."""
         plan = khop_plan(graph)
         engine = AsyncPSTMEngine(graph, NODES, WPN)
         profile = engine.profile(plan, {"s": 1})
         dispatched = sum(profile.dispatched_of(op.idx) for op in plan.ops)
         assert dispatched == profile.metrics.steps_executed
+        # the location-free projections, and the k-hop exit chain (the
+        # vertex Dedup and the vertex-reading projection) in the branch's
+        # step
         assert set(profile.op_inlined) == {
             op.idx for op in plan.ops
-            if isinstance(op, phys.ProjectOp) and op.routing_mode == "free"}
+            if isinstance(op, (phys.ProjectOp, phys.DedupOp))}
         assert "inlined=" in profile.render()
 
     def test_rows_match_plain_run(self, graph):

@@ -42,8 +42,8 @@ N_QUERIES = 6
 #: (its last report lands 55-155 us after submission in either weighted mode)
 CANCEL_AFTER_US = 30.0
 #: after every stage-0 boundary, while stage 1 still runs (the default
-#: mode's stage-0 ledgers close by t ~= 205 us, its last query at ~256)
-CRASH_AT_US = 230.0
+#: mode's stage-0 ledgers close by t ~= 168 us, its last query at ~219)
+CRASH_AT_US = 190.0
 
 
 @pytest.fixture(scope="module")

@@ -1,20 +1,18 @@
-"""Run-kernel dispatch: which runs take which execution body.
+"""Run-kernel dispatch: every run takes one execution body.
 
-The equivalence suites prove every body produces the same simulated bits;
-nothing there would notice the *selection* drifting (a specialized body
-that is never chosen is still "equivalent"). These tests pin the selection
-rule of :class:`~repro.runtime.kernels.RunKernel`: a fused k-hop count run
-takes :meth:`RunDrain.fused_count_run` at every width whenever the drain's
-``slim_ok`` gate holds, and every other run — Expand and Dedup included —
-takes :meth:`RunDrain.execute_batch`. One crafted run is drained directly
-so its width is exact.
+The equivalence suites prove the run kernel produces the scalar kernel's
+simulated bits; nothing there would notice a specialized body creeping
+back in beside the reference one. These tests pin the rule of
+:class:`~repro.runtime.kernels.RunKernel`: every run — Expand, Dedup and
+the k-hop branch with its inlined exit chain included, inside and outside
+the drain's ``slim_ok`` gate — takes :meth:`RunDrain.execute_batch`. One
+crafted run is drained directly so its width is exact.
 """
 
 import pytest
 
-from repro.core.fused import FusedMinDistCount
 from repro.core.progress import ProgressMode
-from repro.core.steps import DedupOp, ExpandOp
+from repro.core.steps import DedupOp, ExpandOp, MinDistBranchOp
 from repro.core.traverser import Traverser
 from repro.query.exprs import X
 from repro.query.traversal import Traversal
@@ -22,7 +20,7 @@ from repro.runtime.engine import AsyncPSTMEngine, EngineConfig
 from repro.runtime.runs import RunDrain
 from tests.conftest import make_graph
 
-BODIES = ("execute_batch", "fused_count_run")
+BODIES = ("execute_batch",)
 
 
 @pytest.fixture
@@ -52,7 +50,7 @@ def _expand_dedup_query():
 QUERIES = {
     ExpandOp: _expand_dedup_query,
     DedupOp: _expand_dedup_query,
-    FusedMinDistCount: lambda: (
+    MinDistBranchOp: lambda: (
         Traversal("q").v_param("s").khop("e", k=3).count()
     ),
 }
@@ -88,9 +86,9 @@ def drain_one_run(op_type, width, *, fuse=False, workers=1, **cfg):
 
 class TestWidthAndShape:
     @pytest.mark.parametrize("width", [1, 7, 8, 32])
-    def test_fused_count_takes_its_body_at_every_width(self, entered, width):
-        drain_one_run(FusedMinDistCount, width, fuse=True)
-        assert entered == [("fused_count_run", width)]
+    def test_khop_branch_takes_execute_batch(self, entered, width):
+        drain_one_run(MinDistBranchOp, width)
+        assert entered == [("execute_batch", width)]
 
     @pytest.mark.parametrize("width", [1, 7, 8, 32])
     @pytest.mark.parametrize("op_type", [ExpandOp, DedupOp])
@@ -98,8 +96,10 @@ class TestWidthAndShape:
         drain_one_run(op_type, width)
         assert entered == [("execute_batch", width)]
 
+    # ``fuse`` is the ignored compile keyword; the k-hop plan passes it
+    # the way the spine benchmark does
     @pytest.mark.parametrize("op_type, fuse", [
-        (ExpandOp, False), (FusedMinDistCount, True),
+        (ExpandOp, False), (MinDistBranchOp, True),
     ])
     @pytest.mark.parametrize("cfg", [
         dict(trace=True),

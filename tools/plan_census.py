@@ -9,8 +9,8 @@ Sets the workload up and runs it once, untraced, as
 ``benchmarks/spine/run.py`` does, then prints two markdown tables from
 the finished sessions. *Per plan*: its queries, the kernel steps they
 dispatched (``qmetrics.steps_executed``) and the operator executions
-those steps performed (dispatched steps plus the location-free links
-run inside them), the steps' share of the run's and their mean per
+those steps performed (dispatched steps plus the links run inside
+them), the steps' share of the run's and their mean per
 query, and the simulated latency P50 and max (``qmetrics.latency_us``,
 nearest rank). *Per operator* of the plan with the most steps: the
 traversers that executed it (``op_steps``), how many of those were
