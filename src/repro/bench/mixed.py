@@ -54,7 +54,7 @@ from repro.ldbc.queries.updates import UP_QUERIES, UpdateContext
 from repro.query.traversal import Traversal
 from repro.runtime.engine import AsyncPSTMEngine, EngineConfig
 from repro.runtime.faults import CRASH, FaultPlan, WorkerFault
-from repro.runtime.kernels import KERNEL_NAMES as KERNELS
+from repro.runtime.config import KERNEL_NAMES as KERNELS
 from repro.runtime.reference import LocalExecutor
 from repro.runtime.trace import (
     CHECKPOINT,
@@ -300,7 +300,9 @@ def probe_crash_time(
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(
+        prog="repro mixed", description=__doc__.splitlines()[0]
+    )
     parser.add_argument("--out", default=None, help="write a JSON report here")
     parser.add_argument("--quick", action="store_true",
                         help="CI variant: fewer queries per ratio")

@@ -243,7 +243,9 @@ def evaluate(rows: List[Dict[str, Any]]) -> Dict[str, Any]:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(
+        prog="repro overload", description=__doc__.splitlines()[0]
+    )
     parser.add_argument("--out", default=None, help="write a JSON report here")
     parser.add_argument(
         "--quick",

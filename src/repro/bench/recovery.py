@@ -110,7 +110,9 @@ def run_once(
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(
+        prog="repro recovery", description=__doc__.splitlines()[0]
+    )
     parser.add_argument("--out", default=None, help="write a JSON report here")
     parser.add_argument("--quick", action="store_true",
                         help="CI variant: a single crash point")

@@ -9,6 +9,7 @@ Usage::
     python -m repro explain khop3        # show a compiled plan
     python -m repro faults --drop-rate 0.01 --seed 1   # fault-injection demo
     python -m repro trace --cancel --out trace.jsonl   # observability demo
+    python -m repro preempt --quick --check   # a bench: flags go to its module
 
 Experiment names map to the functions in :mod:`repro.bench.experiments`;
 heavyweight experiments accept their default (benchmark-suite) parameters.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from importlib import import_module
 from typing import Callable, Dict, List
 
 from repro.bench import experiments as exp
@@ -45,6 +47,18 @@ EXPERIMENTS: Dict[str, tuple] = {
     "fig11": (exp.fig11_message_counts, "Fig 11: progress message counts"),
     "fig12": (exp.fig12_io_scheduler, "Fig 12: two-tier I/O scheduler"),
     "fig13": (exp.fig13_hardware, "Fig 13: hardware sensitivity"),
+}
+
+#: subcommand → help line of a bench whose module ``repro.bench.<name>``
+#: owns its flags: ``repro <name> ARGS`` hands ARGS to that module's
+#: ``main(argv)`` unparsed.
+BENCHES: Dict[str, str] = {
+    "overload": "overload soak: open-loop LDBC mix at rising arrival rates",
+    "recovery": "recovery bench: crash + force-retry vs checkpoint restore",
+    "preempt": "preemption bench: interactive tail latency with "
+               "pause/evict/resume on one slot",
+    "mixed": "mixed bench: IC read latency under concurrent LDBC SNB "
+             "update transactions at 0/25/50%% update ratios",
 }
 
 
@@ -239,66 +253,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
     )
     print(f"rows identical to fault-free run: {'yes' if identical else 'NO'}")
     return 0 if identical else 1
-
-
-def cmd_overload(args: argparse.Namespace) -> int:
-    """Run the overload soak (open-loop LDBC mix, rising arrival rates)."""
-    from repro.bench import overload
-
-    forwarded: List[str] = []
-    if args.quick:
-        forwarded.append("--quick")
-    if args.check:
-        forwarded.append("--check")
-    if args.unprotected:
-        forwarded.append("--unprotected")
-    if args.count is not None:
-        forwarded.extend(["--count", str(args.count)])
-    if args.out:
-        forwarded.extend(["--out", args.out])
-    return overload.main(forwarded)
-
-
-def cmd_recovery(args: argparse.Namespace) -> int:
-    """Run the recovery bench (crash + force-retry vs checkpoint restore)."""
-    from repro.bench import recovery
-
-    forwarded: List[str] = []
-    if args.quick:
-        forwarded.append("--quick")
-    if args.check:
-        forwarded.append("--check")
-    if args.out:
-        forwarded.extend(["--out", args.out])
-    return recovery.main(forwarded)
-
-
-def cmd_preempt(args: argparse.Namespace) -> int:
-    """Run the preemption bench (interactive tail latency, pause/resume)."""
-    from repro.bench import preempt
-
-    forwarded: List[str] = []
-    if args.quick:
-        forwarded.append("--quick")
-    if args.check:
-        forwarded.append("--check")
-    if args.out:
-        forwarded.extend(["--out", args.out])
-    return preempt.main(forwarded)
-
-
-def cmd_mixed(args: argparse.Namespace) -> int:
-    """Run the mixed bench (IC reads under concurrent SNB updates)."""
-    from repro.bench import mixed
-
-    forwarded: List[str] = []
-    if args.quick:
-        forwarded.append("--quick")
-    if args.check:
-        forwarded.append("--check")
-    if args.out:
-        forwarded.extend(["--out", args.out])
-    return mixed.main(forwarded)
 
 
 def _parse_crash(spec: str):
@@ -575,22 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also crash worker WID at AT_US (recovering "
                              "after DOWN_US if given)")
     faults.set_defaults(fn=cmd_faults)
-    overload = sub.add_parser(
-        "overload",
-        help="overload soak: open-loop LDBC mix at rising arrival rates",
-    )
-    overload.add_argument("--quick", action="store_true",
-                          help="CI soak: smaller mix, fewer arrivals")
-    overload.add_argument("--check", action="store_true",
-                          help="exit nonzero unless degradation gates hold")
-    overload.add_argument("--unprotected", action="store_true",
-                          help="also soak a default-config engine at the "
-                               "top rate")
-    overload.add_argument("--count", type=int, default=None,
-                          help="arrivals per rate point")
-    overload.add_argument("--out", default=None,
-                          help="write a JSON report here")
-    overload.set_defaults(fn=cmd_overload)
     trace = sub.add_parser(
         "trace",
         help="observability demo: traced batch + weight-ledger audit "
@@ -625,53 +563,23 @@ def build_parser() -> argparse.ArgumentParser:
                             "the regenerated trace is bit-for-bit "
                             "identical (ignores the other options)")
     trace.set_defaults(fn=cmd_trace)
-    recovery = sub.add_parser(
-        "recovery",
-        help="recovery bench: crash + force-retry vs checkpoint restore",
-    )
-    recovery.add_argument("--quick", action="store_true",
-                          help="CI variant: fewer crash points")
-    recovery.add_argument("--check", action="store_true",
-                          help="exit nonzero unless restore replays "
-                               "strictly less work than force-retry")
-    recovery.add_argument("--out", default=None,
-                          help="write a JSON report here")
-    recovery.set_defaults(fn=cmd_recovery)
-    preempt = sub.add_parser(
-        "preempt",
-        help="preemption bench: interactive tail latency with "
-             "pause/evict/resume on one slot",
-    )
-    preempt.add_argument("--quick", action="store_true",
-                         help="CI variant: fewer arrivals")
-    preempt.add_argument("--check", action="store_true",
-                         help="exit nonzero unless preemption strictly "
-                              "improves interactive P99 with analytics "
-                              "resumed, not shed")
-    preempt.add_argument("--out", default=None,
-                         help="write a JSON report here")
-    preempt.set_defaults(fn=cmd_preempt)
-    mixed = sub.add_parser(
-        "mixed",
-        help="mixed bench: IC read latency under concurrent LDBC SNB "
-             "update transactions at 0/25/50%% update ratios",
-    )
-    mixed.add_argument("--quick", action="store_true",
-                       help="CI variant: fewer queries per ratio")
-    mixed.add_argument("--check", action="store_true",
-                       help="exit nonzero unless rows are bit-identical "
-                            "across kernels and solo snapshot runs, audits "
-                            "are clean, and crash recovery replays the "
-                            "version log before traversal restore")
-    mixed.add_argument("--out", default=None,
-                       help="write a JSON report here")
-    mixed.set_defaults(fn=cmd_mixed)
+    for name, help_text in BENCHES.items():
+        # no parser of our own: --help and every flag go to the bench
+        sub.add_parser(name, help=help_text, add_help=False).set_defaults(
+            bench=name
+        )
     return parser
 
 
 def main(argv: List[str] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, rest = parser.parse_known_args(argv)
+    bench = getattr(args, "bench", None)
+    if bench is not None:
+        return import_module(f"repro.bench.{bench}").main(rest)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     return args.fn(args)
 
 

@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING, Protocol
 
 from repro.core.progress import ProgressMode
 from repro.core.weight import GROUP_MODULUS
-from repro.runtime.config import KERNEL_NAMES
 from repro.runtime.metrics import MsgKind
 from repro.runtime.network import TRACKER_DST, Message
 from repro.runtime.runs import PROGRESS_MSG_BYTES, get_drain
@@ -42,13 +41,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.worker import Worker
 
 __all__ = [
-    "PROGRESS_MSG_BYTES",
     "ExecutionKernel",
     "ScalarKernel",
     "RunKernel",
     "SCALAR_KERNEL",
     "RUN_KERNEL",
-    "KERNEL_NAMES",
     "kernel_for",
 ]
 
@@ -234,5 +231,5 @@ RUN_KERNEL = RunKernel()
 
 def kernel_for(config: "EngineConfig") -> ExecutionKernel:
     """The execution kernel ``config.kernel`` names (validated by
-    ``EngineConfig.__post_init__`` against :data:`KERNEL_NAMES`)."""
+    ``EngineConfig.__post_init__`` against :data:`~repro.runtime.config.KERNEL_NAMES`)."""
     return SCALAR_KERNEL if config.kernel == "scalar" else RUN_KERNEL

@@ -12,12 +12,11 @@ draws, the same buffer-flush instants, the same progress reports.
   mirrors, per-query session state refreshed when a run's query changes);
 * :meth:`pop_run` — run partitioning against the drain budget, including
   the cancelled-query weight-reclaim path;
-* :meth:`execute_batch` — the batched execution of one run (kernel call
-  + inlined links + split + routing + buffering + progress), which the
-  kernel takes for every run.
+* :meth:`execute_batch` — the production body every run takes: one
+  kernel call + inlined links, then one row loop that prices, splits,
+  routes, buffers and reports each row.
 
-``PROGRESS_MSG_BYTES`` lives here (the bottom of the kernel stack) and is
-re-exported by :mod:`repro.runtime.kernels` for compatibility.
+``PROGRESS_MSG_BYTES`` lives here, at the bottom of the kernel stack.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.progress import ProgressMode
 from repro.core.traverser import Traverser
-from repro.core.weight import GROUP_MODULUS
+from repro.core.weight import GROUP_MODULUS, split_weight
 from repro.errors import ExecutionError
 from repro.runtime.metrics import MsgKind
 from repro.runtime.network import TRACKER_DST, Message
@@ -74,18 +73,15 @@ class RunDrain:
         # progress mode
         "naive", "coalesced",
         # topology
-        "self_pid", "ppn", "num_nodes", "modulus",
+        "self_pid", "ppn", "num_nodes",
         # tier-1 buffer mirrors
         "track_inflight", "note_outbound", "trav_buffers", "buffer_bytes",
         "flush_threshold", "flush", "size_cache", "last_payload",
         "last_size", "local_bufs", "local_bytes",
-        # slim sink-run gate (no shared-state penalty, coalesced
-        # progress, tracing off)
-        "slim_ok",
         # metric tallies
         "steps", "edges_scanned", "memo_ops_total", "spawned_total",
         # per-query hoists
-        "cur_qid", "session", "machine", "ctx", "getrandbits", "ops", "inline",
+        "cur_qid", "session", "machine", "ctx", "ops", "inline",
         "num_ops", "route_info", "partitioner", "pcache_get",
         "num_partitions", "barrier_route", "op_steps", "op_spawned",
         "qmetrics",
@@ -123,7 +119,6 @@ class RunDrain:
         self.self_pid = runtime.pid
         self.ppn = engine.partitions_per_node
         self.num_nodes = engine.nodes
-        self.modulus = GROUP_MODULUS
 
         # Inlined _buffer_traverser state (hot path).
         self.trav_buffers = worker._trav_buffers
@@ -152,7 +147,7 @@ class RunDrain:
         self.t = t
         self.budget = engine.config.batch_size
         self.cpu = 0.0
-        self.trace = trace = engine.trace
+        self.trace = engine.trace
         delivery = engine.delivery
         self.track_inflight = delivery.track_inflight
         self.note_outbound = delivery.note_outbound
@@ -172,15 +167,6 @@ class RunDrain:
             )
         else:
             self.per_access = 0.0
-        # Sink runs (no children at all) take a slim pricing loop when no
-        # per-traverser side channel (penalty, trace, eager progress)
-        # needs the full body.
-        self.slim_ok = (
-            not self.shared
-            and self.coalesced
-            and not self.naive
-            and trace is None
-        )
 
         self.size_cache.clear()
         # Siblings share their parent's payload reference, so one identity
@@ -229,7 +215,6 @@ class RunDrain:
             machine = session.machine
             self.machine = machine
             self.ctx = session.context(self.self_pid)
-            self.getrandbits = session.rng.getrandbits
             self.ops = machine.plan.ops
             self.num_ops = len(machine.plan.ops)
             self.route_info = machine.route_info()
@@ -294,10 +279,10 @@ class RunDrain:
 
     def finish(self) -> float:
         """Flush mirrors, commit metric tallies, return the CPU µs burned.
-        The cached drain lets go of the last run's context and RNG, which
-        must not outlive their query."""
+        The cached drain lets go of the last run's session and context,
+        which must not outlive their query."""
         self.sync_bufs()
-        self.session = self.ctx = self.getrandbits = None
+        self.session = self.ctx = None
         metrics = self.metrics
         metrics.steps_executed += self.steps
         metrics.edges_scanned += self.edges_scanned
@@ -305,22 +290,22 @@ class RunDrain:
         metrics.traversers_spawned += self.spawned_total
         return self.cpu
 
-    # -- the reference batched run execution ---------------------------------
+    # -- the run body ---------------------------------------------------------
 
     def execute_batch(self, run: List[Traverser]) -> None:
-        """Execute one homogeneous run through the batched reference path.
+        """Execute one homogeneous run: the production body every run takes.
 
-        One ``apply_batch`` call, then a fused loop over (traverser,
-        children, cost) doing cost pricing, weight splitting, routing, local
-        enqueue or tier-1 buffering, and progress accounting — in exactly
-        the scalar kernel's order.
+        One ``apply_batch`` call, then one loop over (traverser, children,
+        cost) that every row takes: price the cost tuple, split the weight
+        over the children, route each child to the local queue or a tier-1
+        buffer, and send at most one progress report — in exactly the
+        scalar kernel's order.
         """
         query_id = self.run_qid
         op_idx = self.run_op_idx
         stage = self.run_stage
         n_run = len(run)
-        ops = self.ops
-        op = ops[op_idx]
+        op = self.ops[op_idx]
         outcome = op.apply_batch(self.ctx, run)
         inline = self.inline
         if inline.writes[op_idx]:
@@ -335,11 +320,6 @@ class RunDrain:
         self.qmetrics.steps_executed += n_run
         op_steps = self.op_steps
         op_steps[op_idx] = op_steps.get(op_idx, 0) + n_run
-        if self.slim_ok and not any(spec_rows):
-            # Pure sink run (every traverser finished, no children): skip
-            # the routing/buffering machinery entirely.
-            self._sink_run(run, costs)
-            return
 
         # Localize hot state (the inner loop below runs per child).
         worker = self.worker
@@ -364,7 +344,6 @@ class RunDrain:
         # eager (non-coalesced) progress reports go to the query's home
         # node; coalesced ones leave through Worker._flush_idle_accums
         home = None if coalesced else self.engine.home_node(query_id)
-        modulus = self.modulus
         track_inflight = self.track_inflight
         note_outbound = self.note_outbound
         trav_buffers = self.trav_buffers
@@ -377,8 +356,7 @@ class RunDrain:
         last_size = self.last_size
         local_bufs = self.local_bufs
         local_bytes = self.local_bytes
-        sync_bufs = self.sync_bufs
-        getrandbits = self.getrandbits
+        rng = self.session.rng
         num_ops = self.num_ops
         route_info = self.route_info
         partitioner = self.partitioner
@@ -432,19 +410,18 @@ class RunDrain:
             if specs:
                 nc = len(specs)
                 run_spawned += nc
-                if nc == 1:
-                    # Single-child fast path (filter passes, dedup admits,
-                    # loop continues): no RNG draw — the child inherits the
-                    # parent weight — and no zip machinery. The block below
-                    # is textually duplicated in the multi-child loop; keep
-                    # the two in sync.
-                    vertex, c_idx, payload, loops = specs[0]
-                    weight = trav.weight % modulus
+                # Same RNG draw sequence as the scalar path (ops never
+                # consume the RNG, so drawing after apply_batch instead of
+                # per apply is invisible); one child draws nothing.
+                parts = split_weight(trav.weight, nc, rng)
+                for (vertex, c_idx, payload, loops), weight in zip(
+                    specs, parts
+                ):
                     if c_idx != last_idx:
                         if c_idx < 0 or c_idx >= num_ops:
                             raise ExecutionError(
-                                f"op {op.name} produced child with bad "
-                                f"target index {c_idx}"
+                                f"op {op.name} produced child with "
+                                f"bad target index {c_idx}"
                             )
                         c_stage, c_mode, child_op = route_info[c_idx]
                         c_key = (query_id, c_stage)
@@ -453,7 +430,7 @@ class RunDrain:
                         query_id, vertex, c_idx, payload, weight,
                         c_stage, loops,
                     )
-                    # Routing: same mode dispatch as execute_batch.
+                    # Routing: the mode dispatch of engine.resolve_target.
                     if c_mode == "vertex":
                         if pcache_get is None or (
                             pid := pcache_get(vertex)
@@ -531,163 +508,38 @@ class RunDrain:
                             buffer_bytes[dst_node] = nbytes
                             local_bufs[dst_node] = None
                             cpu += flush(dst_node, t + cpu)
-                else:
-                    # Inlined split_weight: same RNG draw sequence as the
-                    # scalar path (ops never consume the RNG, so drawing
-                    # after apply_batch instead of per apply is invisible).
-                    parts = [getrandbits(64) for _ in range(nc - 1)]
-                    last = trav.weight % modulus
-                    for p in parts:
-                        last = (last - p) % modulus
-                    parts.append(last)
-                    for (vertex, c_idx, payload, loops), weight in zip(
-                        specs, parts
-                    ):
-                        if c_idx != last_idx:
-                            if c_idx < 0 or c_idx >= num_ops:
-                                raise ExecutionError(
-                                    f"op {op.name} produced child with "
-                                    f"bad target index {c_idx}"
-                                )
-                            c_stage, c_mode, child_op = route_info[c_idx]
-                            c_key = (query_id, c_stage)
-                            last_idx = c_idx
-                        child = Traverser(
-                            query_id, vertex, c_idx, payload, weight,
-                            c_stage, loops,
-                        )
-                        # Routing: same mode dispatch as execute_batch.
-                        if c_mode == "vertex":
-                            if pcache_get is None or (
-                                pid := pcache_get(vertex)
-                            ) is None:
-                                pid = partitioner(vertex)
-                        elif c_mode == "free":
-                            if vertex >= 0:
-                                if pcache_get is None or (
-                                    pid := pcache_get(vertex)
-                                ) is None:
-                                    pid = partitioner(vertex)
-                            else:
-                                pid = min(-vertex - 1, num_partitions - 1)
-                        elif c_mode == "fixed":
-                            pid = barrier_route
-                        elif c_mode == "local":
-                            pid = self_pid
-                        else:
-                            # Inlined resolve_partition.
-                            routed = child_op.routing(partitioner, child)
-                            if routed is not None:
-                                pid = routed
-                            elif vertex >= 0:
-                                if pcache_get is None or (
-                                    pid := pcache_get(vertex)
-                                ) is None:
-                                    pid = partitioner(vertex)
-                            else:
-                                pid = min(-vertex - 1, num_partitions - 1)
-                        if pid == self_pid:
-                            queue_append(child)
-                            if c_key is lkey:
-                                lcount += 1
-                            else:
-                                if lcount:
-                                    stage_counts[lkey] = (
-                                        stage_counts.get(lkey, 0) + lcount
-                                    )
-                                lkey = c_key
-                                lcount = 1
-                        else:
-                            cpu += serialize_us
-                            # Inlined _buffer_traverser (hot path).
-                            if track_inflight:
-                                note_outbound(query_id)
-                            dst_node = pid // ppn
-                            buf = local_bufs[dst_node]
-                            if buf is None:
-                                buf = trav_buffers.get(dst_node)
-                                if buf is None:
-                                    buf = trav_buffers[dst_node] = []
-                                local_bufs[dst_node] = buf
-                                local_bytes[dst_node] = buffer_bytes.get(
-                                    dst_node, 0
-                                )
-                            if payload is last_payload:
-                                size = last_size
-                            else:
-                                last_payload = payload
-                                pk = id(payload)
-                                size = size_cache_get(pk)
-                                if size is None:
-                                    size = child.estimated_size_bytes()
-                                    size_cache[pk] = size
-                                last_size = size
-                            buf.append((pid, child, size))
-                            nbytes = local_bytes[dst_node] + size
-                            local_bytes[dst_node] = nbytes
-                            if nbytes >= flush_threshold:
-                                buffer_bytes[dst_node] = nbytes
-                                local_bufs[dst_node] = None
-                                cpu += flush(dst_node, t + cpu)
-                if naive:
-                    self.last_payload = last_payload
-                    self.last_size = last_size
-                    sync_bufs()
-                    cpu += worker._buffer_message(
-                        Message(
-                            MsgKind.PROGRESS,
-                            TRACKER_DST,
-                            ("delta", query_id, stage, len(specs) - 1),
-                            PROGRESS_MSG_BYTES,
-                            query_id,
-                        ),
-                        home,
-                        t + cpu,
-                    )
-            elif naive:
-                self.last_payload = last_payload
-                self.last_size = last_size
-                sync_bufs()
-                cpu += worker._buffer_message(
-                    Message(
-                        MsgKind.PROGRESS,
-                        TRACKER_DST,
-                        ("delta", query_id, stage, -1),
-                        PROGRESS_MSG_BYTES,
-                        query_id,
-                    ),
-                    home,
-                    t + cpu,
-                )
+            # At most one eager progress report per row: the active-count
+            # delta under naive progress, else a finished row's weight.
+            if naive:
+                report = ("delta", query_id, stage, len(specs) - 1)
+            elif specs:
+                continue
             else:
                 weight = trav.weight
-                if weight:
-                    if coalesced:
-                        # Deferred to one absorb_many below: addition in
-                        # Z_{2^64} is associative and the accumulator is
-                        # only observed at flush time (end of the run).
-                        fin_total += weight
-                        fin_count += 1
-                    else:
-                        if trace is not None:
-                            # Observation only: fin_count stays 0, so the
-                            # coalescing absorb below never fires —
-                            # fin_total just feeds the EXEC event.
-                            fin_total += weight
-                        self.last_payload = last_payload
-                        self.last_size = last_size
-                        sync_bufs()
-                        cpu += worker._buffer_message(
-                            Message(
-                                MsgKind.PROGRESS,
-                                TRACKER_DST,
-                                ("weight", query_id, stage, weight),
-                                PROGRESS_MSG_BYTES,
-                                query_id,
-                            ),
-                            home,
-                            t + cpu,
-                        )
+                if not weight:
+                    continue
+                if coalesced:
+                    # Deferred to one absorb_many below: addition in
+                    # Z_{2^64} is associative and the accumulator is only
+                    # observed at flush time (end of the run).
+                    fin_total += weight
+                    fin_count += 1
+                    continue
+                if trace is not None:
+                    # Observation only: fin_count stays 0, so the
+                    # coalescing absorb below never fires — fin_total
+                    # just feeds the EXEC event.
+                    fin_total += weight
+                report = ("weight", query_id, stage, weight)
+            self.sync_bufs()
+            cpu += worker._buffer_message(
+                Message(
+                    MsgKind.PROGRESS, TRACKER_DST, report,
+                    PROGRESS_MSG_BYTES, query_id,
+                ),
+                home,
+                t + cpu,
+            )
         if lcount:
             stage_counts[lkey] = stage_counts.get(lkey, 0) + lcount
         if fin_count:
@@ -702,8 +554,9 @@ class RunDrain:
             vh = getattr(self.ctx.store, "version_high", 0)
             trace.emit(
                 EXEC, query_id, self_pid, worker.wid, stage, op_idx, n_run,
-                run_spawned, sum(tr.weight for tr in run) % modulus,
-                fin_total % modulus, ABSENT, cpu - run_cpu0, vh or ABSENT,
+                run_spawned, sum(tr.weight for tr in run) % GROUP_MODULUS,
+                fin_total % GROUP_MODULUS, ABSENT, cpu - run_cpu0,
+                vh or ABSENT,
             )
         self.spawned_total += run_spawned
         if run_spawned:
@@ -715,60 +568,3 @@ class RunDrain:
         self.memo_ops_total += memo_ops_total
         self.last_payload = last_payload
         self.last_size = last_size
-
-    def _sink_run(self, run: List[Traverser], costs) -> None:
-        """Slim pricing loop for pure sink runs under the ``slim_ok``
-        gate (single worker, coalesced progress, tracing off): no child
-        was spawned anywhere in the run, so routing, buffering, and
-        progress messaging are all dead code. Only cost pricing (the same
-        identity cost-tuple cache replaying the same floats in the same
-        order) and the coalesced finish accumulator remain — bit-for-bit
-        identical to the full body for these runs.
-        """
-        cpu = self.cpu
-        cpu_scale = self.cpu_scale
-        step_base_us = self.step_base_us
-        edge_us = self.edge_us
-        memo_op_us = self.memo_op_us
-        prop_us = self.prop_us
-        edges_scanned = 0
-        memo_ops_total = 0
-        prev_tuple = None
-        prev_cost_us = 0.0
-        prev_edges = 0
-        prev_memo_ops = 0
-        fin_total = 0
-        fin_count = 0
-        for trav, ct in zip(run, costs):
-            if ct is prev_tuple:
-                cost_us = prev_cost_us
-                edges = prev_edges
-                memo_ops = prev_memo_ops
-            else:
-                base, edges, memo_ops, props = ct
-                # Same expression shape/order as the full body (float
-                # addition order is part of the equivalence contract).
-                cost_us = cpu_scale * (
-                    base * step_base_us
-                    + edges * edge_us
-                    + memo_ops * memo_op_us
-                    + props * prop_us
-                )
-                prev_tuple = ct
-                prev_cost_us = cost_us
-                prev_edges = edges
-                prev_memo_ops = memo_ops
-            cpu += cost_us
-            edges_scanned += edges
-            memo_ops_total += memo_ops
-            weight = trav.weight
-            if weight:
-                fin_total += weight
-                fin_count += 1
-        if fin_count:
-            self.worker._accum(self.run_qid, self.run_stage).absorb_many(
-                fin_total, fin_count
-            )
-        self.cpu = cpu
-        self.edges_scanned += edges_scanned
-        self.memo_ops_total += memo_ops_total

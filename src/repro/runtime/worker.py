@@ -28,16 +28,17 @@ from repro.core.memo import MemoStore
 from repro.core.traverser import Traverser
 from repro.core.weight import GROUP_MODULUS, WeightAccumulator
 from repro.graph.partition import PartitionStore
-from repro.runtime.kernels import PROGRESS_MSG_BYTES, kernel_for
+from repro.runtime.kernels import kernel_for
 from repro.runtime.metrics import MsgKind
 from repro.runtime.network import TRACKER_DST, Message
+from repro.runtime.runs import PROGRESS_MSG_BYTES
 from repro.runtime.trace import (ACCUM_RECLAIM, CRASH_LOSS, PARTIAL_SHIP,
                                  WEIGHT_FLUSH)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.engine import AsyncPSTMEngine
 
-__all__ = ["PROGRESS_MSG_BYTES", "PartitionRuntime", "Worker"]
+__all__ = ["PartitionRuntime", "Worker"]
 
 
 class PartitionRuntime:

@@ -13,12 +13,12 @@ from repro.core.steps import StepContext
 from repro.graph.builder import GraphBuilder
 from repro.graph.partition import PartitionedGraph
 from repro.query.traversal import Traversal
-from repro.runtime import kernels
+from repro.runtime.config import KERNEL_NAMES
 from repro.runtime.engine import AsyncPSTMEngine, EngineConfig
 
 #: every ``EngineConfig.kernel`` value: the axis the equivalence suites
 #: parametrize over (production run kernel vs the scalar oracle)
-KERNELS = list(kernels.KERNEL_NAMES)
+KERNELS = list(KERNEL_NAMES)
 
 
 def build_diamond(partitions: int = 4) -> PartitionedGraph:

@@ -8,9 +8,9 @@ from repro.core.weight import GROUP_MODULUS
 from repro.runtime.costmodel import CostModel
 from repro.runtime.engine import AsyncPSTMEngine, EngineConfig
 from repro.runtime.faults import FaultInjector, FaultPlan
-from repro.runtime.kernels import PROGRESS_MSG_BYTES
 from repro.runtime.metrics import MsgKind, RunMetrics
 from repro.runtime.network import Message, Network, TRACKER_DST
+from repro.runtime.runs import PROGRESS_MSG_BYTES
 from repro.runtime.simclock import SimClock
 from tests.conftest import KERNELS
 

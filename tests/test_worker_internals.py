@@ -9,7 +9,7 @@ from repro.runtime.engine import AsyncPSTMEngine, EngineConfig
 from repro.runtime.delivery import TrackerActor
 from repro.runtime.metrics import MsgKind
 from repro.runtime.network import TRACKER_DST, Message
-from repro.runtime.worker import PROGRESS_MSG_BYTES
+from repro.runtime.runs import PROGRESS_MSG_BYTES
 from tests.conftest import random_graph
 
 
