@@ -73,15 +73,15 @@ def split_weight(w: int, n: int, rng: random.Random) -> List[int]:
     Returns:
         List of ``n`` weights whose group sum equals ``w``.
     """
+    if n == 1:
+        return [w % GROUP_MODULUS]
     if n < 1:
         raise ValueError(f"cannot split weight into {n} parts")
-    w = normalize_weight(w)
-    if n == 1:
-        return [w]
-    parts = [rng.getrandbits(64) for _ in range(n - 1)]
-    last = w
+    draw = rng.getrandbits
+    parts = [draw(64) for _ in range(n - 1)]
+    last = w % GROUP_MODULUS
     for p in parts:
-        last = sub_weights(last, p)
+        last = (last - p) % GROUP_MODULUS
     parts.append(last)
     return parts
 
