@@ -6,7 +6,6 @@ from repro.core.progress import ProgressMode, ProgressTracker
 from repro.core.subquery import StageCursor, gather_partials
 from repro.core.traverser import Traverser, make_root
 from repro.core.weight import (
-    GROUP_MODULUS,
     ROOT_WEIGHT,
     WeightAccumulator,
     WeightLedger,
@@ -17,7 +16,6 @@ from repro.core.weight import (
 
 __all__ = [
     "ExecResult",
-    "GROUP_MODULUS",
     "MemoStore",
     "PSTMMachine",
     "ProgressMode",

@@ -158,14 +158,7 @@ class ProgressTracker:
         if not self.mode.is_weighted:
             raise TerminationError("weight report in naive mode")
         self._messages_received += 1
-        key = (query_id, stage)
-        ledger = self._ledgers.get(key)
-        if ledger is None or ledger.terminated:
-            return False  # stale report from an already-closed stage
-        if ledger.report(weight):
-            self._on_complete(query_id, stage)
-            return True
-        return False
+        return self._fold(query_id, stage, weight)
 
     def report_reclaimed(self, query_id: int, stage: int, weight: int) -> bool:
         """Fold reclaimed weight from a cancelled query's purged traversers.
@@ -185,10 +178,14 @@ class ProgressTracker:
         if not self.mode.is_weighted:
             raise TerminationError("weight reclamation in naive mode")
         self._reclaim_reports += 1
-        key = (query_id, stage)
-        ledger = self._ledgers.get(key)
+        return self._fold(query_id, stage, weight)
+
+    def _fold(self, query_id: int, stage: int, weight: int) -> bool:
+        """Fold ``weight`` into an open stage's ledger; ``True`` (and
+        ``on_complete`` fired) exactly when it completes the stage."""
+        ledger = self._ledgers.get((query_id, stage))
         if ledger is None or ledger.terminated:
-            return False  # stage already closed; nothing left to reclaim
+            return False  # stale or reclaimed late: the stage already closed
         if ledger.report(weight):
             self._on_complete(query_id, stage)
             return True

@@ -106,13 +106,6 @@ class OpCost:
         self.memo_ops = memo_ops
         self.props = props
 
-    def add(self, other: "OpCost") -> None:
-        """Accumulate another cost record into this one."""
-        self.base += other.base
-        self.edges += other.edges
-        self.memo_ops += other.memo_ops
-        self.props += other.props
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"OpCost(base={self.base}, edges={self.edges}, "

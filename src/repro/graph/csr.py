@@ -11,7 +11,7 @@ Python list of ``n`` small ints costs ~28 bytes per element in object
 headers plus 8 bytes per pointer, while the typed array stores 8 bytes per
 element contiguously — a 4–5× memory saving on the largest data structure in
 the system, with C-speed slicing for the batch Expand kernel
-(:meth:`CSRIndex.arrays` / :meth:`CSRIndex.neighbors_slice`).
+(:meth:`CSRIndex.arrays`).
 
 Vertex ids inside a CSR index are *local dense indexes*; the owning partition
 store keeps the global↔local mapping.
@@ -97,14 +97,6 @@ class CSRIndex:
         neighbor list.
         """
         return self._offsets, self._targets
-
-    def slice_bounds(self, local_src: int) -> Tuple[int, int]:
-        """The ``[lo, hi)`` range of ``local_src``'s edges in the arrays."""
-        return self._offsets[local_src], self._offsets[local_src + 1]
-
-    def neighbors_slice(self, lo: int, hi: int) -> array:
-        """Bulk accessor: target gids in ``[lo, hi)`` as a typed array."""
-        return self._targets[lo:hi]
 
     def neighbors(self, local_src: int) -> List[int]:
         """Target global vertex ids of ``local_src``'s edges."""

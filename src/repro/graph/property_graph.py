@@ -221,10 +221,6 @@ class PropertyGraph:
     # vertex access
     # ------------------------------------------------------------------
 
-    def has_vertex(self, vid: int) -> bool:
-        """True when the vertex id exists."""
-        return vid in self._vertex_labels
-
     def vertex_label(self, vid: int) -> str:
         """The label of a vertex."""
         self._require_vertex(vid)

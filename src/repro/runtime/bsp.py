@@ -27,7 +27,7 @@ from repro.runtime.engine import AsyncPSTMEngine
 from repro.runtime.kernels import RUN_KERNEL
 from repro.runtime.lifecycle import QueryResult, QuerySession, QueryState, stage0_seeds
 from repro.runtime.metrics import LatencyRecorder, MsgKind
-from repro.runtime.trace import SEED_DISPATCH, STAGE_CLOSE, STAGE_OPEN, TRACKER_REPORT, WEIGHT_FLUSH
+from repro.runtime.trace import STAGE_CLOSE, STAGE_OPEN, TRACKER_REPORT, WEIGHT_FLUSH
 
 #: the EngineConfig fields a superstep schedule models
 BSP_FIELDS = frozenset({"name", "trace"})
@@ -152,8 +152,7 @@ class BSPEngine:
         self.pstm.progress.open_stage(query_id, stage)
         if self.trace is not None:
             self.trace.emit(STAGE_OPEN, query_id, stage)
-            self.trace.emit(SEED_DISPATCH, query_id, stage, len(seeds),
-                            sum(t.weight for t in seeds))
+            self.pstm._trace_seeds(query_id, stage, seeds)
         by_pid = self.pstm._route_seeds(session, seeds)
         self._frontiers[query_id] = [(pid, t) for pid, travs in by_pid.items() for t in travs]
 

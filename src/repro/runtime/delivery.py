@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from repro.core.progress import ProgressMode
 from repro.core.subquery import gather_partials
 from repro.core.traverser import Traverser
-from repro.core.weight import GROUP_MODULUS
+from repro.core.weight import normalize_weight
 from repro.errors import ExecutionError
 from repro.runtime.metrics import MsgKind
 from repro.runtime.network import TRACKER_DST, Message
@@ -167,7 +167,7 @@ class DeliveryPlane:
             if t.query_id in cancelling:
                 key = (t.query_id, t.stage)
                 w, c = dropped.get(key, (0, 0))
-                dropped[key] = ((w + t.weight) % GROUP_MODULUS, c + 1)
+                dropped[key] = (w + t.weight, c + 1)
         if (self.gates is not None) if gated is None else gated:
             self.gates[pid].release(n_dropped)
         for (query_id, stage), (weight, count) in dropped.items():
@@ -305,7 +305,7 @@ class DeliveryPlane:
         the deliver-time filter, the CANCEL purge at a partition, the
         eviction purge, and the drain loop's dead-session drop — funnels
         through here: ``count`` traversers are charged to the global and
-        per-query reclaim counters, and ``weight`` (mod 2^64) is folded
+        per-query reclaim counters, and ``weight`` (mod |G|) is folded
         into the stage ledger via one tracker-direct report (a costless
         control-plane shortcut: the cancel fan-out already paid the wire,
         and a reclamation report has no ordering hazard since the ledger
@@ -322,9 +322,10 @@ class DeliveryPlane:
         """
         if fenced:
             report = False
+        weight = normalize_weight(weight)
         if self.engine.trace is not None:
             self.engine.trace.emit(RECLAIM, query_id, stage,
-                                   weight % GROUP_MODULUS, count, report, fenced)
+                                   weight, count, report, fenced)
         if count:
             self.engine.metrics.traversers_reclaimed += count
             if session is None:
@@ -333,7 +334,6 @@ class DeliveryPlane:
                 session.qmetrics.traversers_reclaimed += count
         if not report:
             return
-        weight %= GROUP_MODULUS
         if weight:
             self.engine.metrics.weight_reclaim_reports += 1
             self.engine.progress.report_reclaimed(query_id, stage, weight)
@@ -365,7 +365,7 @@ class DeliveryPlane:
         for worker in engine.workers:
             if worker.runtime is runtime:
                 w_weight, w_n = worker.reclaim_query(query_id)
-                weight = (weight + w_weight) % GROUP_MODULUS
+                weight += w_weight
                 n += w_n
         self.reclaim(query_id, stage, weight, n)
 

@@ -37,6 +37,7 @@ from repro.core.memo import MemoStore
 from repro.core.progress import ProgressMode, ProgressTracker
 from repro.core.subquery import GatheredPartial
 from repro.core.traverser import Traverser
+from repro.core.weight import normalize_weight
 from repro.errors import (
     AdmissionTimeoutError,
     ConfigurationError,
@@ -263,6 +264,11 @@ class AsyncPSTMEngine:
                 else placement.home_node(session.query_id, self.nodes)
             )
         return by_pid
+
+    def _trace_seeds(self, query_id: int, stage: int, seeds: List[Traverser]) -> None:
+        """Trace a stage's seed dispatch: its seed count and their weight."""
+        self.trace.emit(SEED_DISPATCH, query_id, stage, len(seeds),
+                        normalize_weight(sum(t.weight for t in seeds)))
 
     def resolve_target(self, trav: Traverser, routed: Optional[int]) -> int:
         """The partition a traverser should execute on."""
@@ -620,8 +626,7 @@ class AsyncPSTMEngine:
     ) -> None:
         """Route seed traversers from the coordinator to their partitions."""
         if self.trace is not None and seeds:
-            self.trace.emit(SEED_DISPATCH, session.query_id, seeds[0].stage,
-                            len(seeds), sum(t.weight for t in seeds))
+            self._trace_seeds(session.query_id, seeds[0].stage, seeds)
         if self.config.progress_mode is ProgressMode.NAIVE_CENTRAL and seeds:
             # The coordinator knows the seed count; no message needed.
             self.progress.add_naive_active(

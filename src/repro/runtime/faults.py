@@ -115,16 +115,6 @@ class FaultPlan:
         if self.delay_us < 0:
             raise ConfigurationError(f"delay_us must be >= 0, got {self.delay_us}")
 
-    @property
-    def injects_packet_faults(self) -> bool:
-        """True when any network-level fault can actually fire."""
-        return (
-            self.drop_rate > 0
-            or self.dup_rate > 0
-            or self.delay_rate > 0
-            or self.ack_drop_rate > 0
-        )
-
 
 @dataclass
 class PacketFate:

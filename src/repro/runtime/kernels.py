@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Protocol
 
 from repro.core.progress import ProgressMode
-from repro.core.weight import GROUP_MODULUS
+from repro.core.weight import normalize_weight
 from repro.runtime.metrics import MsgKind
 from repro.runtime.network import TRACKER_DST, Message
 from repro.runtime.runs import PROGRESS_MSG_BYTES, get_drain
@@ -144,9 +144,8 @@ class ScalarKernel:
                 trace.emit(
                     EXEC, trav.query_id, runtime.pid, worker.wid,
                     trav.stage, op_idx, 1, len(result.children),
-                    trav.weight % GROUP_MODULUS,
-                    result.finished_weight % GROUP_MODULUS,
-                    sum(c.weight for c, _ in result.children) % GROUP_MODULUS,
+                    trav.weight, result.finished_weight,
+                    normalize_weight(sum(c.weight for c, _ in result.children)),
                     cost_us, vh or ABSENT,
                 )
 

@@ -32,10 +32,6 @@ class MsgKind(Enum):
     # off the per-message send path.
     __hash__ = object.__hash__
 
-    @property
-    def is_progress(self) -> bool:
-        return self is MsgKind.PROGRESS
-
 
 @dataclass
 class RunMetrics:

@@ -30,7 +30,7 @@ with load instead of being bought with a timer (:meth:`Network._pump`).
 coalescing (§IV-A): when the progress mode coalesces, every finished-weight
 report leaving in a pack beside another report for the same
 ``(query, stage)`` is folded into it — one report carrying the sum in
-ℤ/2⁶⁴ℤ, one ``tracker_msg_us`` on the query's tracker lane
+the weight group, one ``tracker_msg_us`` on the query's tracker lane
 (:meth:`Network._fold_weight_reports`).
 
 **Reliability layer.** When the engine is configured with a
@@ -53,7 +53,7 @@ from math import inf
 from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.core.weight import GROUP_MODULUS
+from repro.core.weight import normalize_weight
 from repro.runtime.costmodel import CostModel
 from repro.runtime.faults import FaultInjector
 from repro.runtime.metrics import MsgKind, RunMetrics
@@ -337,13 +337,13 @@ class Network:
     ) -> Tuple[List[Message], int]:
         """Fold a pack's same-``(query, stage)`` weight reports.
 
-        The stage ledger is a sum in ℤ/2⁶⁴ℤ (Theorem 1), so replacing the
-        reports of one key by one report carrying their sum is exact. The
-        fold keeps the first report's slot in the pack and gives back the
-        wire bytes of the others; it runs before the pack is sequenced, so
-        a retransmitted or duplicated packet carries the same folded
-        report and the receiver's filter still admits it exactly once.
-        Returns the folded pack and its byte total.
+        The stage ledger is a sum in the weight group (Theorem 1), so
+        replacing the reports of one key by one report carrying their sum
+        is exact. The fold keeps the first report's slot in the pack and
+        gives back the wire bytes of the others; it runs before the pack is
+        sequenced, so a retransmitted or duplicated packet carries the same
+        folded report and the receiver's filter still admits it exactly
+        once. Returns the folded pack and its byte total.
         """
         slots: Dict[Tuple[int, int], int] = {}
         # per folded key: the input weights, every input's riding partials,
@@ -365,17 +365,17 @@ class Network:
             if fold is None:
                 first = out[slot]
                 fold = folds[key] = [
-                    [first.payload[3] % GROUP_MODULUS], list(_ships(first)), 0
+                    [first.payload[3]], list(_ships(first)), 0
                 ]
             ships = _ships(msg)
             riding = sum(ship[3] for ship in ships)
-            fold[0].append(weight % GROUP_MODULUS)
+            fold[0].append(weight)
             fold[1].extend(ships)
             fold[2] += riding
             total -= msg.size_bytes - riding
         for (query_id, stage), (inputs, ships, riding) in folds.items():
             slot = slots[(query_id, stage)]
-            weight = sum(inputs) % GROUP_MODULUS
+            weight = normalize_weight(sum(inputs))
             out[slot] = Message(
                 MsgKind.PROGRESS, TRACKER_DST,
                 ("weight", query_id, stage, weight)

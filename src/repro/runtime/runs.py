@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.progress import ProgressMode
 from repro.core.traverser import Traverser
-from repro.core.weight import GROUP_MODULUS, split_weight
+from repro.core.weight import normalize_weight, split_weight
 from repro.errors import ExecutionError
 from repro.runtime.metrics import MsgKind
 from repro.runtime.network import TRACKER_DST, Message
@@ -519,9 +519,9 @@ class RunDrain:
                 if not weight:
                     continue
                 if coalesced:
-                    # Deferred to one absorb_many below: addition in
-                    # Z_{2^64} is associative and the accumulator is only
-                    # observed at flush time (end of the run).
+                    # Deferred to one absorb_many below: addition in the
+                    # weight group is associative and the accumulator is
+                    # only observed at flush time (end of the run).
                     fin_total += weight
                     fin_count += 1
                     continue
@@ -554,8 +554,8 @@ class RunDrain:
             vh = getattr(self.ctx.store, "version_high", 0)
             trace.emit(
                 EXEC, query_id, self_pid, worker.wid, stage, op_idx, n_run,
-                run_spawned, sum(tr.weight for tr in run) % GROUP_MODULUS,
-                fin_total % GROUP_MODULUS, ABSENT, cpu - run_cpu0,
+                run_spawned, normalize_weight(sum(tr.weight for tr in run)),
+                normalize_weight(fin_total), ABSENT, cpu - run_cpu0,
                 vh or ABSENT,
             )
         self.spawned_total += run_spawned

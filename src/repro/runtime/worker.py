@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Deque, Dict, List, Set, Tuple
 
 from repro.core.memo import MemoStore
 from repro.core.traverser import Traverser
-from repro.core.weight import GROUP_MODULUS, WeightAccumulator
+from repro.core.weight import WeightAccumulator, normalize_weight
 from repro.graph.partition import PartitionStore
 from repro.runtime.kernels import kernel_for
 from repro.runtime.metrics import MsgKind
@@ -141,7 +141,7 @@ class PartitionRuntime:
 
         The cancellation/teardown primitive: returns ``(weight, n_queue,
         n_inbox)`` where ``weight`` is the summed progression weight of the
-        removed traversers (mod 2^64) — the engine reports it back to the
+        removed traversers (unreduced) — the engine reports it back to the
         progress tracker so the stage ledger still closes — and the counts
         let the engine release the inboxed traversers' sender credits.
         """
@@ -171,7 +171,7 @@ class PartitionRuntime:
                 self.inbox.clear()
                 self.inbox.extend(kept)
         self.drop_query(query_id)
-        return weight % GROUP_MODULUS, n_queue, n_inbox
+        return weight, n_queue, n_inbox
 
     def wake(self, now: float) -> None:
         """Wake one idle, alive worker (the least busy) to process the queue."""
@@ -257,7 +257,7 @@ class Worker:
                     entry = losses.setdefault(
                         (trav.query_id, trav.stage), [0, 0]
                     )
-                    entry[0] = (entry[0] + trav.weight) % GROUP_MODULUS
+                    entry[0] += trav.weight
                     entry[1] += 1
             if len(self.runtime.workers) == 1:
                 for source in (self.runtime.queue, self.runtime.inbox):
@@ -265,10 +265,11 @@ class Worker:
                         entry = losses.setdefault(
                             (trav.query_id, trav.stage), [0, 0]
                         )
-                        entry[0] = (entry[0] + trav.weight) % GROUP_MODULUS
+                        entry[0] += trav.weight
                         entry[1] += 1
             for (qid, stage), (weight, count) in losses.items():
-                trace.emit(CRASH_LOSS, qid, stage, self.wid, weight, count)
+                trace.emit(CRASH_LOSS, qid, stage, self.wid,
+                           normalize_weight(weight), count)
         self.alive = False
         self.scheduled = False
         self._buffers.clear()
@@ -361,8 +362,8 @@ class Worker:
                     # "active": it was absorbed at execution time but never
                     # reported, and the combined reclaim below re-reports it.
                     trace.emit(ACCUM_RECLAIM, query_id, key[1], self.wid,
-                               pending % GROUP_MODULUS)
-        return weight % GROUP_MODULUS, n
+                               pending)
+        return weight, n
 
     # -- main loop -----------------------------------------------------------
 
@@ -567,7 +568,7 @@ class Worker:
             query_id, stage = key
             if trace is not None:
                 trace.emit(WEIGHT_FLUSH, query_id, stage, self.wid,
-                           combined % GROUP_MODULUS, count)
+                           combined, count)
             payload = ("weight", query_id, stage, combined)
             size = PROGRESS_MSG_BYTES
             version = versions.get(key)

@@ -101,3 +101,37 @@ def test_scalar_apply_rule_tells_operators_from_other_apply_calls():
         assert list(scalar_apply_calls(ast.parse(source))) == [1], source
     for source in ignored:
         assert list(scalar_apply_calls(ast.parse(source))) == [], source
+
+
+def test_weight_group_rule_tells_group_arithmetic_from_other_64_bit_code():
+    """The weight-group rule flags the group order, the width constant, a
+    raw bit draw and a literal ``2^64`` modulus, and leaves the trace
+    store's typecode bound and the placement hash's mask alone."""
+    sys.path.insert(0, str(REPO / "tools"))
+    try:
+        from check_layering import weight_group_lines
+    finally:
+        sys.path.pop(0)
+    flagged = [
+        "from repro.core.weight import GROUP_MODULUS",
+        "return weight % GROUP_MODULUS, n",
+        "parts = [rng.getrandbits(64) for _ in range(n - 1)]",
+        "draw = rng.getrandbits",
+        "bits = weight.WEIGHT_BITS",
+        "total = sum(inputs) % (1 << 64)",
+        "w %= 2 ** 64",
+    ]
+    ignored = [
+        'return "Q" if lo >= 0 and hi < 1 << 64 else None',
+        "_MASK64 = 0xFFFFFFFFFFFFFFFF",
+        "x = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF",
+        "weight = normalize_weight(sum(inputs))",
+        "st.active = sub_weights(st.active, w)",
+        "pid = key % num_buckets",
+    ]
+    for source in flagged:
+        assert list(weight_group_lines(source)) == [1], source
+    for source in ignored:
+        assert list(weight_group_lines(source)) == [], source
+    assert list(weight_group_lines("\n".join(ignored + flagged[:1]))) == [
+        len(ignored) + 1]

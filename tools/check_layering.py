@@ -50,6 +50,14 @@ Two classes of violation fail the build:
   exists. A call counts as an operator's when its receiver is named
   ``op``, ``*_op`` or indexes ``ops``, or its first argument is the step
   context (``ctx``, or a ``.context(...)`` call).
+* progression-weight group knowledge outside ``core/weight.py``: that
+  module alone fixes the group of Theorem 1 (docs/ARCHITECTURE.md), so no
+  other file under ``src/`` may mention ``GROUP_MODULUS`` or the width
+  constant ``WEIGHT_BITS``, call ``getrandbits``, or reduce by a literal
+  ``2^64`` — every other module reduces, adds and subtracts weights
+  through ``normalize_weight`` / ``add_weights`` / ``sub_weights``. A
+  64-bit literal that is not a modulus (the trace store's ``'Q'``
+  typecode bound, the placement hash's mask) is not flagged.
 
 Stdlib only (ast); no third-party dependency. Exit 0 = clean.
 """
@@ -131,6 +139,14 @@ TXN_PLANE_FILES = {
 RAW_TEL = re.compile(r"^\s*(?:from|import)\s+repro\.(?:txn\b|graph\.tel\b)")
 
 
+#: the weight group's one owner (relative to ``src/repro``)
+WEIGHT_MODULE = "core/weight.py"
+#: weight-group knowledge, forbidden outside the weight module
+WEIGHT_GROUP = re.compile(
+    r"\b(?:GROUP_MODULUS|WEIGHT_BITS|getrandbits)\b"
+    r"|%=?\s*\(?\s*(?:1\s*<<\s*64|2\s*\*\*\s*64)\b")
+
+
 def raw_hash_violations(errors) -> None:
     """Flag raw-hash partition computation outside the placement plane."""
     for path in sorted(SRC.rglob("*.py")):
@@ -160,6 +176,28 @@ def raw_tel_violations(errors) -> None:
                     f"the transaction plane — read versioned data through "
                     f"repro.runtime.txnplane's snapshot views"
                 )
+
+
+def weight_group_lines(text: str):
+    """Yield the number of every line of ``text`` that names the weight
+    group (see the module docstring for what counts as naming it)."""
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if WEIGHT_GROUP.search(line):
+            yield lineno
+
+
+def weight_group_violations(errors) -> None:
+    """Flag weight-group knowledge outside ``core/weight.py``."""
+    for path in sorted(SRC.rglob("*.py")):
+        if path.relative_to(SRC).as_posix() == WEIGHT_MODULE:
+            continue
+        for lineno in weight_group_lines(path.read_text()):
+            errors.append(
+                f"{path}:{lineno}: names the progression-weight group "
+                f"outside repro.core.weight — reduce, add and subtract "
+                f"weights through normalize_weight / add_weights / "
+                f"sub_weights"
+            )
 
 
 def third_party_violations(errors) -> None:
@@ -302,6 +340,7 @@ def main() -> int:
     raw_tel_violations(errors)
     third_party_violations(errors)
     scalar_apply_violations(errors)
+    weight_group_violations(errors)
 
     if errors:
         print("\n".join(errors))
@@ -313,7 +352,8 @@ def main() -> int:
           + "; no raw-hash placement outside the placement plane"
           + "; no raw TEL access outside the transaction plane"
           + "; no import outside the standard library"
-          + "; no scalar operator apply outside core/")
+          + "; no scalar operator apply outside core/"
+          + "; no weight-group arithmetic outside core/weight.py")
     return 0
 
 
