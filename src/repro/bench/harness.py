@@ -1,5 +1,5 @@
 """Shared benchmark infrastructure: cached datasets, the Fig 1 k-hop query,
-engine construction, and k-hop measurement helpers.
+the demo graph, engine construction, and k-hop measurement helpers.
 
 Datasets and partitioned graphs are cached per process so the benchmark
 suite generates each graph once. Partitioned graphs are read-only during
@@ -104,6 +104,43 @@ def khop_starts(name: str, count: int) -> List[int]:
     graph = powerlaw_raw(name)
     rng = random.Random(KHOP_START_SEED)
     return [rng.randrange(graph.vertex_count) for _ in range(count)]
+
+
+# -- the demo graph ---------------------------------------------------------------
+
+#: the small cluster of the faults and trace demos and of the recovery and
+#: preemption benches
+DEMO_NODES, DEMO_WPN = 4, 2
+#: their 400-vertex power-law graph (generated with :data:`DEMO_GRAPH_SEED`)
+DEMO_GRAPH = PowerLawConfig("demo", 400, 6.0)
+DEMO_GRAPH_SEED = 7
+
+
+def demo_graph() -> PartitionedGraph:
+    """The demo graph, one partition per worker of the demo cluster."""
+    return PartitionedGraph.from_graph(
+        powerlaw_graph(DEMO_GRAPH, seed=DEMO_GRAPH_SEED), DEMO_NODES * DEMO_WPN
+    )
+
+
+def demo_khop3_batch(
+    queries: int,
+) -> Tuple[PartitionedGraph, PhysicalPlan, List[int]]:
+    """The faults and trace demos' batch: the demo graph, a 3-hop count
+    plan over it, and ``queries`` start vertices drawn from
+    ``Random(42)``."""
+    graph = demo_graph()
+    plan = (
+        Traversal("khop3_count")
+        .v_param("start")
+        .khop(DEMO_GRAPH.edge_label, k=3)
+        .count()
+        .compile(graph)
+    )
+    rng = random.Random(42)
+    return graph, plan, [
+        rng.randrange(DEMO_GRAPH.num_vertices) for _ in range(queries)
+    ]
 
 
 # -- engine construction ---------------------------------------------------------

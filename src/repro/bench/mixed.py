@@ -55,6 +55,7 @@ from repro.query.traversal import Traversal
 from repro.runtime.engine import AsyncPSTMEngine, EngineConfig
 from repro.runtime.faults import CRASH, FaultPlan, WorkerFault
 from repro.runtime.config import KERNEL_NAMES as KERNELS
+from repro.runtime.metrics import LatencyRecorder
 from repro.runtime.reference import LocalExecutor
 from repro.runtime.trace import (
     CHECKPOINT,
@@ -200,7 +201,9 @@ def run_once(
         )
     engine.clock.run_until_idle()
 
-    latencies = [s.qmetrics.latency_us for s, _p, _a in sessions]
+    latencies = LatencyRecorder()
+    for s, _p, _a in sessions:
+        latencies.record(s.qmetrics.latency_us)
     audit = WeightLedgerAuditor(engine.trace.events).audit()
     # Solo reference: replay every query alone against the snapshot view
     # at its pinned timestamp. One executor per distinct pin.
@@ -221,9 +224,9 @@ def run_once(
         "rows": [s.results for s, _p, _a in sessions],
         "pins": pins,
         "distinct_pins": len(set(pins)),
-        "mean_latency_us": sum(latencies) / len(latencies),
-        "max_latency_us": max(latencies),
-        "p99_latency_us": sorted(latencies)[max(0, int(len(latencies) * 0.99) - 1)],
+        "mean_latency_us": latencies.average(),
+        "max_latency_us": latencies.percentile(100),
+        "p99_latency_us": latencies.p99(),
         "completed": sum(1 for s, _p, _a in sessions if s.qmetrics.done),
         "txn_commits": m.txn_commits,
         "txn_aborts": m.txn_aborts,

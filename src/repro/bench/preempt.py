@@ -44,19 +44,15 @@ import json
 import sys
 from typing import Any, Dict, List, Optional
 
-from repro.datasets.synthetic import PowerLawConfig, powerlaw_graph
+from repro.bench.harness import DEMO_GRAPH, DEMO_NODES, DEMO_WPN, demo_graph
 from repro.graph.partition import PartitionedGraph
 from repro.query.traversal import Traversal
 from repro.runtime.engine import AsyncPSTMEngine, EngineConfig
+from repro.runtime.metrics import LatencyRecorder
 from repro.runtime.trace import WeightLedgerAuditor
 
-#: cluster shape (matches the trace/faults/recovery demos)
-NODES, WPN = 4, 2
 ENGINE_SEED = 3
-GRAPH_SEED = 7
 START_VERTEX = 11
-
-GRAPH_CFG = PowerLawConfig("ck-demo", 400, 6.0)
 
 #: workload shape: analytics queries all submitted up front, interactive
 #: arrivals on a fixed open-loop cadence
@@ -72,25 +68,18 @@ FIRST_ARRIVAL_X_SOLO = 0.293
 ARRIVAL_SPACING_X_SOLO = 0.4685
 
 
-def build_graph() -> PartitionedGraph:
-    """The ck-demo power-law graph on the standard 4x2 cluster."""
-    return PartitionedGraph.from_graph(
-        powerlaw_graph(GRAPH_CFG, seed=GRAPH_SEED), NODES * WPN
-    )
-
-
 def analytics_plan(graph: PartitionedGraph):
     """Three stages / two certified boundaries: preemptable mid-run."""
     return (
         Traversal("analytics")
         .v_param("start")
-        .khop(GRAPH_CFG.edge_label, k=2)
+        .khop(DEMO_GRAPH.edge_label, k=2)
         .as_("a")
         .group_count("a")
-        .out(GRAPH_CFG.edge_label)
+        .out(DEMO_GRAPH.edge_label)
         .as_("b")
         .group_count("b")
-        .out(GRAPH_CFG.edge_label)
+        .out(DEMO_GRAPH.edge_label)
         .count()
         .compile(graph)
     )
@@ -101,17 +90,10 @@ def interactive_plan(graph: PartitionedGraph):
     return (
         Traversal("ic_short")
         .v_param("start")
-        .out(GRAPH_CFG.edge_label)
+        .out(DEMO_GRAPH.edge_label)
         .count()
         .compile(graph)
     )
-
-
-def percentile(values: List[float], q: float) -> float:
-    """Nearest-rank percentile of a non-empty list."""
-    ordered = sorted(values)
-    rank = min(len(ordered) - 1, max(0, int(round(q * (len(ordered) - 1)))))
-    return ordered[rank]
 
 
 def run_mixed(preemption: bool, quick: bool,
@@ -119,13 +101,12 @@ def run_mixed(preemption: bool, quick: bool,
     """One open-loop mixed run; returns latency stats and gate inputs.
     ``solo_latency_us`` (an analytics query alone) sets the interactive
     arrival cadence."""
-    graph = build_graph()
+    graph = demo_graph()
     engine = AsyncPSTMEngine(
-        graph, NODES, WPN,
+        graph, DEMO_NODES, DEMO_WPN,
         config=EngineConfig(
             trace=True,
             checkpoint_interval_us=0.0,
-            checkpoint_retention=2,
             max_concurrent_queries=1,
             admission_queue_size=64,
             preemption=preemption,
@@ -159,7 +140,10 @@ def run_mixed(preemption: bool, quick: bool,
     engine.clock.run_until_idle()
 
     def e2e(kind):
-        return [finished[i] - arrivals[i] for i, _s in sessions[kind]]
+        recorder = LatencyRecorder()
+        for i, _s in sessions[kind]:
+            recorder.record(finished[i] - arrivals[i])
+        return recorder
 
     audit = WeightLedgerAuditor(engine.trace.events).audit()
     interactive = e2e("interactive")
@@ -169,9 +153,9 @@ def run_mixed(preemption: bool, quick: bool,
         "preemption": preemption,
         "interactive": {
             "n": len(interactive),
-            "p50_us": percentile(interactive, 0.50),
-            "p99_us": percentile(interactive, 0.99),
-            "max_us": max(interactive),
+            "p50_us": interactive.percentile(50),
+            "p99_us": interactive.p99(),
+            "max_us": interactive.percentile(100),
         },
         "analytics": {
             "n": len(analytics),
@@ -179,7 +163,7 @@ def run_mixed(preemption: bool, quick: bool,
                 1 for _i, s in sessions["analytics"] if s.qmetrics.done),
             "pauses": sum(
                 s.qmetrics.pauses for _i, s in sessions["analytics"]),
-            "p99_us": percentile(analytics, 0.99),
+            "p99_us": analytics.p99(),
         },
         "analytics_rows": analytics_rows,
         "preemptions": engine.metrics.preemptions,
@@ -205,9 +189,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "not shed, identical rows, clean audits)")
     args = parser.parse_args(argv)
 
-    graph = build_graph()
+    graph = demo_graph()
     solo = AsyncPSTMEngine(
-        graph, NODES, WPN, config=EngineConfig(), seed=ENGINE_SEED
+        graph, DEMO_NODES, DEMO_WPN, config=EngineConfig(), seed=ENGINE_SEED
     ).run(analytics_plan(graph), {"start": START_VERTEX})
     print(f"analytics solo: rows={solo.rows}  "
           f"latency={solo.latency_us:.1f}us")

@@ -32,17 +32,14 @@ import json
 import sys
 from typing import Any, Dict, List, Optional
 
-from repro.datasets.synthetic import PowerLawConfig, powerlaw_graph
+from repro.bench.harness import DEMO_GRAPH, DEMO_NODES, DEMO_WPN, demo_graph
 from repro.graph.partition import PartitionedGraph
 from repro.query.traversal import Traversal
 from repro.runtime.engine import AsyncPSTMEngine, EngineConfig
 from repro.runtime.faults import FaultPlan, WorkerFault
 from repro.runtime.trace import EXEC, WeightLedgerAuditor
 
-#: cluster shape (matches the trace/faults demos)
-NODES, WPN = 4, 2
 ENGINE_SEED = 3
-GRAPH_SEED = 7
 START_VERTEX = 11
 
 #: simulated crash instants, all inside stage 1 (the boundary is crossed at
@@ -56,14 +53,13 @@ CRASH_DOWN_US = 30.0
 def build_plan(graph: PartitionedGraph):
     """The two-stage bench query (khop3/IC9 compile to a single stage, so
     they never cross a checkpointable boundary; this plan does)."""
-    config = PowerLawConfig("ck-demo", 400, 6.0)
     return (
         Traversal("two_stage_heavy")
         .v_param("start")
-        .khop(config.edge_label, k=2)
+        .khop(DEMO_GRAPH.edge_label, k=2)
         .as_("v")
         .group_count("v")
-        .out(config.edge_label)
+        .out(DEMO_GRAPH.edge_label)
         .count()
         .compile(graph)
     )
@@ -73,10 +69,7 @@ def run_once(
     crash_at: Optional[float], checkpoint: bool
 ) -> Dict[str, Any]:
     """One traced run; returns rows, exec counts, and the audit verdict."""
-    config = PowerLawConfig("ck-demo", 400, 6.0)
-    graph = PartitionedGraph.from_graph(
-        powerlaw_graph(config, seed=GRAPH_SEED), NODES * WPN
-    )
+    graph = demo_graph()
     plan = build_plan(graph)
     fault_plan = None
     if crash_at is not None:
@@ -84,7 +77,7 @@ def run_once(
             WorkerFault(wid=CRASH_WID, at_us=crash_at, down_us=CRASH_DOWN_US),
         ))
     engine = AsyncPSTMEngine(
-        graph, NODES, WPN,
+        graph, DEMO_NODES, DEMO_WPN,
         config=EngineConfig(
             trace=True,
             fault_plan=fault_plan,

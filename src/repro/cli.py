@@ -178,31 +178,20 @@ def cmd_faults(args: argparse.Namespace) -> int:
     the rows are compared. Exit code 0 means every faulted query returned
     the fault-free answer.
     """
-    import random as _random
-
-    from repro.datasets.synthetic import PowerLawConfig, powerlaw_graph
-    from repro.graph.partition import PartitionedGraph
-    from repro.query.traversal import Traversal
+    from repro.bench.harness import DEMO_NODES, DEMO_WPN, demo_khop3_batch
     from repro.runtime.engine import AsyncPSTMEngine, EngineConfig
-    from repro.runtime.faults import FaultPlan, WorkerFault
+    from repro.runtime.faults import FaultPlan
 
-    nodes, wpn = 4, 2
-    config = PowerLawConfig("faults-demo", 400, 6.0)
-    graph = PartitionedGraph.from_graph(
-        powerlaw_graph(config, seed=7), nodes * wpn
-    )
-    plan = (
-        Traversal("khop3_count")
-        .v_param("start")
-        .khop(config.edge_label, k=3)
-        .count()
-        .compile(graph)
-    )
-    rng = _random.Random(42)
-    starts = [rng.randrange(config.num_vertices) for _ in range(args.queries)]
+    try:
+        worker_faults = _parse_crash(args.crash)
+    except ValueError as exc:
+        print(f"--crash: {exc}", file=sys.stderr)
+        return 2
+    graph, plan, starts = demo_khop3_batch(args.queries)
 
     def run_batch(engine_config: EngineConfig):
-        engine = AsyncPSTMEngine(graph, nodes, wpn, config=engine_config)
+        engine = AsyncPSTMEngine(graph, DEMO_NODES, DEMO_WPN,
+                                 config=engine_config)
         sessions = [engine.submit(plan, {"start": s}) for s in starts]
         engine.clock.run_until_idle()
         return engine, sessions
@@ -217,19 +206,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
             f"{m.retransmits} retransmits, {m.query_retries} retries"
         )
 
-    worker_faults = ()
-    if args.crash:
-        fields = args.crash.split(":")
-        if len(fields) not in (2, 3):
-            print("--crash expects WID:AT_US[:DOWN_US]", file=sys.stderr)
-            return 2
-        worker_faults = (
-            WorkerFault(
-                wid=int(fields[0]),
-                at_us=float(fields[1]),
-                down_us=float(fields[2]) if len(fields) == 3 else None,
-            ),
-        )
     fault_plan = FaultPlan(
         seed=args.seed,
         drop_rate=args.drop_rate,
@@ -285,41 +261,24 @@ def _trace_run(recipe: Dict):
     """
     import random as _random
 
-    from repro.graph.partition import PartitionedGraph
+    from repro.bench.harness import DEMO_NODES, DEMO_WPN, demo_khop3_batch
     from repro.runtime.engine import AsyncPSTMEngine, EngineConfig
     from repro.runtime.faults import FaultPlan
 
-    nodes, wpn = 4, 2
     workload = recipe.get("workload", "khop3")
     queries = int(recipe["queries"])
-    rng = _random.Random(42)
     if workload == "khop3":
-        from repro.datasets.synthetic import PowerLawConfig, powerlaw_graph
-        from repro.query.traversal import Traversal
-
-        config = PowerLawConfig("trace-demo", 400, 6.0)
-        graph = PartitionedGraph.from_graph(
-            powerlaw_graph(config, seed=7), nodes * wpn
-        )
-        plan = (
-            Traversal("khop3_count")
-            .v_param("start")
-            .khop(config.edge_label, k=3)
-            .count()
-            .compile(graph)
-        )
-        params = [
-            {"start": rng.randrange(config.num_vertices)}
-            for _ in range(queries)
-        ]
+        graph, plan, starts = demo_khop3_batch(queries)
+        params = [{"start": s} for s in starts]
     elif workload == "ic9":
         from repro.ldbc.generator import SNB_TINY, generate_snb
         from repro.ldbc.queries.ic import IC_QUERIES
 
         dataset = generate_snb(SNB_TINY)
-        graph = dataset.partitioned(nodes * wpn)
+        graph = dataset.partitioned(DEMO_NODES * DEMO_WPN)
         qdef = IC_QUERIES[9]
         plan = qdef.build().compile(graph)
+        rng = _random.Random(42)
         params = [qdef.make_params(dataset, rng) for _ in range(queries)]
     else:
         raise ValueError(f"unknown trace workload {workload!r}")
@@ -333,7 +292,7 @@ def _trace_run(recipe: Dict):
             worker_faults=worker_faults,
         )
     engine = AsyncPSTMEngine(
-        graph, nodes, wpn,
+        graph, DEMO_NODES, DEMO_WPN,
         config=EngineConfig(
             trace=True, fault_plan=fault_plan,
             checkpoint_interval_us=recipe.get("checkpoint_interval_us"),

@@ -87,7 +87,7 @@ class RetryBudgetExceededError(ExecutionError):
     """A query kept losing work to injected faults and ran out of retries.
 
     Raised by the async engine's crash-recovery path when the watchdog has
-    re-executed a query ``retry_budget`` times and the latest attempt is
+    re-executed a query ``RETRY_BUDGET`` times and the latest attempt is
     still stuck (e.g. its start vertex lives on a permanently crashed
     worker). See docs/FAULTS.md.
     """

@@ -62,12 +62,6 @@ class EngineConfig:
     #: workers, and a send path bit-identical to the pre-fault engine).
     #: Arming a plan also arms the ack/retransmit layer and the watchdog.
     fault_plan: Optional["FaultPlan"] = None
-    #: how many times the watchdog may re-execute a stuck query before the
-    #: engine gives up with RetryBudgetExceededError
-    retry_budget: int = 3
-    #: a query showing zero progress for this long is declared stuck and
-    #: recovered (only armed when fault_plan is set)
-    watchdog_timeout_us: float = 100_000.0
     #: arm stage-boundary checkpointing (docs/RECOVERY.md): a query's
     #: frontier seeds, per-partition memo shards, and RNG state are
     #: snapshotted at each certified stage boundary at most this often
@@ -76,9 +70,6 @@ class EngineConfig:
     #: work instead of force-retrying the whole query. Requires a
     #: weighted progress mode — the quiescent cut *is* the closed ledger.
     checkpoint_interval_us: Optional[float] = None
-    #: checkpoints retained per query (older boundaries are evicted);
-    #: restore always uses the newest
-    checkpoint_retention: int = 1
     # -- overload protection (docs/OVERLOAD.md; all default to "off" so the
     # -- default config stays bit-for-bit identical to the pre-overload
     # -- engine, which the equivalence suites assert) ----------------------
@@ -89,7 +80,8 @@ class EngineConfig:
     #: shed immediately with QueryRejectedError
     admission_queue_size: int = 64
     #: a waiter still undispatched after this long fails with
-    #: AdmissionTimeoutError (None → waiters never expire)
+    #: AdmissionTimeoutError (None → waiters never expire); requires
+    #: ``max_concurrent_queries``, without which nothing waits
     admission_timeout_us: Optional[float] = None
     #: per-partition bound on in-flight + inboxed remote traversers; arms
     #: credit-based sender throttling (None → unbounded, classic path)
@@ -103,12 +95,6 @@ class EngineConfig:
     #: (``checkpoint_interval_us``); ``engine.preempt()`` stays callable
     #: without this flag as long as the checkpoint plane is armed.
     preemption: bool = False
-    #: preemption victims must hold at least this many stored checkpoints
-    #: ("past its first checkpoint" with the default of 1) — a query that
-    #: has not yet crossed a boundary is left alone, since evicting it
-    #: saves a frontier no cheaper than its own resubmission (0 → any
-    #: resident query is fair game)
-    preemption_min_checkpoints: int = 1
     #: attach a TraceRecorder and emit structured events from every layer
     #: (docs/OBSERVABILITY.md). Off by default: the disabled mode allocates
     #: no event objects on the hot path.
@@ -151,21 +137,23 @@ class EngineConfig:
                 f"admission_queue_size must be >= 1, "
                 f"got {self.admission_queue_size}"
             )
-        if self.admission_timeout_us is not None and self.admission_timeout_us <= 0:
-            raise ConfigurationError(
-                f"admission_timeout_us must be > 0, "
-                f"got {self.admission_timeout_us}"
-            )
+        if self.admission_timeout_us is not None:
+            if self.admission_timeout_us <= 0:
+                raise ConfigurationError(
+                    f"admission_timeout_us must be > 0, "
+                    f"got {self.admission_timeout_us}"
+                )
+            if self.max_concurrent_queries is None:
+                raise ConfigurationError(
+                    "admission_timeout_us requires admission control: set "
+                    "max_concurrent_queries (without it no submission ever "
+                    "waits, so there is no wait to time out)"
+                )
         if self.checkpoint_interval_us is not None:
             if self.checkpoint_interval_us < 0:
                 raise ConfigurationError(
                     f"checkpoint_interval_us must be >= 0, "
                     f"got {self.checkpoint_interval_us}"
-                )
-            if self.checkpoint_retention < 1:
-                raise ConfigurationError(
-                    f"checkpoint_retention must be >= 1, "
-                    f"got {self.checkpoint_retention}"
                 )
             if not self.progress_mode.is_weighted:
                 # The checkpoint cut is certified by the stage ledger
@@ -200,43 +188,11 @@ class EngineConfig:
                 "lct_broadcast_lag_us requires transactions=True; without "
                 "the transaction plane there is no LCT to broadcast"
             )
-        if self.preemption_min_checkpoints < 0:
+        if self.fault_plan is not None and not self.progress_mode.is_weighted:
+            # Naive active counters cannot survive loss: a dropped delta
+            # corrupts the count forever, and the weight ledger the
+            # recovery protocol leans on does not exist.
             raise ConfigurationError(
-                f"preemption_min_checkpoints must be >= 0, "
-                f"got {self.preemption_min_checkpoints}"
+                "fault injection requires a weighted progress mode; "
+                "NAIVE_CENTRAL counters cannot detect lost work"
             )
-        if self.fault_plan is not None:
-            if self.progress_mode is ProgressMode.NAIVE_CENTRAL:
-                # Naive active counters cannot survive loss: a dropped
-                # delta corrupts the count forever, and the weight ledger
-                # the recovery protocol leans on does not exist.
-                raise ConfigurationError(
-                    "fault injection requires a weighted progress mode; "
-                    "NAIVE_CENTRAL counters cannot detect lost work"
-                )
-            if self.retry_budget < 0:
-                raise ConfigurationError(
-                    f"retry_budget must be >= 0, got {self.retry_budget}"
-                )
-            if self.watchdog_timeout_us <= 0:
-                raise ConfigurationError(
-                    f"watchdog_timeout_us must be > 0, "
-                    f"got {self.watchdog_timeout_us}"
-                )
-            # Re-validate the plan's rates here as well: FaultPlan checks
-            # its own fields at construction, but plans minted through
-            # object.__setattr__ tricks or pickled from older versions can
-            # reach the engine unvalidated — and a negative rate turns the
-            # injector's RNG comparisons into silent no-ops or certainties.
-            plan = self.fault_plan
-            for name in ("drop_rate", "dup_rate", "delay_rate",
-                         "ack_drop_rate"):
-                rate = getattr(plan, name)
-                if not 0.0 <= rate < 1.0:
-                    raise ConfigurationError(
-                        f"fault_plan.{name} must be in [0, 1), got {rate}"
-                    )
-            if plan.delay_us < 0:
-                raise ConfigurationError(
-                    f"fault_plan.delay_us must be >= 0, got {plan.delay_us}"
-                )

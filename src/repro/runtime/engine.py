@@ -152,8 +152,7 @@ class AsyncPSTMEngine:
         #: stage-boundary checkpoint store (docs/RECOVERY.md); None → off,
         #: and recovery falls back to force-retry from stage 0
         self.checkpoints: Optional[CheckpointPlane] = (
-            CheckpointPlane(config.checkpoint_interval_us,
-                            config.checkpoint_retention)
+            CheckpointPlane(config.checkpoint_interval_us)
             if config.checkpoint_interval_us is not None else None
         )
         self.network = Network(

@@ -54,6 +54,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 CRASH = "crash"
 STALL = "stall"
 
+#: how many times the watchdog may re-execute a stuck query before the
+#: engine gives up with RetryBudgetExceededError
+RETRY_BUDGET = 3
+#: a query showing zero progress for this long (simulated µs) is declared
+#: stuck and recovered
+WATCHDOG_TIMEOUT_US = 100_000.0
+
 
 @dataclass(frozen=True)
 class WorkerFault:
@@ -190,7 +197,7 @@ class RecoveryManager:
     * the progress-fingerprint watchdog that declares a query stuck when
       its observable progress is unchanged for a full timeout window;
     * :meth:`recover_query` — tear the attempt down and re-execute under a
-      fresh query id, bounded by ``EngineConfig.retry_budget``.
+      fresh query id, bounded by :data:`RETRY_BUDGET`.
 
     Constructed unconditionally by the engine; with no fault plan armed the
     watchdog never schedules and nothing here runs, keeping the fault-free
@@ -301,7 +308,7 @@ class RecoveryManager:
             return
         snapshot = self.progress_snapshot(session)
         engine.clock.schedule_at(
-            engine.clock.now + engine.config.watchdog_timeout_us,
+            engine.clock.now + WATCHDOG_TIMEOUT_US,
             lambda s=session, snap=snapshot: self.watchdog_check(s, snap),
         )
 
@@ -327,7 +334,7 @@ class RecoveryManager:
         fresh = self.progress_snapshot(session)
         if fresh != snapshot:
             engine.clock.schedule_at(
-                engine.clock.now + engine.config.watchdog_timeout_us,
+                engine.clock.now + WATCHDOG_TIMEOUT_US,
                 lambda s=session, snap=fresh: self.watchdog_check(s, snap),
             )
             return
@@ -366,7 +373,7 @@ class RecoveryManager:
             engine.delivery.evict(session, session.cursor.current, "recover")
         else:
             engine.delivery.evict(session, ckpt.stage, "restore")
-        if session.qmetrics.retries >= engine.config.retry_budget:
+        if session.qmetrics.retries >= RETRY_BUDGET:
             session.lifecycle.to(QueryState.FAILED, REASON_RETRY_BUDGET)
             engine._retire(session)
             return

@@ -112,17 +112,16 @@ class AdmissionController:
         checkpoint while waiters are parked (it may have just become
         eligible): when ``EngineConfig.preemption`` is armed, no slot is
         free, and a resident query of strictly lower priority than the
-        best parked waiter has crossed at least
-        ``preemption_min_checkpoints`` stage boundaries, ask the
-        lowest-priority such resident to pause — it yields at its next
+        best parked waiter holds a checkpoint, ask the lowest-priority
+        such resident to pause — it yields at its next
         boundary (at this one, if the policy ran from its checkpoint), and
         the freed slot dispatches the waiter through the normal
         :meth:`on_closed` handoff. Returns True when a preempt request was
         issued.
         """
         engine = self.engine
-        cfg = engine.config
-        if not cfg.preemption or self.has_slot or engine.checkpoints is None:
+        if (not engine.config.preemption or self.has_slot
+                or engine.checkpoints is None):
             return False
         best = min(
             (prio for prio, _seq, s in self._heap if s.parked), default=None
@@ -135,9 +134,10 @@ class AdmissionController:
                 continue  # already pausing/cancelling, or not resident
             if session.priority <= best:
                 continue  # only preempt strictly lower-priority work
-            count = engine.checkpoints.count(session.query_id)
-            if count < cfg.preemption_min_checkpoints:
-                continue  # not past its first checkpoint yet
+            if engine.checkpoints.latest(session.query_id) is None:
+                # Not past its first boundary: evicting it would save a
+                # frontier no cheaper than its own resubmission.
+                continue
             if victim is None or session.priority > victim.priority:
                 victim = session
         if victim is None:

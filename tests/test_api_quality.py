@@ -100,13 +100,14 @@ class TestDocstrings:
         )
 
 
-#: EngineConfig fields no caller outside the tests sets yet, each kept for
-#: a later keep-or-delete decision about the plane it tunes
+#: EngineConfig fields no caller outside the tests sets, each with the
+#: reason it stays a field rather than a constant
 UNARMED_KNOBS = {
-    "retry_budget": "fault recovery: watchdog force-retries per query",
-    "watchdog_timeout_us": "fault recovery: zero-progress stall window",
-    "preemption_min_checkpoints": "preemption: victim eligibility",
-    "lct_broadcast_lag_us": "transactions: LCT cache staleness",
+    "lct_broadcast_lag_us": (
+        "transactions: models the delay of the LCT broadcast, and is the "
+        "only way to pin a snapshot older than the LCT at the pin's own "
+        "admission, which the stale-but-never-ahead tests need"
+    ),
 }
 
 

@@ -103,21 +103,18 @@ class TestBSPConfig:
         "centralized_agg": True,
         "kernel": "scalar",
         "fault_plan": FaultPlan(seed=1, drop_rate=0.01),
-        "retry_budget": 1,
-        "watchdog_timeout_us": 5_000.0,
         "checkpoint_interval_us": 0.0,
-        "checkpoint_retention": 2,
         "max_concurrent_queries": 2,
         "admission_queue_size": 4,
         "admission_timeout_us": 10.0,
         "inbox_capacity": 16,
         "preemption": True,
-        "preemption_min_checkpoints": 0,
         "transactions": True,
         "lct_broadcast_lag_us": 1.0,
     }
     #: fields EngineConfig itself only accepts beside others
     COMPANIONS = {
+        "admission_timeout_us": {"max_concurrent_queries": 2},
         "preemption": {"max_concurrent_queries": 2, "checkpoint_interval_us": 0.0},
         "lct_broadcast_lag_us": {"transactions": True},
     }

@@ -89,7 +89,6 @@ def run_ck(
     crashes=(),
     checkpoint=False,
     kernel="run",
-    retention=1,
     trace=True,
 ):
     """One seeded engine run; returns ``(engine, result)``."""
@@ -106,7 +105,6 @@ def run_ck(
             kernel=kernel,
             fault_plan=fault_plan,
             checkpoint_interval_us=0.0 if checkpoint else None,
-            checkpoint_retention=retention,
         ),
         seed=ENGINE_SEED,
     )
@@ -124,10 +122,6 @@ class TestValidation:
     def test_negative_interval_rejected(self):
         with pytest.raises(ConfigurationError):
             EngineConfig(checkpoint_interval_us=-1.0)
-
-    def test_retention_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            EngineConfig(checkpoint_interval_us=0.0, checkpoint_retention=0)
 
     def test_naive_progress_mode_rejected(self):
         # The checkpoint cut is certified by the stage ledger reaching the
@@ -255,16 +249,10 @@ class TestCrashRecovery:
 class TestRetention:
     def test_eviction_keeps_newest(self, ck_graph):
         plan = three_stage_plan(ck_graph)  # two checkpointable boundaries
-        engine, _ = run_ck(ck_graph, plan, checkpoint=True, retention=1)
+        engine, _ = run_ck(ck_graph, plan, checkpoint=True)
         assert engine.checkpoints.taken == 2
         assert engine.checkpoints.evicted == 1
         assert engine.checkpoints.stored == 0
-
-    def test_wide_retention_evicts_nothing(self, ck_graph):
-        plan = three_stage_plan(ck_graph)
-        engine, _ = run_ck(ck_graph, plan, checkpoint=True, retention=2)
-        assert engine.checkpoints.taken == 2
-        assert engine.checkpoints.evicted == 0
 
 
 # -- snapshot isolation ------------------------------------------------------

@@ -118,7 +118,6 @@ class TestCancelCrashInterleaving:
             inbox_capacity=64,  # armed gate: over-release raises
             fault_plan=FaultPlan(seed=1, worker_faults=(
                 WorkerFault(wid=1, at_us=41.0, down_us=2000.0),)),
-            watchdog_timeout_us=50_000.0,
         )
         engine = AsyncPSTMEngine(graph, NODES, WPN, config=config)
         plan = khop_plan(graph)
@@ -178,7 +177,6 @@ class TestCancelCrashInterleaving:
             inbox_capacity=64,
             fault_plan=FaultPlan(seed=1, worker_faults=(
                 WorkerFault(wid=1, at_us=30.0, down_us=1000.0),)),
-            watchdog_timeout_us=20_000.0,
         )
         engine = AsyncPSTMEngine(graph, NODES, WPN, config=config)
         doomed = engine.submit(khop_plan(graph), {"s": 3})

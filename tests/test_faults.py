@@ -23,6 +23,7 @@ import pytest
 from repro.errors import ConfigurationError, RetryBudgetExceededError
 from repro.core.progress import ProgressMode
 from repro.query.traversal import Traversal
+from repro.runtime import faults
 from repro.runtime.engine import AsyncPSTMEngine, EngineConfig
 from repro.runtime.faults import (
     CRASH,
@@ -63,12 +64,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             AsyncPSTMEngine(graph, NODES, WPN,
                             config=EngineConfig(fault_plan=plan))
-
-    def test_engine_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            EngineConfig(fault_plan=FaultPlan(), retry_budget=-1)
-        with pytest.raises(ConfigurationError):
-            EngineConfig(fault_plan=FaultPlan(), watchdog_timeout_us=0.0)
 
     def test_naive_progress_mode_rejects_faults(self):
         # Dropped messages corrupt the naive central counter irreparably:
@@ -240,7 +235,6 @@ class TestWorkerFaults:
             cfg = EngineConfig(
                 fault_plan=FaultPlan(seed=1, worker_faults=(
                     WorkerFault(wid=wid, at_us=30.0, down_us=3000.0),)),
-                watchdog_timeout_us=20_000.0,
             )
             engine, result = run_one(graph, plan, {"s": 5}, cfg)
             assert result.rows == base.rows, wid
@@ -258,7 +252,6 @@ class TestWorkerFaults:
         cfg = EngineConfig(
             fault_plan=FaultPlan(seed=1, worker_faults=(
                 WorkerFault(wid=1, at_us=30.0, kind=STALL, down_us=2000.0),)),
-            watchdog_timeout_us=50_000.0,
         )
         engine, result = run_one(graph, plan, {"s": 5}, cfg)
         assert result.rows == base.rows
@@ -276,15 +269,14 @@ class TestWorkerFaults:
         assert result.rows == base.rows
         assert result.metrics.retries == 0
 
-    def test_permanent_crash_exhausts_retry_budget(self):
+    def test_permanent_crash_exhausts_retry_budget(self, monkeypatch):
+        monkeypatch.setattr(faults, "RETRY_BUDGET", 2)
         graph = make_graph(3)
         plan = khop3_count(graph)
         home = graph.partition_of(5)  # the start vertex's partition
         cfg = EngineConfig(
             fault_plan=FaultPlan(seed=1, worker_faults=(
                 WorkerFault(wid=home, at_us=0.0),)),
-            watchdog_timeout_us=5_000.0,
-            retry_budget=2,
         )
         engine = AsyncPSTMEngine(graph, NODES, WPN, config=cfg)
         with pytest.raises(RetryBudgetExceededError) as excinfo:
@@ -301,7 +293,6 @@ class TestWorkerFaults:
         cfg = EngineConfig(
             fault_plan=FaultPlan(seed=1, worker_faults=(
                 WorkerFault(wid=0, at_us=30.0, down_us=3000.0),)),
-            watchdog_timeout_us=20_000.0,
         )
         engine, result = run_one(graph, plan, {"s": 5}, cfg)
         assert result.metrics.retries >= 1
@@ -391,7 +382,7 @@ class TestAttemptResidue:
         for wid in range(NODES * WPN):
             for at in CRASH_INSTANTS:
                 engine = AsyncPSTMEngine(graph, NODES, WPN, config=EngineConfig(
-                    kernel=kernel, watchdog_timeout_us=20_000.0,
+                    kernel=kernel,
                     fault_plan=FaultPlan(seed=1, worker_faults=(
                         WorkerFault(wid=wid, at_us=at, down_us=3000.0),)),
                 ))
@@ -411,7 +402,6 @@ class TestAttemptResidue:
         for wid in range(NODES * WPN):
             engine = AsyncPSTMEngine(graph, NODES, WPN, config=EngineConfig(
                 kernel=kernel, checkpoint_interval_us=0.0,
-                watchdog_timeout_us=20_000.0,
                 fault_plan=FaultPlan(seed=1, worker_faults=(
                     WorkerFault(wid=wid, at_us=80.0, down_us=3000.0),)),
             ))

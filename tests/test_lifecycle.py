@@ -239,7 +239,6 @@ class TestRunAudits:
         config = EngineConfig(
             fault_plan=FaultPlan(seed=1, drop_rate=0.02, worker_faults=(
                 WorkerFault(wid=1, at_us=30.0, down_us=3000.0),)),
-            watchdog_timeout_us=20_000.0,
         )
         engine = AsyncPSTMEngine(graph, NODES, WPN, config=config)
         result = engine.run(khop_plan(graph), {"s": 3})
@@ -254,8 +253,6 @@ class TestRunAudits:
         config = EngineConfig(
             fault_plan=FaultPlan(seed=1, worker_faults=(
                 WorkerFault(wid=home, at_us=0.0),)),
-            watchdog_timeout_us=5_000.0,
-            retry_budget=2,
         )
         engine = AsyncPSTMEngine(graph, NODES, WPN, config=config)
         with pytest.raises(RetryBudgetExceededError):

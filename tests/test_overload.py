@@ -79,17 +79,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             EngineConfig(admission_timeout_us=-5.0)
 
-    def test_fault_plan_rates_revalidated(self):
-        """A plan whose rates were corrupted after construction (bypassing
-        FaultPlan.__post_init__) is still rejected by the engine config."""
-        plan = FaultPlan()
-        object.__setattr__(plan, "drop_rate", -0.5)
-        with pytest.raises(ConfigurationError):
-            EngineConfig(fault_plan=plan)
-        plan = FaultPlan()
-        object.__setattr__(plan, "delay_us", -1.0)
-        with pytest.raises(ConfigurationError):
-            EngineConfig(fault_plan=plan)
+    def test_admission_timeout_requires_admission_control(self):
+        # Only the admission queue reads the timeout: without a slot
+        # limit no submission ever waits, so the knob would do nothing.
+        with pytest.raises(ConfigurationError, match="max_concurrent_queries"):
+            EngineConfig(admission_timeout_us=10.0)
+        EngineConfig(admission_timeout_us=10.0, max_concurrent_queries=1)
 
 
 class TestCooperativeCancellation:
@@ -105,7 +100,6 @@ class TestCooperativeCancellation:
         config = EngineConfig(
             kernel=kernel,
             fault_plan=FaultPlan(),
-            watchdog_timeout_us=50_000.0,
         )
         engine = AsyncPSTMEngine(graph, NODES, WPN, config=config)
         with pytest.raises(QueryTimeoutError):

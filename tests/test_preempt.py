@@ -114,7 +114,7 @@ def interactive_plan(graph):
     )
 
 
-def make_engine(graph, *, interval=0.0, retention=2, crashes=(),
+def make_engine(graph, *, interval=0.0, crashes=(),
                 kernel="run", **cfg):
     fault_plan = None
     if crashes:
@@ -129,7 +129,6 @@ def make_engine(graph, *, interval=0.0, retention=2, crashes=(),
             kernel=kernel,
             fault_plan=fault_plan,
             checkpoint_interval_us=interval,
-            checkpoint_retention=retention,
             **cfg,
         ),
         seed=ENGINE_SEED,
@@ -160,15 +159,6 @@ class TestValidation:
     def test_preemption_requires_checkpoint_plane(self):
         with pytest.raises(ConfigurationError):
             EngineConfig(preemption=True, max_concurrent_queries=2)
-
-    def test_min_checkpoints_must_be_non_negative(self):
-        with pytest.raises(ConfigurationError):
-            EngineConfig(
-                preemption=True,
-                max_concurrent_queries=2,
-                checkpoint_interval_us=0.0,
-                preemption_min_checkpoints=-1,
-            )
 
 
 # -- lifecycle edges ---------------------------------------------------------
@@ -481,17 +471,15 @@ class TestCrashWhilePausing:
 # -- admission-control policy ------------------------------------------------
 
 
-def policy_engine(pe_graph, *, preemption, min_checkpoints=1):
+def policy_engine(pe_graph, *, preemption):
     return AsyncPSTMEngine(
         pe_graph, NODES, WPN,
         config=EngineConfig(
             trace=True,
             checkpoint_interval_us=0.0,
-            checkpoint_retention=2,
             max_concurrent_queries=1,
             admission_queue_size=8,
             preemption=preemption,
-            preemption_min_checkpoints=min_checkpoints,
         ),
         seed=ENGINE_SEED,
     )
@@ -558,15 +546,16 @@ class TestPolicy:
         requests, pauses = [], []
         real_preempt = engine.preempt
 
+        def stored(session):  # the plane holds at most one per query
+            return int(engine.checkpoints.latest(session.query_id) is not None)
+
         def preempt(session, **kwargs):
-            requests.append((engine.clock.now,
-                             engine.checkpoints.count(session.query_id)))
+            requests.append((engine.clock.now, stored(session)))
             return real_preempt(session, **kwargs)
 
         def pause(engine_, session, seeds, **kwargs):
             real_pause(engine_, session, seeds, **kwargs)
-            pauses.append((engine.clock.now,
-                           engine.checkpoints.count(session.query_id)))
+            pauses.append((engine.clock.now, stored(session)))
 
         real_pause = engine_module.pause_at_boundary
         engine.preempt = preempt

@@ -33,6 +33,7 @@ from repro.ldbc.generator import SNB_TINY, generate_snb
 from repro.ldbc.queries.ic import IC_QUERIES
 from repro.ldbc.queries.updates import UP_QUERIES, UpdateContext
 from repro.query.traversal import Traversal
+from repro.runtime import faults
 from repro.runtime.engine import AsyncPSTMEngine, EngineConfig
 from repro.runtime.faults import FaultPlan, WorkerFault
 from repro.runtime.lifecycle import (
@@ -76,16 +77,17 @@ def engine_for(graph, kernel, **cfg):
 #
 # Each submits and schedules, then returns (engine, [(session, expected
 # state, expected reason)], the lifecycle edge that proves the path was
-# taken); the caller drains the clock.
+# taken); the caller drains the clock. A path that needs a module constant
+# narrowed (the retry budget) sets it through the caller's monkeypatch.
 
 
-def finish(graph, kernel):
+def finish(graph, kernel, monkeypatch):
     engine = engine_for(graph, kernel)
     session = engine.submit(two_stage_plan(graph), {"s": 5})
     return engine, [(session, QueryState.DONE, None)], "running->done"
 
 
-def cancel_finalize(graph, kernel):
+def cancel_finalize(graph, kernel, monkeypatch):
     engine = engine_for(graph, kernel)
     session = engine.submit(two_stage_plan(graph), {"s": 5})
     engine.clock.schedule_at(25.0, lambda: engine.cancel(session))
@@ -93,8 +95,9 @@ def cancel_finalize(graph, kernel):
             "cancelling->failed")
 
 
-def retry_budget(graph, kernel):
-    engine = engine_for(graph, kernel, retry_budget=0, fault_plan=FaultPlan(
+def retry_budget(graph, kernel, monkeypatch):
+    monkeypatch.setattr(faults, "RETRY_BUDGET", 0)
+    engine = engine_for(graph, kernel, fault_plan=FaultPlan(
         seed=1, worker_faults=(WorkerFault(wid=0, at_us=25.0,
                                            down_us=3000.0),)))
     session = engine.submit(khop3_count(graph), {"s": 5})
@@ -102,7 +105,7 @@ def retry_budget(graph, kernel):
             "running->failed")
 
 
-def admission(graph, kernel):
+def admission(graph, kernel, monkeypatch):
     engine = engine_for(graph, kernel, max_concurrent_queries=1,
                         admission_queue_size=1, admission_timeout_us=5.0)
     plan = two_stage_plan(graph)
@@ -113,7 +116,7 @@ def admission(graph, kernel):
     return engine, expected, "queued->rejected"
 
 
-def cancel_paused(graph, kernel):
+def cancel_paused(graph, kernel, monkeypatch):
     engine = engine_for(graph, kernel, checkpoint_interval_us=0.0)
     session = engine.submit(two_stage_plan(graph), {"s": 5})
     engine.clock.schedule_at(25.0, lambda: engine.preempt(session))
@@ -147,7 +150,7 @@ class TestTerminalPathsRelease:
                              ids=[p.__name__ for p in TERMINAL_PATHS])
     def test_state_unreachable(self, graph, kernel, path, monkeypatch):
         refs = watch_state(monkeypatch)
-        engine, expected, edge = path(graph, kernel)
+        engine, expected, edge = path(graph, kernel, monkeypatch)
         engine.clock.run_until_idle()
         assert engine.metrics.lifecycle_transitions[edge] >= 1
         for session, state, reason in expected:

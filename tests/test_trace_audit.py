@@ -79,7 +79,7 @@ def fuzz_run(seed: int, kernel: str, queries: int = 10):
         worker_faults=worker_faults,
     )
     config = EngineConfig(trace=True, kernel=kernel, fault_plan=fault_plan,
-                          checkpoint_interval_us=0.0, checkpoint_retention=2)
+                          checkpoint_interval_us=0.0)
     engine = AsyncPSTMEngine(graph, FAULT_NODES, FAULT_WPN, config=config)
 
     sessions = []
@@ -177,8 +177,7 @@ class TestCrashAccounting:
         config = EngineConfig(
             trace=True, kernel=kernel,
             fault_plan=FaultPlan(seed=2, worker_faults=(
-                WorkerFault(wid=1, at_us=60.0, kind="crash", down_us=500.0),)),
-            watchdog_timeout_us=20_000.0)
+                WorkerFault(wid=1, at_us=60.0, kind="crash", down_us=500.0),)))
         engine = AsyncPSTMEngine(graph, FAULT_NODES, FAULT_WPN, config=config)
         sessions = [engine.submit(plan, {"s": v}) for v in range(6)]
         engine.clock.run_until_idle()
