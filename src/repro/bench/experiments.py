@@ -54,8 +54,8 @@ def table1_workload_characteristics() -> Table:
 
     Representative members: IS2 (transactional), IC9 (interactive complex),
     and a full vertex scan with grouping (offline analytics). Accessed-data
-    fraction is distinct steps executed over graph size; compute stages are
-    plan operator depth.
+    fraction is operator executions (``op_steps``, inlined links included)
+    over graph size; compute stages are plan operator depth.
     """
     dataset = snb_dataset("sf300")
     graph = snb_graph("sf300", BENCH_CLUSTER.num_partitions)
@@ -69,10 +69,10 @@ def table1_workload_characteristics() -> Table:
     )
 
     def measure(label: str, cls: str, plan, params) -> None:
-        result = engine.run(plan, params)
-        accessed = 100.0 * result.metrics.steps_executed / size
+        profile = engine.profile(plan, params)
+        accessed = 100.0 * sum(profile.op_steps.values()) / size
         table.add(cls, label, round(accessed, 4), len(plan.ops),
-                  round(result.latency_ms, 3))
+                  round(profile.metrics.latency_us / 1000.0, 3))
 
     is2 = IS_QUERIES[2]
     measure("IS2", "transactional", is2.build().compile(graph),

@@ -17,7 +17,8 @@ and audit clean under the :class:`~repro.runtime.trace.WeightLedgerAuditor`.
 The measured quantity is **replayed work**: kernel-exec trace events beyond
 the baseline's count. The acceptance gate (``--check``) is that the
 checkpoint run replays *strictly less* than force-retry at every crash
-point — restoring from the boundary must never re-execute stage 0.
+point — restoring from the boundary must never re-execute stage 0. A
+crash that finds no live query state (no retry) is a bench error.
 
 Usage::
 
@@ -37,15 +38,15 @@ from repro.graph.partition import PartitionedGraph
 from repro.query.traversal import Traversal
 from repro.runtime.engine import AsyncPSTMEngine, EngineConfig
 from repro.runtime.faults import FaultPlan, WorkerFault
-from repro.runtime.trace import EXEC, WeightLedgerAuditor
+from repro.runtime.trace import EXEC, STAGE_CLOSE, WeightLedgerAuditor
 
 ENGINE_SEED = 3
 START_VERTEX = 11
 
-#: simulated crash instants, all inside stage 1 (the boundary is crossed at
-#: ~87 µs and the healthy run finishes at ~175 µs)
-CRASH_TIMES = (100.0, 120.0, 140.0)
-QUICK_CRASH_TIMES = (120.0,)
+#: crash instants as fractions of the healthy run's stage-1 window, from
+#: the stage-0 close (the checkpointed boundary) to the stage-1 close
+CRASH_FRACTIONS = (0.25, 0.5, 0.75)
+QUICK_CRASH_FRACTIONS = (0.5,)
 CRASH_WID = 2
 CRASH_DOWN_US = 30.0
 
@@ -98,6 +99,7 @@ def run_once(
         "checkpoint_fallbacks": engine.metrics.checkpoint_fallbacks,
         "audit_ok": audit.ok,
         "audit_violations": audit.violations[:5],
+        "stage_closes": [ev.ts for ev in engine.trace.by_kind(STAGE_CLOSE)],
     }
 
 
@@ -115,12 +117,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "with identical rows and clean audits")
     args = parser.parse_args(argv)
 
-    crash_times = QUICK_CRASH_TIMES if args.quick else CRASH_TIMES
-
     print("baseline (healthy cluster)...")
     base = run_once(None, checkpoint=False)
+    boundary, end = base["stage_closes"]
     print(f"  rows={base['rows']}  exec={base['exec_events']}  "
           f"audit={'ok' if base['audit_ok'] else 'VIOLATED'}")
+    crash_times = [boundary + f * (end - boundary) for f in (
+        QUICK_CRASH_FRACTIONS if args.quick else CRASH_FRACTIONS)]
 
     rows: List[Dict[str, Any]] = []
     ok = base["audit_ok"]
@@ -132,6 +135,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     for crash_at in crash_times:
         retry = run_once(crash_at, checkpoint=False)
         ckpt = run_once(crash_at, checkpoint=True)
+        if not (retry["retries"] and ckpt["retries"]):
+            print(f"error: the crash at {crash_at:.1f} us found no live query")
+            return 2
         for mode, run in (("force-retry", retry), ("checkpoint", ckpt)):
             replayed = run["exec_events"] - base["exec_events"]
             rows_ok = run["rows"] == base["rows"]

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.steps import (
+    AggregateOp,
     ChildSpec,
-    CountAgg,
     DedupOp,
     FilterOp,
     OpCost,
@@ -67,12 +67,16 @@ def resolve_partition(
 
 
 #: Link kinds: what an inlined link does to the child it receives.
-FILTER, PROJECT, DEDUP, COUNT = range(4)
+FILTER, PROJECT, DEDUP, ABSORB = range(4)
 
 #: One inlined link: ``(kind, arg, memo_ops, props)``. ``arg`` is a
-#: Filter's predicate, a Project's assignments, a Dedup's memo label or a
-#: Count's partial label; ``memo_ops`` and ``props`` are its price.
+#: Filter's predicate, a Project's assignments, a Dedup's memo label or an
+#: aggregate's ``absorb``; ``memo_ops`` and ``props`` are its price.
 Link = Tuple[int, Any, int, int]
+
+#: The last spec of a row whose children were absorbed: their one weight
+#: share, which the emitting step finishes (target -1 is no op).
+ABSORBED: ChildSpec = (-1, -1, (), 0)
 
 
 class Chain(NamedTuple):
@@ -85,8 +89,7 @@ class Chain(NamedTuple):
     #: ``(memo_ops, props)`` of the links up to and including link ``j``;
     #: the last entry is the whole chain's
     prices: Tuple[Tuple[int, int], ...]
-    #: the op a survivor targets; -1 when the chain ends in a count
-    #: absorption
+    #: the op a survivor targets; -1 when the chain ends in an absorption
     target: int
 
 
@@ -97,7 +100,8 @@ def _link(op: PhysicalOp, mode: str, local: bool, private: bool) -> Optional[Lin
     ``local``: the emitting step ran at the owner of the vertex the link
     receives, so vertex reads and vertex-keyed memos are local there.
     ``private``: no op but the emitting one can feed the link (each link
-    up to it has exactly one predecessor).
+    up to it has exactly one predecessor). Only an order-free aggregate
+    is absorbed where not both hold.
     """
     t = type(op)
     if t is FilterOp or t is ProjectOp:
@@ -106,12 +110,12 @@ def _link(op: PhysicalOp, mode: str, local: bool, private: bool) -> Optional[Lin
         if t is FilterOp:
             return (FILTER, op.predicate, 0, 1)
         return (PROJECT, op.assignments, 0, len(op.assignments))
-    if not local:
-        return None
-    if t is DedupOp and op.routing_mode == "vertex" and private:
+    if isinstance(op, AggregateOp):
+        if mode == "fixed" or not (op.order_free or local and private):
+            return None
+        return (ABSORB, op.absorb, 1, 0)
+    if t is DedupOp and op.routing_mode == "vertex" and local and private:
         return (DEDUP, op.memo_label, 1, 0)
-    if t is CountAgg and mode != "fixed":
-        return (COUNT, op.memo_label(), 1, 0)
     return None
 
 
@@ -142,22 +146,28 @@ class InlineLinks:
       by the machine and whose children keep its vertex
       (:attr:`~repro.core.steps.PhysicalOp.keeps_vertex`): the child would
       be dispatched to the partition the step runs on. Such a chain may
-      also hold vertex-routed Filter/Project links, a vertex-keyed Dedup
-      that no other op can feed, and, last, absorption into a ``Count``
-      partial whose route is not ``"fixed"``.
+      also hold vertex-routed Filter/Project links and a vertex-keyed
+      Dedup that no other op can feed.
 
-    A failed filter or a duplicate drops the child, an absorbed child
-    bumps the count partial; either way it leaves the weight split, and
-    when no child survives the parent finishes its weight. A project
-    rewrites the payload, and a survivor targets the first op that is not
-    a link and is routed as that op demands. The inline Dedup admits the
-    same traverser a dispatched one would: a vertex-preserving child never
-    leaves its partition and the local queue is FIFO, so the dispatched
-    Dedup would see its inputs in emission order too.
+    Either chain may end in absorption into the stage's barrier partial
+    (route not ``"fixed"``): after any op for an order-free aggregate
+    (:attr:`~repro.core.steps.AggregateOp.order_free`), else only where a
+    Dedup could run.
+
+    A failed filter or a duplicate drops the child, and when no child
+    survives the parent finishes its weight. An absorbed child is folded
+    in by the aggregate's ``absorb``; a row's absorbed children keep one
+    weight share (:data:`ABSORBED`, last in the row) that the emitting
+    step finishes, so a weight report always follows a partial write on
+    its partition. A project rewrites the payload, and a survivor targets
+    the first op that is not a link and is routed as that op demands. The
+    inline Dedup and an order-bound absorption see the inputs a dispatched
+    op would, in emission order: a vertex-preserving child never leaves
+    its partition and the local queue is FIFO.
 
     Pricing: each evaluated link adds its own work (Filter one prop,
-    Project ``len(assignments)`` props, Dedup and Count one memo op) to
-    the emitting step's cost tuple and no dispatch cost. ``op_steps``
+    Project ``len(assignments)`` props, Dedup and absorption one memo op)
+    to the emitting step's cost tuple and no dispatch cost. ``op_steps``
     counts the link's executions and ``op_inlined`` how many of them ran
     inline; ``steps_executed`` counts dispatched steps only.
 
@@ -165,13 +175,10 @@ class InlineLinks:
     chain to its :class:`Chain`, or is None when op ``i`` inlines
     nothing, so its runs skip the per-child check. ``writes[i]`` says
     whether op ``i``'s step writes its stage's barrier partial (the
-    barrier itself, or an op that absorbs into it); ``rides[s]`` whether
-    stage ``s``'s partials can ride the weight reports: not when an op
-    absorbs a count beside a sibling child that carries the weight on,
-    since no report is then bound to follow the write on that partition.
+    barrier itself, or an op that absorbs into it).
     """
 
-    __slots__ = ("table", "writes", "rides")
+    __slots__ = ("table", "writes")
 
     def __init__(self, plan: PhysicalPlan,
                  route_info: List[Tuple[int, str, PhysicalOp]]) -> None:
@@ -180,12 +187,10 @@ class InlineLinks:
         refs = _predecessors(plan)
         table: List[Optional[Dict[int, Chain]]] = []
         writes = [op.is_barrier for op in ops]
-        rides = [True] * len(plan.stages)
         for e, op in enumerate(ops):
             local = route_info[e][1] == "vertex" and op.keeps_vertex
             entries: Dict[int, Chain] = {}
-            successors = set(op.successors())
-            for s in successors:
+            for s in set(op.successors()):
                 idxs: List[int] = []
                 steps: List[Tuple[int, Any]] = []
                 prices: List[Tuple[int, int]] = []
@@ -203,20 +208,15 @@ class InlineLinks:
                     idxs.append(j)
                     steps.append((kind, arg))
                     prices.append((memo_ops, props))
-                    j = -1 if kind == COUNT else ops[j].next_idx
+                    j = -1 if kind == ABSORB else ops[j].next_idx
                 if idxs:
                     prices.append(prices[-1])
                     entries[s] = Chain(tuple(idxs), tuple(steps),
                                        tuple(prices), j)
-            absorbing = [s for s, chain in entries.items() if chain.target < 0]
-            if absorbing:
-                writes[e] = True
-                if len(absorbing) < len(successors):
-                    rides[op.stage] = False
+                    writes[e] = writes[e] or j < 0
             table.append(entries or None)
         self.table = table
         self.writes = writes
-        self.rides = rides
 
     def run(
         self,
@@ -233,10 +233,10 @@ class InlineLinks:
         table = self.table[op_idx]
         # per chain: its steps, prices, target, how many children stopped
         # at each link (the last slot: passed the whole chain), and
-        # whether an expression reads the probe
+        # whether a link reads the probe
         live = {s: (chain.steps, chain.prices, chain.target,
                     [0] * len(chain.prices),
-                    any(kind in (FILTER, PROJECT) for kind, _ in chain.steps))
+                    any(kind != DEDUP for kind, _ in chain.steps))
                 for s, chain in table.items()}
         get = live.get
         # the one traverser the links read (expressions see its vertex,
@@ -258,6 +258,7 @@ class InlineLinks:
                 continue
             kept: List[ChildSpec] = []
             memo_ops = props = 0
+            absorbed = False
             for spec in specs:
                 entry = get(spec[1])
                 if entry is None:
@@ -278,7 +279,9 @@ class InlineLinks:
                         if vertex in seen:
                             break
                         seen[vertex] = True
-                    elif kind == COUNT:  # absorbed, tallied at its stop
+                    elif kind == ABSORB:
+                        arg(ctx, probe)
+                        absorbed = True
                         break
                     elif kind == FILTER:
                         if not arg(ctx, probe):
@@ -295,6 +298,8 @@ class InlineLinks:
                 link_memo, link_props = prices[j]
                 memo_ops += link_memo
                 props += link_props
+            if absorbed:
+                kept.append(ABSORBED)
             rows_append(kept)
             # consecutive rows mostly share one price: reuse its tuple,
             # so the kernels' identity cost cache keeps hitting
@@ -309,10 +314,6 @@ class InlineLinks:
             priced_append(new_ct)
         for s, (_steps, _prices, _target, stopped, _reads) in live.items():
             chain = table[s]
-            kind, arg = chain.steps[-1]
-            if kind == COUNT and stopped[-2]:
-                partial = ctx.memo.table(arg)
-                partial["partial"] = partial.get("partial", 0) + stopped[-2]
             # link j ran for every child that stopped at it or later
             ran = stopped[-1]
             for j in range(len(chain.idxs) - 1, -1, -1):
@@ -361,14 +362,6 @@ class PSTMMachine:
         if inline is None:
             inline = self._inline = InlineLinks(self.plan, self.route_info())
         return inline
-
-    def partials_ride(self, stage: int) -> bool:
-        """True when every write of the stage's barrier partial finishes
-        weight on the writing partition, so each partition's final partial
-        can ride its last weight report to the coordinator. An op that
-        absorbs a count inline beside a child that carries its weight on
-        makes the stage gather its partials after the ledger closes."""
-        return self.inline_links().rides[stage]
 
     def partial_writers(self, stage: int) -> Tuple[int, ...]:
         """Indexes of the stage's ops whose steps write its barrier
@@ -438,6 +431,10 @@ class PSTMMachine:
         if not specs:
             return ExecResult([], trav.weight, outcome.cost, op)
         weights = split_weight(trav.weight, len(specs), rng)
+        finished = 0
+        if specs[-1] is ABSORBED:  # the absorbed children's share
+            specs = specs[:-1]
+            finished = weights.pop()
         children: List[Tuple[Traverser, Optional[int]]] = []
         for (vertex, op_idx, payload, loops), weight in zip(specs, weights):
             if op_idx < 0 or op_idx >= len(self.plan.ops):
@@ -454,4 +451,4 @@ class PSTMMachine:
                 loops=loops,
             )
             children.append((child, self.route(child)))
-        return ExecResult(children, 0, outcome.cost, op)
+        return ExecResult(children, finished, outcome.cost, op)

@@ -902,6 +902,9 @@ class AggregateOp(PhysicalOp):
 
     is_barrier = True
 
+    #: :meth:`combine` ignores partition and arrival order (absorb anywhere)
+    order_free = False
+
     #: memo label prefix for partials
     MEMO = "__agg__"
 
@@ -968,6 +971,8 @@ class AggregateOp(PhysicalOp):
 class CountAgg(AggregateOp):
     """``count()``: one global counter."""
 
+    order_free = True
+
     def __init__(self) -> None:
         super().__init__("Count")
 
@@ -1032,6 +1037,8 @@ class SumAgg(AggregateOp):
 class MaxAgg(AggregateOp):
     """``max(expr)`` over a payload slot."""
 
+    order_free = True
+
     def __init__(self, value_slot: int) -> None:
         super().__init__("Max")
         self.value_slot = value_slot
@@ -1063,6 +1070,8 @@ class MaxAgg(AggregateOp):
 
 class MinAgg(AggregateOp):
     """``min(expr)`` over a payload slot."""
+
+    order_free = True
 
     def __init__(self, value_slot: int) -> None:
         super().__init__("Min")
@@ -1117,6 +1126,8 @@ class GroupCountAgg(AggregateOp):
     ``limit`` truncates the finalized (count-desc, key-asc) output — the
     "top N groups" shape of several LDBC IC queries.
     """
+
+    order_free = True
 
     def __init__(self, key_fn: KeyFn, limit: Optional[int] = None) -> None:
         super().__init__("GroupCount")
@@ -1196,7 +1207,7 @@ class CollectAgg(AggregateOp):
         #: is arrival- and partition-order independent. Gates the
         #: partial's below-cutoff heap skip in :meth:`absorb` and
         #: :meth:`apply_batch`.
-        self.unique_order = unique_order
+        self.unique_order = self.order_free = unique_order
 
     def _bounded(self) -> bool:
         return self.order_key is not None and self.limit is not None

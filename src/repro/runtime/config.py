@@ -137,6 +137,10 @@ class EngineConfig:
                 f"admission_queue_size must be >= 1, "
                 f"got {self.admission_queue_size}"
             )
+        if (self.admission_queue_size != EngineConfig.admission_queue_size
+                and self.max_concurrent_queries is None):
+            raise ConfigurationError("admission_queue_size requires "
+                                     "max_concurrent_queries")
         if self.admission_timeout_us is not None:
             if self.admission_timeout_us <= 0:
                 raise ConfigurationError(

@@ -219,11 +219,10 @@ class DeliveryPlane:
             # Their own reports will re-trigger the zero check later.
             return
         cost = engine.cost
-        if (engine.config.progress_mode.coalesced
-                and session.machine.partials_ride(stage)):
-            # Every partition's last absorb finished weight there, so its
-            # last flush — which this close could not happen without —
-            # shipped its final partial: nothing is left to gather.
+        if engine.config.progress_mode.coalesced:
+            # Every partial write finishes weight on its partition, so each
+            # partition's last flush — which this close could not happen
+            # without — shipped its final partial: nothing to gather.
             self._combine(session, stage,
                           cost.tracker_msg_us + cost.combine_partial_us)
             return

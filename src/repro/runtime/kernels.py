@@ -135,8 +135,8 @@ class ScalarKernel:
 
             if trace is not None:
                 # Pure observation: by the machine's weight contract,
-                # w_in == w_out + w_fin exactly (children and finished
-                # weight are mutually exclusive), which the ledger auditor
+                # w_in == w_out + w_fin exactly (w_fin is the whole input or
+                # the absorbed children's share), which the ledger auditor
                 # cross-checks per execution. Snapshot stores additionally
                 # report the newest version timestamp they have served, so
                 # the auditor can reject a read past the query's pin.

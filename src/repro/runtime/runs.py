@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional
 
+from repro.core.machine import ABSORBED
 from repro.core.progress import ProgressMode
 from repro.core.traverser import Traverser
 from repro.core.weight import normalize_weight, split_weight
@@ -363,6 +364,7 @@ class RunDrain:
         pcache_get = self.pcache_get
         num_partitions = self.num_partitions
         barrier_route = self.barrier_route
+        absorbed = ABSORBED
 
         run_cpu0 = cpu
         run_spawned = 0
@@ -407,13 +409,18 @@ class RunDrain:
             cpu += cost_us
             edges_scanned += edges
             memo_ops_total += memo_ops
-            if specs:
-                nc = len(specs)
-                run_spawned += nc
+            fin = trav.weight
+            nc = len(specs)
+            if nc:
                 # Same RNG draw sequence as the scalar path (ops never
                 # consume the RNG, so drawing after apply_batch instead of
                 # per apply is invisible); one child draws nothing.
-                parts = split_weight(trav.weight, nc, rng)
+                parts = split_weight(fin, nc, rng)
+                fin = 0
+                if specs[-1] is absorbed:  # the absorbed children's share
+                    fin = parts.pop()
+                    nc -= 1
+                run_spawned += nc
                 for (vertex, c_idx, payload, loops), weight in zip(
                     specs, parts
                 ):
@@ -509,28 +516,25 @@ class RunDrain:
                             local_bufs[dst_node] = None
                             cpu += flush(dst_node, t + cpu)
             # At most one eager progress report per row: the active-count
-            # delta under naive progress, else a finished row's weight.
+            # delta under naive progress, else the row's finished weight.
             if naive:
-                report = ("delta", query_id, stage, len(specs) - 1)
-            elif specs:
+                report = ("delta", query_id, stage, nc - 1)
+            elif not fin:
+                continue
+            elif coalesced:
+                # Deferred to one absorb_many below: addition in the
+                # weight group is associative and the accumulator is only
+                # observed at flush time (end of the run).
+                fin_total += fin
+                fin_count += 1
                 continue
             else:
-                weight = trav.weight
-                if not weight:
-                    continue
-                if coalesced:
-                    # Deferred to one absorb_many below: addition in the
-                    # weight group is associative and the accumulator is
-                    # only observed at flush time (end of the run).
-                    fin_total += weight
-                    fin_count += 1
-                    continue
                 if trace is not None:
                     # Observation only: fin_count stays 0, so the
                     # coalescing absorb below never fires — fin_total
                     # just feeds the EXEC event.
-                    fin_total += weight
-                report = ("weight", query_id, stage, weight)
+                    fin_total += fin
+                report = ("weight", query_id, stage, fin)
             self.sync_bufs()
             cpu += worker._buffer_message(
                 Message(

@@ -587,13 +587,12 @@ class Worker:
 
     def _partial_to_ship(self, query_id: int, stage: int, version: int):
         """The partition's barrier partial as it rides a weight report,
-        ``(pid, version, value, bytes)`` — or None when the stage gathers
-        (``PSTMMachine.partials_ride``), the attempt is no longer running,
-        or nothing was absorbed here. The value is the live memo object:
-        only a partition's highest version is combined, and its last write
-        is behind the flush that shipped it."""
+        ``(pid, version, value, bytes)`` — or None when the attempt is no
+        longer running or nothing was absorbed here. The value is the live
+        memo object: only a partition's highest version is combined, and
+        its last write is behind the flush that shipped it."""
         session = self.engine.sessions.get(query_id)
-        if session is None or not session.machine.partials_ride(stage):
+        if session is None:
             return None
         runtime = self.runtime
         barrier = session.plan.barrier_of(stage)

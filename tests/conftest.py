@@ -4,7 +4,7 @@ engine-run helpers used by the fault / overload / trace suites."""
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import pytest
 
@@ -120,6 +120,43 @@ def run_batch(graph, plan, param_list, config=None, nodes=FAULT_NODES,
     sessions = [engine.submit(plan, p) for p in param_list]
     engine.clock.run_until_idle()
     return engine, sessions
+
+
+# -- instants from a dry run -------------------------------------------------
+
+
+def stage_windows(
+    engine: AsyncPSTMEngine, submit: Callable[[AsyncPSTMEngine], Any]
+) -> List[Tuple[float, float]]:
+    """Per stage, the window ``(opened, closed)`` of a workload's dry run:
+    ``submit(engine)`` submits it, and the clock runs to quiescence.
+    Stage ``s`` opens when the last query closes stage ``s - 1`` (stage 0
+    at t = 0) and closes when the last query closes it.
+
+    The simulation is deterministic, so a run that differs only by a
+    fault or a control call at instant ``t`` follows this timeline up to
+    ``t``. A test that takes its instants as fractions of these windows
+    (:func:`within`) hits the stage it means however the schedule moves,
+    where a hand-tuned constant can land after the run has ended.
+    """
+    closes: Dict[int, float] = {}
+    complete = engine._complete_stage
+
+    def record(session, stage):
+        closes[stage] = engine.clock.now
+        complete(session, stage)
+
+    engine._complete_stage = record
+    submit(engine)
+    engine.clock.run_until_idle()
+    bounds = [0.0] + [closes[s] for s in sorted(closes)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def within(window: Tuple[float, float], frac: float) -> float:
+    """The instant ``frac`` of the way through ``window``."""
+    opened, closed = window
+    return opened + frac * (closed - opened)
 
 
 @pytest.fixture(scope="session")

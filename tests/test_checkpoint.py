@@ -13,9 +13,8 @@ The contract pinned here, on both kernels:
 4. **re-restorability** — checkpoints are re-keyed to the restored
    attempt, so a second crash restores again from the same boundary.
 
-The two-stage plan's boundary for this graph/seed is crossed at
-t ~= 72.8 us and the healthy run finishes at t ~= 150 us; the crash
-times below are chosen against those instants.
+The crash instants are fractions of the two-stage plan's stage windows,
+taken from dry runs (:func:`crash_instants`).
 """
 
 import pytest
@@ -30,18 +29,12 @@ from repro.runtime.checkpoint import StageCheckpoint
 from repro.runtime.engine import AsyncPSTMEngine, EngineConfig
 from repro.runtime.faults import FaultPlan, WorkerFault
 from repro.runtime.trace import EXEC, RECLAIM, RESTORE, WeightLedgerAuditor
-from tests.conftest import KERNELS
+from tests.conftest import KERNELS, stage_windows, within
 
 NODES, WPN = 4, 2
 ENGINE_SEED = 3
 GRAPH_SEED = 7
 START = {"start": 11}
-
-#: crash instants relative to the two-stage plan's timeline (see module doc)
-BEFORE_BOUNDARY = 40.0
-AFTER_BOUNDARY = 120.0
-SECOND_CRASH = 140.0
-
 
 GRAPH_CFG = PowerLawConfig("ck-demo", 400, 6.0)
 
@@ -82,23 +75,23 @@ def three_stage_plan(graph):
     )
 
 
-def run_ck(
-    graph,
-    plan,
-    *,
-    crashes=(),
-    checkpoint=False,
-    kernel="run",
-    trace=True,
-):
+def run_ck(graph, plan, **engine_kw):
     """One seeded engine run; returns ``(engine, result)``."""
+    engine = ck_engine(graph, **engine_kw)
+    return engine, engine.run(plan, START)
+
+
+def ck_engine(graph, *, crashes=(), checkpoint=False, kernel="run",
+              trace=True):
+    """A seeded engine: ``crashes`` are ``(wid, at_us)`` pairs, each down
+    for 30 us."""
     fault_plan = None
     if crashes:
         fault_plan = FaultPlan(worker_faults=tuple(
             WorkerFault(wid=wid, at_us=at, down_us=30.0)
             for wid, at in crashes
         ))
-    engine = AsyncPSTMEngine(
+    return AsyncPSTMEngine(
         graph, NODES, WPN,
         config=EngineConfig(
             trace=trace,
@@ -108,7 +101,29 @@ def run_ck(
         ),
         seed=ENGINE_SEED,
     )
-    return engine, engine.run(plan, START)
+
+
+def crash_instants(graph):
+    """Crash instants on the two-stage plan's timeline, from dry runs:
+    ``before`` three quarters into stage 0, ``after`` halfway through
+    stage 1, and ``second`` halfway from ``after`` to the end of the run
+    that the ``after`` crash restores."""
+    plan = two_stage_plan(graph)
+
+    def windows(**engine_kw):
+        return stage_windows(ck_engine(graph, **engine_kw),
+                             lambda engine: engine.submit(plan, START))
+
+    healthy = windows()
+    after = within(healthy[1], 0.5)
+    restored = windows(checkpoint=True, crashes=((2, after),))
+    return {"before": within(healthy[0], 0.75), "after": after,
+            "second": within((after, restored[1][1]), 0.5)}
+
+
+@pytest.fixture(scope="module")
+def crash_at(ck_graph):
+    return crash_instants(ck_graph)
 
 
 def audit_of(engine):
@@ -156,12 +171,12 @@ class TestArmedEquivalence:
 
 class TestCrashRecovery:
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_crash_after_boundary_restores(self, ck_graph, kernel):
+    def test_crash_after_boundary_restores(self, ck_graph, crash_at, kernel):
         plan = two_stage_plan(ck_graph)
         _, base = run_ck(ck_graph, plan, kernel=kernel)
         engine, result = run_ck(
             ck_graph, plan, kernel=kernel, checkpoint=True,
-            crashes=((2, AFTER_BOUNDARY),),
+            crashes=((2, crash_at["after"]),),
         )
         assert result.rows == base.rows
         assert result.metrics.restores == 1
@@ -177,12 +192,12 @@ class TestCrashRecovery:
         assert restore.data["stage"] == 1
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_crash_before_boundary_falls_back(self, ck_graph, kernel):
+    def test_crash_before_boundary_falls_back(self, ck_graph, crash_at, kernel):
         plan = two_stage_plan(ck_graph)
         _, base = run_ck(ck_graph, plan, kernel=kernel)
         engine, result = run_ck(
             ck_graph, plan, kernel=kernel, checkpoint=True,
-            crashes=((2, BEFORE_BOUNDARY),),
+            crashes=((2, crash_at["before"]),),
         )
         assert result.rows == base.rows
         assert result.metrics.restores == 0
@@ -193,10 +208,10 @@ class TestCrashRecovery:
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_restore_replays_strictly_less_than_force_retry(
-        self, ck_graph, kernel
+        self, ck_graph, crash_at, kernel
     ):
         plan = two_stage_plan(ck_graph)
-        crashes = ((2, AFTER_BOUNDARY),)
+        crashes = ((2, crash_at["after"]),)
         retry_engine, retry = run_ck(
             ck_graph, plan, kernel=kernel, crashes=crashes
         )
@@ -212,7 +227,7 @@ class TestCrashRecovery:
         _, base = run_ck(ck_graph, plan, kernel=kernel)
         assert base.latency_us < restored.latency_us <= retry.latency_us
 
-    def test_second_crash_restores_again(self, ck_graph):
+    def test_second_crash_restores_again(self, ck_graph, crash_at):
         """Checkpoints are re-keyed to the restored attempt's query id, so
         a crash *during the restored stage* restores from the same
         boundary a second time."""
@@ -220,7 +235,7 @@ class TestCrashRecovery:
         _, base = run_ck(ck_graph, plan)
         engine, result = run_ck(
             ck_graph, plan, checkpoint=True,
-            crashes=((2, AFTER_BOUNDARY), (3, SECOND_CRASH)),
+            crashes=((2, crash_at["after"]), (3, crash_at["second"])),
         )
         assert result.rows == base.rows
         assert result.metrics.restores == 2
@@ -228,14 +243,15 @@ class TestCrashRecovery:
         assert engine.checkpoints.stored == 0
         assert audit_of(engine).ok
 
-    def test_fenced_reclaims_never_report_weight(self, ck_graph):
+    def test_fenced_reclaims_never_report_weight(self, ck_graph, crash_at):
         """The dead attempt's purge during a restore is fenced: RECLAIM
         events are emitted for observability but carry reported=False, so
         the ProgressTracker never double-counts the checkpointed frontier
         (satellite 5)."""
         plan = two_stage_plan(ck_graph)
         engine, _ = run_ck(
-            ck_graph, plan, checkpoint=True, crashes=((2, AFTER_BOUNDARY),),
+            ck_graph, plan, checkpoint=True,
+            crashes=((2, crash_at["after"]),),
         )
         fenced = [ev for ev in engine.trace.by_kind(RECLAIM)
                   if ev.data.get("fenced")]

@@ -1,8 +1,9 @@
 """Dispatched-step pins for the two k-hop plans of the spine benchmark.
 
 The paper's Fig 1 top-10 and the 3-hop count run their k-hop loop with
-the branch's exit chain (Dedup, Filter, Project, count absorption) inside
-the branch's own step: no exit traverser is ever dispatched. These pins
+the branch's exit chain (Dedup, Filter, Project, absorption into the
+count or the top-10's Collect) inside the branch's own step: no exit
+traverser is ever dispatched. These pins
 fix the exact number of dispatched steps, in total and per operator
 (``op_steps - op_inlined``), on one partition and on four, on both
 kernels. A change to how exit links are run or priced must not make a
@@ -36,9 +37,9 @@ def count():
 
 
 #: plan -> (steps_executed, {op_idx: dispatched}): the source, the
-#: branch, the loop's Expand and, for Fig 1, the Collect barrier
+#: branch and the loop's Expand (both barriers absorb in the branch)
 PINS = {
-    "fig1": (1755, {0: 1, 2: 1255, 3: 152, 8: 347}),
+    "fig1": (1408, {0: 1, 2: 1255, 3: 152}),
     "count": (1408, {0: 1, 2: 1255, 3: 152}),
 }
 

@@ -34,7 +34,10 @@ from repro.runtime.faults import (
 )
 from repro.runtime.lifecycle import QueryState
 from repro.runtime.metrics import MsgKind
-from tests.conftest import KERNELS, khop3_count, make_graph, run_batch, run_one
+from tests.conftest import (
+    KERNELS, khop3_count, make_graph, run_batch, run_one, stage_windows,
+    within,
+)
 
 NODES, WPN = 2, 2
 
@@ -305,16 +308,23 @@ class TestWorkerFaults:
 
 # -- residue: every way an attempt ends leaves nothing behind ---------------
 #
-# Timeline facts for make_graph(3), start vertex 5: khop3_count finishes at
-# t ~= 105 us; the two-stage plan closes stage 0 at t ~= 48 us and
-# finishes at t ~= 115 us.
+# The instants below are fractions of the plans' stage windows for start
+# vertex 5, taken from fault-free dry runs (``windows``).
 
-CRASH_INSTANTS = (10.0, 25.0, 40.0, 60.0, 80.0)
+#: where the force-retry crashes fall in the 3-hop count's one stage
+CRASH_FRACTIONS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 
 def two_stage_plan(graph):
     return (Traversal("two_stage").v_param("s").khop("e", k=2).as_("v")
             .group_count("v").out("e").count().compile(graph))
+
+
+def windows(graph, plan):
+    """``plan``'s stage windows, started at vertex 5 on this suite's
+    cluster."""
+    return stage_windows(AsyncPSTMEngine(graph, NODES, WPN),
+                         lambda engine: engine.submit(plan, {"s": 5}))
 
 
 def watch_retirements(engine, plan):
@@ -378,9 +388,10 @@ class TestAttemptResidue:
         graph = make_graph(3)
         plan = khop3_count(graph)
         _, base = run_one(graph, plan, {"s": 5})
+        (stage,) = windows(graph, plan)
         retries = 0
         for wid in range(NODES * WPN):
-            for at in CRASH_INSTANTS:
+            for at in (within(stage, f) for f in CRASH_FRACTIONS):
                 engine = AsyncPSTMEngine(graph, NODES, WPN, config=EngineConfig(
                     kernel=kernel,
                     fault_plan=FaultPlan(seed=1, worker_faults=(
@@ -391,7 +402,7 @@ class TestAttemptResidue:
                 assert first_id in retired
                 retries += engine.metrics.query_retries
         # most crash points hit live state and force a retry
-        assert retries > NODES * WPN * len(CRASH_INSTANTS) // 2
+        assert retries > NODES * WPN * len(CRASH_FRACTIONS) // 2
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_restore(self, kernel):
@@ -399,11 +410,12 @@ class TestAttemptResidue:
         graph = make_graph(3)
         plan = two_stage_plan(graph)
         _, base = run_one(graph, plan, {"s": 5})
+        at = within(windows(graph, plan)[1], 0.5)
         for wid in range(NODES * WPN):
             engine = AsyncPSTMEngine(graph, NODES, WPN, config=EngineConfig(
                 kernel=kernel, checkpoint_interval_us=0.0,
                 fault_plan=FaultPlan(seed=1, worker_faults=(
-                    WorkerFault(wid=wid, at_us=80.0, down_us=3000.0),)),
+                    WorkerFault(wid=wid, at_us=at, down_us=3000.0),)),
             ))
             session, first_id, retired = run_watched(engine, plan)
             assert engine.result_of(session).rows == base.rows
@@ -418,9 +430,10 @@ class TestAttemptResidue:
         _, base = run_one(graph, plan, {"s": 5})
         engine = AsyncPSTMEngine(graph, NODES, WPN, config=EngineConfig(
             kernel=kernel, checkpoint_interval_us=0.0))
+        at = within(windows(graph, plan)[0], 0.5)
 
         def schedule(engine, session):
-            engine.clock.schedule_at(25.0, lambda: engine.preempt(session))
+            engine.clock.schedule_at(at, lambda: engine.preempt(session))
             engine.clock.schedule_at(1000.0, lambda: engine.resume(session))
 
         session, first_id, retired = run_watched(engine, plan, schedule)
@@ -436,9 +449,10 @@ class TestAttemptResidue:
         plan = two_stage_plan(graph)
         engine = AsyncPSTMEngine(graph, NODES, WPN,
                                  config=EngineConfig(kernel=kernel))
+        at = within(windows(graph, plan)[0], 0.5)
 
         def schedule(engine, session):
-            engine.clock.schedule_at(25.0, lambda: engine.cancel(session))
+            engine.clock.schedule_at(at, lambda: engine.cancel(session))
 
         session, first_id, retired = run_watched(engine, plan, schedule)
         assert session.lifecycle.state is QueryState.FAILED

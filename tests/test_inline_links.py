@@ -1,8 +1,9 @@
 """Links run inside the step that emits their input
 (:class:`repro.core.machine.InlineLinks`): location-free Filter/Project
-links after any op, and vertex-preserving links (vertex-reading
-Filter/Project, a privately fed vertex-keyed Dedup, count absorption)
-after a vertex-routed op that keeps its vertex.
+links and absorption into an order-free aggregate after any op, and
+vertex-preserving links (vertex-reading Filter/Project, a privately fed
+vertex-keyed Dedup, absorption into any other aggregate) after a
+vertex-routed op that keeps its vertex.
 
 Pinned here:
 
@@ -17,7 +18,8 @@ Pinned here:
    raises on any vertex the partition does not own and a memo that raises
    on any label but its links' own; and the shapes that must not inline
    (a Dedup fed by two ops, a count under ``barrier_route``, a
-   vertex-routed link after a free op under BSP's ``stay_local``) do not;
+   vertex-routed link after a free op under BSP's ``stay_local``, a Sum
+   or an arrival-ordered Collect after an Expand) do not;
 3. **pricing** — an inlined link adds only its props or memo op to the
    emitting step's cost, to the exact float, and no dispatch cost;
 4. **ledger** — a traced IC5 run audits clean;
@@ -35,7 +37,7 @@ from hypothesis import strategies as st
 
 import repro.core.machine as machine_mod
 from repro.core.machine import (
-    COUNT,
+    ABSORB,
     DEDUP,
     FILTER,
     PROJECT,
@@ -199,6 +201,30 @@ class TestExactness:
             off_bsp = BSPEngine(khop_graph, NODES, WPN).run(plan, params)
             assert canon(off_bsp.rows) == canon(expected)
 
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_rows_equal_the_dispatched_oracle(self, snb, khop_graph, kernel,
+                                              monkeypatch):
+        """Every IC/IS plan at three parameter sets and the k-hop plans
+        (the top-10 also declared uniquely ordered, so its Collect is
+        order-free) against ``LocalExecutor`` with nothing inlined."""
+        dataset, graph = snb
+        cases = [(graph, qdef.build().compile(graph),
+                  qdef.make_params(dataset, random.Random(seed + i)))
+                 for qdef, seed in LDBC.values() for i in range(3)]
+        unique = (Traversal("top").v_param("start").khop("knows", k=3)
+                  .values("w", "weight").as_("vid").select("vid", "w")
+                  .order_by((X.binding("w"), "desc"),
+                            (X.binding("vid"), "asc"), unique=True)
+                  .limit(10)).compile(khop_graph)
+        cases += [(khop_graph, plan, {"start": start})
+                  for plan in khop_plans(khop_graph) + [unique]
+                  for start in (0, 3)]
+        got = [async_run(g, plan, params, kernel)[1].rows
+               for g, plan, params in cases]
+        no_inlining(monkeypatch)
+        for rows, (g, plan, params) in zip(got, cases):
+            assert canon(rows) == canon(LocalExecutor(g).run(plan, params))
+
 
 # -- 2. purity ---------------------------------------------------------------
 
@@ -293,8 +319,9 @@ def seal_links(monkeypatch):
                for idx, kind, _arg in links):
             guarded = _Sealed(ctx)
         else:
-            guarded = _Guarded(ctx, {arg for _idx, kind, arg in links
-                                     if kind in (DEDUP, COUNT)})
+            guarded = _Guarded(ctx, {
+                arg if kind == DEDUP else ops[idx].memo_label()
+                for idx, kind, arg in links if kind in (DEDUP, ABSORB)})
         tally = {}
         out = real_run(self, guarded, op_idx, spec_rows, costs, tally)
         evaluated.append(sum(tally.values()))
@@ -325,14 +352,17 @@ def inline_table(plan, **policy):
 
 
 def assert_chains_are_lawful(plan, **policy):
-    """Every vertex-reading or memo link follows a vertex-routed emitter
-    that keeps its vertex; every other link is location-free."""
+    """Every vertex-reading link, Dedup or order-bound absorption follows
+    a vertex-routed emitter that keeps its vertex; every other link is a
+    location-free Filter/Project or an order-free absorption."""
     machine, links = inline_table(plan, **policy)
     route = machine.route_info()
     for e, entries in enumerate(links.table):
         for idx, kind, _arg in links_of(entries):
             op = plan.ops[idx]
             if kind in (FILTER, PROJECT) and op.routing_mode == "free":
+                continue
+            if kind == ABSORB and op.order_free:
                 continue
             assert route[e][1] == "vertex" and plan.ops[e].keeps_vertex
 
@@ -426,12 +456,11 @@ class TestNotInlined:
     def test_count_under_barrier_route_is_dispatched(self, khop_graph):
         count = khop_plans(khop_graph)[1]
         _machine, links = inline_table(count)
-        assert any(kind == COUNT for entries in links.table
+        assert any(kind == ABSORB for entries in links.table
                    for _idx, kind, _arg in links_of(entries))
-        machine, links = inline_table(count, barrier_route=0)
-        assert not any(kind == COUNT for entries in links.table
+        _machine, links = inline_table(count, barrier_route=0)
+        assert not any(kind == ABSORB for entries in links.table
                        for _idx, kind, _arg in links_of(entries))
-        assert machine.partials_ride(0)
         engine = AsyncPSTMEngine(khop_graph, NODES, WPN,
                                  config=EngineConfig(centralized_agg=True))
         session = engine.submit(count, {"start": 3})
@@ -441,6 +470,42 @@ class TestNotInlined:
         assert barrier not in session.op_inlined
         assert session.results == LocalExecutor(khop_graph).run(
             count, {"start": 3})
+
+    def test_order_bound_aggregates_after_an_expand_are_dispatched(self):
+        """Straight after an Expand (the child moves to its vertex's
+        owner) Count, Min, Max, GroupCount and a uniquely ordered Collect
+        absorb; Sum and an arrival-ordered Collect stay dispatched, where
+        they see their inputs in the owner's FIFO order."""
+        graph = make_graph(1)
+
+        def after_expand(finish):
+            return finish(Traversal("agg").v_param("s").values("w", "weight")
+                          .out("e").as_("v")).compile(graph)
+
+        def collect(unique):
+            return lambda t: (t.select("v", "w").order_by(
+                (X.binding("w"), "desc"), unique=unique).limit(3))
+
+        plans = {
+            "count": (after_expand(lambda t: t.count()), True),
+            "min": (after_expand(lambda t: t.min_("w")), True),
+            "max": (after_expand(lambda t: t.max_("w")), True),
+            "group": (after_expand(lambda t: t.group_count("w")), True),
+            "unique": (after_expand(collect(True)), True),
+            "sum": (after_expand(lambda t: t.sum_("w")), False),
+            "collect": (after_expand(collect(False)), False),
+        }
+        for name, (plan, absorbed) in plans.items():
+            barrier = plan.stages[0].barrier_idx
+            expand = next(op for op in plan.ops if type(op) is ExpandOp)
+            _machine, links = inline_table(plan)
+            targets = [idx for idx, kind, _arg in links_of(
+                links.table[expand.idx]) if kind == ABSORB]
+            assert targets == ([barrier] if absorbed else []), name
+            for kernel in KERNELS:
+                engine, result = async_run(graph, plan, {"s": 2}, kernel)
+                assert canon(result.rows) == canon(
+                    LocalExecutor(graph).run(plan, {"s": 2})), name
 
     def test_vertex_link_after_free_op_under_stay_local(self):
         graph = make_graph(6)
@@ -502,23 +567,27 @@ class TestPricing:
         assert session.results == [3]
 
         cm = CostModel()
-        # Expand: 1 dispatch, 4 edges; inline: 4 filter props + 3 as_ props
+        # Expand: 1 dispatch, 4 edges; inline: 4 filter props + 3 as_
+        # props + 3 count memo ops
         expected = cm.cpu_scale * (
-            1 * cm.step_base_us + 4 * cm.edge_us + 0 * cm.memo_op_us
+            1 * cm.step_base_us + 4 * cm.edge_us + 3 * cm.memo_op_us
             + (4 + 3) * cm.prop_us
         )
         execs = [e for e in engine.trace.events
                  if e.kind == EXEC and e.data["op_idx"] == expand_idx]
         assert len(execs) == 1
         assert execs[0].data["cpu"] == expected
-        assert execs[0].data["spawned"] == 3
+        assert execs[0].data["spawned"] == 0
         # the links executed, inline, without dispatched steps
+        count = plan.stages[0].barrier_idx
         assert session.op_steps[filter_op.idx] == 4
         assert session.op_steps[as_op.idx] == 3
-        assert session.op_inlined == {filter_op.idx: 4, as_op.idx: 3}
-        # dispatched: source, expand, three counts
-        assert session.qmetrics.steps_executed == 5
-        assert engine.metrics.steps_executed == 5
+        assert session.op_steps[count] == 3
+        assert session.op_inlined == {filter_op.idx: 4, as_op.idx: 3,
+                                      count: 3}
+        # dispatched: source, expand
+        assert session.qmetrics.steps_executed == 2
+        assert engine.metrics.steps_executed == 2
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_khop_exit_dedup_and_count_priced_exactly(self, kernel):

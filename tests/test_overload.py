@@ -86,6 +86,13 @@ class TestConfigValidation:
             EngineConfig(admission_timeout_us=10.0)
         EngineConfig(admission_timeout_us=10.0, max_concurrent_queries=1)
 
+    def test_admission_queue_size_requires_admission_control(self):
+        # The default (64) is what every engine carries; a chosen size is
+        # read only by the admission queue, which needs a slot limit.
+        with pytest.raises(ConfigurationError, match="max_concurrent_queries"):
+            EngineConfig(admission_queue_size=4)
+        EngineConfig(admission_queue_size=4, max_concurrent_queries=1)
+
 
 class TestCooperativeCancellation:
     """The tentpole acceptance: a query cancelled mid-flight across many

@@ -10,9 +10,11 @@ coordinator already holds every final partial: no gather. Pinned here:
     and sizes (``watch_closes``; the shipped values are snapshotted at the
     flush, so a write after a partition's last ship cannot hide);
 (b) **reordering** — a stale ship arriving after a newer one is ignored;
-(c) **nothing to ride on** — a stage whose count an op absorbs inline
-    beside a child that carries its weight on (the k-hop branch) gathers,
-    decided by the machine's inline table;
+(c) **every stage rides** — an absorbed child keeps its weight share,
+    which the absorbing step finishes, so a partition's last partial
+    write is always followed by a weight report (the k-hop branch
+    absorbs its count beside the loop child and still rides); only the
+    two non-coalescing progress modes gather;
 (d) **ship accounting** — one ship per changed partial per idle flush, the
     fold keeps every input's, splices leave nothing behind.
 """
@@ -62,8 +64,7 @@ def watch_closes(engine):
     def stage_terminated(query_id, stage):
         session = engine.sessions.get(query_id)
         if (session is not None and session.cursor.current == stage
-                and engine.config.progress_mode.coalesced
-                and session.machine.partials_ride(stage)):
+                and engine.config.progress_mode.coalesced):
             pulled = gather_partials(
                 session.plan, stage, query_id,
                 engine.memo_stores)
@@ -91,8 +92,8 @@ def graph():
 
 
 def khop_plans(graph):
-    """The k-hop count (its branch absorbs the count inline and forwards
-    its weight) and the k-hop top-10, each compiled with and without the
+    """The k-hop count (its branch absorbs the count inline beside the
+    loop child) and the k-hop top-10, each compiled with and without the
     ignored ``fuse`` keyword."""
     count = Traversal("c").v_param("s").khop("e", k=3).count()
     top = (Traversal("t").v_param("s").khop("e", k=3)
@@ -119,10 +120,10 @@ class TestPullEquivalence:
                     for i in range(6) for j, plan in enumerate(plans)]
         engine.clock.run_until_idle()
         assert all(s.qmetrics.done for s in sessions)
-        # the counts gather; the two top-10 plans' closes were checked
-        assert len(closes) == 12
+        # every close rode and was checked
+        assert len(closes) == 24
         assert all(n > 0 for _q, _s, n in closes)
-        assert engine.metrics.message_count(MsgKind.PARTIAL) > 0
+        assert engine.metrics.message_count(MsgKind.PARTIAL) == 0
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_closed_loop_ic_mix(self, kernel):
@@ -211,22 +212,22 @@ class TestReordering:
 
 
 def absorbing_ops(machine):
-    """Types of the ops whose steps absorb their stage's count inline."""
+    """Types of the ops whose steps absorb their stage's barrier input
+    inline."""
     writes = machine.inline_links().writes
     return [type(op) for op in machine.plan.ops
             if writes[op.idx] and not op.is_barrier]
 
 
-class TestNothingToRideOn:
-    def test_fused_count_partition_never_flushes_weight(self):
+class TestEveryStageRides:
+    def test_absorbing_partition_flushes_after_its_last_write(self):
         """The example hypothesis found for the prototype of partial
         riding (``test_kernels_bit_identical(seed=3, query_index=3,
-        start=0)`` on the fused lowering): the ledger closes while a
-        partition holds a count partial it never flushed weight for, so
-        the stage must gather. Start 0 showed it under hash placement
-        only; start 2 shows it under the graph's degree-stratified homes
-        and under hash homes. The k-hop branch absorbs the count in its
-        own step, beside the loop child that carries its weight on."""
+        start=0)`` on the fused lowering, start 2 under degree-stratified
+        homes): the k-hop branch absorbs the count beside the loop child
+        that carries its weight on. The absorbed child's share is
+        finished where it was absorbed, so every partition that counted
+        flushed weight, its partial rode, and the ledger audits clean."""
         # that suite's graph 3 and query 3, rebuilt here
         graph = make_graph(3, n=40, degree=3, partitions=4)
         plan = (Traversal("q3").v_param("s").khop("e", k=2).count()
@@ -237,54 +238,55 @@ class TestNothingToRideOn:
                 kernel=kernel, trace=True))
             machine = PSTMMachine(plan, graph.partitioner)
             assert MinDistBranchOp in absorbing_ops(machine)
-            assert not machine.partials_ride(0)
             absorbing = set(machine.partial_writers(0)) - {
                 op.idx for op in plan.ops if op.is_barrier}
             closes = watch_closes(engine)
             result = engine.run(plan, {"s": 2})
             rows[kernel] = (result.rows, result.latency_us)
-            assert closes == []  # nothing rode
-            assert engine.metrics.message_count(MsgKind.PARTIAL) > 0
+            assert len(closes) == 1  # the stage rode
+            assert engine.metrics.message_count(MsgKind.PARTIAL) == 0
             # 2 x 2 partitioned workers: wid == pid
             flushed = {ev.data["wid"]
                        for ev in engine.trace.by_kind("weight_flush")}
             counted = {ev.data["pid"] for ev in engine.trace.by_kind("exec")
                        if ev.data["op_idx"] in absorbing}
-            assert counted - flushed, (counted, flushed)
-            assert not engine.trace.by_kind(PARTIAL_SHIP)
+            assert counted and counted <= flushed, (counted, flushed)
+            shipped = {ev.data["pid"] for ev in engine.trace.by_kind(
+                PARTIAL_SHIP)}
+            assert counted <= shipped
+            report = WeightLedgerAuditor(engine.trace.events).audit()
+            assert report.ok, report.violations[:3]
         assert rows["run"] == rows["scalar"]
 
-    def test_the_decision_is_the_operators_and_the_plans(self, graph):
-        """The stage gathers when an op absorbs the count beside a child
-        that carries the weight on; it rides when the absorbing op's only
-        child is the count, and when the count is dispatched."""
+    def test_only_the_non_coalescing_modes_gather(self, graph):
+        """Whatever absorbs the count — the k-hop branch beside its loop
+        child, a filter whose only child is the count, or nothing (a
+        count routed to one partition) — the default mode rides and the
+        two eager modes gather."""
         count = (Traversal("c").v_param("s").khop("e", k=3).count()
                  .compile(graph))
         # a vertex-routed filter whose only child the count absorbs
         lone = (Traversal("f").v_param("s").out("e")
                 .filter_(X.prop("weight").gt(5)).count().compile(graph))
-        machine = PSTMMachine(count, graph.partitioner)
-        assert MinDistBranchOp in absorbing_ops(machine)
-        assert not machine.partials_ride(0)
-        machine = PSTMMachine(lone, graph.partitioner)
-        assert absorbing_ops(machine) == [FilterOp]
-        assert machine.partials_ride(0)
+        assert MinDistBranchOp in absorbing_ops(
+            PSTMMachine(count, graph.partitioner))
+        assert absorbing_ops(PSTMMachine(lone, graph.partitioner)) == [
+            FilterOp]
         # a count routed to one partition is dispatched: nothing absorbs
-        machine = PSTMMachine(count, graph.partitioner, barrier_route=0)
-        assert absorbing_ops(machine) == []
-        assert machine.partials_ride(0)
-        # every mode but the default gathers whatever the machine says
+        assert absorbing_ops(PSTMMachine(count, graph.partitioner,
+                                         barrier_route=0)) == []
         for mode in (ProgressMode.WEIGHTED_IMMEDIATE,
                      ProgressMode.NAIVE_CENTRAL):
-            engine = AsyncPSTMEngine(graph, NODES, WPN,
-                                     config=EngineConfig(progress_mode=mode))
-            engine.run(lone, {"s": 3})
-            assert engine.metrics.message_count(MsgKind.PARTIAL) > 0
-        engine = AsyncPSTMEngine(graph, NODES, WPN)
-        engine.run(lone, {"s": 3})
-        assert engine.metrics.message_count(MsgKind.PARTIAL) == 0
-        engine.run(count, {"s": 3})
-        assert engine.metrics.message_count(MsgKind.PARTIAL) > 0
+            for plan in (count, lone):
+                engine = AsyncPSTMEngine(
+                    graph, NODES, WPN, config=EngineConfig(progress_mode=mode))
+                engine.run(plan, {"s": 3})
+                assert engine.metrics.message_count(MsgKind.PARTIAL) > 0
+        for config in (EngineConfig(), EngineConfig(centralized_agg=True)):
+            engine = AsyncPSTMEngine(graph, NODES, WPN, config=config)
+            for plan in (count, lone):
+                engine.run(plan, {"s": 3})
+            assert engine.metrics.message_count(MsgKind.PARTIAL) == 0
 
 
 class TestShipAccounting:
@@ -293,7 +295,11 @@ class TestShipAccounting:
         engine = AsyncPSTMEngine(graph, NODES, WPN,
                                  config=EngineConfig(trace=True))
         closes = watch_closes(engine)
-        plan = two_stage_plan(graph)
+        # the dispatched filter's dropped children finish weight without
+        # touching the count partial, which the last Expand absorbs
+        plan = (Traversal("f").v_param("s").out("e")
+                .filter_(X.prop("weight").gt(25)).out("e").out("e").count()
+                .compile(graph))
         engine.run_closed_loop(lambda i: (plan, {"s": 7 * i % 200}),
                                clients=4, total_queries=16)
         ships = engine.trace.by_kind(PARTIAL_SHIP)

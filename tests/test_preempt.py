@@ -17,11 +17,9 @@ The contract pinned here, on both kernels:
    preempts the lowest-priority resident past its first checkpoint, and
    the paused query resumes through the normal slot handoff.
 
-Timeline facts for this graph/seed (see tests/test_checkpoint.py): the
-two-stage plan crosses its boundary at t ~= 72.8 us and finishes at
-t ~= 150 us; the three-stage plan crosses boundaries at t ~= 72.8 and
-t ~= 190 us and finishes at t ~= 301 us; the one-hop interactive plan
-finishes in a single stage at t ~= 39 us.
+The instants that must land in a given stage are fractions of the plans'
+stage windows, taken from dry runs (the ``at`` fixture); the two plans
+share stage 0.
 """
 
 import pytest
@@ -51,18 +49,14 @@ from repro.runtime.trace import (
     TRACKER_REPORT,
     WeightLedgerAuditor,
 )
-from tests.conftest import KERNELS
+from tests.conftest import KERNELS, stage_windows, within
 
 NODES, WPN = 4, 2
 ENGINE_SEED = 3
 GRAPH_SEED = 7
 START = {"start": 11}
 
-#: instants relative to the plans' timelines (see module doc)
-PREEMPT_EARLY = 40.0      # two-stage: mid stage 0, before the 72.8 boundary
-PREEMPT_MID = 100.0       # both plans: mid stage 1
 RESUME_AT = 400.0         # well after every paused run has gone quiet
-CRASH_WHILE_PAUSING = 120.0
 
 
 GRAPH_CFG = PowerLawConfig("ck-demo", 400, 6.0)
@@ -148,6 +142,21 @@ def audit_of(engine):
     return WeightLedgerAuditor(engine.trace.events).audit()
 
 
+@pytest.fixture(scope="module")
+def at(pe_graph):
+    """Instants on the plans' timelines: ``early`` / ``late0`` half / three
+    quarters into stage 0, ``final`` halfway through the two-stage plan's
+    last stage, ``mid`` / ``late1`` half / three quarters into the
+    three-stage plan's stage 1."""
+    two, three = (
+        stage_windows(make_engine(pe_graph),
+                      lambda engine, p=plan(pe_graph): engine.submit(p, START))
+        for plan in (two_stage_plan, three_stage_plan))
+    return {"early": within(two[0], 0.5), "late0": within(two[0], 0.75),
+            "final": within(two[1], 0.5), "mid": within(three[1], 0.5),
+            "late1": within(three[1], 0.75)}
+
+
 # -- configuration validation ------------------------------------------------
 
 
@@ -206,14 +215,14 @@ class TestLifecycleEdges:
 
 class TestPauseResume:
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_resumed_run_is_bit_identical(self, pe_graph, kernel):
+    def test_resumed_run_is_bit_identical(self, pe_graph, at, kernel):
         plan = three_stage_plan(pe_graph)
         base = baseline(pe_graph, plan, kernel=kernel)
         engine = make_engine(pe_graph, kernel=kernel)
         session = engine.submit(plan, START)
         accepted = []
         engine.clock.schedule_at(
-            PREEMPT_EARLY, lambda: accepted.append(engine.preempt(session)))
+            at["early"], lambda: accepted.append(engine.preempt(session)))
         engine.clock.schedule_at(RESUME_AT, lambda: engine.resume(session))
         engine.clock.run_until_idle()
         result = engine.result_of(session)
@@ -233,12 +242,12 @@ class TestPauseResume:
         audit = audit_of(engine)
         assert audit.ok, audit.violations[:3]
 
-    def test_paused_query_waits_for_an_explicit_resume(self, pe_graph):
+    def test_paused_query_waits_for_an_explicit_resume(self, pe_graph, at):
         plan = two_stage_plan(pe_graph)
         engine = make_engine(pe_graph)
         session = engine.submit(plan, START)
         engine.clock.schedule_at(
-            PREEMPT_EARLY, lambda: engine.preempt(session))
+            at["early"], lambda: engine.preempt(session))
         engine.clock.run_until_idle()
         # The run went quiet with the query evicted: nothing in flight,
         # its whole existence is the stored boundary snapshot.
@@ -253,7 +262,7 @@ class TestPauseResume:
         base = baseline(pe_graph, plan)
         assert engine.result_of(session).rows == base.rows
 
-    def test_forced_snapshot_bypasses_interval_gate(self, pe_graph):
+    def test_forced_snapshot_bypasses_interval_gate(self, pe_graph, at):
         """With an (effectively) infinite checkpoint interval no boundary
         would ever snapshot — the pause must force one anyway, because
         that snapshot is the evicted query."""
@@ -262,7 +271,7 @@ class TestPauseResume:
         engine = make_engine(pe_graph, interval=1e12)
         session = engine.submit(plan, START)
         engine.clock.schedule_at(
-            PREEMPT_EARLY, lambda: engine.preempt(session))
+            at["early"], lambda: engine.preempt(session))
         engine.clock.schedule_at(RESUME_AT, lambda: engine.resume(session))
         engine.clock.run_until_idle()
         assert engine.result_of(session).rows == base.rows
@@ -271,12 +280,12 @@ class TestPauseResume:
         assert ck.data["forced"] is True
         assert audit_of(engine).ok
 
-    def test_trace_tells_the_pause_story(self, pe_graph):
+    def test_trace_tells_the_pause_story(self, pe_graph, at):
         plan = two_stage_plan(pe_graph)
         engine = make_engine(pe_graph)
         session = engine.submit(plan, START)
         engine.clock.schedule_at(
-            PREEMPT_EARLY, lambda: engine.preempt(session))
+            at["early"], lambda: engine.preempt(session))
         engine.clock.schedule_at(RESUME_AT, lambda: engine.resume(session))
         engine.clock.run_until_idle()
         engine.result_of(session)
@@ -305,7 +314,7 @@ class TestPauseResume:
 
 
 class TestEdgeCases:
-    def test_preempt_without_checkpoint_plane_refuses(self, pe_graph):
+    def test_preempt_without_checkpoint_plane_refuses(self, pe_graph, at):
         engine = AsyncPSTMEngine(
             pe_graph, NODES, WPN, config=EngineConfig(trace=True),
             seed=ENGINE_SEED,
@@ -313,13 +322,13 @@ class TestEdgeCases:
         session = engine.submit(two_stage_plan(pe_graph), START)
         refused = []
         engine.clock.schedule_at(
-            PREEMPT_EARLY, lambda: refused.append(engine.preempt(session)))
+            at["early"], lambda: refused.append(engine.preempt(session)))
         engine.clock.run_until_idle()
         assert refused == [False]
         assert engine.metrics.preemptions == 0
         assert engine.result_of(session).rows  # completed untouched
 
-    def test_double_preempt_and_stray_resume_refuse(self, pe_graph):
+    def test_double_preempt_and_stray_resume_refuse(self, pe_graph, at):
         plan = two_stage_plan(pe_graph)
         engine = make_engine(pe_graph)
         session = engine.submit(plan, START)
@@ -327,10 +336,11 @@ class TestEdgeCases:
         engine.clock.schedule_at(
             20.0, lambda: outcomes.update(resume_running=engine.resume(session)))
         engine.clock.schedule_at(
-            PREEMPT_EARLY,
+            at["early"],
             lambda: outcomes.update(first=engine.preempt(session)))
         engine.clock.schedule_at(
-            50.0, lambda: outcomes.update(while_pausing=engine.preempt(session)))
+            at["late0"],
+            lambda: outcomes.update(while_pausing=engine.preempt(session)))
         engine.clock.schedule_at(
             200.0, lambda: outcomes.update(while_paused=engine.preempt(session)))
         engine.clock.schedule_at(RESUME_AT, lambda: engine.resume(session))
@@ -344,7 +354,7 @@ class TestEdgeCases:
         }
         assert engine.metrics.preemptions == 1
 
-    def test_completion_overtakes_a_final_stage_preempt(self, pe_graph):
+    def test_completion_overtakes_a_final_stage_preempt(self, pe_graph, at):
         """A preempt landing mid final stage never sees another boundary:
         the query simply finishes (PAUSING → DONE), nothing is paused."""
         plan = two_stage_plan(pe_graph)
@@ -353,7 +363,7 @@ class TestEdgeCases:
         session = engine.submit(plan, START)
         accepted = []
         engine.clock.schedule_at(
-            PREEMPT_MID, lambda: accepted.append(engine.preempt(session)))
+            at["final"], lambda: accepted.append(engine.preempt(session)))
         engine.clock.run_until_idle()
         result = engine.result_of(session)
         assert accepted == [True]
@@ -368,13 +378,13 @@ class TestEdgeCases:
 
 
 class TestCancelInteraction:
-    def test_cancel_while_paused_drops_checkpoints(self, pe_graph):
+    def test_cancel_while_paused_drops_checkpoints(self, pe_graph, at):
         plan = two_stage_plan(pe_graph)
         engine = make_engine(pe_graph)
         done = []
         session = engine.submit(plan, START, on_done=done.append)
         engine.clock.schedule_at(
-            PREEMPT_EARLY, lambda: engine.preempt(session))
+            at["early"], lambda: engine.preempt(session))
         engine.clock.schedule_at(
             200.0, lambda: engine.cancel(session, "shed"))
         engine.clock.run_until_idle()
@@ -386,7 +396,7 @@ class TestCancelInteraction:
         assert done == [session]  # completion callback still fires
         assert audit_of(engine).ok
 
-    def test_cancel_while_pausing_is_cooperative(self, pe_graph):
+    def test_cancel_while_pausing_is_cooperative(self, pe_graph, at):
         """A cancel landing in the yield window (PAUSING, ledger still
         open) is the ordinary cooperative cancellation — the pause never
         happens."""
@@ -398,13 +408,13 @@ class TestCancelInteraction:
         ref.run(plan, START)
         ledger_closes = max(ev.ts for ev in ref.trace.by_kind(TRACKER_REPORT)
                             if ev.data["stage"] == 0)
-        assert PREEMPT_EARLY < ledger_closes
+        assert at["early"] < ledger_closes
         engine = make_engine(pe_graph)
         session = engine.submit(plan, START)
         engine.clock.schedule_at(
-            PREEMPT_EARLY, lambda: engine.preempt(session))
+            at["early"], lambda: engine.preempt(session))
         engine.clock.schedule_at(
-            (PREEMPT_EARLY + ledger_closes) / 2,
+            (at["early"] + ledger_closes) / 2,
             lambda: engine.cancel(session, "shed"))
         engine.clock.run_until_idle()
         with pytest.raises(QueryCancelledError):
@@ -420,17 +430,18 @@ class TestCancelInteraction:
 
 class TestCrashWhilePausing:
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_crash_while_pausing_restores_then_pauses(self, pe_graph, kernel):
+    def test_crash_while_pausing_restores_then_pauses(
+            self, pe_graph, at, kernel):
         """A worker crash in the yield window flows through the normal
         restore path; the session stays PAUSING and yields at the next
         boundary of the restored attempt."""
         plan = three_stage_plan(pe_graph)
         base = baseline(pe_graph, plan, kernel=kernel)
         engine = make_engine(
-            pe_graph, kernel=kernel, crashes=((2, CRASH_WHILE_PAUSING),))
+            pe_graph, kernel=kernel, crashes=((2, at["late1"]),))
         session = engine.submit(plan, START)
         engine.clock.schedule_at(
-            PREEMPT_MID, lambda: engine.preempt(session))
+            at["mid"], lambda: engine.preempt(session))
         engine.clock.schedule_at(600.0, lambda: engine.resume(session))
         engine.clock.run_until_idle()
         result = engine.result_of(session)
@@ -446,16 +457,16 @@ class TestCrashWhilePausing:
         assert audit.ok, audit.violations[:3]
 
     def test_crash_before_first_boundary_falls_back_then_pauses(
-        self, pe_graph
+        self, pe_graph, at
     ):
         """Crash while PAUSING with nothing checkpointed yet: force-retry
         replays stage 0 under a fresh id, the PAUSING intent survives the
         retry, and the new attempt pauses at its first boundary."""
         plan = two_stage_plan(pe_graph)
         base = baseline(pe_graph, plan)
-        engine = make_engine(pe_graph, crashes=((2, PREEMPT_EARLY),))
+        engine = make_engine(pe_graph, crashes=((2, at["late0"]),))
         session = engine.submit(plan, START)
-        engine.clock.schedule_at(30.0, lambda: engine.preempt(session))
+        engine.clock.schedule_at(at["early"], lambda: engine.preempt(session))
         engine.clock.schedule_at(600.0, lambda: engine.resume(session))
         engine.clock.run_until_idle()
         result = engine.result_of(session)
@@ -485,7 +496,7 @@ def policy_engine(pe_graph, *, preemption):
     )
 
 
-def run_mixed(engine, pe_graph, *, analytics_priority=1, ic_at=120.0):
+def run_mixed(engine, pe_graph, ic_at, *, analytics_priority=1):
     """One analytics query holding the only slot, one interactive query
     arriving later at higher priority. Returns per-query finish instants
     and the two sessions."""
@@ -505,11 +516,11 @@ def run_mixed(engine, pe_graph, *, analytics_priority=1, ic_at=120.0):
 
 
 class TestPolicy:
-    def test_waiter_preempts_lower_priority_resident(self, pe_graph):
+    def test_waiter_preempts_lower_priority_resident(self, pe_graph, at):
         solo = baseline(pe_graph, three_stage_plan(pe_graph))
 
         on = policy_engine(pe_graph, preemption=True)
-        done_on, analytics, ic = run_mixed(on, pe_graph)
+        done_on, analytics, ic = run_mixed(on, pe_graph, at["mid"])
         # The resident analytics query paused at its next boundary, the
         # interactive query ran in the freed slot and finished first,
         # and the analytics query resumed — not shed — with its full
@@ -523,17 +534,17 @@ class TestPolicy:
         assert audit_of(on).ok
 
         off = policy_engine(pe_graph, preemption=False)
-        done_off, analytics_off, _ = run_mixed(off, pe_graph)
+        done_off, analytics_off, _ = run_mixed(off, pe_graph, at["mid"])
         assert off.metrics.preemptions == 0
         # Preemption strictly improves the interactive finish time; the
         # analytics answer is identical either way.
         assert done_on["ic"] < done_off["ic"]
         assert off.result_of(analytics_off).rows == solo.rows
 
-    def test_equal_priority_is_never_preempted(self, pe_graph):
+    def test_equal_priority_is_never_preempted(self, pe_graph, at):
         engine = policy_engine(pe_graph, preemption=True)
         done_at, analytics, _ic = run_mixed(
-            engine, pe_graph, analytics_priority=0)
+            engine, pe_graph, at["mid"], analytics_priority=0)
         # Only *strictly* lower-priority residents yield.
         assert engine.metrics.preemptions == 0
         assert analytics.qmetrics.pauses == 0
@@ -574,7 +585,7 @@ class TestPolicy:
         assert audit_of(engine).ok
 
     def test_parked_waiter_preempts_at_the_first_checkpoint(
-            self, pe_graph, monkeypatch):
+            self, pe_graph, at, monkeypatch):
         solo = baseline(pe_graph, three_stage_plan(pe_graph))
         engine = policy_engine(pe_graph, preemption=True)
         requests, pauses = self.record_policy(engine, monkeypatch)

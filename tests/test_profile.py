@@ -35,11 +35,12 @@ class TestProfile:
         dispatched = sum(profile.dispatched_of(op.idx) for op in plan.ops)
         assert dispatched == profile.metrics.steps_executed
         # the location-free projections, and the k-hop exit chain (the
-        # vertex Dedup and the vertex-reading projection) in the branch's
-        # step
+        # vertex Dedup, the vertex-reading projection and absorption into
+        # the Collect) in the branch's step
         assert set(profile.op_inlined) == {
             op.idx for op in plan.ops
-            if isinstance(op, (phys.ProjectOp, phys.DedupOp))}
+            if isinstance(op, (phys.ProjectOp, phys.DedupOp,
+                               phys.CollectAgg))}
         assert "inlined=" in profile.render()
 
     def test_rows_match_plain_run(self, graph):
@@ -66,9 +67,10 @@ class TestProfile:
         profile = engine.profile(plan, {"s": 0})
         dedup_idx = next(i for i, op in enumerate(plan.ops)
                          if isinstance(op, phys.DedupOp))
-        # two paths reach vertex 3; dedup executes twice, passes once
+        # two paths reach vertex 3; dedup executes twice, passes once: its
+        # one survivor is collected inside the dedup's step
         assert profile.steps_of(dedup_idx) == 2
-        assert profile.spawned_of(dedup_idx) == 1
+        assert profile.op_inlined[plan.stages[0].barrier_idx] == 1
 
     def test_render_lists_every_operator(self, graph):
         plan = khop_plan(graph)

@@ -34,16 +34,13 @@ from repro.runtime.faults import FaultPlan, WorkerFault
 from repro.runtime.metrics import MsgKind
 from repro.runtime.network import TRACKER_DST
 from repro.runtime.trace import PARTIAL_SHIP
-from tests.conftest import KERNELS, make_graph
+from tests.conftest import KERNELS, make_graph, stage_windows, within
 
 NODES, WPN = 4, 2
 N_QUERIES = 6
 #: a cancel this long after submission finds stage 0's ledger still open
 #: (its last report lands 55-155 us after submission in either weighted mode)
 CANCEL_AFTER_US = 30.0
-#: after every stage-0 boundary, while stage 1 still runs (the default
-#: mode's stage-0 ledgers close by t ~= 168 us, its last query at ~219)
-CRASH_AT_US = 190.0
 
 
 @pytest.fixture(scope="module")
@@ -52,12 +49,27 @@ def graph():
 
 
 def two_stage_plan(graph):
-    """Stage 0 closes at t ~= 55-205 us for the six staggered queries below
-    (either weighted mode); the whole batch is quiet by t ~= 1 000 us."""
+    """The whole six-query batch below is quiet by t ~= 1 000 us."""
     return (
         Traversal("two_stage").v_param("s").khop("e", k=2).as_("v")
         .group_count("v").out("e").count().compile(graph)
     )
+
+
+def submit_batch(engine, plan, gap=10.0):
+    """The six staggered queries: one every ``gap`` us from t = 0."""
+    return [engine.submit(plan, {"s": 7 * i}, at=gap * i)
+            for i in range(N_QUERIES)]
+
+
+def crash_instant(graph, **cfg):
+    """After every stage-0 boundary, while stage 1 still runs: halfway
+    through the batch's stage-1 window in a dry run under ``cfg``."""
+    engine = AsyncPSTMEngine(graph, NODES, WPN, config=EngineConfig(**cfg),
+                             seed=3)
+    plan = two_stage_plan(graph)
+    return within(stage_windows(engine, lambda e: submit_batch(e, plan))[1],
+                  0.5)
 
 
 def check_endpoints(engine):
@@ -103,7 +115,8 @@ class TestEndpointConsistency:
             cfg["checkpoint_interval_us"] = 0.0
         if scenario == "crash":
             cfg["fault_plan"] = FaultPlan(worker_faults=(
-                WorkerFault(wid=1, at_us=CRASH_AT_US, down_us=30.0),
+                WorkerFault(wid=1, at_us=crash_instant(graph, **cfg),
+                            down_us=30.0),
             ))
         engine = AsyncPSTMEngine(
             graph, NODES, WPN, config=EngineConfig(**cfg), seed=3
@@ -111,8 +124,7 @@ class TestEndpointConsistency:
         seen = check_endpoints(engine)
         plan = two_stage_plan(graph)
         gap = 10.0
-        sessions = [engine.submit(plan, {"s": 7 * i}, at=gap * i)
-                    for i in range(N_QUERIES)]
+        sessions = submit_batch(engine, plan, gap)
         first_ids = [s.query_id for s in sessions]
         assert len({engine.home_node(q) for q in first_ids}) > 1
         clock = engine.clock
@@ -238,15 +250,15 @@ class TestStartVertexHoming:
         assert engine._homes == {}
 
     def test_restored_multi_partition_frontier_takes_the_hash(self, graph):
+        at = crash_instant(graph, checkpoint_interval_us=0.0)
         engine = AsyncPSTMEngine(graph, NODES, WPN, config=EngineConfig(
             checkpoint_interval_us=0.0,
             fault_plan=FaultPlan(worker_faults=(
-                WorkerFault(wid=1, at_us=CRASH_AT_US, down_us=30.0),)),
+                WorkerFault(wid=1, at_us=at, down_us=30.0),)),
         ), seed=3)
         homes = record_homes(engine)
         plan = two_stage_plan(graph)
-        sessions = [engine.submit(plan, {"s": 7 * i}, at=10.0 * i)
-                    for i in range(N_QUERIES)]
+        sessions = submit_batch(engine, plan)
         engine.clock.run_until_idle()
         assert all(s.qmetrics.done for s in sessions)
         assert engine.metrics.checkpoint_restores > 0

@@ -44,7 +44,9 @@ from repro.runtime.lifecycle import (
 )
 from repro.runtime.txnplane import TxnPlane
 from repro.txn.view import SnapshotStore
-from tests.conftest import KERNELS, khop3_count, make_graph
+from tests.conftest import (
+    KERNELS, khop3_count, make_graph, stage_windows, within,
+)
 
 NODES, WPN = 2, 2
 
@@ -73,6 +75,13 @@ def engine_for(graph, kernel, **cfg):
         kernel=kernel, transactions=True, **cfg))
 
 
+def mid_stage0(graph, plan):
+    """Halfway through ``plan``'s stage 0, from a dry run."""
+    windows = stage_windows(engine_for(graph, "run"),
+                            lambda engine: engine.submit(plan, {"s": 5}))
+    return within(windows[0], 0.5)
+
+
 # -- the terminal paths -------------------------------------------------------
 #
 # Each submits and schedules, then returns (engine, [(session, expected
@@ -88,19 +97,22 @@ def finish(graph, kernel, monkeypatch):
 
 
 def cancel_finalize(graph, kernel, monkeypatch):
+    plan = two_stage_plan(graph)
+    at = mid_stage0(graph, plan)
     engine = engine_for(graph, kernel)
-    session = engine.submit(two_stage_plan(graph), {"s": 5})
-    engine.clock.schedule_at(25.0, lambda: engine.cancel(session))
+    session = engine.submit(plan, {"s": 5})
+    engine.clock.schedule_at(at, lambda: engine.cancel(session))
     return (engine, [(session, QueryState.FAILED, "caller")],
             "cancelling->failed")
 
 
 def retry_budget(graph, kernel, monkeypatch):
     monkeypatch.setattr(faults, "RETRY_BUDGET", 0)
+    plan = khop3_count(graph)
+    crash = WorkerFault(wid=0, at_us=mid_stage0(graph, plan), down_us=3000.0)
     engine = engine_for(graph, kernel, fault_plan=FaultPlan(
-        seed=1, worker_faults=(WorkerFault(wid=0, at_us=25.0,
-                                           down_us=3000.0),)))
-    session = engine.submit(khop3_count(graph), {"s": 5})
+        seed=1, worker_faults=(crash,)))
+    session = engine.submit(plan, {"s": 5})
     return (engine, [(session, QueryState.FAILED, REASON_RETRY_BUDGET)],
             "running->failed")
 
@@ -117,9 +129,11 @@ def admission(graph, kernel, monkeypatch):
 
 
 def cancel_paused(graph, kernel, monkeypatch):
+    plan = two_stage_plan(graph)
+    at = mid_stage0(graph, plan)
     engine = engine_for(graph, kernel, checkpoint_interval_us=0.0)
-    session = engine.submit(two_stage_plan(graph), {"s": 5})
-    engine.clock.schedule_at(25.0, lambda: engine.preempt(session))
+    session = engine.submit(plan, {"s": 5})
+    engine.clock.schedule_at(at, lambda: engine.preempt(session))
     engine.clock.schedule_at(1000.0, lambda: engine.cancel(session, "shed"))
     return (engine, [(session, QueryState.FAILED, "shed")],
             "paused->cancelling")

@@ -70,7 +70,9 @@ from tests.conftest import (
 #: events: five sealed chunks and a 2 009-event tail, which now holds most
 #: of the bytes): compressed chunks measured 23.5, the uncompressed column
 #: chunks before them 49.0 (43.8 on the 21 350-event batch of their day),
-#: the flat-row store 202.1, the object + kwargs-dict store 365
+#: the flat-row store 202.1, the object + kwargs-dict store 365. The
+#: uncompressed tail dominates, so the batch is sized to keep one of about
+#: that length: 26 300 events with a 1 724-event tail measure 20.4
 FOOTPRINT_GUARD_BYTES = 30
 
 
@@ -136,8 +138,9 @@ def _scenarios(kernel):
     # crash past a stage boundary: restored from the checkpoint
     ck_graph = PartitionedGraph.from_graph(
         powerlaw_graph(ck.GRAPH_CFG, seed=ck.GRAPH_SEED), ck.NODES * ck.WPN)
+    after = ck.crash_instants(ck_graph)["after"]
     yield ck.run_ck(ck_graph, ck.two_stage_plan(ck_graph), kernel=kernel,
-                    checkpoint=True, crashes=((2, ck.AFTER_BOUNDARY),))[0]
+                    checkpoint=True, crashes=((2, after),))[0]
     # tight inbox credits: senders stall
     yield run_batch(graph, khop3_count(graph), [{"s": 3}, {"s": 7}],
                     EngineConfig(trace=True, kernel=kernel, inbox_capacity=8,
@@ -413,9 +416,9 @@ def _decoded_bytes(chunk):
 
 
 def test_reading_never_grows_the_store(monkeypatch):
-    # the run leaves ~2 460 events: six or more sealed chunks
+    # the run leaves ~2 450 events: six or more sealed chunks
     monkeypatch.setattr(trace, "CHUNK_EVENTS", 384)
-    rec = fuzz.fuzz_run(100, "run").trace
+    rec = fuzz.fuzz_run(100, "run", queries=14).trace
     n, stored = len(rec), rec.nbytes
     assert len(rec._chunks) >= 6
     one = [_decoded_bytes(chunk) for chunk in rec._chunks]
@@ -490,13 +493,13 @@ def _retained(graph, batch, trace):
 
 
 def test_footprint_per_event_stays_under_the_guard():
-    """The spine's read mix in miniature (each IC three times, each IS 18
+    """The spine's read mix in miniature (each IC five times, each IS 30
     times): what a traced run retains beyond the same run untraced, per
     event."""
     dataset = generate_snb(SNB_TINY)
     graph = dataset.partitioned(8)
     batch = []
-    for table, per_type in ((IC_QUERIES, 3), (IS_QUERIES, 18)):
+    for table, per_type in ((IC_QUERIES, 5), (IS_QUERIES, 30)):
         for num in sorted(table):
             plan = table[num].build().compile(graph)
             batch += [(plan, table[num].make_params(dataset,

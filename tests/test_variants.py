@@ -264,17 +264,29 @@ class TestAblationModesPinned:
       on, the coalescing rows' stage gathers its partials again (the
       tracker counts above grew by the PARTIAL messages). With only
       location-free links inlined (``_link`` called with ``local``
-      forced False) all eleven previous pins reproduce bit for bit."""
+      forced False) all eleven previous pins reproduce bit for bit.
+    * every row but ``naive_central`` (both homings) — *every
+      partitionable aggregate absorbed* (child of 43599bd): an absorbed
+      child keeps its weight share, which the absorbing step finishes,
+      so the k-hop branch now reports the count's share. The coalescing
+      rows' partials ride again (109-116 tracker messages fewer: no
+      gather) and ``weighted_immediate`` sends one eager report per such
+      branch row (12 476 → 14 066 / 14 050 tracker messages). The naive
+      counters carry no weight, so both ``naive_central`` pins held —
+      the proof the move is the weight share's. ``_link`` patched back
+      to absorbing only a local Count restores those two, and no
+      ``_link`` patch restores the other nine: the share is not a link
+      decision."""
 
     @pytest.mark.parametrize("config, gap_us, tracker_msgs, digest", [
         (EngineConfig(progress_mode=ProgressMode.WEIGHTED_IMMEDIATE), 3.0,
-         12476, "9c34112828c2bafa"),
+         14066, "8fd442ffc28ebe7e"),
         # one at a time, as at 57399d2: concurrent naive-central queries
         # did not all finish then (TestNaiveCentralConcurrent)
         (EngineConfig(progress_mode=ProgressMode.NAIVE_CENTRAL), 5000.0,
          16039, "d0fe5430d5a1cd7f"),
-        (EngineConfig(io_mode=IO_TLC), 3.0, 400, "f1c28dc4316c4d34"),
-        (EngineConfig(io_mode=IO_SYNC), 3.0, 244, "1bcdb8cdefa4df7f"),
+        (EngineConfig(io_mode=IO_TLC), 3.0, 285, "61968f0019059f5d"),
+        (EngineConfig(io_mode=IO_SYNC), 3.0, 133, "759bd45c4c54480d"),
     ], ids=["weighted_immediate", "naive_central", "io_tlc", "io_sync"])
     def test_non_default_modes_bit_identical_to_parent(
             self, monkeypatch, config, gap_us, tracker_msgs, digest):
@@ -288,8 +300,8 @@ class TestAblationModesPinned:
             self, monkeypatch):
         home_everything_on_node_0(monkeypatch)
         engine, got = ablation_run(EngineConfig(), 3.0)
-        assert engine.tracker.messages_processed == 317
-        assert got == "2a71d23ebc1a0305"
+        assert engine.tracker.messages_processed == 204
+        assert got == "b26dcee4927bc439"
         assert engine.tracker.busy_us[1] == 0.0
 
     def test_one_node_cluster_bit_identical_to_parent(self):
@@ -297,17 +309,17 @@ class TestAblationModesPinned:
         shared memory unfolded."""
         engine, got = ablation_run(EngineConfig(), 3.0, nodes=1)
         assert engine.metrics.packets_sent == 0
-        assert engine.tracker.messages_processed == 300
-        assert got == "1393a7329f992099"
+        assert engine.tracker.messages_processed == 184
+        assert got == "42a613232f108480"
 
     @pytest.mark.parametrize("config, gap_us, tracker_msgs, digest", [
-        (EngineConfig(), 3.0, 343, "1e10acf5868043f6"),
+        (EngineConfig(), 3.0, 234, "bdece8d15131838c"),
         (EngineConfig(progress_mode=ProgressMode.WEIGHTED_IMMEDIATE), 3.0,
-         12476, "930fd284cd48d915"),
+         14050, "01efc13d944818fa"),
         (EngineConfig(progress_mode=ProgressMode.NAIVE_CENTRAL), 5000.0,
          16039, "8226a3d7bb547543"),
-        (EngineConfig(io_mode=IO_TLC), 3.0, 344, "41479123683430a0"),
-        (EngineConfig(io_mode=IO_SYNC), 3.0, 358, "1e310341f63bac25"),
+        (EngineConfig(io_mode=IO_TLC), 3.0, 235, "82055bcdc820d9f3"),
+        (EngineConfig(io_mode=IO_SYNC), 3.0, 243, "2d6286c938e1c938"),
     ], ids=["default", "weighted_immediate", "naive_central", "io_tlc",
             "io_sync"])
     def test_hashed_homes_pinned(self, config, gap_us, tracker_msgs, digest):
@@ -324,10 +336,8 @@ class TestAblationModesPinned:
         two workers of one node reporting one (query, stage) while their
         NIC is busy — which the pins' 3 us open loop on 2 x 2 workers
         never has (it folds nothing) and a 16-client closed loop on 2 x 4
-        does. The plan is a 3-hop count whose partials ride: the k-hop
-        count's branch absorbs its count beside the loop child, so that
-        stage gathers (docs/SIMULATION.md), while here the Dedup absorbs
-        the count with no other child."""
+        does. The plan is a 3-hop count whose Dedup absorbs the count
+        (every coalesced stage's partials ride, docs/SIMULATION.md)."""
         graph = make_graph(11, partitions=8)
         plan = (Traversal("hop3_count").v_param("s").out("e").out("e")
                 .out("e").dedup().count().compile(graph))
