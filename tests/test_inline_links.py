@@ -502,10 +502,10 @@ class TestNotInlined:
             targets = [idx for idx, kind, _arg in links_of(
                 links.table[expand.idx]) if kind == ABSORB]
             assert targets == ([barrier] if absorbed else []), name
+            expected = canon(LocalExecutor(graph).run(plan, {"s": 2}))
             for kernel in KERNELS:
-                engine, result = async_run(graph, plan, {"s": 2}, kernel)
-                assert canon(result.rows) == canon(
-                    LocalExecutor(graph).run(plan, {"s": 2})), name
+                rows = async_run(graph, plan, {"s": 2}, kernel)[1].rows
+                assert canon(rows) == expected, name
 
     def test_vertex_link_after_free_op_under_stay_local(self):
         graph = make_graph(6)
