@@ -38,7 +38,7 @@ from repro.graph.partition import PartitionedGraph
 from repro.query.traversal import Traversal
 from repro.runtime.engine import AsyncPSTMEngine, EngineConfig
 from repro.runtime.faults import FaultPlan, WorkerFault
-from repro.runtime.trace import EXEC, STAGE_CLOSE, WeightLedgerAuditor
+from repro.runtime.trace import EXEC, WeightLedgerAuditor
 
 ENGINE_SEED = 3
 START_VERTEX = 11
@@ -99,7 +99,7 @@ def run_once(
         "checkpoint_fallbacks": engine.metrics.checkpoint_fallbacks,
         "audit_ok": audit.ok,
         "audit_violations": audit.violations[:5],
-        "stage_closes": [ev.ts for ev in engine.trace.by_kind(STAGE_CLOSE)],
+        "stage_windows": engine.trace.stage_windows(),
     }
 
 
@@ -119,7 +119,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     print("baseline (healthy cluster)...")
     base = run_once(None, checkpoint=False)
-    boundary, end = base["stage_closes"]
+    boundary, end = base["stage_windows"][1]
     print(f"  rows={base['rows']}  exec={base['exec_events']}  "
           f"audit={'ok' if base['audit_ok'] else 'VIOLATED'}")
     crash_times = [boundary + f * (end - boundary) for f in (

@@ -156,14 +156,16 @@ class InlineLinks:
 
     A failed filter or a duplicate drops the child, and when no child
     survives the parent finishes its weight. An absorbed child is folded
-    in by the aggregate's ``absorb``; a row's absorbed children keep one
-    weight share (:data:`ABSORBED`, last in the row) that the emitting
-    step finishes, so a weight report always follows a partial write on
-    its partition. A project rewrites the payload, and a survivor targets
-    the first op that is not a link and is routed as that op demands. The
-    inline Dedup and an order-bound absorption see the inputs a dispatched
-    op would, in emission order: a vertex-preserving child never leaves
-    its partition and the local queue is FIFO.
+    in by the aggregate's ``absorb``. With ``share`` (a coalescing
+    progress mode) a row's absorbed children keep one weight share
+    (:data:`ABSORBED`, last in the row) that the emitting step finishes,
+    so a weight report always follows a partial write on its partition;
+    the other modes gather the partials after the close. A project
+    rewrites the payload, and a survivor targets the first op that is not
+    a link and is routed as that op demands. The inline Dedup and an
+    order-bound absorption see the inputs a dispatched op would, in
+    emission order: a vertex-preserving child never leaves its partition
+    and the local queue is FIFO.
 
     Pricing: each evaluated link adds its own work (Filter one prop,
     Project ``len(assignments)`` props, Dedup and absorption one memo op)
@@ -178,10 +180,11 @@ class InlineLinks:
     barrier itself, or an op that absorbs into it).
     """
 
-    __slots__ = ("table", "writes")
+    __slots__ = ("table", "writes", "share")
 
     def __init__(self, plan: PhysicalPlan,
-                 route_info: List[Tuple[int, str, PhysicalOp]]) -> None:
+                 route_info: List[Tuple[int, str, PhysicalOp]],
+                 share: bool = True) -> None:
         ops = plan.ops
         n = len(ops)
         refs = _predecessors(plan)
@@ -217,6 +220,7 @@ class InlineLinks:
             table.append(entries or None)
         self.table = table
         self.writes = writes
+        self.share = share
 
     def run(
         self,
@@ -239,6 +243,7 @@ class InlineLinks:
                     any(kind != DEDUP for kind, _ in chain.steps))
                 for s, chain in table.items()}
         get = live.get
+        share = self.share
         # the one traverser the links read (expressions see its vertex,
         # payload and loop counter)
         probe = Traverser(-1, -1, -1, (), 0)
@@ -281,7 +286,7 @@ class InlineLinks:
                         seen[vertex] = True
                     elif kind == ABSORB:
                         arg(ctx, probe)
-                        absorbed = True
+                        absorbed = share
                         break
                     elif kind == FILTER:
                         if not arg(ctx, probe):
@@ -339,6 +344,9 @@ class PSTMMachine:
     made it, instead of moving to its vertex's owner. (The one
     ``"custom"`` route that can return None is a fixed-vertex source's,
     and sources are seeded, never spawned.)
+
+    ``weight_share``: absorbed children keep a weight share
+    (:class:`InlineLinks`); False under a progress mode that gathers.
     """
 
     def __init__(
@@ -347,11 +355,13 @@ class PSTMMachine:
         partitioner: Placement,
         barrier_route: Optional[int] = None,
         stay_local: bool = False,
+        weight_share: bool = True,
     ) -> None:
         self.plan = plan
         self.partitioner = partitioner
         self.barrier_route = barrier_route
         self.stay_local = stay_local
+        self.weight_share = weight_share
         self._route_info: Optional[List[Tuple[int, str, PhysicalOp]]] = None
         self._inline: Optional[InlineLinks] = None
 
@@ -360,7 +370,8 @@ class PSTMMachine:
         table and shared the same way."""
         inline = self._inline
         if inline is None:
-            inline = self._inline = InlineLinks(self.plan, self.route_info())
+            inline = self._inline = InlineLinks(
+                self.plan, self.route_info(), self.weight_share)
         return inline
 
     def partial_writers(self, stage: int) -> Tuple[int, ...]:

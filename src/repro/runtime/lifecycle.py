@@ -312,6 +312,7 @@ class QuerySession:
                 plan,
                 engine.graph.partitioner,
                 barrier_route=0 if engine.config.centralized_agg else None,
+                weight_share=engine.config.progress_mode.coalesced,
             )
         self.machine = machine
         self.rng = random.Random((engine.seed << 20) ^ query_id)

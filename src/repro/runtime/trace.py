@@ -516,6 +516,15 @@ class TraceRecorder:
         return [_view(code, row) for segment in self._segments()
                 for row in segment.rows(code)]
 
+    def stage_windows(self) -> List[Tuple[float, float]]:
+        """Per stage, its window ``(opened, closed)`` in the run: stage
+        ``s`` opens when the last query closes stage ``s - 1`` (stage 0 at
+        t = 0) and closes when the last query closes it."""
+        closes = {ev.data["stage"]: ev.ts for ev in self.by_kind(STAGE_CLOSE)
+                  if ev.data["reason"] == "terminated"}
+        bounds = [0.0] + [closes[s] for s in sorted(closes)]
+        return list(zip(bounds, bounds[1:]))
+
     def for_query(self, query_id: int) -> List[TraceEvent]:
         """Every event attributed to one query, in simulated-time order."""
         return [_view(code, row) for code, row in self._rows()

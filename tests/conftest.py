@@ -128,29 +128,21 @@ def run_batch(graph, plan, param_list, config=None, nodes=FAULT_NODES,
 def stage_windows(
     engine: AsyncPSTMEngine, submit: Callable[[AsyncPSTMEngine], Any]
 ) -> List[Tuple[float, float]]:
-    """Per stage, the window ``(opened, closed)`` of a workload's dry run:
-    ``submit(engine)`` submits it, and the clock runs to quiescence.
-    Stage ``s`` opens when the last query closes stage ``s - 1`` (stage 0
-    at t = 0) and closes when the last query closes it.
+    """Per stage, the window ``(opened, closed)`` of a workload's dry run
+    (:meth:`~repro.runtime.trace.TraceRecorder.stage_windows`):
+    ``submit(engine)`` submits it to ``engine``, which traces, and the
+    clock runs to quiescence.
 
-    The simulation is deterministic, so a run that differs only by a
-    fault or a control call at instant ``t`` follows this timeline up to
-    ``t``. A test that takes its instants as fractions of these windows
-    (:func:`within`) hits the stage it means however the schedule moves,
-    where a hand-tuned constant can land after the run has ended.
+    The simulation is deterministic, and tracing only observes it, so a
+    run that differs only by a fault or a control call at instant ``t``
+    follows this timeline up to ``t``. A test that takes its instants as
+    fractions of these windows (:func:`within`) hits the stage it means
+    however the schedule moves, where a hand-tuned constant can land after
+    the run has ended.
     """
-    closes: Dict[int, float] = {}
-    complete = engine._complete_stage
-
-    def record(session, stage):
-        closes[stage] = engine.clock.now
-        complete(session, stage)
-
-    engine._complete_stage = record
     submit(engine)
     engine.clock.run_until_idle()
-    bounds = [0.0] + [closes[s] for s in sorted(closes)]
-    return list(zip(bounds, bounds[1:]))
+    return engine.trace.stage_windows()
 
 
 def within(window: Tuple[float, float], frac: float) -> float:

@@ -323,8 +323,9 @@ def two_stage_plan(graph):
 def windows(graph, plan):
     """``plan``'s stage windows, started at vertex 5 on this suite's
     cluster."""
-    return stage_windows(AsyncPSTMEngine(graph, NODES, WPN),
-                         lambda engine: engine.submit(plan, {"s": 5}))
+    return stage_windows(
+        AsyncPSTMEngine(graph, NODES, WPN, config=EngineConfig(trace=True)),
+        lambda engine: engine.submit(plan, {"s": 5}))
 
 
 def watch_retirements(engine, plan):

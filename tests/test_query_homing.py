@@ -65,8 +65,8 @@ def submit_batch(engine, plan, gap=10.0):
 def crash_instant(graph, **cfg):
     """After every stage-0 boundary, while stage 1 still runs: halfway
     through the batch's stage-1 window in a dry run under ``cfg``."""
-    engine = AsyncPSTMEngine(graph, NODES, WPN, config=EngineConfig(**cfg),
-                             seed=3)
+    engine = AsyncPSTMEngine(graph, NODES, WPN,
+                             config=EngineConfig(trace=True, **cfg), seed=3)
     plan = two_stage_plan(graph)
     return within(stage_windows(engine, lambda e: submit_batch(e, plan))[1],
                   0.5)

@@ -77,7 +77,7 @@ def engine_for(graph, kernel, **cfg):
 
 def mid_stage0(graph, plan):
     """Halfway through ``plan``'s stage 0, from a dry run."""
-    windows = stage_windows(engine_for(graph, "run"),
+    windows = stage_windows(engine_for(graph, "run", trace=True),
                             lambda engine: engine.submit(plan, {"s": 5}))
     return within(windows[0], 0.5)
 

@@ -66,14 +66,19 @@ from tests.conftest import (
     run_batch,
 )
 
-#: bytes retained per recorded event on the IC+IS batch below (22 489
-#: events: five sealed chunks and a 2 009-event tail, which now holds most
-#: of the bytes): compressed chunks measured 23.5, the uncompressed column
-#: chunks before them 49.0 (43.8 on the 21 350-event batch of their day),
-#: the flat-row store 202.1, the object + kwargs-dict store 365. The
-#: uncompressed tail dominates, so the batch is sized to keep one of about
-#: that length: 26 300 events with a 1 724-event tail measure 20.4
+#: bytes retained per sealed event on the IC+IS batch below: 11.0 over
+#: its four sealed chunks (10.5 / 11.9 / 11.9 at three, five and six
+#: rounds; 12.0 before every aggregate was absorbed inline). Over the
+#: whole store the mean moves with how full the unsealed tail happens to
+#: be (31.4 / 37.5 / 20.4 / 20.9 B/event at three to six rounds); measured
+#: that way, compressed chunks read 23.5, the uncompressed column chunks
+#: before them 49.0, the flat-row store 202.1, the object + kwargs-dict
+#: store 365
 FOOTPRINT_GUARD_BYTES = 30
+
+#: bytes per event of the unsealed tail, which keeps its rows flat and
+#: boxed until they fill a chunk: 139.5-147.3 at three to six rounds
+TAIL_GUARD_BYTES = 200
 
 
 # -- schema ------------------------------------------------------------------
@@ -493,13 +498,16 @@ def _retained(graph, batch, trace):
 
 
 def test_footprint_per_event_stays_under_the_guard():
-    """The spine's read mix in miniature (each IC five times, each IS 30
-    times): what a traced run retains beyond the same run untraced, per
-    event."""
+    """The spine's read mix in miniature: what a traced run retains beyond
+    the same run untraced. The batch is the fewest rounds (each IC once,
+    each IS six times) whose run seals four chunks. Sealed events and the
+    unsealed tail are bounded apart: the tail, up to a chunk of flat rows,
+    costs over ten times a sealed event, so a mean over both moves with how
+    full the tail is when the run ends."""
     dataset = generate_snb(SNB_TINY)
     graph = dataset.partitioned(8)
     batch = []
-    for table, per_type in ((IC_QUERIES, 5), (IS_QUERIES, 30)):
+    for table, per_type in ((IC_QUERIES, 4), (IS_QUERIES, 24)):
         for num in sorted(table):
             plan = table[num].build().compile(graph)
             batch += [(plan, table[num].make_params(dataset,
@@ -510,7 +518,11 @@ def test_footprint_per_event_stays_under_the_guard():
     traced, engine = _retained(graph, batch, True)
     events = len(engine.trace)
     per_event = (traced - untraced) / events
+    tail = engine.trace._tail
+    tail_events, tail_bytes = len(tail.codes), tail.nbytes
     assert events >= 4 * trace.CHUNK_EVENTS
-    assert per_event <= FOOTPRINT_GUARD_BYTES, per_event
+    sealed = (traced - untraced - tail_bytes) / (events - tail_events)
+    assert sealed <= FOOTPRINT_GUARD_BYTES, sealed
+    assert tail_bytes <= TAIL_GUARD_BYTES * max(tail_events, 1), tail_bytes
     # the store's own estimate is that measurement, without tracemalloc
     assert engine.trace.nbytes / events == pytest.approx(per_event, rel=0.1)

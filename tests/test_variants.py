@@ -265,22 +265,20 @@ class TestAblationModesPinned:
       tracker counts above grew by the PARTIAL messages). With only
       location-free links inlined (``_link`` called with ``local``
       forced False) all eleven previous pins reproduce bit for bit.
-    * every row but ``naive_central`` (both homings) — *every
-      partitionable aggregate absorbed* (child of 43599bd): an absorbed
-      child keeps its weight share, which the absorbing step finishes,
-      so the k-hop branch now reports the count's share. The coalescing
-      rows' partials ride again (109-116 tracker messages fewer: no
-      gather) and ``weighted_immediate`` sends one eager report per such
-      branch row (12 476 → 14 066 / 14 050 tracker messages). The naive
-      counters carry no weight, so both ``naive_central`` pins held —
-      the proof the move is the weight share's. ``_link`` patched back
-      to absorbing only a local Count restores those two, and no
-      ``_link`` patch restores the other nine: the share is not a link
-      decision."""
+    * every coalescing row — *every partitionable aggregate absorbed*
+      (child of 43599bd): under a coalescing progress mode an absorbed
+      child keeps its weight share, which the absorbing step finishes, so
+      the k-hop branch now reports the count's share and the partials
+      ride again (109-116 tracker messages fewer: no gather). The two
+      non-coalescing modes keep their gather and take no share, so all
+      four of their pins held — the proof the move is the weight share's
+      and is confined to the coalescing modes. ``_link`` patched back to
+      absorbing only a local Count restores none of the other seven: the
+      share is not a link decision."""
 
     @pytest.mark.parametrize("config, gap_us, tracker_msgs, digest", [
         (EngineConfig(progress_mode=ProgressMode.WEIGHTED_IMMEDIATE), 3.0,
-         14066, "8fd442ffc28ebe7e"),
+         12476, "9c34112828c2bafa"),
         # one at a time, as at 57399d2: concurrent naive-central queries
         # did not all finish then (TestNaiveCentralConcurrent)
         (EngineConfig(progress_mode=ProgressMode.NAIVE_CENTRAL), 5000.0,
@@ -315,7 +313,7 @@ class TestAblationModesPinned:
     @pytest.mark.parametrize("config, gap_us, tracker_msgs, digest", [
         (EngineConfig(), 3.0, 234, "bdece8d15131838c"),
         (EngineConfig(progress_mode=ProgressMode.WEIGHTED_IMMEDIATE), 3.0,
-         14050, "01efc13d944818fa"),
+         12476, "930fd284cd48d915"),
         (EngineConfig(progress_mode=ProgressMode.NAIVE_CENTRAL), 5000.0,
          16039, "8226a3d7bb547543"),
         (EngineConfig(io_mode=IO_TLC), 3.0, 235, "82055bcdc820d9f3"),
